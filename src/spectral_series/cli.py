@@ -403,11 +403,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_embed)
 
-    p = sub.add_parser("benchmark", help="run an experiment suite")
+    # no prefix matching here, so a stray --d is rejected, not read as --dims
+    p = sub.add_parser("benchmark", help="run an experiment suite", allow_abbrev=False)
     p.add_argument("--suite", required=True,
                    choices=["circle-dims", "growing-n", "spiral-compare"])
     p.add_argument("--n", type=int, default=500)
-    p.add_argument("--d", type=int, default=10)
     p.add_argument("--dims", help="comma list for circle-dims")
     p.add_argument("--ns", help="comma list for growing-n")
     p.add_argument("--seeds", type=int, default=10, help="number of replicate seeds")

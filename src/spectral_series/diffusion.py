@@ -37,6 +37,7 @@ logger = logging.getLogger(__name__)
 
 EIGENVALUE_TIE_GAP = 1e-12
 SYMMETRY_RTOL = 1e-10
+SYMMETRY_TILE = 256
 
 
 class Mode(str, Enum):
@@ -172,13 +173,15 @@ def symmetric_normalize(K: np.ndarray) -> np.ndarray:
     """Symmetric conjugate of the Markov matrix: K_ij / sqrt(rowsum_i rowsum_j).
 
     Shares its eigenvalues with row_stochastic(K) (similarity transform by
-    diag(rowsums)^(1/2)) but is exactly symmetric, so the symmetric
+    diag(rowsums)^(1/2)). For symmetric K it is exactly symmetric, because
+    each entry is K_ij times the single product r_i r_j, so the symmetric
     eigensolver applies.
     """
     K = np.asarray(K, dtype=float)
     inv_root = 1.0 / np.sqrt(_row_sums(K))
-    A = K * inv_root[:, None] * inv_root[None, :]
-    return 0.5 * (A + A.T)
+    A = np.outer(inv_root, inv_root)
+    A *= K
+    return A
 
 
 def stationary_weights(K: np.ndarray) -> np.ndarray:
@@ -195,14 +198,15 @@ def bias_correct(K: np.ndarray) -> np.ndarray:
     """Divide K entrywise by the degree products p(X_i) p(X_j).
 
     Removes the leading sampling-density bias; the corrected matrix is fed
-    back through the stochastic pipeline.
+    back through the stochastic pipeline. Exactly symmetric for symmetric K.
     """
     K = np.asarray(K, dtype=float)
     degrees = K.mean(axis=1)
     if np.any(degrees <= 0.0):
         raise NumericalError("nonpositive degree; cannot bias-correct")
-    Kc = K / np.outer(degrees, degrees)
-    return 0.5 * (Kc + Kc.T)
+    Kc = np.outer(degrees, degrees)
+    np.divide(K, Kc, out=Kc)
+    return Kc
 
 
 def diffusion_system(K: np.ndarray, mode: Mode) -> DiffusionSystem:
@@ -222,8 +226,18 @@ def _check_symmetric(A: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InputError(f"expected a square matrix, got shape {A.shape}")
-    scale = max(float(np.abs(A).max()), 1e-300)
-    asym = float(np.abs(A - A.T).max())
+    scale = max(float(A.max()), -float(A.min()), 1e-300)
+    # max |A - A^T| over the upper-triangle tiles: |a - b| == |b - a|, so this
+    # equals the full-matrix maximum, while each tile and its mirror stay in
+    # cache instead of the strided full transpose
+    n = A.shape[0]
+    tile_max = [
+        np.abs(A[i:i + SYMMETRY_TILE, j:j + SYMMETRY_TILE]
+               - A[j:j + SYMMETRY_TILE, i:i + SYMMETRY_TILE].T).max()
+        for i in range(0, n, SYMMETRY_TILE)
+        for j in range(i, n, SYMMETRY_TILE)
+    ]
+    asym = float(np.max(tile_max))
     if asym > SYMMETRY_RTOL * scale:
         raise NumericalError(
             f"matrix asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL:.0e} relative tolerance"
@@ -240,11 +254,15 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
 
 
 def _log_ties(eigenvalues: np.ndarray) -> None:
+    """One warning per eigensolve: the tie count and the first tied pair."""
     gaps = np.abs(np.diff(eigenvalues))
-    for j in np.nonzero(gaps < EIGENVALUE_TIE_GAP)[0]:
+    ties = np.nonzero(gaps < EIGENVALUE_TIE_GAP)[0]
+    if ties.size:
+        j = ties[0]
         logger.warning(
-            "eigenvalue tie at indices %d/%d (gap %.3e); vector order is solver-dependent",
-            j, j + 1, gaps[j],
+            "%d eigenvalue tie(s), first at indices %d/%d (gap %.3e); "
+            "vector order is solver-dependent",
+            ties.size, j, j + 1, gaps[j],
         )
 
 
@@ -266,9 +284,10 @@ def eigendecompose(
         method = EigenMethod()
 
     if method.name == "full":
-        vals, vecs = scipy.linalg.eigh(A)
-        vals = vals[::-1][:k]
-        vecs = vecs[:, ::-1][:, :k]
+        # only the k largest pairs, returned ascending
+        vals, vecs = scipy.linalg.eigh(A, subset_by_index=(n - k, n - 1))
+        vals = vals[::-1]
+        vecs = vecs[:, ::-1]
     else:
         rng = np.random.default_rng(method.seed)
         n_probe = min(n, k + method.oversample)
@@ -315,7 +334,8 @@ def fit_basis(
     rescale pipeline; Symmetric keeps the conjugate eigenvectors unrescaled;
     Uniform eigendecomposes K/n directly with flat weights (the route for
     kernels whose entries may be negative). A precomputed self Gram matrix
-    for (spec, X) may be passed to avoid rebuilding it.
+    for (spec, X) may be passed to avoid rebuilding it; like the one built
+    here it must be symmetric, or the eigensolve raises NumericalError.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = X.shape[0]
@@ -331,7 +351,7 @@ def fit_basis(
     K = gram_matrix(spec, X) if gram is None else np.asarray(gram, dtype=float)
     system = diffusion_system(K, mode)
     if mode is Mode.UNIFORM:
-        target = 0.5 * (K + K.T) / n
+        target = K / n
     else:
         target = symmetric_normalize(system.gram)
     vals, vecs = eigendecompose(target, j_max, method)

@@ -2,7 +2,7 @@
 
 Two families are supported: the Gaussian kernel
 ``exp(-||x - y||^2 / (4 * bandwidth))`` and the polynomial kernel
-``(<x, y> + 1)^degree``. Self Gram matrices are explicitly symmetrized so the
+``(<x, y> + 1)^degree``. Self Gram matrices are exactly symmetric, so the
 downstream symmetric eigensolver never sees floating-point asymmetry.
 """
 
@@ -83,21 +83,22 @@ def kernel_value(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
 def gram_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
     """Kernel matrix K with K[i, j] = k(A_i, B_j).
 
-    With B omitted (or identical to A) the self Gram matrix is computed, the
-    result is symmetrized as (K + K^T)/2, and for the Gaussian family the
-    diagonal is set to exactly 1.
+    With B omitted (or identical to A) the self Gram matrix is computed. It is
+    exactly symmetric, and for the Gaussian family its diagonal is exactly 1.
     """
     self_gram = B is None or B is A
     if self_gram:
         A, _ = _check_dims(A, A)
         if spec.family == "gaussian":
-            K = np.exp(-squareform(pdist(A, "sqeuclidean")) / (4.0 * spec.bandwidth))
-        else:
-            K = (A @ A.T + 1.0) ** spec.degree
-        K = 0.5 * (K + K.T)
-        if spec.family == "gaussian":
+            # squareform(pdist) is exactly symmetric and every later step is
+            # elementwise, so K needs no symmetrizing pass
+            K = squareform(pdist(A, "sqeuclidean"))
+            K /= -4.0 * spec.bandwidth
+            np.exp(K, out=K)
             np.fill_diagonal(K, 1.0)
-        return K
+            return K
+        K = (A @ A.T + 1.0) ** spec.degree
+        return 0.5 * (K + K.T)
     A, B = _check_dims(A, B)
     if spec.family == "gaussian":
         return np.exp(-cdist(A, B, "sqeuclidean") / (4.0 * spec.bandwidth))

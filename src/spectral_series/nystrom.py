@@ -54,7 +54,8 @@ def extend(basis: EigenBasis, Xnew: np.ndarray, J: int) -> np.ndarray:
     Entry (i, j) = (1/lambda_j) * sum_l w(x_i, X_l) * Psi[l, j] with the
     mode-matched weights w. Queries so far from the training set that every
     kernel value underflows fall back to the nearest training point's basis
-    row (logged).
+    row (logged). Query rows holding NaN or inf raise InputError: they have
+    no nearest training point.
     """
     Xnew = np.atleast_2d(np.asarray(Xnew, dtype=float))
     if Xnew.shape[1] != basis.training_points.shape[1]:
@@ -62,6 +63,9 @@ def extend(basis: EigenBasis, Xnew: np.ndarray, J: int) -> np.ndarray:
             f"query dimension {Xnew.shape[1]} does not match "
             f"training dimension {basis.training_points.shape[1]}"
         )
+    if not np.isfinite(Xnew).all():
+        row = np.argmin(np.isfinite(Xnew).all(axis=1))
+        raise InputError(f"query row {row} contains NaN or Inf")
     if not (0 <= J <= basis.n_components - 1):
         raise InputError(f"J must be in 0..{basis.n_components - 1}, got {J}")
     lam = basis.eigenvalues[: J + 1]

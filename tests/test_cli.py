@@ -14,7 +14,7 @@ import pytest
 
 import spectral_series
 from spectral_series import load_csv, load_model, predict
-from spectral_series.cli import main
+from spectral_series.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -131,6 +131,18 @@ class TestPredict:
         assert "0 predictions" in msg
         assert out.read_text().strip() == "prediction"
 
+    def test_non_finite_query_exits_2(self, tmp_path, spiral_csv, capsys):
+        run(capsys, "tune", "--data", spiral_csv, "--seed", 0, "--jmax", 6,
+            "--grid-size", 2, "--out", tmp_path / "m")
+        queries = tmp_path / "bad.csv"
+        queries.write_text("x1,x2\nnan,0\ninf,1\n")
+        out = tmp_path / "preds.csv"
+        code, _, err = run(capsys, "predict", "--model", tmp_path / "m.model",
+                           "--data", queries, "--out", out)
+        assert code == 2
+        assert "NaN or Inf" in err
+        assert not out.exists()
+
     def test_unsupported_archive_version_exits_4(self, tmp_path, spiral_csv, capsys):
         run(capsys, "tune", "--data", spiral_csv, "--seed", 0, "--jmax", 6,
             "--grid-size", 2, "--out", tmp_path / "m")
@@ -202,6 +214,15 @@ class TestVerify:
 
 
 class TestBenchmark:
+    def test_d_flag_only_on_gen(self, capsys):
+        parser = build_parser()
+        assert parser.parse_args(["gen", "circle", "--n", "5", "--d", "7",
+                                  "--out", "c.csv"]).d == 7
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["benchmark", "--suite", "circle-dims", "--d", "5"])
+        assert exc.value.code == 2
+        assert "--d" in capsys.readouterr().err
+
     def test_spiral_compare_smoke(self, tmp_path, capsys):
         prefix = tmp_path / "bench"
         code, _, _ = run(capsys, "benchmark", "--suite", "spiral-compare",

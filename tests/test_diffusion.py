@@ -37,6 +37,18 @@ def random_gram(n, seed, bw=1.0, d=3):
     return gram_matrix(KernelSpec.gaussian(bw), X)
 
 
+def random_symmetric_positive(n, seed):
+    """Symmetric positive matrix that does not come from gram_matrix."""
+    R = np.random.default_rng(seed).uniform(0.1, 1.0, size=(n, n))
+    return R + R.T
+
+
+SYMMETRIC_INPUTS = [
+    pytest.param(lambda: random_gram(300, 1, bw=0.2), id="gram300"),
+    pytest.param(lambda: random_symmetric_positive(300, 2), id="uniform300"),
+]
+
+
 class TestModeAndMethod:
     def test_parse_aliases(self):
         assert Mode.parse("stochastic") is Mode.STOCHASTIC
@@ -81,6 +93,11 @@ class TestSymmetricNormalize:
         A = symmetric_normalize(random_gram(25, 1))
         assert np.array_equal(A, A.T)
 
+    @pytest.mark.parametrize("make", SYMMETRIC_INPUTS)
+    def test_exactly_symmetric_for_symmetric_input(self, make):
+        A = symmetric_normalize(make())
+        assert np.array_equal(A, A.T)
+
     def test_same_spectrum_as_stochastic(self):
         K = random_gram(20, 2)
         ev_sym = np.sort(np.linalg.eigvalsh(symmetric_normalize(K)))
@@ -112,6 +129,11 @@ class TestBiasCorrect:
 
     def test_symmetric_exactly(self):
         out = bias_correct(random_gram(15, 4))
+        assert np.array_equal(out, out.T)
+
+    @pytest.mark.parametrize("make", SYMMETRIC_INPUTS)
+    def test_symmetric_exactly_for_symmetric_input(self, make):
+        out = bias_correct(make())
         assert np.array_equal(out, out.T)
 
     def test_two_point_closed_form(self):
@@ -160,10 +182,38 @@ class TestEigendecompose:
         for col in vecs.T:
             assert col[np.argmax(np.abs(col))] > 0.0
 
+    @pytest.mark.parametrize("j_max", [0, 4, 39])  # 39: k == n
+    def test_full_matches_all_eigenpairs(self, j_max):
+        # well-separated spectrum, so every eigenvector is unique up to sign
+        n, k = 40, j_max + 1
+        rng = np.random.default_rng(12)
+        Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        A = Q @ np.diag(np.linspace(0.1, 4.0, n)) @ Q.T
+        A = 0.5 * (A + A.T)
+        vals, vecs = eigendecompose(A, j_max, EigenMethod("full"))
+        assert vals.shape == (k,) and vecs.shape == (n, k)
+        assert np.allclose(vals, np.linalg.eigvalsh(A)[::-1][:k], rtol=0, atol=1e-12)
+        ref = np.linalg.eigh(A)[1][:, ::-1][:, :k] * np.sqrt(n)
+        signs = np.sign(np.sum(vecs * ref, axis=0))
+        assert np.allclose(vecs, ref * signs, atol=1e-8)
+
     def test_asymmetric_rejected(self):
         M = np.array([[1.0, 0.5], [0.1, 1.0]])
         with pytest.raises(NumericalError):
             eigendecompose(M, 1)
+
+    # (3, 590): a far off-diagonal tile; (255, 256): either side of a tile
+    # edge; (598, 599): inside the last, partial diagonal tile
+    @pytest.mark.parametrize("i, j", [(3, 590), (590, 3), (255, 256), (598, 599)])
+    def test_asymmetry_gate_per_tile(self, i, j):
+        A = random_symmetric_positive(600, 13)
+        scale = np.abs(A).max()
+        over, under = A.copy(), A.copy()
+        over[i, j] += 2e-10 * scale
+        under[i, j] += 0.5e-10 * scale
+        with pytest.raises(NumericalError, match="asymmetry"):
+            eigendecompose(over, 2)
+        eigendecompose(under, 2)
 
     def test_j_max_bounds(self):
         with pytest.raises(InputError):
@@ -197,6 +247,13 @@ class TestEigendecompose:
         with caplog.at_level(logging.WARNING, logger="spectral_series.diffusion"):
             eigendecompose(A, 2)
         assert any("tie" in rec.message for rec in caplog.records)
+
+    def test_ties_logged_once_per_eigensolve(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="spectral_series.diffusion"):
+            eigendecompose(np.eye(5), 2)
+        assert len(caplog.records) == 1
+        message = caplog.records[0].getMessage()
+        assert "2 eigenvalue tie" in message and "indices 0/1" in message
 
 
 class TestRescale:
@@ -258,6 +315,14 @@ class TestFitBasis:
         X = np.array([[1.0], [-3.0]])
         with pytest.raises(NumericalError):
             fit_basis(X, KernelSpec.polynomial(3), 1, Mode.STOCHASTIC)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_asymmetric_gram_rejected(self, mode):
+        X = np.random.default_rng(8).normal(size=(20, 2))
+        K = gram_matrix(KernelSpec.gaussian(1.0), X)
+        K[2, 7] *= 1.0 + 1e-6
+        with pytest.raises(NumericalError, match="asymmetry"):
+            fit_basis(X, KernelSpec.gaussian(1.0), 4, mode, gram=K)
 
     def test_truncate_view(self):
         X = np.random.default_rng(4).normal(size=(20, 2))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist, squareform
 
 from spectral_series import InputError, KernelSpec, bandwidth_grid, gram_matrix, kernel_value
 
@@ -56,6 +57,19 @@ class TestGramMatrix:
         K = gram_matrix(KernelSpec.gaussian(0.5), X)
         assert np.array_equal(K, K.T)
         assert np.all(np.diag(K) == 1.0)
+
+    def test_gaussian_self_gram_matches_direct_formula_bitwise(self):
+        X = np.random.default_rng(5).normal(size=(300, 3))
+        bw = 0.7
+        direct = np.exp(-squareform(pdist(X, "sqeuclidean")) / (4.0 * bw))
+        np.fill_diagonal(direct, 1.0)
+        assert np.array_equal(gram_matrix(KernelSpec.gaussian(bw), X), direct)
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_poly_self_gram_exactly_symmetric(self, degree):
+        X = np.random.default_rng(6).normal(size=(300, 4))
+        K = gram_matrix(KernelSpec.polynomial(degree), X)
+        assert np.array_equal(K, K.T)
 
     def test_two_point_closed_form(self):
         # distance 2 at bandwidth 1: off-diagonal is exactly e^-1

@@ -15,8 +15,10 @@ from spectral_series import (
     NumericalError,
     eigenmap,
     extend,
+    fit,
     fit_basis,
     gen_spiral,
+    predict,
 )
 
 
@@ -83,6 +85,21 @@ class TestExtend:
         out = extend(basis, queries, 2)
         assert np.allclose(out[0], basis.eigenvectors[3, :3], atol=1e-8)
         assert np.all(np.isfinite(out))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, bad):
+        X, basis = spiral_basis()
+        queries = np.vstack([X[:2], [[0.5, bad]], [[500.0, 500.0]]])
+        with pytest.raises(InputError, match="row 2"):
+            extend(basis, queries, 3)
+        with pytest.raises(InputError, match="row 2"):
+            eigenmap(basis, queries, 3)
+
+    def test_non_finite_query_rejected_by_predict(self):
+        data = gen_spiral(50, noise_sd=0.05, seed=0)
+        model = fit(data.features, data.responses, KernelSpec.gaussian(1.0), 8)
+        with pytest.raises(InputError, match="row 0"):
+            predict(model, np.array([[np.nan, 0.0], [np.inf, 1.0]]))
 
     @given(st.integers(0, 2 ** 31 - 1),
            st.sampled_from([Mode.STOCHASTIC, Mode.BIAS_CORRECTED,
