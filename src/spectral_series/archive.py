@@ -133,6 +133,25 @@ def save_model(path, model: SeriesModel, preprocessing: Preprocessing | None = N
             os.unlink(tmp)
 
 
+def _check_shapes(arrays: dict, n: int, d: int, k: int) -> None:
+    """Blocks must agree with each other and with the header's n, d, k."""
+    expected = {
+        "training_points": (n, d),
+        "eigenvectors": (n, k),
+        "eigenvalues": (k,),
+        "stationary": (n,),
+        "degrees": (n,),
+        "coefficients": (k,),
+    }
+    for name, want in expected.items():
+        got = arrays[name].shape if len(want) == 2 else (arrays[name].size,)
+        if got != want:
+            raise ArchiveError(
+                f"inconsistent archive: block {name} has shape {got}, expected "
+                f"{want} from header n={n}, d={d}, n_components={k}"
+            )
+
+
 def load_model(path) -> tuple[SeriesModel, Preprocessing]:
     """Read a model archive; rejects unknown format versions."""
     try:
@@ -159,6 +178,7 @@ def load_model(path) -> tuple[SeriesModel, Preprocessing]:
             arrays[name] = _read_block(fh)
 
     try:
+        _check_shapes(arrays, header["n"], header["d"], header["n_components"])
         kern = header["kernel"]
         spec = KernelSpec(kern["family"], kern.get("bandwidth"), kern.get("degree"))
         meth = header["method"]

@@ -10,7 +10,7 @@ import scipy.linalg
 from scipy.spatial.distance import cdist
 
 from .errors import InputError, NumericalError
-from .kernels import KernelSpec, gram_matrix
+from .kernels import KernelSpec, check_finite_rows, gram_matrix
 
 __all__ = [
     "NWModel",
@@ -35,7 +35,7 @@ def nw_predict(
 
     Each prediction is a convex combination of training labels, so it lies in
     [min(y), max(y)]. Queries whose weights all underflow get their nearest
-    neighbor's label (logged).
+    neighbor's label (logged). Query rows with NaN or Inf raise InputError.
     """
     X_train = np.atleast_2d(np.asarray(X_train, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
@@ -44,6 +44,7 @@ def nw_predict(
     if not bandwidth > 0:
         raise InputError(f"bandwidth must be > 0, got {bandwidth}")
     Xnew = np.atleast_2d(np.asarray(Xnew, dtype=float))
+    check_finite_rows(Xnew)
     K = gram_matrix(KernelSpec.gaussian(bandwidth), Xnew, X_train)
     sums = K.sum(axis=1)
     dead = sums <= 0.0
@@ -61,7 +62,10 @@ def nw_predict(
 
 
 def knn_predict(X_train: np.ndarray, y: np.ndarray, k: int, Xnew: np.ndarray) -> np.ndarray:
-    """Mean label over the k nearest training points (distance ties: lowest index)."""
+    """Mean label over the k nearest training points (distance ties: lowest index).
+
+    Query rows with NaN or Inf raise InputError.
+    """
     X_train = np.atleast_2d(np.asarray(X_train, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
     n = X_train.shape[0]
@@ -70,6 +74,7 @@ def knn_predict(X_train: np.ndarray, y: np.ndarray, k: int, Xnew: np.ndarray) ->
     if not (1 <= k <= n):
         raise InputError(f"k must be in 1..{n}, got {k}")
     Xnew = np.atleast_2d(np.asarray(Xnew, dtype=float))
+    check_finite_rows(Xnew)
     dists = cdist(Xnew, X_train, "sqeuclidean")
     # stable sort keeps the lowest training index first among equal distances
     order = np.argsort(dists, axis=1, kind="stable")[:, :k]
@@ -144,9 +149,10 @@ def krr_fit(X: np.ndarray, y: np.ndarray, spec: KernelSpec, penalty: float) -> K
 
 
 def krr_predict(model: KRRModel, Xnew: np.ndarray) -> np.ndarray:
-    """Dual-form prediction at query points."""
-    Kx = gram_matrix(model.kernel, np.atleast_2d(np.asarray(Xnew, dtype=float)),
-                     model.training_points)
+    """Dual-form prediction at query points; rows with NaN or Inf raise InputError."""
+    Xnew = np.atleast_2d(np.asarray(Xnew, dtype=float))
+    check_finite_rows(Xnew)
+    Kx = gram_matrix(model.kernel, Xnew, model.training_points)
     return Kx @ model.dual_coefficients
 
 

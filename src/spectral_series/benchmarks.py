@@ -1,11 +1,12 @@
 """Benchmark suites: dimension sweep, sample-size sweep, estimator comparison.
 
-Each suite returns long-format rows ready for CSV export: loss rows
-(suite, estimator, sweep_value, seed, loss, se) and timing rows
-(suite, estimator, sweep_value, seed, stage, seconds). Suites are
-deterministic given their seed list and run cells sequentially so stage
-wall-clocks stay comparable; the dimension sweep runs seed-major so that
-warm-up and machine drift do not land on a single sweep value.
+Each suite returns long-format rows ready for CSV export: loss rows with
+LOSS_FIELDS and timing rows with TIME_FIELDS. SUITES maps the names the CLI
+accepts to the suite functions, whose signatures hold the only copy of each
+suite's defaults. Suites are deterministic given their seed list and run
+cells sequentially so stage wall-clocks stay comparable; the dimension
+sweep runs seed-major so that warm-up and machine drift do not land on a
+single sweep value.
 """
 
 from __future__ import annotations
@@ -22,6 +23,9 @@ from .model_selection import TuneGrid, evaluate_on, tune_baseline, tune_series
 from .series import predict
 
 __all__ = [
+    "LOSS_FIELDS",
+    "SUITES",
+    "TIME_FIELDS",
     "run_circle_dims",
     "run_growing_n",
     "run_spiral_compare",
@@ -30,8 +34,8 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_CIRCLE_DIMS = (10, 50, 100, 500, 1000, 2500)
-DEFAULT_GROWING_NS = (100, 200, 400, 800)
+LOSS_FIELDS = ("suite", "estimator", "sweep_value", "seed", "loss", "se")
+TIME_FIELDS = ("suite", "estimator", "sweep_value", "seed", "stage", "seconds")
 
 # two full turns: long enough that the adaptive basis matters, short enough
 # that ambient-metric estimators (KRR, NW) stay in their stable regime
@@ -44,17 +48,15 @@ def knn_candidates(n_train: int, n_grid: int = 10) -> list[int]:
     return [int(k) for k in ks]
 
 
-def _series_rows(suite, estimator, sweep_value, seed, report, test):
-    loss_row = {
-        "suite": suite, "estimator": estimator, "sweep_value": sweep_value,
-        "seed": seed, "loss": test[0], "se": test[1],
-    }
-    time_rows = [
-        {"suite": suite, "estimator": estimator, "sweep_value": sweep_value,
-         "seed": seed, "stage": stage, "seconds": secs}
-        for stage, secs in report.timings.items()
-    ]
-    return loss_row, time_rows
+def _add_rows(loss_rows, time_rows, cell, timings, test):
+    """Append the loss row and one timing row per stage for one cell.
+
+    cell is (suite, estimator, sweep_value, seed); test is (loss, se).
+    """
+    key = dict(zip(LOSS_FIELDS[:4], cell))
+    loss_rows.append({**key, "loss": test[0], "se": test[1]})
+    time_rows.extend({**key, "stage": stage, "seconds": secs}
+                     for stage, secs in timings.items())
 
 
 def _tuned_series(train, val, test, grid_size, j_max, mode=Mode.STOCHASTIC,
@@ -85,7 +87,7 @@ def _tuned_krr(train, val, test, bandwidths, penalties):
 
 
 def run_circle_dims(
-    dims=DEFAULT_CIRCLE_DIMS,
+    dims=(10, 50, 100, 500, 1000, 2500),
     n: int = 500,
     n_seeds: int = 10,
     noise_var: float = 0.5,
@@ -107,16 +109,14 @@ def run_circle_dims(
             train, val, test = split(data, SplitSpec(seed=seed))
             _, report, test_eval = _tuned_series(train, val, test, grid_size, j_max,
                                                  method=method)
-            lrow, trows = _series_rows("circle-dims", "series-radial", d, seed,
-                                       report, test_eval)
-            loss_rows.append(lrow)
-            time_rows.extend(trows)
+            _add_rows(loss_rows, time_rows, ("circle-dims", "series-radial", d, seed),
+                      report.timings, test_eval)
         logger.info("circle-dims seed=%d done", seed)
     return loss_rows, time_rows
 
 
 def run_growing_n(
-    ns=DEFAULT_GROWING_NS,
+    ns=(100, 200, 400, 800),
     n_seeds: int = 10,
     noise_sd: float = 0.25,
     test_n: int = 2000,
@@ -147,10 +147,8 @@ def run_growing_n(
                 _, report, test_eval = _tuned_series(
                     train, val, test, grid_size, min(j_max, train.n - 1),
                     method=method)
-                lrow, trows = _series_rows("growing-n", label, n, seed,
-                                           report, test_eval)
-                loss_rows.append(lrow)
-                time_rows.extend(trows)
+                _add_rows(loss_rows, time_rows, ("growing-n", label, n, seed),
+                          report.timings, test_eval)
         logger.info("growing-n n=%d done", n)
     return loss_rows, time_rows
 
@@ -176,37 +174,29 @@ def run_spiral_compare(
         bandwidths = tuple(bandwidth_grid(train.features, grid_size))
         penalties = krr_penalty_grid(train.responses)
 
-        _, report, ev = _tuned_series(train, val, test, grid_size, j_max)
-        lrow, trows = _series_rows("spiral-compare", "series-radial", n, seed, report, ev)
-        loss_rows.append(lrow)
-        time_rows.extend(trows)
-
-        _, report, ev = _tuned_series(train, val, test, grid_size, j_max,
-                                      degrees=poly_degrees)
-        lrow, trows = _series_rows("spiral-compare", "series-poly", n, seed, report, ev)
-        loss_rows.append(lrow)
-        time_rows.extend(trows)
-
-        _, report, ev = _tuned_series(train, val, test, grid_size, j_max, degrees=(1,))
-        lrow, trows = _series_rows("spiral-compare", "series-poly1", n, seed, report, ev)
-        loss_rows.append(lrow)
-        time_rows.extend(trows)
+        for label, degrees in (("series-radial", ()), ("series-poly", poly_degrees),
+                               ("series-poly1", (1,))):
+            _, report, ev = _tuned_series(train, val, test, grid_size, j_max,
+                                          degrees=degrees)
+            _add_rows(loss_rows, time_rows, ("spiral-compare", label, n, seed),
+                      report.timings, ev)
 
         _, timings, ev = _tuned_krr(train, val, test, bandwidths, penalties)
-        loss_rows.append({"suite": "spiral-compare", "estimator": "krr-radial",
-                          "sweep_value": n, "seed": seed, "loss": ev[0], "se": ev[1]})
-        time_rows.extend(
-            {"suite": "spiral-compare", "estimator": "krr-radial", "sweep_value": n,
-             "seed": seed, "stage": stage, "seconds": secs}
-            for stage, secs in timings.items()
-        )
+        _add_rows(loss_rows, time_rows, ("spiral-compare", "krr-radial", n, seed),
+                  timings, ev)
 
         for kind, candidates in (("nw", bandwidths),
                                  ("knn", knn_candidates(train.n))):
             model, report = tune_baseline(train, val, candidates, kind)
             ev = evaluate_on(model.predict, test)
-            lrow, trows = _series_rows("spiral-compare", kind, n, seed, report, ev)
-            loss_rows.append(lrow)
-            time_rows.extend(trows)
+            _add_rows(loss_rows, time_rows, ("spiral-compare", kind, n, seed),
+                      report.timings, ev)
         logger.info("spiral-compare seed=%d done", seed)
     return loss_rows, time_rows
+
+
+SUITES = {
+    "circle-dims": run_circle_dims,
+    "growing-n": run_growing_n,
+    "spiral-compare": run_spiral_compare,
+}

@@ -12,13 +12,14 @@ float64 exactly.
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 
 import numpy as np
 
 from .archive import Preprocessing, load_model, save_model
-from .benchmarks import run_circle_dims, run_growing_n, run_spiral_compare
+from .benchmarks import LOSS_FIELDS, SUITES, TIME_FIELDS
 from .dataset import (
     Dataset,
     SplitSpec,
@@ -101,8 +102,13 @@ def _load_table(path: str) -> Dataset:
     return data
 
 
-def _method_from_args(args, seed: int) -> EigenMethod:
-    return EigenMethod(args.method, args.oversample, args.power_iters, seed)
+def _method_from_args(args, seed: int | None) -> EigenMethod:
+    """EigenMethod from the solver flags; a flag left out keeps its field default."""
+    fields = {"name": getattr(args, "method", None),
+              "oversample": getattr(args, "oversample", None),
+              "power_iters": getattr(args, "power_iters", None),
+              "seed": seed}
+    return EigenMethod(**{k: v for k, v in fields.items() if v is not None})
 
 
 def _local_bandwidth(X: np.ndarray) -> float:
@@ -261,36 +267,40 @@ def cmd_embed(args) -> int:
     return 0
 
 
+# flags that fold into one method=EigenMethod(...) suite argument
+_SOLVER_FLAGS = ("method", "oversample", "power_iters", "seed")
+_RENAMED_FLAGS = {"n_seeds": "--seeds", "j_max": "--jmax"}
+
+
+def _flag(dest: str) -> str:
+    return _RENAMED_FLAGS.get(dest, "--" + dest.replace("_", "-"))
+
+
 def cmd_benchmark(args) -> int:
-    # suites use replicate seeds 0..seeds-1 internally; --seed only steers
-    # the randomized eigensolver
-    method = EigenMethod(args.method, args.oversample, args.power_iters,
-                         args.seed if args.seed is not None else 0)
-    if args.suite == "circle-dims":
-        dims = _parse_ints(args.dims) if args.dims else (10, 50, 100, 500, 1000, 2500)
-        loss_rows, time_rows = run_circle_dims(
-            dims, n=args.n, n_seeds=args.seeds, noise_var=args.noise_var,
-            grid_size=args.grid_size, j_max=args.jmax or 30, method=method,
-        )
-    elif args.suite == "growing-n":
-        ns = _parse_ints(args.ns) if args.ns else (100, 200, 400, 800)
-        loss_rows, time_rows = run_growing_n(
-            ns, n_seeds=args.seeds,
-            noise_sd=0.25 if args.noise_sd is None else args.noise_sd,
-            grid_size=args.grid_size, j_max=args.jmax or 40,
-        )
-    else:
-        loss_rows, time_rows = run_spiral_compare(
-            n=args.n, n_seeds=args.seeds,
-            noise_sd=0.1 if args.noise_sd is None else args.noise_sd,
-            grid_size=args.grid_size, j_max=args.jmax or 30,
-        )
-    loss_header = ["suite", "estimator", "sweep_value", "seed", "loss", "se"]
-    time_header = ["suite", "estimator", "sweep_value", "seed", "stage", "seconds"]
-    _write_csv(f"{args.out}_loss.csv", loss_header,
-               [[r[k] for k in loss_header] for r in loss_rows])
-    _write_csv(f"{args.out}_time.csv", time_header,
-               [[r[k] for k in time_header] for r in time_rows])
+    # the parser suppresses untyped flags, so kwargs holds only what the user
+    # gave and every other parameter keeps the suite function's default
+    suite = SUITES[args.suite]
+    kwargs = {k: v for k, v in vars(args).items()
+              if k not in ("command", "func", "suite", "out")}
+    solver = [k for k in _SOLVER_FLAGS if k in kwargs]
+    for k in solver:
+        del kwargs[k]
+    if solver:
+        kwargs["method"] = _method_from_args(args, getattr(args, "seed", None))
+    params = inspect.signature(suite).parameters
+    for key in kwargs:
+        if key not in params:
+            flag = _flag(solver[0] if key == "method" else key)
+            raise InputError(f"suite {args.suite} does not take {flag}")
+    for key in ("dims", "ns"):
+        if key in kwargs:
+            kwargs[key] = _parse_ints(kwargs[key])
+
+    loss_rows, time_rows = suite(**kwargs)
+    _write_csv(f"{args.out}_loss.csv", LOSS_FIELDS,
+               [[r[k] for k in LOSS_FIELDS] for r in loss_rows])
+    _write_csv(f"{args.out}_time.csv", TIME_FIELDS,
+               [[r[k] for k in TIME_FIELDS] for r in time_rows])
     print(f"wrote {len(loss_rows)} loss rows and {len(time_rows)} timing rows "
           f"to {args.out}_loss.csv / {args.out}_time.csv")
     return 0
@@ -335,9 +345,10 @@ def cmd_verify(args) -> int:
 
 
 def _add_method_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--method", choices=["full", "randomized"], default="full")
-    p.add_argument("--oversample", type=int, default=10)
-    p.add_argument("--power-iters", type=int, default=2)
+    # no defaults: EigenMethod's fields hold them
+    p.add_argument("--method", choices=["full", "randomized"])
+    p.add_argument("--oversample", type=int)
+    p.add_argument("--power-iters", type=int)
 
 
 def _add_kernel_flags(p: argparse.ArgumentParser) -> None:
@@ -403,21 +414,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_embed)
 
-    # no prefix matching here, so a stray --d is rejected, not read as --dims
-    p = sub.add_parser("benchmark", help="run an experiment suite", allow_abbrev=False)
-    p.add_argument("--suite", required=True,
-                   choices=["circle-dims", "growing-n", "spiral-compare"])
-    p.add_argument("--n", type=int, default=500)
-    p.add_argument("--dims", help="comma list for circle-dims")
-    p.add_argument("--ns", help="comma list for growing-n")
-    p.add_argument("--seeds", type=int, default=10, help="number of replicate seeds")
-    p.add_argument("--noise-sd", type=float,
-                   help="spiral noise (default 0.1 for spiral-compare, 0.25 for growing-n)")
-    p.add_argument("--noise-var", type=float, default=0.5)
-    p.add_argument("--grid-size", type=int, default=5)
-    p.add_argument("--jmax", type=int)
+    # no prefix matching here, so a stray --d is rejected, not read as --dims.
+    # Untyped flags stay out of the namespace: the suite's own defaults apply,
+    # and a flag the suite does not take is rejected by cmd_benchmark.
+    p = sub.add_parser("benchmark", help="run an experiment suite", allow_abbrev=False,
+                       argument_default=argparse.SUPPRESS,
+                       description="Each suite takes only its own flags; a flag "
+                       "left out keeps the suite function's default.")
+    p.add_argument("--suite", required=True, choices=list(SUITES))
+    p.add_argument("--n", type=int, help="sample size")
+    p.add_argument("--dims", help="comma list of ambient dimensions")
+    p.add_argument("--ns", help="comma list of sample sizes")
+    p.add_argument("--seeds", dest="n_seeds", type=int, help="number of replicate seeds")
+    p.add_argument("--noise-sd", type=float, help="spiral feature noise")
+    p.add_argument("--noise-var", type=float, help="circle response noise")
+    p.add_argument("--grid-size", type=int, help="bandwidth grid size")
+    p.add_argument("--jmax", dest="j_max", type=int, help="largest truncation J")
     _add_method_flags(p)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, help="randomized eigensolver seed")
     p.add_argument("--out", default="benchmark", help="output path prefix")
     p.set_defaults(func=cmd_benchmark)
 

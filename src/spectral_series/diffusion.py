@@ -238,6 +238,9 @@ def _check_symmetric(A: np.ndarray) -> np.ndarray:
         for j in range(i, n, SYMMETRY_TILE)
     ]
     asym = float(np.max(tile_max))
+    # NaN compares False against the tolerance, so test finiteness first
+    if not (np.isfinite(scale) and np.isfinite(asym)):
+        raise NumericalError("matrix holds NaN or Inf entries (kernel overflow?)")
     if asym > SYMMETRY_RTOL * scale:
         raise NumericalError(
             f"matrix asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL:.0e} relative tolerance"

@@ -68,6 +68,18 @@ def _check_dims(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return A, B
 
 
+def check_finite_rows(X: np.ndarray) -> None:
+    """Raise InputError naming the first query row that holds NaN or Inf.
+
+    Such a row has no distance to any training point, so no estimator can
+    predict there; without the check, NaN distances sort or fall back to an
+    arbitrary training row.
+    """
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        raise InputError(f"query row {int(np.argmin(finite))} contains NaN or Inf")
+
+
 def kernel_value(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
     """Evaluate the kernel on a single pair of d-vectors."""
     x = np.asarray(x, dtype=float).ravel()

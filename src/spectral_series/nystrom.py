@@ -8,7 +8,7 @@ import numpy as np
 
 from .diffusion import EigenBasis, Mode
 from .errors import InputError, NumericalError
-from .kernels import gram_matrix
+from .kernels import check_finite_rows, gram_matrix
 
 __all__ = ["EIGENVALUE_FLOOR_REL", "extend", "eigenmap"]
 
@@ -63,9 +63,7 @@ def extend(basis: EigenBasis, Xnew: np.ndarray, J: int) -> np.ndarray:
             f"query dimension {Xnew.shape[1]} does not match "
             f"training dimension {basis.training_points.shape[1]}"
         )
-    if not np.isfinite(Xnew).all():
-        row = np.argmin(np.isfinite(Xnew).all(axis=1))
-        raise InputError(f"query row {row} contains NaN or Inf")
+    check_finite_rows(Xnew)
     if not (0 <= J <= basis.n_components - 1):
         raise InputError(f"J must be in 0..{basis.n_components - 1}, got {J}")
     lam = basis.eigenvalues[: J + 1]

@@ -101,6 +101,41 @@ def test_missing_block_rejected(fitted, tmp_path):
         load_model(path)
 
 
+def _rewrite_block(path, name, transform):
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack_from("<Q", raw)
+    header = json.loads(raw[8:8 + hlen])
+    pos = 8 + hlen
+    out = raw[:pos]
+    for block in header["blocks"]:
+        rows, cols = struct.unpack_from("<QQ", raw, pos)
+        arr = np.frombuffer(raw, "<f8", rows * cols, pos + 16).reshape(rows, cols)
+        pos += 16 + 8 * rows * cols
+        if block == name:
+            arr = np.ascontiguousarray(transform(arr))
+        out += struct.pack("<QQ", *arr.shape) + arr.tobytes()
+    path.write_bytes(out)
+
+
+@pytest.mark.parametrize("name, transform", [
+    ("training_points", lambda a: a[:-1]),
+    ("training_points", lambda a: a[:, :1]),
+    ("eigenvectors", lambda a: a[:-1]),
+    ("eigenvectors", lambda a: a[:, :-1]),
+    ("eigenvalues", lambda a: a[:, :-1]),
+    ("stationary", lambda a: a[:, 1:]),
+    ("degrees", lambda a: a[:, 1:]),
+    ("coefficients", lambda a: a[:, :-1]),
+], ids=["points-row", "points-col", "vectors-row", "vectors-col", "values",
+        "stationary", "degrees", "coefficients"])
+def test_inconsistent_block_shapes_rejected(fitted, tmp_path, name, transform):
+    path = tmp_path / "model.ssm"
+    save_model(path, fitted)
+    _rewrite_block(path, name, transform)
+    with pytest.raises(ArchiveError, match=f"block {name} has shape"):
+        load_model(path)
+
+
 def test_garbage_header_rejected(tmp_path):
     path = tmp_path / "model.ssm"
     path.write_bytes(struct.pack("<Q", 12) + b"not-a-header")

@@ -11,6 +11,7 @@ from spectral_series import (
     KNNModel,
     NumericalError,
     NWModel,
+    gen_spiral,
     knn_predict,
     krr_fit,
     krr_penalty_grid,
@@ -154,3 +155,19 @@ class TestKrr:
     def test_penalty_grid_constant_response(self):
         grid = krr_penalty_grid(np.full(5, 2.0))
         assert np.all(grid > 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("estimator", ["nw", "knn", "krr"])
+def test_non_finite_query_rejected(estimator, bad):
+    # NaN distances used to sort first (kNN) or hit the underflow fallback (NW)
+    data = gen_spiral(200, seed=0)
+    X, y = data.features, data.responses
+    predictors = {
+        "nw": lambda Q: nw_predict(X, y, 1.0, Q),
+        "knn": lambda Q: knn_predict(X, y, 5, Q),
+        "krr": lambda Q: krr_fit(X, y, KernelSpec.gaussian(1.0), 1e-3).predict(Q),
+    }
+    queries = np.vstack([X[:2], [[0.5, bad]], [[500.0, 500.0]]])
+    with pytest.raises(InputError, match="row 2 contains NaN or Inf"):
+        predictors[estimator](queries)

@@ -1,7 +1,9 @@
 """End-to-end command-line behavior: artifacts, exit codes, reproducibility."""
 
+import functools
 import importlib
 import json
+import re
 import os
 import shutil
 import struct
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 import spectral_series
-from spectral_series import load_csv, load_model, predict
+from spectral_series import EigenMethod, benchmarks, load_csv, load_model, predict
 from spectral_series.cli import build_parser, main
 
 
@@ -158,6 +160,24 @@ class TestPredict:
         assert code == 4
         assert "99" in err
 
+    def test_inconsistent_archive_exits_4(self, tmp_path, spiral_csv, capsys):
+        run(capsys, "tune", "--data", spiral_csv, "--seed", 0, "--jmax", 6,
+            "--grid-size", 2, "--out", tmp_path / "m")
+        path = tmp_path / "m.model"
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack_from("<Q", raw)
+        assert json.loads(raw[8:8 + hlen])["blocks"][0] == "training_points"
+        # drop the last row of the first block, training_points
+        pos = 8 + hlen
+        rows, cols = struct.unpack_from("<QQ", raw, pos)
+        end = pos + 16 + 8 * rows * cols
+        path.write_bytes(raw[:pos] + struct.pack("<QQ", rows - 1, cols)
+                         + raw[pos + 16:end - 8 * cols] + raw[end:])
+        code, _, err = run(capsys, "predict", "--model", path,
+                           "--data", spiral_csv, "--out", tmp_path / "p.csv")
+        assert code == 4
+        assert "training_points" in err
+
 
 class TestEmbed:
     def test_fresh_basis_embedding(self, tmp_path, spiral_csv, capsys):
@@ -187,6 +207,17 @@ class TestEmbed:
                            "--out", tmp_path / "e.csv")
         assert code == 3
         assert "J=25 exceeds the 8 available" in err
+
+    def test_overflowing_poly_kernel_exits_3(self, tmp_path, capsys):
+        data = tmp_path / "huge.csv"
+        rows = np.random.default_rng(0).normal(size=(30, 2)) * 1e110
+        data.write_text("x1,x2\n" + "\n".join(f"{a:.17g},{b:.17g}" for a, b in rows) + "\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, _, err = run(capsys, "embed", "--data", data, "--kernel", "poly",
+                               "--degree", 3, "--mode", "uniform",
+                               "--out", tmp_path / "e.csv")
+        assert code == 3
+        assert "NaN or Inf" in err
 
 
 class TestVerify:
@@ -235,6 +266,70 @@ class TestBenchmark:
         assert estimators == {"series-radial", "series-poly", "series-poly1",
                               "krr-radial", "nw", "knn"}
         assert (tmp_path / "bench_time.csv").exists()
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        """Swap every suite for a recorder with the same signature."""
+        recorded = []
+
+        def recorder(suite):
+            @functools.wraps(suite)
+            def record(**kwargs):
+                recorded.append(kwargs)
+                return [], []
+            return record
+
+        monkeypatch.setattr("spectral_series.cli.SUITES", {
+            name: recorder(fn) for name, fn in benchmarks.SUITES.items()})
+        return recorded
+
+    @pytest.mark.parametrize("suite, flag, value", [
+        ("growing-n", "--method", "randomized"),
+        ("growing-n", "--oversample", "5"),
+        ("growing-n", "--n", "50"),
+        ("spiral-compare", "--seed", "1"),
+        ("circle-dims", "--ns", "3"),
+    ])
+    def test_flag_the_suite_does_not_take_exits_2(self, tmp_path, capsys, calls,
+                                                  suite, flag, value):
+        code, _, err = run(capsys, "benchmark", "--suite", suite, flag, value,
+                           "--out", tmp_path / "b")
+        assert code == 2
+        assert flag in err
+        assert calls == []
+
+    def test_jmax_zero_reaches_suite(self, tmp_path, capsys, calls):
+        code, _, _ = run(capsys, "benchmark", "--suite", "growing-n", "--jmax", 0,
+                         "--ns", "30,60", "--out", tmp_path / "b")
+        assert code == 0
+        assert calls == [{"j_max": 0, "ns": (30, 60)}]
+
+    def test_no_flags_means_suite_defaults(self, tmp_path, capsys, calls):
+        code, _, _ = run(capsys, "benchmark", "--suite", "spiral-compare",
+                         "--out", tmp_path / "b")
+        assert code == 0
+        assert calls == [{}]
+        assert (tmp_path / "b_loss.csv").read_text().splitlines() == [
+            ",".join(benchmarks.LOSS_FIELDS)]
+
+    def test_solver_flags_fold_into_one_method(self, tmp_path, capsys, calls):
+        code, _, _ = run(capsys, "benchmark", "--suite", "circle-dims",
+                         "--oversample", 4, "--seed", 7, "--out", tmp_path / "b")
+        assert code == 0
+        assert calls == [{"method": EigenMethod("full", 4, 2, 7)}]
+
+    def test_every_flag_reaches_some_suite(self, tmp_path, capsys, calls):
+        with pytest.raises(SystemExit):
+            main(["benchmark", "--help"])
+        flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        flags -= {"--help", "--suite", "--out"}
+        assert len(flags) == 12
+        values = {"--method": "full", "--dims": "3", "--ns": "3"}
+        for flag in sorted(flags):
+            codes = [run(capsys, "benchmark", "--suite", suite, flag,
+                         values.get(flag, "1"), "--out", tmp_path / "b")[0]
+                     for suite in benchmarks.SUITES]
+            assert 0 in codes, f"{flag} is taken by no suite"
 
 
 @pytest.mark.skipif(shutil.which("spectral-series") is None,

@@ -324,6 +324,14 @@ class TestFitBasis:
         with pytest.raises(NumericalError, match="asymmetry"):
             fit_basis(X, KernelSpec.gaussian(1.0), 4, mode, gram=K)
 
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_overflowing_polynomial_gram_rejected(self, mode):
+        # inf - inf in the symmetry scan is NaN, which no tolerance rejects
+        X = gen_spiral(60, seed=0).features * 1e110
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="NaN or Inf"):
+                fit_basis(X, KernelSpec.polynomial(3), 5, mode)
+
     def test_truncate_view(self):
         X = np.random.default_rng(4).normal(size=(20, 2))
         basis = fit_basis(X, KernelSpec.gaussian(1.0), 8, Mode.STOCHASTIC)
