@@ -130,11 +130,27 @@ def krr_fit(X: np.ndarray, y: np.ndarray, spec: KernelSpec, penalty: float) -> K
     n = X.shape[0]
     if y.shape[0] != n:
         raise InputError(f"got {y.shape[0]} labels for {n} points")
+    K = gram_matrix(spec, X)
+    alpha = krr_solve(K, y, penalty, max_abs_row_sum(K))
+    return KRRModel(spec, X, alpha, penalty)
+
+
+def max_abs_row_sum(K: np.ndarray) -> float:
+    """Largest absolute row sum of K: the Gershgorin radius krr_solve needs."""
+    return float(np.abs(K).sum(axis=1).max())
+
+
+def krr_solve(K: np.ndarray, y: np.ndarray, penalty: float, row_bound: float) -> np.ndarray:
+    """Dual coefficients solving (K + n*penalty*I) alpha = y; K is not modified.
+
+    row_bound is max_abs_row_sum(K), passed in so that a penalty sweep over
+    one K takes it once. Refuses visibly ill-conditioned systems (see krr_fit).
+    """
+    n = K.shape[0]
     if not penalty > 0:
         raise InputError(f"penalty must be > 0, got {penalty}")
-    K = gram_matrix(spec, X)
     ridge = n * penalty
-    cond_bound = (np.abs(K).sum(axis=1).max() + ridge) / ridge
+    cond_bound = (row_bound + ridge) / ridge
     if cond_bound > KRR_CONDITION_LIMIT:
         raise NumericalError(
             f"system condition estimate {cond_bound:.3e} exceeds "
@@ -142,10 +158,9 @@ def krr_fit(X: np.ndarray, y: np.ndarray, spec: KernelSpec, penalty: float) -> K
         )
     M = K + ridge * np.eye(n)
     try:
-        alpha = scipy.linalg.solve(M, y, assume_a="pos")
+        return scipy.linalg.solve(M, y, assume_a="pos")
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise NumericalError(f"ridge solve failed: {exc}") from exc
-    return KRRModel(spec, X, alpha, penalty)
 
 
 def krr_predict(model: KRRModel, Xnew: np.ndarray) -> np.ndarray:

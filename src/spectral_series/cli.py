@@ -200,6 +200,7 @@ def cmd_tune(args) -> int:
         + (f" unlabeled={unlabeled.shape[0]}" if unlabeled is not None else ""),
         f"chosen kernel: {model.basis.kernel.label()}",
         f"chosen J: {J}",
+        "grid edge: " + (", ".join(report.grid_edges) or "none"),
         f"validation loss: {_fmt(report.val_loss)}",
         f"test loss: {_fmt(report.test_loss)} +/- {_fmt(report.test_se)} (SE)",
         "stage seconds: " + ", ".join(

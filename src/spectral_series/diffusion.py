@@ -269,6 +269,17 @@ def _log_ties(eigenvalues: np.ndarray) -> None:
         )
 
 
+@dataclass(frozen=True)
+class _Scratch:
+    """An exactly symmetric operator handed to eigendecompose to destroy.
+
+    Only fit_basis wraps its own normalized operator this way, so the full
+    solver may work in that memory instead of a copy of it.
+    """
+
+    array: np.ndarray
+
+
 def eigendecompose(
     A: np.ndarray, j_max: int, method: EigenMethod | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -276,9 +287,10 @@ def eigendecompose(
 
     Eigenvectors are scaled so (1/n) sum_i v_j(i) v_k(i) = delta_jk and
     sign-fixed. The randomized method uses Gaussian range-finding with
-    power iteration and is deterministic given its seed.
+    power iteration and is deterministic given its seed. A is left unchanged.
     """
-    A = _check_symmetric(A)
+    scratch = isinstance(A, _Scratch)
+    A = _check_symmetric(A.array if scratch else A)
     n = A.shape[0]
     k = j_max + 1
     if k > n:
@@ -288,7 +300,15 @@ def eigendecompose(
 
     if method.name == "full":
         # only the k largest pairs, returned ascending
-        vals, vecs = scipy.linalg.eigh(A, subset_by_index=(n - k, n - 1))
+        if scratch:
+            # LAPACK wants Fortran order and copies a C-ordered A. A.T is the
+            # Fortran view of the same memory; with lower=True it reads A's
+            # upper triangle, which equals the lower one for an exactly
+            # symmetric A, so the result is bit-identical to eigh(A)
+            vals, vecs = scipy.linalg.eigh(A.T, subset_by_index=(n - k, n - 1),
+                                           overwrite_a=True)
+        else:
+            vals, vecs = scipy.linalg.eigh(A, subset_by_index=(n - k, n - 1))
         vals = vals[::-1]
         vecs = vecs[:, ::-1]
     else:
@@ -357,7 +377,8 @@ def fit_basis(
         target = K / n
     else:
         target = symmetric_normalize(system.gram)
-    vals, vecs = eigendecompose(target, j_max, method)
+    # target is a fresh array nobody else sees, so the solver may overwrite it
+    vals, vecs = eigendecompose(_Scratch(target), j_max, method)
     if mode in (Mode.STOCHASTIC, Mode.BIAS_CORRECTED):
         vecs = rescale(vecs, system.stationary)
     return EigenBasis(

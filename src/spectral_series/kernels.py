@@ -92,6 +92,31 @@ def kernel_value(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
     return float((np.dot(x, y) + 1.0) ** spec.degree)
 
 
+def gaussian_from_sqdist(
+    sq: np.ndarray, bandwidth: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Gaussian kernel values exp(-sq / (4 * bandwidth)) from squared distances.
+
+    Written into ``out``, which defaults to ``sq`` itself, so no temporary of
+    the input's size is made. Dividing by the negated scale gives the same
+    bits as negating first, because IEEE division is sign-symmetric.
+    """
+    out = sq if out is None else out
+    np.divide(sq, -4.0 * bandwidth, out=out)
+    return np.exp(out, out=out)
+
+
+def self_gram_from_sqdist(condensed: np.ndarray, bandwidth: float) -> np.ndarray:
+    """Gaussian self Gram from condensed squared distances (``pdist`` order).
+
+    squareform is exactly symmetric and every later step is elementwise, so
+    K needs no symmetrizing pass; the diagonal is exactly 1.
+    """
+    K = gaussian_from_sqdist(squareform(condensed), bandwidth)
+    np.fill_diagonal(K, 1.0)
+    return K
+
+
 def gram_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
     """Kernel matrix K with K[i, j] = k(A_i, B_j).
 
@@ -102,18 +127,12 @@ def gram_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray | None = None) ->
     if self_gram:
         A, _ = _check_dims(A, A)
         if spec.family == "gaussian":
-            # squareform(pdist) is exactly symmetric and every later step is
-            # elementwise, so K needs no symmetrizing pass
-            K = squareform(pdist(A, "sqeuclidean"))
-            K /= -4.0 * spec.bandwidth
-            np.exp(K, out=K)
-            np.fill_diagonal(K, 1.0)
-            return K
+            return self_gram_from_sqdist(pdist(A, "sqeuclidean"), spec.bandwidth)
         K = (A @ A.T + 1.0) ** spec.degree
         return 0.5 * (K + K.T)
     A, B = _check_dims(A, B)
     if spec.family == "gaussian":
-        return np.exp(-cdist(A, B, "sqeuclidean") / (4.0 * spec.bandwidth))
+        return gaussian_from_sqdist(cdist(A, B, "sqeuclidean"), spec.bandwidth)
     return (A @ B.T + 1.0) ** spec.degree
 
 

@@ -13,13 +13,14 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial.distance import cdist, pdist
 
-from .baselines import KNNModel, NWModel, krr_fit
+from .baselines import KNNModel, KRRModel, NWModel, krr_solve, max_abs_row_sum
 from .dataset import Dataset
 from .diffusion import EigenMethod, Mode, fit_basis
 from .errors import InputError, NumericalError
-from .kernels import KernelSpec, gram_matrix
-from .nystrom import EIGENVALUE_FLOOR_REL, extend
+from .kernels import KernelSpec, gaussian_from_sqdist, gram_matrix, self_gram_from_sqdist
+from .nystrom import EIGENVALUE_FLOOR_REL, extend, extend_from_gram
 from .series import SeriesModel, estimate_coefficients
 
 __all__ = [
@@ -94,6 +95,32 @@ class FitReport:
         if self.loss_surface[self.chosen] != best:
             raise InputError("chosen entry does not achieve the loss-surface minimum")
 
+    @property
+    def grid_edges(self) -> tuple[str, ...]:
+        """The edges of the tuning grid that the chosen entry sits on.
+
+        A choice on an edge may have been cut short by the grid. J is at the
+        cap when it is the largest truncation the chosen kernel scored
+        finitely (j_max, or less when the basis was smaller or hit the
+        eigenvalue floor). A Gaussian bandwidth is on an edge when it is the
+        lowest or highest of two or more grid bandwidths. Empty when the
+        choice is interior.
+        """
+        family, param, J = self.chosen
+        edges = []
+        if J >= 0:
+            cap = max(k[2] for k, v in self.loss_surface.items()
+                      if k[:2] == (family, param) and np.isfinite(v))
+            if J == cap:
+                edges.append(f"J at the cap ({cap})")
+        if family == "gaussian":
+            widths = sorted({k[1] for k in self.loss_surface if k[0] == family})
+            if len(widths) > 1 and param == widths[0]:
+                edges.append("bandwidth at the lowest grid value")
+            elif len(widths) > 1 and param == widths[-1]:
+                edges.append("bandwidth at the highest grid value")
+        return tuple(edges)
+
     def surface_rows(self) -> list[tuple[str, float, int, float]]:
         """Long-format rows (family, parameter, J, loss), sorted for export."""
         return [(k[0], k[1], k[2], v) for k, v in sorted(self.loss_surface.items())]
@@ -155,6 +182,8 @@ def tune_series(
 
     Per candidate, one basis fit and one coefficient pass at the cutoff; all
     truncations are scored from a single extension of the validation points.
+    Gaussian candidates share one computation of the training and validation
+    squared distances; each bandwidth only exponentiates them.
     Polynomial candidates run in Uniform mode (their Gram entries may be
     negative, which the degree-weighted modes cannot accept). Unlabeled rows,
     when given, enter every candidate basis; coefficients use training rows
@@ -181,16 +210,31 @@ def tune_series(
                "coefficient": 0.0, "validation": 0.0}
     best = None  # (loss, J, spec, basis, coef)
 
+    if grid.bandwidths:
+        # Gaussian candidates differ only in the exponent's scale, so the
+        # squared distances are computed once for the whole sweep
+        t0 = time.perf_counter()
+        sq_pooled = pdist(pooled, "sqeuclidean")
+        t1 = time.perf_counter()
+        sq_val = cdist(val.features, pooled, "sqeuclidean")
+        timings["kernel_build"] += t1 - t0
+        timings["validation"] += time.perf_counter() - t1
+
     for spec in grid.kernels:
-        cand_mode = mode if spec.family == "gaussian" else Mode.UNIFORM
-        param = spec.bandwidth if spec.family == "gaussian" else float(spec.degree)
+        gaussian = spec.family == "gaussian"
+        cand_mode = mode if gaussian else Mode.UNIFORM
+        param = spec.bandwidth if gaussian else float(spec.degree)
         losses = np.full(grid.j_max + 1, np.inf)
         basis = coef = None
         try:
             t0 = time.perf_counter()
-            K = gram_matrix(spec, pooled)
+            if gaussian:
+                K = self_gram_from_sqdist(sq_pooled, spec.bandwidth)
+            else:
+                K = gram_matrix(spec, pooled)
             t1 = time.perf_counter()
             basis = fit_basis(pooled, spec, j_cap, cand_mode, method, gram=K)
+            del K  # else it lives on while the next candidate's K is built
             t2 = time.perf_counter()
             coef = estimate_coefficients(basis, train.responses, labeled=labeled)
             t3 = time.perf_counter()
@@ -203,7 +247,16 @@ def tune_series(
             usable = int(np.count_nonzero(basis.eigenvalues > floor))
             usable = min(usable, j_cap + 1)
             if usable > 0 and basis.eigenvalues[0] > 0:
-                Psi_val = extend(basis, val.features, usable - 1)
+                if gaussian:
+                    # bound to no name, so it is freed when the extension
+                    # returns instead of living on through the next fit
+                    Psi_val = extend_from_gram(
+                        basis, val.features,
+                        gaussian_from_sqdist(sq_val, spec.bandwidth,
+                                             out=np.empty_like(sq_val)),
+                        usable - 1)
+                else:
+                    Psi_val = extend(basis, val.features, usable - 1)
                 cum = np.cumsum(Psi_val * coef[:usable][None, :], axis=1)
                 err = val.responses[:, None] - cum
                 losses[:usable] = np.mean(err * err, axis=0)
@@ -250,7 +303,8 @@ def tune_baseline(
     """Pick a baseline hyperparameter by validation loss.
 
     kind is "nw" (candidates are bandwidths), "knn" (neighbor counts), or
-    "krr" (penalties; needs the kernel). Exact ties go to the larger
+    "krr" (penalties; needs the kernel, whose Gram and validation cross Gram
+    are built once for all penalties). Exact ties go to the larger
     parameter, i.e. the smoother model.
     """
     if train.responses is None or val.responses is None:
@@ -265,6 +319,15 @@ def tune_baseline(
 
     surface: dict[tuple[str, float, int], float] = {}
     timings = {"fit": 0.0, "validation": 0.0}
+    if kind == "krr":
+        # every penalty shares one K and one validation cross Gram
+        t0 = time.perf_counter()
+        K = gram_matrix(kernel, train.features)
+        row_bound = max_abs_row_sum(K)
+        t1 = time.perf_counter()
+        Kv = gram_matrix(kernel, val.features, train.features)
+        timings["fit"] += t1 - t0
+        timings["validation"] += time.perf_counter() - t1
     best = None  # (loss, param, model)
     for param in candidates:
         t0 = time.perf_counter()
@@ -274,13 +337,15 @@ def tune_baseline(
             elif kind == "knn":
                 model = KNNModel(train.features, train.responses, int(param))
             else:
-                model = krr_fit(train.features, train.responses, kernel, float(param))
+                alpha = krr_solve(K, train.responses, float(param), row_bound)
+                model = KRRModel(kernel, train.features, alpha, float(param))
         except NumericalError as exc:
             logger.warning("%s candidate %s failed: %s", kind, param, exc)
             surface[(kind, float(param), -1)] = float("inf")
             continue
         t1 = time.perf_counter()
-        loss = empirical_loss(model.predict(val.features), val.responses)
+        preds = Kv @ alpha if kind == "krr" else model.predict(val.features)
+        loss = empirical_loss(preds, val.responses)
         timings["fit"] += t1 - t0
         timings["validation"] += time.perf_counter() - t1
         surface[(kind, float(param), -1)] = loss

@@ -5,6 +5,7 @@ from __future__ import annotations
 import logging
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .diffusion import EigenBasis, Mode
 from .errors import InputError, NumericalError
@@ -19,33 +20,68 @@ logger = logging.getLogger(__name__)
 EIGENVALUE_FLOOR_REL = 1e-10
 
 
-def _extension_weights(basis: EigenBasis, Kx: np.ndarray) -> np.ndarray:
-    """Row weights W so that the extension is (W @ Psi) / lambda.
+def _weigh_in_place(basis: EigenBasis, Kx: np.ndarray, rows: np.ndarray) -> None:
+    """Turn Kx into the row weights W so that the extension is (W @ Psi) / lambda.
 
-    Each mode mirrors its training-time normalization, so at a training point
-    the weighted sum reproduces the stored eigenvector row exactly (the
-    eigenvector identity). Query rows whose kernel sums underflow to zero are
-    handled by the caller.
+    rows holds Kx's row sums. Each mode mirrors its training-time
+    normalization, so at a training point the weighted sum reproduces the
+    stored eigenvector row exactly (the eigenvector identity). Query rows
+    whose kernel sums underflow to zero are handled by the caller.
     """
     mode = basis.mode
     n = basis.n
-    if mode is Mode.UNIFORM:
-        return Kx / n
-    if mode is Mode.STOCHASTIC:
-        rows = Kx.sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return Kx / rows[:, None]
-    if mode is Mode.BIAS_CORRECTED:
-        # p(x) cancels in the row normalization, so only training degrees enter
-        Kc = Kx / basis.degrees[None, :]
-        rows = Kc.sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return Kc / rows[:, None]
-    # symmetric conjugate: k / sqrt(querysum * trainsum)
-    rows = Kx.sum(axis=1)
-    train_sums = n * basis.degrees
     with np.errstate(divide="ignore", invalid="ignore"):
-        return Kx / np.sqrt(rows)[:, None] / np.sqrt(train_sums)[None, :]
+        if mode is Mode.UNIFORM:
+            Kx /= n
+        elif mode is Mode.STOCHASTIC:
+            Kx /= rows[:, None]
+        elif mode is Mode.BIAS_CORRECTED:
+            # p(x) cancels in the row normalization, so only training degrees enter
+            Kx /= basis.degrees[None, :]
+            Kx /= Kx.sum(axis=1)[:, None]
+        else:
+            # symmetric conjugate: k / sqrt(querysum * trainsum)
+            Kx /= np.sqrt(rows)[:, None]
+            Kx /= np.sqrt(n * basis.degrees)[None, :]
+
+
+def _dead_rows(basis: EigenBasis, Kx: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Query rows whose kernel mass cannot be normalized (underflow or overflow)."""
+    if basis.kernel.family == "gaussian":
+        # entries lie in [0, 1] or are NaN, so the row sum alone decides
+        return ~(rows > 0.0)
+    dead = ~np.isfinite(Kx).all(axis=1) | (np.abs(Kx).sum(axis=1) <= 0.0)
+    if basis.mode is not Mode.UNIFORM:
+        dead |= rows <= 0.0
+    return dead
+
+
+def extend_from_gram(
+    basis: EigenBasis, Xnew: np.ndarray, Kx: np.ndarray, J: int
+) -> np.ndarray:
+    """extend() given the query cross Gram Kx = k(Xnew, training points).
+
+    Kx is overwritten with the extension weights. Xnew must be a finite
+    2-D float array and J must pass the eigenvalue-floor check; extend()
+    checks both. Callers that already hold the squared query distances
+    build Kx from them and skip a second distance pass.
+    """
+    lam = basis.eigenvalues[: J + 1]
+    rows = Kx.sum(axis=1)
+    dead = _dead_rows(basis, Kx, rows)
+    _weigh_in_place(basis, Kx, rows)
+    out = (Kx @ basis.eigenvectors[:, : J + 1]) / lam[None, :]
+
+    if dead.any():
+        # nearest training point's weight row reproduces that point's basis row
+        idx = np.nonzero(dead)[0]
+        nearest = np.argmin(cdist(Xnew[idx], basis.training_points, "sqeuclidean"), axis=1)
+        out[idx] = basis.eigenvectors[nearest, : J + 1]
+        logger.warning(
+            "kernel weights underflowed for %d query point(s); "
+            "fell back to nearest training point", idx.size,
+        )
+    return out
 
 
 def extend(basis: EigenBasis, Xnew: np.ndarray, J: int) -> np.ndarray:
@@ -76,25 +112,7 @@ def extend(basis: EigenBasis, Xnew: np.ndarray, J: int) -> np.ndarray:
         )
 
     Kx = gram_matrix(basis.kernel, Xnew, basis.training_points)
-    # rows whose kernel mass underflows entirely cannot be normalized
-    dead = ~np.isfinite(Kx).all(axis=1) | (np.abs(Kx).sum(axis=1) <= 0.0)
-    if basis.mode in (Mode.STOCHASTIC, Mode.BIAS_CORRECTED, Mode.SYMMETRIC):
-        dead |= Kx.sum(axis=1) <= 0.0
-
-    W = _extension_weights(basis, Kx)
-    out = (W @ basis.eigenvectors[:, : J + 1]) / lam[None, :]
-
-    if dead.any():
-        # nearest training point's weight row reproduces that point's basis row
-        idx = np.nonzero(dead)[0]
-        diffs = Xnew[idx, None, :] - basis.training_points[None, :, :]
-        nearest = np.argmin(np.einsum("ijk,ijk->ij", diffs, diffs), axis=1)
-        out[idx] = basis.eigenvectors[nearest, : J + 1]
-        logger.warning(
-            "kernel weights underflowed for %d query point(s); "
-            "fell back to nearest training point", idx.size,
-        )
-    return out
+    return extend_from_gram(basis, Xnew, Kx, J)
 
 
 def eigenmap(basis: EigenBasis, Xnew: np.ndarray, J: int) -> np.ndarray:

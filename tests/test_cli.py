@@ -82,6 +82,15 @@ class TestTune:
         assert surface[0] == "kernel,param,J,loss"
         assert len(surface) == 1 + 3 * 11
 
+    def test_summary_names_grid_edges(self, tmp_path, spiral_csv, capsys):
+        # j_max=1 leaves the truncation no room: the choice sits on the cap
+        prefix = tmp_path / "run"
+        code, out, _ = run(capsys, "tune", "--data", spiral_csv, "--seed", 0,
+                           "--jmax", 1, "--bandwidth", "0.5", "--out", prefix)
+        assert code == 0
+        assert "grid edge: J at the cap (1)\n" in out
+        assert "grid edge: J at the cap (1)\n" in (tmp_path / "run_summary.txt").read_text()
+
     def test_missing_response_column_exits_2(self, tmp_path, spiral_csv, capsys):
         code, _, err = run(capsys, "tune", "--data", spiral_csv,
                            "--response", "target", "--seed", 0,

@@ -242,6 +242,17 @@ class TestEigendecompose:
         vb, Vb = eigendecompose(A, 6, EigenMethod("randomized", seed=3))
         assert np.array_equal(va, vb) and np.array_equal(Va, Vb)
 
+    @pytest.mark.parametrize("method", [EigenMethod("full"),
+                                        EigenMethod("randomized", seed=1)],
+                             ids=["full", "randomized"])
+    def test_input_left_unchanged(self, method):
+        A = symmetric_normalize(random_gram(300, 14, bw=0.5))
+        before = A.copy()
+        eigendecompose(A, 10, method)
+        assert np.array_equal(A, before)
+        eigendecompose(A, 10, method)  # a second call sees the same matrix
+        assert np.array_equal(A, before)
+
     def test_tie_warning_logged(self, caplog):
         A = np.eye(5)  # all eigenvalues identical
         with caplog.at_level(logging.WARNING, logger="spectral_series.diffusion"):
@@ -290,6 +301,24 @@ class TestFitBasis:
         A = basis_system_matrix(basis, X)
         resid = A @ basis.eigenvectors - basis.eigenvalues * basis.eigenvectors
         assert np.max(np.abs(resid)) <= 1e-8
+
+    @pytest.mark.parametrize("spec, mode", [
+        *[pytest.param(KernelSpec.gaussian(0.5), m, id=f"gaussian-{m.value}") for m in Mode],
+        pytest.param(KernelSpec.polynomial(2), Mode.UNIFORM, id="poly-uniform"),
+    ])
+    def test_solve_in_place_matches_solve_on_a_copy(self, spec, mode):
+        # fit_basis lets the solver overwrite its own operator; the public
+        # eigendecompose copies. Both must give the same bits.
+        X = gen_spiral(300, noise_sd=0.1, seed=5).features
+        K = gram_matrix(spec, X)
+        system = diffusion_system(K, mode)
+        target = K / 300 if mode is Mode.UNIFORM else symmetric_normalize(system.gram)
+        vals, vecs = eigendecompose(target, 20)
+        if mode in (Mode.STOCHASTIC, Mode.BIAS_CORRECTED):
+            vecs = rescale(vecs, system.stationary)
+        basis = fit_basis(X, spec, 20, mode, gram=K)
+        assert np.array_equal(basis.eigenvalues, vals)
+        assert np.array_equal(basis.eigenvectors, vecs)
 
     def test_stochastic_top_pair(self):
         X = np.random.default_rng(1).normal(size=(25, 3))

@@ -5,6 +5,7 @@ import pytest
 
 from spectral_series import (
     Dataset,
+    EigenMethod,
     FitReport,
     InputError,
     KernelSpec,
@@ -12,12 +13,16 @@ from spectral_series import (
     NumericalError,
     SplitSpec,
     TuneGrid,
+    bandwidth_grid,
     empirical_loss,
     estimate_coefficients,
     evaluate_on,
     extend,
     fit_basis,
     gen_spiral,
+    gram_matrix,
+    krr_fit,
+    krr_predict,
     loss_se,
     predict,
     split,
@@ -25,6 +30,7 @@ from spectral_series import (
     tune_series,
 )
 from spectral_series.model_selection import _is_smoother
+from spectral_series.nystrom import EIGENVALUE_FLOOR_REL
 from spectral_series.series import SeriesModel
 
 
@@ -189,6 +195,113 @@ class TestTuneSeries:
         _, report = tune_series(train, val,
                                 TuneGrid(bandwidths=(0.5, 1.0, 2.0), j_max=5))
         assert report.chosen == ("gaussian", 2.0, 0)
+
+
+def reference_sweep(train, val, grid, mode=Mode.STOCHASTIC, method=None, unlabeled=None):
+    """Per-candidate public path: gram_matrix -> fit_basis(gram=K) -> extend.
+
+    Returns the loss surface and each candidate's (basis, coefficients).
+    """
+    pooled = train.features if unlabeled is None else np.vstack([train.features, unlabeled])
+    labeled = None if unlabeled is None else np.arange(train.n)
+    j_cap = min(grid.j_max, pooled.shape[0] - 1)
+    surface, fits = {}, {}
+    for spec in grid.kernels:
+        gaussian = spec.family == "gaussian"
+        param = spec.bandwidth if gaussian else float(spec.degree)
+        K = gram_matrix(spec, pooled)
+        basis = fit_basis(pooled, spec, j_cap, mode if gaussian else Mode.UNIFORM,
+                          method, gram=K)
+        coef = estimate_coefficients(basis, train.responses, labeled=labeled)
+        floor = EIGENVALUE_FLOOR_REL * basis.eigenvalues[0]
+        usable = min(int(np.count_nonzero(basis.eigenvalues > floor)), j_cap + 1)
+        losses = np.full(grid.j_max + 1, np.inf)
+        psi = extend(basis, val.features, usable - 1)
+        err = val.responses[:, None] - np.cumsum(psi * coef[:usable], axis=1)
+        losses[:usable] = np.mean(err * err, axis=0)
+        surface.update({(spec.family, param, J): float(v) for J, v in enumerate(losses)})
+        fits[(spec.family, param)] = (basis, coef)
+    return surface, fits
+
+
+class TestSharedSweep:
+    """The sweep's shared distances give the per-candidate path's exact bits."""
+
+    @pytest.mark.parametrize("case", ["gaussian", "mixed", "unlabeled"])
+    def test_bit_identical_to_per_candidate_path(self, case):
+        train, val, test = spiral_splits(n=300, seed=2)
+        bandwidths = tuple(bandwidth_grid(train.features, 3))
+        degrees = (1, 2, 3) if case == "mixed" else ()
+        unl = gen_spiral(80, noise_sd=0.1, seed=7).features if case == "unlabeled" else None
+        grid = TuneGrid(bandwidths=bandwidths, degrees=degrees, j_max=25)
+        method = EigenMethod("randomized", seed=4) if case == "gaussian" else None
+        model, report = tune_series(train, val, grid, method=method, unlabeled=unl)
+        surface, fits = reference_sweep(train, val, grid, method=method, unlabeled=unl)
+        assert report.loss_surface == surface
+        chosen = min(surface, key=lambda k: (surface[k], k[2]))
+        assert report.chosen == chosen
+        basis, coef = fits[chosen[:2]]
+        ref_model = SeriesModel(basis, coef, chosen[2], ssl=unl is not None)
+        assert np.array_equal(predict(model, test.features),
+                              predict(ref_model, test.features))
+
+    def test_krr_bit_identical_to_per_penalty_fits(self):
+        # 1e-18 trips the condition bound and must be refused the same way
+        train, val, test = spiral_splits(n=300, seed=3)
+        spec = KernelSpec.gaussian(0.5)
+        penalties = [1e-18, 1e-6, 1e-4, 1e-2]
+        model, report = tune_baseline(train, val, penalties, "krr", kernel=spec)
+        surface, models = {}, {}
+        for p in penalties:
+            try:
+                models[p] = krr_fit(train.features, train.responses, spec, p)
+            except NumericalError:
+                surface[("krr", p, -1)] = np.inf
+                continue
+            surface[("krr", p, -1)] = empirical_loss(
+                krr_predict(models[p], val.features), val.responses)
+        assert surface[("krr", 1e-18, -1)] == np.inf
+        assert report.loss_surface == surface
+        ref = models[report.chosen[1]]
+        assert report.chosen == min(surface, key=surface.get)
+        assert np.array_equal(model.dual_coefficients, ref.dual_coefficients)
+        assert np.array_equal(model.predict(test.features), ref.predict(test.features))
+
+
+class TestGridEdges:
+    @staticmethod
+    def report(chosen, widths=(1.0, 2.0, 3.0), j_max=3, dead_from=None):
+        surface = {}
+        for w in widths:
+            for J in range(j_max + 1):
+                dead = dead_from is not None and J >= dead_from
+                surface[("gaussian", w, J)] = np.inf if dead else 1.0
+        surface[chosen] = 0.5
+        return FitReport(surface, chosen, 0.5)
+
+    def test_interior_choice_names_no_edge(self):
+        assert self.report(("gaussian", 2.0, 1)).grid_edges == ()
+
+    def test_j_at_the_cap(self):
+        assert self.report(("gaussian", 2.0, 3)).grid_edges == ("J at the cap (3)",)
+
+    def test_cap_is_the_largest_finite_truncation(self):
+        report = self.report(("gaussian", 2.0, 2), dead_from=3)
+        assert report.grid_edges == ("J at the cap (2)",)
+
+    def test_bandwidth_edges(self):
+        assert self.report(("gaussian", 1.0, 1)).grid_edges == (
+            "bandwidth at the lowest grid value",)
+        assert self.report(("gaussian", 3.0, 3)).grid_edges == (
+            "J at the cap (3)", "bandwidth at the highest grid value")
+
+    def test_single_bandwidth_is_no_edge(self):
+        assert self.report(("gaussian", 1.0, 1), widths=(1.0,)).grid_edges == ()
+
+    def test_baseline_report_has_no_truncation_edge(self):
+        report = FitReport({("knn", 1.0, -1): 2.0, ("knn", 5.0, -1): 1.0},
+                           ("knn", 5.0, -1), 1.0)
+        assert report.grid_edges == ()
 
 
 class TestTuneBaseline:

@@ -1,6 +1,7 @@
 """Out-of-sample extension and the eigenmap transform."""
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from spectral_series import (
     gen_spiral,
     predict,
 )
+from spectral_series.kernels import bandwidth_grid
 
 
 def spiral_basis(mode=Mode.STOCHASTIC, n=50, j_max=8, bw=1.0, seed=0):
@@ -85,6 +87,46 @@ class TestExtend:
         out = extend(basis, queries, 2)
         assert np.allclose(out[0], basis.eigenvectors[3, :3], atol=1e-8)
         assert np.all(np.isfinite(out))
+
+    def test_far_rows_fallback_heap_bounded(self):
+        # the nearest-point search for dead rows must not form an
+        # (m_dead, n, d) difference array: that was 320 MB here
+        X = np.random.default_rng(4).normal(size=(1000, 1000))
+        basis = fit_basis(X, KernelSpec.gaussian(bandwidth_grid(X)[0]), 5)
+        far = X[:40] + 1e3
+        tracemalloc.start()
+        try:
+            out = extend(basis, far, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        nearest = [np.argmin(((X - q) ** 2).sum(axis=1)) for q in far]
+        assert np.array_equal(out, basis.eigenvectors[nearest, :6])
+        assert peak < 8e6
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_heap_peak_is_one_cross_gram(self, mode):
+        # weights are written into the cross Gram: no second m x n array
+        X, basis = spiral_basis(mode, n=500, j_max=10, bw=0.5)
+        queries = gen_spiral(4000, noise_sd=0.1, seed=1).features
+        tracemalloc.start()
+        try:
+            extend(basis, queries, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * queries.shape[0] * basis.n * 8
+
+    def test_overflowing_polynomial_row_falls_back(self):
+        # polynomial kernel rows can overflow to inf: such rows stay dead
+        X = gen_spiral(40, noise_sd=0.05, seed=2).features
+        basis = fit_basis(X, KernelSpec.polynomial(3), 2, Mode.UNIFORM)
+        queries = np.vstack([X[5], X[7] * 1e120])
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = extend(basis, queries, 2)
+        nearest = np.argmin(((X - queries[1]) ** 2).sum(axis=1))
+        assert np.array_equal(out[1], basis.eigenvectors[nearest, :3])
+        assert np.allclose(out[0], basis.eigenvectors[5, :3], atol=1e-8)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_query_rejected(self, bad):
