@@ -10,7 +10,7 @@ import scipy.linalg
 from scipy.spatial.distance import cdist
 
 from .errors import InputError, NumericalError
-from .kernels import KernelSpec, check_finite_rows, gram_matrix
+from .kernels import KernelSpec, check_finite_rows, gram_matrix, row_blocks
 
 __all__ = [
     "NWModel",
@@ -45,18 +45,26 @@ def nw_predict(
         raise InputError(f"bandwidth must be > 0, got {bandwidth}")
     Xnew = np.atleast_2d(np.asarray(Xnew, dtype=float))
     check_finite_rows(Xnew)
-    K = gram_matrix(KernelSpec.gaussian(bandwidth), Xnew, X_train)
-    sums = K.sum(axis=1)
-    dead = sums <= 0.0
-    sums[dead] = 1.0
-    out = (K @ y) / sums
-    if dead.any():
-        idx = np.nonzero(dead)[0]
-        nearest = np.argmin(cdist(Xnew[idx], X_train, "sqeuclidean"), axis=1)
-        out[idx] = y[nearest]
+    spec = KernelSpec.gaussian(bandwidth)
+    out = np.empty(Xnew.shape[0])
+    fallbacks = 0
+    for rows in row_blocks(Xnew.shape[0], X_train.shape[0]):
+        K = gram_matrix(spec, Xnew[rows], X_train)
+        sums = K.sum(axis=1)
+        dead = sums <= 0.0
+        sums[dead] = 1.0
+        block = out[rows]
+        block[:] = (K @ y) / sums
+        del K  # else it lives on while the next block's is built
+        if dead.any():
+            idx = np.nonzero(dead)[0]
+            nearest = np.argmin(cdist(Xnew[rows][idx], X_train, "sqeuclidean"), axis=1)
+            block[idx] = y[nearest]
+            fallbacks += idx.size
+    if fallbacks:
         logger.warning(
             "kernel weights underflowed for %d query point(s); "
-            "used nearest neighbor's label", idx.size,
+            "used nearest neighbor's label", fallbacks,
         )
     return out
 
@@ -75,10 +83,14 @@ def knn_predict(X_train: np.ndarray, y: np.ndarray, k: int, Xnew: np.ndarray) ->
         raise InputError(f"k must be in 1..{n}, got {k}")
     Xnew = np.atleast_2d(np.asarray(Xnew, dtype=float))
     check_finite_rows(Xnew)
-    dists = cdist(Xnew, X_train, "sqeuclidean")
-    # stable sort keeps the lowest training index first among equal distances
-    order = np.argsort(dists, axis=1, kind="stable")[:, :k]
-    return y[order].mean(axis=1)
+    out = np.empty(Xnew.shape[0])
+    for rows in row_blocks(Xnew.shape[0], n):
+        # stable sort keeps the lowest training index first among equal distances
+        order = np.argsort(cdist(Xnew[rows], X_train, "sqeuclidean"),
+                           axis=1, kind="stable")
+        out[rows] = y[order[:, :k]].mean(axis=1)
+        del order  # else it lives on while the next block's is built
+    return out
 
 
 @dataclass(frozen=True)
@@ -167,8 +179,11 @@ def krr_predict(model: KRRModel, Xnew: np.ndarray) -> np.ndarray:
     """Dual-form prediction at query points; rows with NaN or Inf raise InputError."""
     Xnew = np.atleast_2d(np.asarray(Xnew, dtype=float))
     check_finite_rows(Xnew)
-    Kx = gram_matrix(model.kernel, Xnew, model.training_points)
-    return Kx @ model.dual_coefficients
+    alpha = model.dual_coefficients
+    out = np.empty(Xnew.shape[0])
+    for rows in row_blocks(Xnew.shape[0], model.training_points.shape[0]):
+        out[rows] = gram_matrix(model.kernel, Xnew[rows], model.training_points) @ alpha
+    return out
 
 
 def krr_penalty_grid(y: np.ndarray, n_grid: int = 10) -> np.ndarray:

@@ -288,6 +288,7 @@ def eigendecompose(
     Eigenvectors are scaled so (1/n) sum_i v_j(i) v_k(i) = delta_jk and
     sign-fixed. The randomized method uses Gaussian range-finding with
     power iteration and is deterministic given its seed. A is left unchanged.
+    Raises NumericalError when the solver returns fewer than j_max+1 pairs.
     """
     scratch = isinstance(A, _Scratch)
     A = _check_symmetric(A.array if scratch else A)
@@ -323,6 +324,12 @@ def eigendecompose(
         vals = vals[::-1][:k]
         vecs = Q @ U[:, ::-1][:, :k]
 
+    # LAPACK's subset solve can return fewer pairs than asked for, without
+    # an error, on a nearly diagonal operator
+    if vals.shape[0] != k or vecs.shape[1] != k:
+        raise NumericalError(
+            f"eigensolver returned {vals.shape[0]} of the {k} eigenpairs asked for"
+        )
     _log_ties(vals)
     # eigh returns unit-2-norm columns; scale to the (1/n)-inner-product norm.
     # Contiguous copies keep downstream matrix products bit-reproducible after

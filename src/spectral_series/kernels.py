@@ -8,6 +8,7 @@ downstream symmetric eigensolver never sees floating-point asymmetry.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -16,6 +17,10 @@ from scipy.spatial.distance import cdist, pdist, squareform
 from .errors import InputError
 
 __all__ = ["KernelSpec", "kernel_value", "gram_matrix", "bandwidth_grid"]
+
+# Read paths build their query-by-training matrices this many bytes at a
+# time, so their heap is bounded by one block, not by the query count.
+BLOCK_BYTES = 8 * 2**20
 
 
 @dataclass(frozen=True)
@@ -68,16 +73,34 @@ def _check_dims(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return A, B
 
 
-def check_finite_rows(X: np.ndarray) -> None:
-    """Raise InputError naming the first query row that holds NaN or Inf.
+def check_finite_rows(X: np.ndarray, what: str = "query") -> None:
+    """Raise InputError naming the first row of X that holds NaN or Inf.
 
     Such a row has no distance to any training point, so no estimator can
     predict there; without the check, NaN distances sort or fall back to an
-    arbitrary training row.
+    arbitrary training row. what names the rows in the message.
     """
     finite = np.isfinite(X).all(axis=1)
     if not finite.all():
-        raise InputError(f"query row {int(np.argmin(finite))} contains NaN or Inf")
+        raise InputError(f"{what} row {int(np.argmin(finite))} contains NaN or Inf")
+
+
+def row_blocks(m: int, n: int) -> Iterator[slice]:
+    """Slices of m query rows whose m_block x n float64 block fits BLOCK_BYTES.
+
+    Where the budget allows, a block is a multiple of 64 rows. OpenBLAS splits
+    a matrix-vector product's rows evenly over its threads and runs each share
+    in groups of 4, and a row in a share's ragged tail rounds differently. With
+    64-row multiples every share on up to 16 threads is whole groups, so the
+    blocked product has the bits of one whole-array call whose shares are
+    whole groups too (20 000 rows on 2 threads, say).
+    """
+    step = BLOCK_BYTES // (8 * n)
+    if step >= 64:
+        step -= step % 64
+    step = max(1, step)
+    for start in range(0, m, step):
+        yield slice(start, min(start + step, m))
 
 
 def kernel_value(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:

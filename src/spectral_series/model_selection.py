@@ -19,7 +19,9 @@ from .baselines import KNNModel, KRRModel, NWModel, krr_solve, max_abs_row_sum
 from .dataset import Dataset
 from .diffusion import EigenMethod, Mode, fit_basis
 from .errors import InputError, NumericalError
-from .kernels import KernelSpec, gaussian_from_sqdist, gram_matrix, self_gram_from_sqdist
+from .kernels import (
+    KernelSpec, check_finite_rows, gaussian_from_sqdist, gram_matrix, self_gram_from_sqdist,
+)
 from .nystrom import EIGENVALUE_FLOOR_REL, extend, extend_from_gram
 from .series import SeriesModel, estimate_coefficients
 
@@ -201,6 +203,7 @@ def tune_series(
             raise InputError(
                 f"unlabeled rows have d={unlabeled.shape[1]}, train has d={train.d}"
             )
+        check_finite_rows(unlabeled, "unlabeled")
         pooled = np.vstack([train.features, unlabeled])
         labeled = np.arange(train.n)
 

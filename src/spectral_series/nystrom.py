@@ -1,4 +1,12 @@
-"""Out-of-sample extension of the eigenbasis and the eigenmap transform."""
+"""Out-of-sample extension of the eigenbasis and the eigenmap transform.
+
+Every mode's extension weights factor as W = diag(a) Kx diag(b), with Kx the
+query cross Gram. So the extension of any right-hand side R is
+a * (Kx @ (b * R)), and no query-by-training rescaling pass is needed:
+extend() takes R = Psi / lambda, expansion() the vector R = Psi (beta /
+lambda), which turns a sum over basis functions into one matrix-vector
+product. Query rows are processed in blocks of kernels.BLOCK_BYTES.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +17,7 @@ from scipy.spatial.distance import cdist
 
 from .diffusion import EigenBasis, Mode
 from .errors import InputError, NumericalError
-from .kernels import check_finite_rows, gram_matrix
+from .kernels import check_finite_rows, gram_matrix, row_blocks
 
 __all__ = ["EIGENVALUE_FLOOR_REL", "extend", "eigenmap"]
 
@@ -20,79 +28,8 @@ logger = logging.getLogger(__name__)
 EIGENVALUE_FLOOR_REL = 1e-10
 
 
-def _weigh_in_place(basis: EigenBasis, Kx: np.ndarray, rows: np.ndarray) -> None:
-    """Turn Kx into the row weights W so that the extension is (W @ Psi) / lambda.
-
-    rows holds Kx's row sums. Each mode mirrors its training-time
-    normalization, so at a training point the weighted sum reproduces the
-    stored eigenvector row exactly (the eigenvector identity). Query rows
-    whose kernel sums underflow to zero are handled by the caller.
-    """
-    mode = basis.mode
-    n = basis.n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if mode is Mode.UNIFORM:
-            Kx /= n
-        elif mode is Mode.STOCHASTIC:
-            Kx /= rows[:, None]
-        elif mode is Mode.BIAS_CORRECTED:
-            # p(x) cancels in the row normalization, so only training degrees enter
-            Kx /= basis.degrees[None, :]
-            Kx /= Kx.sum(axis=1)[:, None]
-        else:
-            # symmetric conjugate: k / sqrt(querysum * trainsum)
-            Kx /= np.sqrt(rows)[:, None]
-            Kx /= np.sqrt(n * basis.degrees)[None, :]
-
-
-def _dead_rows(basis: EigenBasis, Kx: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Query rows whose kernel mass cannot be normalized (underflow or overflow)."""
-    if basis.kernel.family == "gaussian":
-        # entries lie in [0, 1] or are NaN, so the row sum alone decides
-        return ~(rows > 0.0)
-    dead = ~np.isfinite(Kx).all(axis=1) | (np.abs(Kx).sum(axis=1) <= 0.0)
-    if basis.mode is not Mode.UNIFORM:
-        dead |= rows <= 0.0
-    return dead
-
-
-def extend_from_gram(
-    basis: EigenBasis, Xnew: np.ndarray, Kx: np.ndarray, J: int
-) -> np.ndarray:
-    """extend() given the query cross Gram Kx = k(Xnew, training points).
-
-    Kx is overwritten with the extension weights. Xnew must be a finite
-    2-D float array and J must pass the eigenvalue-floor check; extend()
-    checks both. Callers that already hold the squared query distances
-    build Kx from them and skip a second distance pass.
-    """
-    lam = basis.eigenvalues[: J + 1]
-    rows = Kx.sum(axis=1)
-    dead = _dead_rows(basis, Kx, rows)
-    _weigh_in_place(basis, Kx, rows)
-    out = (Kx @ basis.eigenvectors[:, : J + 1]) / lam[None, :]
-
-    if dead.any():
-        # nearest training point's weight row reproduces that point's basis row
-        idx = np.nonzero(dead)[0]
-        nearest = np.argmin(cdist(Xnew[idx], basis.training_points, "sqeuclidean"), axis=1)
-        out[idx] = basis.eigenvectors[nearest, : J + 1]
-        logger.warning(
-            "kernel weights underflowed for %d query point(s); "
-            "fell back to nearest training point", idx.size,
-        )
-    return out
-
-
-def extend(basis: EigenBasis, Xnew: np.ndarray, J: int) -> np.ndarray:
-    """Evaluate basis functions 0..J at m query points; returns m x (J+1).
-
-    Entry (i, j) = (1/lambda_j) * sum_l w(x_i, X_l) * Psi[l, j] with the
-    mode-matched weights w. Queries so far from the training set that every
-    kernel value underflows fall back to the nearest training point's basis
-    row (logged). Query rows holding NaN or inf raise InputError: they have
-    no nearest training point.
-    """
+def _check_query(basis: EigenBasis, Xnew: np.ndarray, J: int) -> np.ndarray:
+    """Xnew as a 2-D float array, after the checks every extension needs."""
     Xnew = np.atleast_2d(np.asarray(Xnew, dtype=float))
     if Xnew.shape[1] != basis.training_points.shape[1]:
         raise InputError(
@@ -110,9 +47,142 @@ def extend(basis: EigenBasis, Xnew: np.ndarray, J: int) -> np.ndarray:
             f"eigenvalue {lam[bad[0]]:.3e} at index {bad[0]} is at or below the "
             f"floor {floor:.3e}; reduce J"
         )
+    return Xnew
 
-    Kx = gram_matrix(basis.kernel, Xnew, basis.training_points)
-    return extend_from_gram(basis, Xnew, Kx, J)
+
+def _operands(
+    basis: EigenBasis, J: int, beta: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Right-hand side b * R and fallback rows T for basis functions 0..J.
+
+    Without beta, R = Psi / lambda and T = Psi (columns 0..J); with beta,
+    R = Psi (beta / lambda) and T = Psi beta. Each mode's b mirrors its
+    training-time normalization: 1/sqrt(n * degree) in Symmetric mode (the
+    conjugate k / sqrt(querysum * trainsum)), 1/degree in BiasCorrected mode
+    (p(x) cancels in the row normalization), 1 otherwise.
+    """
+    Psi = basis.eigenvectors[:, : J + 1]
+    lam = basis.eigenvalues[: J + 1]
+    if beta is None:
+        R, T = Psi / lam[None, :], Psi
+    else:
+        R, T = Psi @ (beta / lam), Psi @ beta
+    if basis.mode is Mode.SYMMETRIC:
+        R = (R.T / np.sqrt(basis.n * basis.degrees)).T
+    elif basis.mode is Mode.BIAS_CORRECTED:
+        R = (R.T / basis.degrees).T
+    return R, T
+
+
+def _dead_rows(basis: EigenBasis, Kx: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Query rows whose kernel mass cannot be normalized (underflow or overflow)."""
+    if basis.kernel.family == "gaussian":
+        # entries lie in [0, 1] or are NaN, so the row sum alone decides
+        return ~(rows > 0.0)
+    dead = ~np.isfinite(Kx).all(axis=1) | (np.abs(Kx).sum(axis=1) <= 0.0)
+    if basis.mode is not Mode.UNIFORM:
+        dead |= rows <= 0.0
+    return dead
+
+
+def _extend_block(
+    basis: EigenBasis, Xq: np.ndarray, Kx: np.ndarray,
+    R: np.ndarray, T: np.ndarray, out: np.ndarray,
+) -> int:
+    """Write a * (Kx @ R) for the query rows Xq into out; Kx is left unchanged.
+
+    a is the mode's row factor, so at a training point the weighted sum
+    reproduces the stored row exactly (the eigenvector identity). Rows whose
+    kernel mass cannot be normalized get T at their nearest training point,
+    whose weight row reproduces that point's basis row. Returns their count.
+    """
+    mode = basis.mode
+    rows = Kx.sum(axis=1)
+    dead = _dead_rows(basis, Kx, rows)
+    np.matmul(Kx, R, out=out)
+    if mode is Mode.UNIFORM:
+        out /= basis.n
+    else:
+        if mode is Mode.STOCHASTIC:
+            a = rows
+        elif mode is Mode.BIAS_CORRECTED:
+            a = Kx @ (1.0 / basis.degrees)
+        else:
+            a = np.sqrt(rows)
+        # out.T puts the query axis last for a vector and a matrix alike
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(out.T, a, out=out.T)
+
+    idx = np.nonzero(dead)[0]
+    if idx.size:
+        nearest = np.argmin(cdist(Xq[idx], basis.training_points, "sqeuclidean"), axis=1)
+        out[idx] = T[nearest]
+    return idx.size
+
+
+def _log_fallback(count: int) -> None:
+    if count:
+        logger.warning(
+            "kernel weights underflowed for %d query point(s); "
+            "fell back to nearest training point", count,
+        )
+
+
+def _extend_blocked(
+    basis: EigenBasis, Xnew: np.ndarray, J: int, beta: np.ndarray | None
+) -> np.ndarray:
+    """The read path: per block of query rows, cross Gram then _extend_block."""
+    Xnew = _check_query(basis, Xnew, J)
+    R, T = _operands(basis, J, beta)
+    out = np.empty((Xnew.shape[0],) + R.shape[1:])
+    fallbacks = 0
+    for rows in row_blocks(Xnew.shape[0], basis.n):
+        Kx = gram_matrix(basis.kernel, Xnew[rows], basis.training_points)
+        fallbacks += _extend_block(basis, Xnew[rows], Kx, R, T, out[rows])
+        del Kx  # else it lives on while the next block's is built
+    _log_fallback(fallbacks)
+    return out
+
+
+def extend_from_gram(
+    basis: EigenBasis, Xnew: np.ndarray, Kx: np.ndarray, J: int
+) -> np.ndarray:
+    """extend() given the query cross Gram Kx = k(Xnew, training points).
+
+    Kx is left unchanged. Xnew must be a finite 2-D float array and J must
+    pass the eigenvalue-floor check; extend() checks both. Callers that
+    already hold the squared query distances build Kx from them and skip a
+    second distance pass.
+    """
+    R, T = _operands(basis, J, None)
+    out = np.empty((Kx.shape[0], J + 1))
+    _log_fallback(_extend_block(basis, Xnew, Kx, R, T, out))
+    return out
+
+
+def extend(basis: EigenBasis, Xnew: np.ndarray, J: int) -> np.ndarray:
+    """Evaluate basis functions 0..J at m query points; returns m x (J+1).
+
+    Entry (i, j) = (1/lambda_j) * sum_l w(x_i, X_l) * Psi[l, j] with the
+    mode-matched weights w. Queries so far from the training set that every
+    kernel value underflows fall back to the nearest training point's basis
+    row (logged). Query rows holding NaN or inf raise InputError: they have
+    no nearest training point. Memory beyond the output is bounded by one
+    block of query rows, whatever m is.
+    """
+    return _extend_blocked(basis, Xnew, J, None)
+
+
+def expansion(basis: EigenBasis, Xnew: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """Evaluate sum_j coefficients[j] * psi_j at m query points; returns m values.
+
+    Equals extend(basis, Xnew, J) @ coefficients with J = len(coefficients) - 1,
+    up to rounding, in one kernel pass and one matrix-vector product whatever
+    J is. Queries whose kernel values all underflow take the expansion's value
+    at the nearest training point (logged); the other checks are extend()'s.
+    """
+    beta = np.asarray(coefficients, dtype=float).ravel()
+    return _extend_blocked(basis, Xnew, beta.size - 1, beta)
 
 
 def eigenmap(basis: EigenBasis, Xnew: np.ndarray, J: int) -> np.ndarray:

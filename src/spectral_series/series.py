@@ -14,8 +14,8 @@ import numpy as np
 
 from .diffusion import EigenBasis, EigenMethod, Mode, fit_basis, smoothness_spectrum
 from .errors import InputError, NumericalError
-from .kernels import KernelSpec
-from .nystrom import extend
+from .kernels import KernelSpec, check_finite_rows
+from .nystrom import expansion
 
 __all__ = [
     "SeriesModel",
@@ -124,9 +124,13 @@ def wls_coefficients(basis: EigenBasis, y: np.ndarray) -> np.ndarray:
 
 
 def predict(model: SeriesModel, Xnew: np.ndarray) -> np.ndarray:
-    """Evaluate the truncated expansion at query points."""
-    Psi_new = extend(model.basis, Xnew, model.J)
-    return Psi_new @ model.coefficients[: model.J + 1]
+    """Evaluate the truncated expansion at query points.
+
+    Costs one kernel pass over the training points plus one matrix-vector
+    product, whatever J is; memory beyond the output is bounded by one block
+    of query rows, whatever their number (nystrom.expansion).
+    """
+    return expansion(model.basis, Xnew, model.coefficients[: model.J + 1])
 
 
 def fit(
@@ -180,6 +184,7 @@ def fit_ssl(
             f"unlabeled dimension {X_unlabeled.shape[1]} does not match "
             f"labeled dimension {X_labeled.shape[1]}"
         )
+    check_finite_rows(X_unlabeled, "unlabeled")
     pooled = np.vstack([X_labeled, X_unlabeled])
     basis = fit_basis(pooled, spec, j_max, mode, method)
     coef = estimate_coefficients(basis, y, labeled=np.arange(X_labeled.shape[0]))

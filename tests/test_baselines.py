@@ -1,9 +1,13 @@
 """Classical reference estimators: kernel smoother, neighbors, ridge."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from scipy.spatial.distance import cdist
 
 from spectral_series import (
     InputError,
@@ -12,12 +16,14 @@ from spectral_series import (
     NumericalError,
     NWModel,
     gen_spiral,
+    gram_matrix,
     knn_predict,
     krr_fit,
     krr_penalty_grid,
     krr_predict,
     nw_predict,
 )
+from spectral_series.kernels import row_blocks
 
 
 class TestNadarayaWatson:
@@ -171,3 +177,66 @@ def test_non_finite_query_rejected(estimator, bad):
     queries = np.vstack([X[:2], [[0.5, bad]], [[500.0, 500.0]]])
     with pytest.raises(InputError, match="row 2 contains NaN or Inf"):
         predictors[estimator](queries)
+
+
+def whole_array_predictors(X, y, bw, k, krr):
+    """Each predictor as one query-by-training matrix over all query rows."""
+
+    def nw(Q):
+        K = gram_matrix(KernelSpec.gaussian(bw), Q, X)
+        sums = K.sum(axis=1)
+        dead = sums <= 0.0
+        sums[dead] = 1.0
+        out = (K @ y) / sums
+        idx = np.nonzero(dead)[0]
+        out[idx] = y[np.argmin(cdist(Q[idx], X, "sqeuclidean"), axis=1)]
+        return out
+
+    def knn(Q):
+        order = np.argsort(cdist(Q, X, "sqeuclidean"), axis=1, kind="stable")[:, :k]
+        return y[order].mean(axis=1)
+
+    return {"nw": nw, "knn": knn,
+            "krr": lambda Q: gram_matrix(krr.kernel, Q, X) @ krr.dual_coefficients}
+
+
+@pytest.mark.parametrize("estimator", ["nw", "knn", "krr"])
+def test_blocked_prediction_bit_identical_to_whole_array(estimator):
+    data = gen_spiral(800, noise_sd=0.1, seed=6)
+    X, y = data.features, data.responses
+    krr = krr_fit(X, y, KernelSpec.gaussian(0.05), 1e-3)
+    blocked = {"nw": lambda Q: nw_predict(X, y, 0.05, Q),
+               "knn": lambda Q: knn_predict(X, y, 7, Q),
+               "krr": krr.predict}[estimator]
+    whole = whole_array_predictors(X, y, 0.05, 7, krr)[estimator]
+    # 3.5 blocks, with far (underflowing) rows in the middle of the second.
+    # The query count is a multiple of 64: OpenBLAS rounds a matrix-vector
+    # product's rows by where they fall in its per-thread shares, so only then
+    # is the whole-array reference itself free of ragged shares
+    step = next(row_blocks(10 ** 9, X.shape[0])).stop
+    Q = gen_spiral(3 * step + step // 2, noise_sd=0.1, seed=7).features
+    assert Q.shape[0] % 64 == 0
+    Q[step + step // 2:step + step // 2 + 3] += 500.0
+    assert np.array_equal(blocked(Q), whole(Q))
+
+
+@pytest.mark.parametrize("estimator", ["nw", "knn", "krr"])
+def test_heap_peak_independent_of_query_count(estimator):
+    data = gen_spiral(800, noise_sd=0.1, seed=6)
+    X, y = data.features, data.responses
+    krr = krr_fit(X, y, KernelSpec.gaussian(0.05), 1e-3)
+    predictor = {"nw": lambda Q: nw_predict(X, y, 0.05, Q),
+                 "knn": lambda Q: knn_predict(X, y, 7, Q),
+                 "krr": krr.predict}[estimator]
+    queries = gen_spiral(20_000, noise_sd=0.1, seed=8).features
+    peaks = {}
+    for m in (2_000, 20_000):
+        tracemalloc.start()
+        try:
+            predictor(queries[:m])
+            peaks[m] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # allowed: the output's own growth (8 bytes per extra row) and 64 KiB of
+    # small objects; one block of the query-by-training matrix is 8 MiB
+    assert peaks[20_000] <= peaks[2_000] + 18_000 * 8 + 64 * 1024

@@ -4,6 +4,7 @@ import logging
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -253,6 +254,22 @@ class TestEigendecompose:
         eigendecompose(A, 10, method)  # a second call sees the same matrix
         assert np.array_equal(A, before)
 
+    def test_short_subset_solve_rejected(self):
+        # LAPACK's subset solve returns no pairs for this nearly diagonal
+        # operator, and reports no error
+        with pytest.raises(NumericalError, match="returned 0 of the 6 eigenpairs"):
+            eigendecompose(np.eye(1000) + 1e-217, 5)
+
+    def test_short_randomized_solve_rejected(self, monkeypatch):
+        # with no oversampling the small problem has exactly k pairs; a
+        # solver that drops one must not pass unnoticed
+        eigh = scipy.linalg.eigh
+        monkeypatch.setattr(scipy.linalg, "eigh",
+                            lambda *a, **kw: tuple(r[..., 1:] for r in eigh(*a, **kw)))
+        A = symmetric_normalize(random_gram(30, 10))
+        with pytest.raises(NumericalError, match="returned 4 of the 5 eigenpairs"):
+            eigendecompose(A, 4, EigenMethod("randomized", oversample=0))
+
     def test_tie_warning_logged(self, caplog):
         A = np.eye(5)  # all eigenvalues identical
         with caplog.at_level(logging.WARNING, logger="spectral_series.diffusion"):
@@ -360,6 +377,13 @@ class TestFitBasis:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError, match="NaN or Inf"):
                 fit_basis(X, KernelSpec.polynomial(3), 5, mode)
+
+    def test_short_subset_solve_rejected(self):
+        # d = 1000 standard-normal points at bandwidth 1: every off-diagonal
+        # kernel value is near 1e-217, and the subset solve returns no pairs
+        X = np.random.default_rng(0).normal(size=(1000, 1000))
+        with pytest.raises(NumericalError, match="eigenpairs"):
+            fit_basis(X, KernelSpec.gaussian(1.0), 4)
 
     def test_truncate_view(self):
         X = np.random.default_rng(4).normal(size=(20, 2))

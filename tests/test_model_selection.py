@@ -173,6 +173,13 @@ class TestTuneSeries:
         assert model.ssl
         assert model.basis.n == train.n + 40
 
+    def test_non_finite_unlabeled_row_rejected(self):
+        # it used to fail every candidate and end in NumericalError
+        train, val, _ = spiral_splits(n=60)
+        with pytest.raises(InputError, match="unlabeled row 0 contains NaN or Inf"):
+            tune_series(train, val, TuneGrid(bandwidths=(1.0,), j_max=6),
+                        unlabeled=np.array([[np.nan, 0.0], [1.0, 2.0]]))
+
     def test_responses_required(self):
         train, val, _ = spiral_splits()
         bare = Dataset(train.features, None, None)

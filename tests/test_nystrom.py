@@ -19,9 +19,10 @@ from spectral_series import (
     fit,
     fit_basis,
     gen_spiral,
+    gram_matrix,
     predict,
 )
-from spectral_series.kernels import bandwidth_grid
+from spectral_series.kernels import bandwidth_grid, row_blocks
 
 
 def spiral_basis(mode=Mode.STOCHASTIC, n=50, j_max=8, bw=1.0, seed=0):
@@ -152,6 +153,137 @@ class TestExtend:
         basis = fit_basis(X, KernelSpec.gaussian(1.5), 6, mode)
         out = extend(basis, X, 6)
         assert np.max(np.abs(out - basis.eigenvectors)) <= 1e-10
+
+
+def entrywise_reference(basis, Xnew, J):
+    """The extension computed the long way: every weight written into the
+    cross Gram, then the product with Psi, then the division by lambda."""
+    Kx = gram_matrix(basis.kernel, Xnew, basis.training_points)
+    rows = Kx.sum(axis=1)[:, None]
+    degrees = basis.degrees[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if basis.mode is Mode.UNIFORM:
+            W = Kx / basis.n
+        elif basis.mode is Mode.STOCHASTIC:
+            W = Kx / rows
+        elif basis.mode is Mode.BIAS_CORRECTED:
+            W = Kx / degrees
+            W /= W.sum(axis=1)[:, None]
+        else:
+            W = Kx / np.sqrt(rows) / np.sqrt(basis.n * degrees)
+    return (W @ basis.eigenvectors[:, : J + 1]) / basis.eigenvalues[None, : J + 1]
+
+
+def nearest_rows(X, queries):
+    return np.array([np.argmin(((X - q) ** 2).sum(axis=1)) for q in queries])
+
+
+class TestBlockedReadPath:
+    """extend and predict build the cross Gram one block of query rows at a
+    time and fold beta / lambda into the right-hand side."""
+
+    @staticmethod
+    def fitted(mode, n=1000, j_max=10, bw=0.5):
+        data = gen_spiral(n, noise_sd=0.1, seed=3)
+        return fit(data.features, data.responses, KernelSpec.gaussian(bw), j_max, mode)
+
+    @staticmethod
+    def queries(n_train, n_blocks=3.5):
+        # far rows sit in the middle of the second block
+        step = next(row_blocks(10 ** 9, n_train)).stop  # rows per block
+        Q = gen_spiral(int(n_blocks * step), noise_sd=0.1, seed=4).features
+        far = np.arange(step + step // 2, step + step // 2 + 3)
+        Q[far] += 500.0
+        return Q, far
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_blocks_equal_per_block_calls(self, mode):
+        model = self.fitted(mode)
+        Q, _ = self.queries(model.basis.n)
+        blocks = list(row_blocks(Q.shape[0], model.basis.n))
+        assert len(blocks) >= 3
+        ext = extend(model.basis, Q, model.J)
+        pred = predict(model, Q)
+        assert np.array_equal(
+            ext, np.vstack([extend(model.basis, Q[b], model.J) for b in blocks]))
+        assert np.array_equal(
+            pred, np.concatenate([predict(model, Q[b]) for b in blocks]))
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_gaussian_matches_entrywise_reference(self, mode):
+        model = self.fitted(mode)
+        basis, J, beta = model.basis, model.J, model.coefficients[: model.J + 1]
+        Q, far = self.queries(basis.n)
+        live = np.setdiff1d(np.arange(Q.shape[0]), far)
+        ref = entrywise_reference(basis, Q, J)
+        ext = extend(basis, Q, J)
+        scale = np.abs(ref[live]).max(axis=0)
+        assert np.all(np.abs(ext[live] - ref[live]) <= 1e-12 * scale)
+        pred, ref_pred = predict(model, Q), ref @ beta
+        assert np.all(np.abs(pred[live] - ref_pred[live])
+                      <= 1e-12 * np.abs(ref_pred[live]).max())
+
+    def test_polynomial_uniform_matches_entrywise_reference(self):
+        # one live row at 1e6 and one overflowing row, both in a middle block.
+        # J = 6 keeps lambda_J / lambda_0 near 3e-3: at the rank-10 cutoff
+        # (J = 9, ratio 2.5e-7) the long way and the folded product both sit
+        # about 3e-11 from an extended-precision value, so they cannot agree
+        # to 1e-11 there
+        data = gen_spiral(1000, noise_sd=0.1, seed=3)
+        model = fit(data.features, data.responses, KernelSpec.polynomial(3), 9,
+                    Mode.UNIFORM, J=6)
+        basis, J = model.basis, model.J
+        Q, far = self.queries(basis.n)
+        Q[far[0]] = [1e6, 1e6]
+        Q[far[1]] = data.features[0] * 1e120
+        with np.errstate(over="ignore", invalid="ignore"):
+            ext = extend(basis, Q, J)
+            pred = predict(model, Q)
+            ref = entrywise_reference(basis, Q, J)
+        live = np.setdiff1d(np.arange(Q.shape[0]), far[1])
+        scale = np.abs(ref[live]).max(axis=0)
+        assert np.all(np.abs(ext[live] - ref[live]) <= 1e-11 * scale)
+        ref_pred = ref[live] @ model.coefficients[: J + 1]
+        assert np.all(np.abs(pred[live] - ref_pred) <= 1e-11 * np.abs(ref_pred).max())
+        nearest = nearest_rows(data.features, Q[far[1:2]])
+        Psi = basis.eigenvectors[:, : J + 1]
+        assert np.array_equal(ext[far[1]], Psi[nearest[0]])
+        assert pred[far[1]] == (Psi @ model.coefficients[: J + 1])[nearest[0]]
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_fallback_rows_are_the_nearest_training_row(self, mode, caplog):
+        model = self.fitted(mode)
+        basis, J = model.basis, model.J
+        Q, far = self.queries(basis.n)
+        nearest = nearest_rows(basis.training_points, Q[far])
+        Psi = basis.eigenvectors[:, : J + 1]
+        with caplog.at_level(logging.WARNING, logger="spectral_series.nystrom"):
+            ext = extend(basis, Q, J)
+            pred = predict(model, Q)
+        assert np.array_equal(ext[far], Psi[nearest])
+        assert np.array_equal(pred[far], (Psi @ model.coefficients[: J + 1])[nearest])
+        # one record per call, counting the rows of every block
+        assert [rec.args[0] for rec in caplog.records] == [3, 3]
+
+    @pytest.mark.parametrize("mode", [Mode.STOCHASTIC, Mode.SYMMETRIC])
+    def test_heap_peak_independent_of_query_count(self, mode):
+        model = self.fitted(mode)
+        queries = gen_spiral(20_000, noise_sd=0.1, seed=5).features
+        working = {}
+        for m in (2_000, 20_000):
+            for name, call in (("extend", lambda Q: extend(model.basis, Q, model.J)),
+                               ("predict", lambda Q: predict(model, Q))):
+                tracemalloc.start()
+                try:
+                    out = call(queries[:m])
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                working[name, m] = peak - out.nbytes
+        for name in ("extend", "predict"):
+            assert working[name, 20_000] <= 1.05 * working[name, 2_000]
+            # one block of the cross Gram, not all 2000 rows of it
+            assert working[name, 2_000] < 0.6 * 2_000 * model.basis.n * 8
 
 
 class TestEigenmap:

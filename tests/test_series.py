@@ -197,6 +197,13 @@ class TestFitSsl:
             fit_ssl(lab.features, lab.responses, np.ones((5, 3)),
                     KernelSpec.gaussian(1.0), 4)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_unlabeled_row_rejected(self, bad):
+        lab = gen_spiral(40, seed=4)
+        with pytest.raises(InputError, match="unlabeled row 1 contains NaN or Inf"):
+            fit_ssl(lab.features, lab.responses, np.array([[1.0, 2.0], [bad, 0.0]]),
+                    KernelSpec.gaussian(1.0), 4)
+
     def test_unlabeled_rows_help_when_labels_are_scarce(self):
         # 50 labels alone give a near-disconnected kernel graph at this
         # bandwidth; 1000 extra unlabeled rows reconnect it. Config and
