@@ -6,7 +6,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 from scipy.spatial.distance import cdist
 
 from .errors import InputError, NumericalError
@@ -153,10 +153,16 @@ def max_abs_row_sum(K: np.ndarray) -> float:
 
 
 def krr_solve(K: np.ndarray, y: np.ndarray, penalty: float, row_bound: float) -> np.ndarray:
-    """Dual coefficients solving (K + n*penalty*I) alpha = y; K is not modified.
+    """Dual coefficients solving (K + n*penalty*I) alpha = y; K and y are not modified.
 
     row_bound is max_abs_row_sum(K), passed in so that a penalty sweep over
     one K takes it once. Refuses visibly ill-conditioned systems (see krr_fit).
+    Each call is one Cholesky factorization (LAPACK ``dposv``) done in place
+    on a single copy of K with the ridge added to its diagonal. K must be
+    exactly symmetric, as every self Gram is: the factorization reads the
+    upper triangle of the copy's Fortran view, which is its lower triangle.
+    A failed factorization (K + n*penalty*I not positive definite) or a
+    non-finite solution raises NumericalError.
     """
     n = K.shape[0]
     if not penalty > 0:
@@ -168,11 +174,16 @@ def krr_solve(K: np.ndarray, y: np.ndarray, penalty: float, row_bound: float) ->
             f"system condition estimate {cond_bound:.3e} exceeds "
             f"{KRR_CONDITION_LIMIT:.0e}; increase the penalty"
         )
-    M = K + ridge * np.eye(n)
-    try:
-        return scipy.linalg.solve(M, y, assume_a="pos")
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise NumericalError(f"ridge solve failed: {exc}") from exc
+    M = np.array(K, dtype=float, order="C")
+    M.flat[:: n + 1] += ridge  # off the diagonal, K + ridge*I adds +0.0: same bits
+    _, alpha, info = scipy.linalg.lapack.dposv(M.T, y, lower=0, overwrite_a=1)
+    if info != 0:
+        raise NumericalError(
+            f"ridge solve failed: Cholesky factorization broke down (dposv info {info})"
+        )
+    if not np.isfinite(alpha).all():
+        raise NumericalError("ridge solve failed: non-finite dual coefficients")
+    return alpha
 
 
 def krr_predict(model: KRRModel, Xnew: np.ndarray) -> np.ndarray:

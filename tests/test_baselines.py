@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +24,7 @@ from spectral_series import (
     krr_predict,
     nw_predict,
 )
+from spectral_series.baselines import krr_solve, max_abs_row_sum
 from spectral_series.kernels import row_blocks
 
 
@@ -161,6 +163,48 @@ class TestKrr:
     def test_penalty_grid_constant_response(self):
         grid = krr_penalty_grid(np.full(5, 2.0))
         assert np.all(grid > 0.0)
+
+
+class TestKrrSolve:
+    @pytest.mark.parametrize("spec", [KernelSpec.gaussian(0.05), KernelSpec.polynomial(2)],
+                             ids=["gaussian", "poly"])
+    def test_bit_equal_to_dense_solve(self, spec):
+        data = gen_spiral(300, noise_sd=0.1, seed=11)
+        X, y = data.features, data.responses
+        K = gram_matrix(spec, X)
+        n = K.shape[0]
+        solved = 0
+        for penalty in krr_penalty_grid(y, 11):
+            try:
+                alpha = krr_solve(K, y, penalty, max_abs_row_sum(K))
+            except NumericalError as exc:
+                assert "condition" in str(exc)
+                continue
+            ref = scipy.linalg.solve(K + n * penalty * np.eye(n), y, assume_a="pos")
+            assert np.array_equal(alpha, ref)
+            solved += 1
+        assert solved >= 5
+
+    def test_inputs_left_unchanged(self):
+        data = gen_spiral(200, noise_sd=0.1, seed=12)
+        K = gram_matrix(KernelSpec.gaussian(0.1), data.features)
+        y = data.responses
+        K0, y0 = K.copy(), y.copy()
+        krr_solve(K, y, 1e-3, max_abs_row_sum(K))
+        assert np.array_equal(K, K0) and np.array_equal(y, y0)
+
+    @pytest.mark.parametrize("case", ["not_positive_definite", "nan_in_y", "nan_in_K"])
+    def test_failed_solve_is_numerical_error(self, case):
+        n = 30
+        K, y = np.eye(n), np.ones(n)
+        if case == "not_positive_definite":
+            K = -K  # the Gershgorin bound passes; the factorization fails
+        elif case == "nan_in_y":
+            y[4] = np.nan
+        else:
+            K[3, 5] = K[5, 3] = np.nan
+        with pytest.raises(NumericalError, match="ridge solve failed"):
+            krr_solve(K, y, 1e-3, max_abs_row_sum(K))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
