@@ -1,15 +1,21 @@
 """Model persistence: a single-file container with bit-exact round-trips.
 
 Layout: an 8-byte little-endian header length, a UTF-8 JSON header (format
-version, kernel, mode, truncation, preprocessing record, block list), then
-one length-prefixed block per array: two uint64 for (rows, cols) followed by
-row-major float64 little-endian payload. Raw float64 bytes round-trip without
-any decimal conversion, which is what makes reloaded predictions
-bit-identical.
+version, kernel, mode, truncation, preprocessing record, block list,
+checksum), then one length-prefixed block per array: two uint64 for
+(rows, cols) followed by row-major float64 little-endian payload. Raw float64
+bytes round-trip without any decimal conversion, which is what makes
+reloaded predictions bit-identical.
+
+The checksum is the SHA-256 of the header's other fields (as canonical JSON)
+followed by every byte after the header, so an edit anywhere in the file is
+rejected instead of loading as a different model. Version 1 archives, which
+predate the checksum, are still read, without that check.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -26,7 +32,7 @@ from .series import SeriesModel
 
 __all__ = ["FORMAT_VERSION", "Preprocessing", "save_model", "load_model"]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _LEN = struct.Struct("<Q")
 _SHAPE = struct.Struct("<QQ")
 
@@ -64,12 +70,26 @@ def _read_exact(fh, size: int) -> bytes:
     return data
 
 
-def _read_block(fh) -> np.ndarray:
-    rows, cols = _SHAPE.unpack(_read_exact(fh, _SHAPE.size))
-    if rows * cols > 10**9:
-        raise ArchiveError(f"implausible block shape {rows}x{cols}")
-    payload = _read_exact(fh, rows * cols * 8)
+def _read_block(fh, digest) -> np.ndarray:
+    """Read one block, feeding its bytes to digest."""
+    shape = _read_exact(fh, _SHAPE.size)
+    rows, cols = _SHAPE.unpack(shape)
+    size = rows * cols * 8
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size > left:
+        # checked before reading, so a corrupt shape cannot size a huge buffer
+        raise ArchiveError(
+            f"truncated archive: block of {rows}x{cols} needs {size} bytes, {left} remain")
+    payload = _read_exact(fh, size)
+    digest.update(shape)
+    digest.update(payload)
     return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
+
+
+def _header_digest(header: dict):
+    """SHA-256 seeded with the header's fields other than the checksum."""
+    fields = {k: v for k, v in header.items() if k != "checksum"}
+    return hashlib.sha256(json.dumps(fields, sort_keys=True).encode("utf-8"))
 
 
 def save_model(path, model: SeriesModel, preprocessing: Preprocessing | None = None) -> None:
@@ -118,13 +138,17 @@ def save_model(path, model: SeriesModel, preprocessing: Preprocessing | None = N
         _write_block(body, "std_sds", std.sds, blocks)
         _write_block(body, "std_constant", std.constant.astype(float), blocks)
 
+    body = body.getvalue()
+    digest = _header_digest(header)
+    digest.update(body)
+    header["checksum"] = digest.hexdigest()
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "wb") as fh:
             fh.write(_LEN.pack(len(header_bytes)))
             fh.write(header_bytes)
-            fh.write(body.getvalue())
+            fh.write(body)
         os.replace(tmp, path)
     except OSError as exc:
         raise ArchiveError(f"cannot write model archive {path}: {exc}") from exc
@@ -153,32 +177,40 @@ def _check_shapes(arrays: dict, n: int, d: int, k: int) -> None:
 
 
 def load_model(path) -> tuple[SeriesModel, Preprocessing]:
-    """Read a model archive; rejects unknown format versions."""
+    """Read a model archive; rejects unknown format versions and any edit.
+
+    Block shapes are checked before the checksum, so a structural edit is
+    reported by the block it breaks.
+    """
     try:
         fh = open(path, "rb")
     except OSError as exc:
         raise ArchiveError(f"cannot open model archive {path}: {exc}") from exc
-    with fh:
-        try:
-            (header_len,) = _LEN.unpack(_read_exact(fh, _LEN.size))
-            if header_len > 10**7:
-                raise ArchiveError(f"implausible header length {header_len}")
-            header = json.loads(_read_exact(fh, header_len).decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError, struct.error) as exc:
-            raise ArchiveError(f"corrupt archive header in {path}: {exc}") from exc
-
-        version = header.get("format_version")
-        if version != FORMAT_VERSION:
-            raise ArchiveError(
-                f"archive format version {version!r} is not supported "
-                f"(this build reads version {FORMAT_VERSION})"
-            )
-        arrays = {}
-        for name in header["blocks"]:
-            arrays[name] = _read_block(fh)
-
     try:
+        with fh:
+            try:
+                (header_len,) = _LEN.unpack(_read_exact(fh, _LEN.size))
+                if header_len > 10**7:
+                    raise ArchiveError(f"implausible header length {header_len}")
+                header = json.loads(_read_exact(fh, header_len).decode("utf-8"))
+            except (json.JSONDecodeError, UnicodeDecodeError, struct.error) as exc:
+                raise ArchiveError(f"corrupt archive header in {path}: {exc}") from exc
+            if not isinstance(header, dict):
+                raise ArchiveError(f"corrupt archive header in {path}: not a JSON object")
+
+            version = header.get("format_version")
+            if version not in (1, FORMAT_VERSION):
+                raise ArchiveError(
+                    f"archive format version {version!r} is not supported "
+                    f"(this build reads versions 1 and {FORMAT_VERSION})"
+                )
+            digest = _header_digest(header)
+            arrays = {name: _read_block(fh, digest) for name in header["blocks"]}
+            digest.update(fh.read())  # trailing bytes count too
+
         _check_shapes(arrays, header["n"], header["d"], header["n_components"])
+        if version > 1 and header["checksum"] != digest.hexdigest():
+            raise ArchiveError(f"archive {path} fails its checksum; the file is corrupt")
         kern = header["kernel"]
         spec = KernelSpec(kern["family"], kern.get("bandwidth"), kern.get("degree"))
         meth = header["method"]
@@ -206,4 +238,6 @@ def load_model(path) -> tuple[SeriesModel, Preprocessing]:
         prep = Preprocessing(std, bool(header["preprocessing"]["unit_norm"]))
     except KeyError as exc:
         raise ArchiveError(f"archive {path} is missing field {exc}") from exc
+    except TypeError as exc:
+        raise ArchiveError(f"corrupt archive header in {path}: {exc}") from exc
     return model, prep

@@ -33,7 +33,7 @@ from .dataset import (
 )
 from .diffusion import EigenMethod, Mode, fit_basis
 from .errors import ArchiveError, InputError, NumericalError
-from .kernels import KernelSpec, bandwidth_grid
+from .kernels import KernelSpec, bandwidth_grid, sq_distances
 from .model_selection import TuneGrid, evaluate_on, tune_series
 from .nystrom import eigenmap
 from .series import predict
@@ -117,9 +117,7 @@ def _local_bandwidth(X: np.ndarray) -> float:
     Embeddings need a bandwidth at the local-neighborhood scale; the global
     median rule merges distant manifold branches.
     """
-    from scipy.spatial.distance import pdist
-
-    sq = pdist(np.atleast_2d(X), "sqeuclidean")
+    sq = sq_distances(X)
     sq = sq[sq > 0.0]
     if sq.size == 0:
         raise InputError("all points identical; no distance scale available")

@@ -307,9 +307,10 @@ def eigendecompose(
             # upper triangle, which equals the lower one for an exactly
             # symmetric A, so the result is bit-identical to eigh(A)
             vals, vecs = scipy.linalg.eigh(A.T, subset_by_index=(n - k, n - 1),
-                                           overwrite_a=True)
+                                           overwrite_a=True, check_finite=False)
         else:
-            vals, vecs = scipy.linalg.eigh(A, subset_by_index=(n - k, n - 1))
+            vals, vecs = scipy.linalg.eigh(A, subset_by_index=(n - k, n - 1),
+                                           check_finite=False)
         vals = vals[::-1]
         vecs = vecs[:, ::-1]
     else:
@@ -320,7 +321,10 @@ def eigendecompose(
             Q, _ = np.linalg.qr(A @ Q)
         B = Q.T @ A @ Q
         B = 0.5 * (B + B.T)
-        vals, U = scipy.linalg.eigh(B)
+        # A is finite, but its products can still overflow
+        if not np.isfinite(B).all():
+            raise NumericalError("randomized projection overflowed (kernel scale too large?)")
+        vals, U = scipy.linalg.eigh(B, check_finite=False)
         vals = vals[::-1][:k]
         vecs = Q @ U[:, ::-1][:, :k]
 

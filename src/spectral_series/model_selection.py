@@ -13,7 +13,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
 
 from .baselines import KNNModel, KRRModel, NWModel, krr_solve, max_abs_row_sum
 from .dataset import Dataset
@@ -21,6 +20,7 @@ from .diffusion import EigenMethod, Mode, fit_basis
 from .errors import InputError, NumericalError
 from .kernels import (
     KernelSpec, check_finite_rows, gaussian_from_sqdist, gram_matrix, self_gram_from_sqdist,
+    sq_distances,
 )
 from .nystrom import EIGENVALUE_FLOOR_REL, extend, extend_from_gram
 from .series import SeriesModel, estimate_coefficients
@@ -217,9 +217,9 @@ def tune_series(
         # Gaussian candidates differ only in the exponent's scale, so the
         # squared distances are computed once for the whole sweep
         t0 = time.perf_counter()
-        sq_pooled = pdist(pooled, "sqeuclidean")
+        sq_pooled = sq_distances(pooled)
         t1 = time.perf_counter()
-        sq_val = cdist(val.features, pooled, "sqeuclidean")
+        sq_val = sq_distances(val.features, pooled)
         timings["kernel_build"] += t1 - t0
         timings["validation"] += time.perf_counter() - t1
 

@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectral_series import (
     ArchiveError,
@@ -168,3 +170,123 @@ def test_unit_norm_rejects_zero_rows():
     prep = Preprocessing(unit_norm=True)
     with pytest.raises(Exception, match="zero norm"):
         prep.apply(np.zeros((2, 3)))
+
+
+def _split_header(raw):
+    (hlen,) = struct.unpack_from("<Q", raw)
+    return json.loads(raw[8:8 + hlen]), raw[8 + hlen:]
+
+
+def _join_header(header, body):
+    encoded = json.dumps(header, sort_keys=True).encode()
+    return struct.pack("<Q", len(encoded)) + encoded + body
+
+
+def test_flipped_payload_bit_fails_checksum(fitted, tmp_path):
+    path = tmp_path / "model.ssm"
+    save_model(path, fitted)
+    raw = bytearray(path.read_bytes())
+    raw[-3] ^= 0x10  # inside the coefficients payload
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ArchiveError, match="checksum"):
+        load_model(path)
+
+
+def test_edited_header_field_fails_checksum(fitted, tmp_path):
+    path = tmp_path / "model.ssm"
+    save_model(path, fitted)
+    header, body = _split_header(path.read_bytes())
+    header["J"] -= 1
+    path.write_bytes(_join_header(header, body))
+    with pytest.raises(ArchiveError, match="checksum"):
+        load_model(path)
+
+
+def test_missing_checksum_rejected(fitted, tmp_path):
+    path = tmp_path / "model.ssm"
+    save_model(path, fitted)
+    header, body = _split_header(path.read_bytes())
+    del header["checksum"]
+    path.write_bytes(_join_header(header, body))
+    with pytest.raises(ArchiveError, match="checksum"):
+        load_model(path)
+
+
+def test_version_1_archive_still_read(fitted, tmp_path):
+    # version 1 is the same layout without the checksum field
+    path = tmp_path / "model.ssm"
+    save_model(path, fitted)
+    header, body = _split_header(path.read_bytes())
+    del header["checksum"]
+    header["format_version"] = 1
+    path.write_bytes(_join_header(header, body))
+    loaded, _ = load_model(path)
+    assert _same_model(loaded, fitted)
+
+
+def _same_model(a, b):
+    arrays = ("training_points", "eigenvalues", "eigenvectors", "stationary", "degrees")
+    return (all(np.array_equal(getattr(a.basis, f), getattr(b.basis, f)) for f in arrays)
+            and np.array_equal(a.coefficients, b.coefficients)
+            and (a.J, a.ssl, a.basis.kernel, a.basis.mode, a.basis.method)
+            == (b.J, b.ssl, b.basis.kernel, b.basis.mode, b.basis.method))
+
+
+@pytest.fixture(scope="module")
+def archived(tmp_path_factory):
+    """A standardized model's archive bytes, the model, and a scratch path."""
+    data = gen_spiral(40, noise_sd=0.1, seed=8)
+    model = fit(data.features, data.responses, KernelSpec.gaussian(1.0),
+                j_max=6, mode=Mode.STOCHASTIC, J=4)
+    _, std = standardize(Dataset(data.features, None, None))
+    path = tmp_path_factory.mktemp("fuzz") / "model.ssm"
+    save_model(path, model, Preprocessing(standardizer=std))
+    return path.read_bytes(), model, std, path
+
+
+def _truncated(raw):
+    return st.integers(0, len(raw) - 1).map(lambda k: raw[:k])
+
+
+def _bit_flipped(raw):
+    def flip(bit):
+        out = bytearray(raw)
+        out[bit // 8] ^= 1 << (bit % 8)
+        return bytes(out)
+    return st.integers(0, 8 * len(raw) - 1).map(flip)
+
+
+def _shape_edited(raw):
+    # rewrite one block's (rows, cols) prefix, leaving its payload in place
+    header, _ = _split_header(raw)
+    offsets, pos = [], 8 + struct.unpack_from("<Q", raw)[0]
+    for _ in header["blocks"]:
+        offsets.append(pos)
+        rows, cols = struct.unpack_from("<QQ", raw, pos)
+        pos += 16 + 8 * rows * cols
+
+    def edit(args):
+        where, rows, cols = args
+        out = bytearray(raw)
+        struct.pack_into("<QQ", out, offsets[where], rows, cols)
+        return bytes(out)
+    return st.tuples(st.integers(0, len(offsets) - 1), st.integers(0, 200),
+                     st.integers(0, 200)).map(edit)
+
+
+@pytest.mark.parametrize("corrupt", [_truncated, _bit_flipped, _shape_edited],
+                         ids=["truncated", "bit-flipped", "shape-edited"])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_corrupted_archive_is_rejected_or_bit_exact(archived, corrupt, data):
+    raw, model, std, path = archived
+    path.write_bytes(data.draw(corrupt(raw)))
+    try:
+        loaded, prep = load_model(path)
+    except ArchiveError:
+        return
+    assert _same_model(loaded, model)
+    assert not prep.unit_norm
+    assert np.array_equal(prep.standardizer.means, std.means)
+    assert np.array_equal(prep.standardizer.sds, std.sds)
+    assert np.array_equal(prep.standardizer.constant, std.constant)

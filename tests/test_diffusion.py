@@ -220,6 +220,12 @@ class TestEigendecompose:
         with pytest.raises(InputError):
             eigendecompose(K2, 2)
 
+    def test_randomized_projection_overflow_raises(self):
+        # A is finite, so it passes the input gate, but A @ G overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="overflowed"):
+                eigendecompose(np.full((10, 10), 1e308), 3, EigenMethod("randomized", seed=0))
+
     def test_rescaled_top_vector_constant(self):
         K = random_gram(15, 8)
         s = stationary_weights(K)

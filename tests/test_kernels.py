@@ -1,12 +1,17 @@
 """Kernel evaluation, Gram construction, and the bandwidth grid."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist, pdist, squareform
 
-from spectral_series import InputError, KernelSpec, bandwidth_grid, gram_matrix, kernel_value
+from spectral_series import (
+    InputError, KernelSpec, bandwidth_grid, gen_circle, gram_matrix, kernel_value,
+)
+from spectral_series.kernels import BLAS_DISTANCE_MIN_D, DISTANCE_TILE_ROWS, sq_distances
 
 
 class TestKernelSpec:
@@ -108,6 +113,68 @@ class TestGramMatrix:
         K = gram_matrix(KernelSpec.polynomial(q), X)
         bound = 1e-10 * max(1.0, np.abs(K).max())
         assert np.linalg.eigvalsh(K).min() >= -bound
+
+
+class TestSquaredDistances:
+    """pdist/cdist bits below BLAS_DISTANCE_MIN_D, tiled BLAS products above."""
+
+    @pytest.mark.parametrize("d", [1, 2, 5, BLAS_DISTANCE_MIN_D - 1])
+    def test_bit_equal_to_scipy_below_the_constant(self, d):
+        rng = np.random.default_rng(d)
+        A, B = rng.normal(size=(300, d)), rng.normal(size=(70, d))
+        assert np.array_equal(sq_distances(A), pdist(A, "sqeuclidean"))
+        assert np.array_equal(sq_distances(B, A), cdist(B, A, "sqeuclidean"))
+        spec = KernelSpec.gaussian(0.9)
+        direct = np.exp(-squareform(pdist(A, "sqeuclidean")) / (4.0 * 0.9))
+        np.fill_diagonal(direct, 1.0)
+        assert np.array_equal(gram_matrix(spec, A), direct)
+        assert np.array_equal(gram_matrix(spec, B, A),
+                              np.exp(-cdist(B, A, "sqeuclidean") / (4.0 * 0.9)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, DISTANCE_TILE_ROWS, DISTANCE_TILE_ROWS + 1,
+                                   2 * DISTANCE_TILE_ROWS + 5])
+    def test_condensed_layout_at_ragged_tile_counts(self, n):
+        rng = np.random.default_rng(n)
+        A = rng.normal(size=(n, BLAS_DISTANCE_MIN_D))
+        B = rng.normal(size=(DISTANCE_TILE_ROWS + 3, BLAS_DISTANCE_MIN_D))
+        ref = pdist(A, "sqeuclidean")
+        got = sq_distances(A)
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max(initial=0.0) <= 1e-12 * ref.max(initial=1.0)
+        ref = cdist(B, A, "sqeuclidean")
+        assert np.abs(sq_distances(B, A) - ref).max() <= 1e-12 * ref.max()
+
+    @pytest.mark.parametrize("shift", [0.0, 1e3])
+    def test_high_d_grams_match_scipy(self, shift):
+        data = gen_circle(600, d=1000, noise_var=0.5, seed=3, rotate=True)
+        X, Q = data.features[:520] + shift, data.features[520:] + shift
+        sq_self, sq_cross = sq_distances(X), sq_distances(Q, X)
+        assert sq_self.min() >= 0.0 and sq_cross.min() >= 0.0
+        ref_self = squareform(pdist(X, "sqeuclidean"))
+        ref_cross = cdist(Q, X, "sqeuclidean")
+        for bw in bandwidth_grid(X, 5):
+            spec = KernelSpec.gaussian(bw)
+            K = gram_matrix(spec, X)
+            assert np.array_equal(K, K.T)
+            assert np.all(np.diag(K) == 1.0)
+            ref = np.exp(-ref_self / (4.0 * bw))
+            np.fill_diagonal(ref, 1.0)
+            assert np.abs(K - ref).max() <= 1e-11
+            Kx = gram_matrix(spec, Q, X)
+            assert np.abs(Kx - np.exp(-ref_cross / (4.0 * bw))).max() <= 1e-11
+
+    def test_high_d_self_heap_is_output_plus_a_few_tiles(self):
+        # an n x d centered copy (9.6 MB) or an n x n temporary (32 MB) would
+        # each exceed the allowance of four tiles (4.9 MB)
+        n, d = 2000, 600
+        X = np.random.default_rng(0).normal(size=(n, d))
+        tracemalloc.start()
+        try:
+            out = sq_distances(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 4 * DISTANCE_TILE_ROWS * d * 8
 
 
 class TestBandwidthGrid:

@@ -19,6 +19,7 @@ from spectral_series import (
     evaluate_on,
     extend,
     fit_basis,
+    gen_circle,
     gen_spiral,
     gram_matrix,
     krr_fit,
@@ -251,6 +252,21 @@ class TestSharedSweep:
         ref_model = SeriesModel(basis, coef, chosen[2], ssl=unl is not None)
         assert np.array_equal(predict(model, test.features),
                               predict(ref_model, test.features))
+
+    def test_high_d_bit_identical_to_per_candidate_path(self):
+        # d = 1000 takes the BLAS distance route in both paths
+        data = gen_circle(400, d=1000, noise_var=0.5, seed=5, rotate=True)
+        train, val, test = split(data, SplitSpec(seed=5))
+        grid = TuneGrid(bandwidths=tuple(bandwidth_grid(train.features, 3)), j_max=20)
+        method = EigenMethod("randomized", seed=5)
+        model, report = tune_series(train, val, grid, method=method)
+        surface, fits = reference_sweep(train, val, grid, method=method)
+        assert report.loss_surface == surface
+        chosen = min(surface, key=lambda k: (surface[k], k[2]))
+        assert report.chosen == chosen
+        basis, coef = fits[chosen[:2]]
+        assert np.array_equal(predict(model, test.features),
+                              predict(SeriesModel(basis, coef, chosen[2]), test.features))
 
     def test_krr_bit_identical_to_per_penalty_fits(self):
         # 1e-18 trips the condition bound and must be refused the same way

@@ -18,6 +18,7 @@ from spectral_series import (
     extend,
     fit,
     fit_basis,
+    gen_circle,
     gen_spiral,
     gram_matrix,
     predict,
@@ -208,6 +209,24 @@ class TestBlockedReadPath:
             ext, np.vstack([extend(model.basis, Q[b], model.J) for b in blocks]))
         assert np.array_equal(
             pred, np.concatenate([predict(model, Q[b]) for b in blocks]))
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_high_d_blocks_equal_per_block_calls(self, mode):
+        # d = 64 takes the BLAS distance route; n = 700 gives 1472-row blocks,
+        # which are not whole distance tiles
+        n = 700
+        step = next(row_blocks(10 ** 9, n)).stop
+        data = gen_circle(n + int(3.5 * step), d=64, noise_var=0.1, seed=3, rotate=True)
+        model = fit(data.features[:n], data.responses[:n], KernelSpec.gaussian(0.2), 10, mode)
+        Q = data.features[n:].copy()
+        Q[step + step // 2:step + step // 2 + 3] += 500.0
+        blocks = list(row_blocks(Q.shape[0], n))
+        assert len(blocks) >= 3
+        assert np.array_equal(
+            extend(model.basis, Q, model.J),
+            np.vstack([extend(model.basis, Q[b], model.J) for b in blocks]))
+        assert np.array_equal(
+            predict(model, Q), np.concatenate([predict(model, Q[b]) for b in blocks]))
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_gaussian_matches_entrywise_reference(self, mode):
