@@ -73,7 +73,7 @@ def _write_csv(path: str, header: list[str], rows, comment: str | None = None) -
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         return args.seed
     seed = int(np.random.SeedSequence().entropy % (2**31))
     print(f"seed: {seed} (drawn; pass --seed {seed} to reproduce)")
@@ -97,9 +97,12 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 def _load_table(path: str) -> Dataset:
     """Load a CSV, treating a 'y' column as the response when present."""
     data = load_csv(path)
-    if data.column_names and "y" in data.column_names:
-        return load_csv(path, response_column="y")
-    return data
+    names = data.column_names
+    if not names or "y" not in names:
+        return data
+    j = names.index("y")
+    keep = [k for k in range(data.d) if k != j]
+    return Dataset(data.features[:, keep], data.features[:, j], [names[k] for k in keep])
 
 
 def _method_from_args(args, seed: int | None) -> EigenMethod:
@@ -109,6 +112,18 @@ def _method_from_args(args, seed: int | None) -> EigenMethod:
               "power_iters": getattr(args, "power_iters", None),
               "seed": seed}
     return EigenMethod(**{k: v for k, v in fields.items() if v is not None})
+
+
+def _fit_method(args) -> EigenMethod:
+    """EigenMethod for one basis fit; only the randomized solver draws a seed."""
+    if getattr(args, "method", None) == "randomized":
+        return _method_from_args(args, _resolve_seed(args))
+    return _method_from_args(args, getattr(args, "seed", None))
+
+
+def _mode_kwargs(args) -> dict:
+    """mode= for the library call; with --mode left out, its default applies."""
+    return {"mode": Mode.parse(args.mode)} if "mode" in args else {}
 
 
 def _local_bandwidth(X: np.ndarray) -> float:
@@ -124,15 +139,50 @@ def _local_bandwidth(X: np.ndarray) -> float:
     return float(np.percentile(sq, 2.0)) / 4.0
 
 
+_RENAMED_FLAGS = {"n_seeds": "--seeds", "j_max": "--jmax"}
+
+
+def _flag(dest: str) -> str:
+    return _RENAMED_FLAGS.get(dest, "--" + dest.replace("_", "-"))
+
+
+def _check_flags(args, variant: str, reads) -> None:
+    """Raise InputError naming a flag given that the chosen variant does not read.
+
+    The parsers suppress the default of every flag whose use depends on the
+    variant, so args holds such a flag only when the user gave it.
+    """
+    for dest in vars(args):
+        if dest not in reads and dest not in ("command", "func"):
+            raise InputError(f"{_flag(dest)} is not read with {variant}")
+
+
+def _kernel_variant(args) -> tuple[str, set[str]]:
+    """The kernel variant of tune or of a fresh embed, and the kernel flags it reads.
+
+    Polynomial Gram entries may be negative, so a polynomial kernel runs in
+    uniform mode only.
+    """
+    if getattr(args, "kernel", None) == "poly":
+        reads = {"kernel", "degree"}
+        if getattr(args, "mode", None) == "uniform":
+            reads.add("mode")
+        return "--kernel poly, which runs in uniform mode", reads
+    if "bandwidth" in args:
+        return "--kernel gaussian --bandwidth", {"kernel", "bandwidth", "mode"}
+    return "--kernel gaussian", {"kernel", "grid_size", "mode"}
+
+
+GENERATORS = {"spiral": gen_spiral, "circle": gen_circle, "uniform": gen_uniform_interval}
+
+
 def cmd_gen(args) -> int:
+    # each kind's parser declares only its generator's parameters, so every
+    # flag given is a keyword argument and the rest keep the signature defaults
     seed = _resolve_seed(args)
-    if args.kind == "spiral":
-        data = gen_spiral(args.n, noise_sd=args.noise_sd, u_max=args.u_max, seed=seed)
-    elif args.kind == "circle":
-        data = gen_circle(args.n, d=args.d, noise_var=args.noise_var, seed=seed,
-                          rotate=args.rotate)
-    else:
-        data = gen_uniform_interval(args.n, args.lo, args.hi, seed=seed)
+    kwargs = {k: v for k, v in vars(args).items()
+              if k not in ("command", "func", "kind", "seed", "out")}
+    data = GENERATORS[args.kind](seed=seed, **kwargs)
     header = list(data.column_names)
     rows = data.features
     if data.responses is not None:
@@ -156,7 +206,13 @@ def _preprocess_splits(args, train, val, test):
     return train, val, test, Preprocessing(std, args.unit_norm)
 
 
+_TUNE_READS = {"data", "response", "split", "jmax", "unlabeled", "standardize",
+               "unit_norm", "method", "oversample", "power_iters", "seed", "out"}
+
+
 def cmd_tune(args) -> int:
+    variant, kernel_reads = _kernel_variant(args)
+    _check_flags(args, variant, _TUNE_READS | kernel_reads)
     seed = _resolve_seed(args)
     data = load_csv(args.data, response_column=args.response)
     if data.responses is None:
@@ -168,23 +224,24 @@ def cmd_tune(args) -> int:
     train, val, test, prep = _preprocess_splits(args, train, val, test)
 
     unlabeled = None
-    if args.unlabeled:
+    if "unlabeled" in args:
         unl = _load_table(args.unlabeled)
         unlabeled = prep.apply(unl.features)
 
     n_basis = train.n + (0 if unlabeled is None else unlabeled.shape[0])
-    j_max = args.jmax if args.jmax is not None else min(n_basis - 1, 60)
-    if args.kernel == "gaussian":
-        bandwidths = (_parse_floats(args.bandwidth) if args.bandwidth
-                      else tuple(bandwidth_grid(train.features, args.grid_size)))
-        grid = TuneGrid(bandwidths=tuple(sorted(bandwidths)), j_max=j_max)
-    else:
-        degrees = _parse_ints(args.degree) if args.degree else (1, 2, 3, 4, 5, 6)
+    j_max = args.jmax if "jmax" in args else min(n_basis - 1, 60)
+    if getattr(args, "kernel", None) == "poly":
+        degrees = _parse_ints(args.degree) if "degree" in args else (1, 2, 3, 4, 5, 6)
         grid = TuneGrid(degrees=degrees, j_max=j_max)
+    else:
+        bandwidths = (_parse_floats(args.bandwidth) if "bandwidth" in args
+                      else tuple(bandwidth_grid(train.features,
+                                                getattr(args, "grid_size", 5))))
+        grid = TuneGrid(bandwidths=tuple(sorted(bandwidths)), j_max=j_max)
 
     model, report = tune_series(
-        train, val, grid, mode=Mode.parse(args.mode),
-        method=_method_from_args(args, seed), unlabeled=unlabeled,
+        train, val, grid, method=_method_from_args(args, seed), unlabeled=unlabeled,
+        **_mode_kwargs(args),
     )
     report.test_loss, report.test_se = evaluate_on(lambda X: predict(model, X), test)
 
@@ -228,28 +285,32 @@ def cmd_predict(args) -> int:
     return 0
 
 
+_EMBED_FIT_READS = {"data", "jdim", "jmax", "method", "oversample", "power_iters",
+                    "seed", "out"}
+
+
 def cmd_embed(args) -> int:
-    # full eigensolver is deterministic; only draw a seed when it matters
-    seed = _resolve_seed(args) if args.method == "randomized" else (args.seed or 0)
-    data = _load_table(args.data)
-    if args.model:
+    if "model" in args:
+        _check_flags(args, "--model", {"data", "model", "jdim", "out"})
+        data = _load_table(args.data)
         model, prep = load_model(args.model)
         basis = model.basis
         X = prep.apply(data.features)
     else:
+        variant, kernel_reads = _kernel_variant(args)
+        _check_flags(args, variant, _EMBED_FIT_READS | kernel_reads)
+        method = _fit_method(args)
+        data = _load_table(args.data)
         X = data.features
-        if args.kernel == "gaussian":
-            bw = (_parse_floats(args.bandwidth)[0] if args.bandwidth
-                  else _local_bandwidth(X))
-            spec = KernelSpec.gaussian(bw)
+        if getattr(args, "kernel", None) == "poly":
+            degree = _parse_ints(args.degree)[0] if "degree" in args else 2
+            spec, mode = KernelSpec.polynomial(degree), {"mode": Mode.UNIFORM}
         else:
-            degrees = _parse_ints(args.degree) if args.degree else (2,)
-            spec = KernelSpec.polynomial(degrees[0])
-        mode = Mode.parse(args.mode)
-        if spec.family == "poly":
-            mode = Mode.UNIFORM
-        j_fit = args.jmax if args.jmax is not None else args.jdim
-        basis = fit_basis(X, spec, j_fit, mode, _method_from_args(args, seed))
+            bw = (_parse_floats(args.bandwidth)[0] if "bandwidth" in args
+                  else _local_bandwidth(X))
+            spec, mode = KernelSpec.gaussian(bw), _mode_kwargs(args)
+        basis = fit_basis(X, spec, getattr(args, "jmax", args.jdim), method=method,
+                          **mode)
     if args.jdim > basis.n_components - 1:
         raise NumericalError(
             f"J={args.jdim} exceeds the {basis.n_components - 1} available "
@@ -268,29 +329,20 @@ def cmd_embed(args) -> int:
 
 # flags that fold into one method=EigenMethod(...) suite argument
 _SOLVER_FLAGS = ("method", "oversample", "power_iters", "seed")
-_RENAMED_FLAGS = {"n_seeds": "--seeds", "j_max": "--jmax"}
-
-
-def _flag(dest: str) -> str:
-    return _RENAMED_FLAGS.get(dest, "--" + dest.replace("_", "-"))
 
 
 def cmd_benchmark(args) -> int:
-    # the parser suppresses untyped flags, so kwargs holds only what the user
-    # gave and every other parameter keeps the suite function's default
+    # kwargs holds only the flags the user gave, so every other parameter
+    # keeps the suite function's default
     suite = SUITES[args.suite]
-    kwargs = {k: v for k, v in vars(args).items()
-              if k not in ("command", "func", "suite", "out")}
-    solver = [k for k in _SOLVER_FLAGS if k in kwargs]
-    for k in solver:
-        del kwargs[k]
-    if solver:
-        kwargs["method"] = _method_from_args(args, getattr(args, "seed", None))
     params = inspect.signature(suite).parameters
-    for key in kwargs:
-        if key not in params:
-            flag = _flag(solver[0] if key == "method" else key)
-            raise InputError(f"suite {args.suite} does not take {flag}")
+    reads = {"suite", "out", *params}
+    if "method" in params:
+        reads.update(_SOLVER_FLAGS)
+    _check_flags(args, f"--suite {args.suite}", reads)
+    kwargs = {k: v for k, v in vars(args).items() if k in params}
+    if any(k in args for k in _SOLVER_FLAGS):
+        kwargs["method"] = _method_from_args(args, getattr(args, "seed", None))
     for key in ("dims", "ns"):
         if key in kwargs:
             kwargs[key] = _parse_ints(kwargs[key])
@@ -326,11 +378,11 @@ def cmd_verify(args) -> int:
     # embedding check: first eigenmap coordinate tracks the response
     from scipy.stats import spearmanr
 
-    seed = _resolve_seed(args) if args.method == "randomized" else (args.seed or 0)
-    bw = (_parse_floats(args.bandwidth)[0] if args.bandwidth
+    method = _fit_method(args)
+    bw = (_parse_floats(args.bandwidth)[0] if "bandwidth" in args
           else _local_bandwidth(X))
-    basis = fit_basis(X, KernelSpec.gaussian(bw), max(args.jdim, 1),
-                      Mode.parse(args.mode), _method_from_args(args, seed))
+    basis = fit_basis(X, KernelSpec.gaussian(bw), max(args.jdim, 1), method=method,
+                      **_mode_kwargs(args))
     coords = eigenmap(basis, X, 1)
     rho = float(spearmanr(coords[:, 0], t).statistic)
     ok = abs(rho) >= args.threshold
@@ -343,6 +395,9 @@ def cmd_verify(args) -> int:
     return 0
 
 
+_MODES = ["stochastic", "symmetric", "bias-corrected", "uniform"]
+
+
 def _add_method_flags(p: argparse.ArgumentParser) -> None:
     # no defaults: EigenMethod's fields hold them
     p.add_argument("--method", choices=["full", "randomized"])
@@ -351,16 +406,28 @@ def _add_method_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_kernel_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kernel", choices=["gaussian", "poly"], default="gaussian")
+    p.add_argument("--kernel", choices=["gaussian", "poly"],
+                   help="kernel family (default gaussian)")
     p.add_argument("--degree", help="comma list of polynomial degrees")
     p.add_argument("--bandwidth", help="comma list of Gaussian bandwidths")
-    p.add_argument("--grid-size", type=int, default=5,
-                   help="bandwidth grid size when --bandwidth is omitted")
-    p.add_argument("--mode", default="stochastic",
-                   choices=["stochastic", "symmetric", "bias-corrected", "uniform"])
+    p.add_argument("--mode", choices=_MODES,
+                   help="normalization (default stochastic); poly takes only uniform")
+
+
+def _add_gen_kind(kinds, kind: str, summary: str) -> argparse.ArgumentParser:
+    p = kinds.add_parser(kind, help=summary, argument_default=argparse.SUPPRESS,
+                         description=f"{summary}. A flag left out keeps the "
+                         "generator's default.")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--out", required=True)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # A variant takes only the flags it reads: a flag left out keeps the
+    # library function's default, and any other flag exits 2 naming it.
+    # Sub-parsers reject another kind's flags; _check_flags rejects the rest.
     parser = argparse.ArgumentParser(
         prog="spectral-series",
         description="Nonparametric regression on adaptive kernel eigenbases",
@@ -368,29 +435,33 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic dataset CSV")
-    p.add_argument("kind", choices=["spiral", "circle", "uniform"])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, default=2, help="circle ambient dimension")
-    p.add_argument("--noise-sd", type=float, default=0.1, help="spiral feature noise")
-    p.add_argument("--noise-var", type=float, default=0.5, help="circle response noise")
-    p.add_argument("--u-max", type=float, default=float(9 * np.pi**2))
-    p.add_argument("--rotate", action="store_true",
-                   help="mix the circle into all d coordinates")
-    p.add_argument("--lo", type=float, default=0.0)
-    p.add_argument("--hi", type=float, default=1.0)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    k = _add_gen_kind(kinds, "spiral", "noisy planar spiral, response = arc parameter")
+    k.add_argument("--noise-sd", type=float, help="feature noise sd")
+    k.add_argument("--u-max", type=float,
+                   help="the squared arc parameter is uniform on (0, u-max)")
+    k = _add_gen_kind(kinds, "circle", "unit circle in R^d, response = noisy angle")
+    k.add_argument("--d", type=int, help="ambient dimension")
+    k.add_argument("--noise-var", type=float, help="response noise variance")
+    k.add_argument("--rotate", action="store_true",
+                   help="mix the circle into all d coordinates")
+    k = _add_gen_kind(kinds, "uniform", "1-D features uniform on (lo, hi), no response")
+    k.add_argument("--lo", type=float)
+    k.add_argument("--hi", type=float)
 
-    p = sub.add_parser("tune", help="grid-search (kernel, J) and write a model archive")
+    p = sub.add_parser("tune", help="grid-search (kernel, J) and write a model archive",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--data", required=True)
     p.add_argument("--response", default="y", help="response column name")
     p.add_argument("--split", default="0.5,0.25,0.25")
     p.add_argument("--jmax", type=int)
     p.add_argument("--unlabeled", help="CSV of unlabeled rows pooled into the basis")
-    p.add_argument("--standardize", action="store_true")
-    p.add_argument("--unit-norm", action="store_true")
+    p.add_argument("--standardize", action="store_true", default=False)
+    p.add_argument("--unit-norm", action="store_true", default=False)
     _add_kernel_flags(p)
+    p.add_argument("--grid-size", type=int,
+                   help="Gaussian bandwidth grid size without --bandwidth (default 5)")
     _add_method_flags(p)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", default="tuned", help="output path prefix")
@@ -402,20 +473,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("embed", help="export eigenmap coordinates")
+    p = sub.add_parser("embed", help="export eigenmap coordinates",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--data", required=True)
-    p.add_argument("--model", help="reuse an archived basis instead of fitting")
+    p.add_argument("--model", help="reuse an archived basis instead of fitting; "
+                   "takes only --data, --jdim and --out")
     p.add_argument("--jdim", type=int, default=2, help="number of coordinates")
-    p.add_argument("--jmax", type=int)
+    p.add_argument("--jmax", type=int, help="basis cutoff of a fresh fit (default --jdim)")
     _add_kernel_flags(p)
     _add_method_flags(p)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_embed)
 
-    # no prefix matching here, so a stray --d is rejected, not read as --dims.
-    # Untyped flags stay out of the namespace: the suite's own defaults apply,
-    # and a flag the suite does not take is rejected by cmd_benchmark.
+    # no prefix matching here, so a stray --d is rejected, not read as --dims
     p = sub.add_parser("benchmark", help="run an experiment suite", allow_abbrev=False,
                        argument_default=argparse.SUPPRESS,
                        description="Each suite takes only its own flags; a flag "
@@ -435,15 +506,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_benchmark)
 
     p = sub.add_parser("verify", help="self-checks for generators and embeddings")
-    p.add_argument("what", choices=["spiral-identity", "embedding"])
-    p.add_argument("--data", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--threshold", type=float, default=0.95)
-    p.add_argument("--jdim", type=int, default=1)
-    _add_kernel_flags(p)
-    _add_method_flags(p)
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_verify)
+    checks = p.add_subparsers(dest="what", required=True)
+    c = checks.add_parser("spiral-identity", argument_default=argparse.SUPPRESS,
+                          help="noiseless spiral rows lie on (t cos t, t sin t)")
+    c.add_argument("--data", required=True)
+    c.add_argument("--tol", type=float, default=1e-9)
+    c = checks.add_parser("embedding", argument_default=argparse.SUPPRESS,
+                          help="the first eigenmap coordinate tracks the response")
+    c.add_argument("--data", required=True)
+    c.add_argument("--threshold", type=float, default=0.95)
+    c.add_argument("--jdim", type=int, default=1)
+    c.add_argument("--bandwidth", help="Gaussian bandwidth (default: local scale)")
+    c.add_argument("--mode", choices=_MODES)
+    _add_method_flags(c)
+    c.add_argument("--seed", type=int)
 
     return parser
 

@@ -311,7 +311,7 @@ def gen_circle(
     return Dataset(feats, y, [f"x{j + 1}" for j in range(d)])
 
 
-def gen_uniform_interval(n: int, lo: float, hi: float, seed: int = 0) -> Dataset:
+def gen_uniform_interval(n: int, lo: float = 0.0, hi: float = 1.0, seed: int = 0) -> Dataset:
     """1-D features uniform on (lo, hi); no responses."""
     if n < 1:
         raise InputError("n must be >= 1")

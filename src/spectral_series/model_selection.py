@@ -19,11 +19,10 @@ from .dataset import Dataset
 from .diffusion import EigenMethod, Mode, fit_basis
 from .errors import InputError, NumericalError
 from .kernels import (
-    KernelSpec, check_finite_rows, gaussian_from_sqdist, gram_matrix, self_gram_from_sqdist,
-    sq_distances,
+    KernelSpec, gaussian_from_sqdist, gram_matrix, self_gram_from_sqdist, sq_distances,
 )
 from .nystrom import EIGENVALUE_FLOOR_REL, extend, extend_from_gram
-from .series import SeriesModel, estimate_coefficients
+from .series import SeriesModel, estimate_coefficients, pool_unlabeled
 
 __all__ = [
     "TuneGrid",
@@ -61,6 +60,8 @@ class TuneGrid:
             raise InputError("bandwidth candidates must be strictly ascending")
         if any(q < 1 for q in dg):
             raise InputError("degree candidates must be >= 1")
+        if len(set(dg)) != len(dg):
+            raise InputError("degree candidates must not repeat")
         if self.j_max < 0:
             raise InputError("j_max must be >= 0")
         object.__setattr__(self, "bandwidths", bw)
@@ -195,17 +196,8 @@ def tune_series(
         raise InputError("tuning needs responses on both the train and validation splits")
     if train.d != val.d:
         raise InputError(f"train has d={train.d} but validation has d={val.d}")
-    pooled = train.features
-    labeled = None
-    if unlabeled is not None and np.size(unlabeled):
-        unlabeled = np.atleast_2d(np.asarray(unlabeled, dtype=float))
-        if unlabeled.shape[1] != train.d:
-            raise InputError(
-                f"unlabeled rows have d={unlabeled.shape[1]}, train has d={train.d}"
-            )
-        check_finite_rows(unlabeled, "unlabeled")
-        pooled = np.vstack([train.features, unlabeled])
-        labeled = np.arange(train.n)
+    pooled = pool_unlabeled(train.features, unlabeled)
+    labeled = np.arange(train.n) if pooled.shape[0] > train.n else None
 
     j_cap = min(grid.j_max, pooled.shape[0] - 1)
     surface: dict[tuple[str, float, int], float] = {}

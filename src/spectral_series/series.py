@@ -151,6 +151,24 @@ def fit(
     return SeriesModel(basis, coef, j_max if J is None else J)
 
 
+def pool_unlabeled(X_labeled: np.ndarray, X_unlabeled: np.ndarray | None) -> np.ndarray:
+    """Labeled rows stacked over the unlabeled ones, or the labeled rows alone.
+
+    Raises InputError when the unlabeled rows have another dimension or a row
+    holds NaN or Inf.
+    """
+    if X_unlabeled is None or np.size(X_unlabeled) == 0:
+        return X_labeled
+    X_unlabeled = np.atleast_2d(np.asarray(X_unlabeled, dtype=float))
+    if X_unlabeled.shape[1] != X_labeled.shape[1]:
+        raise InputError(
+            f"unlabeled rows have d={X_unlabeled.shape[1]}, "
+            f"labeled rows have d={X_labeled.shape[1]}"
+        )
+    check_finite_rows(X_unlabeled, "unlabeled")
+    return np.vstack([X_labeled, X_unlabeled])
+
+
 def fit_ssl(
     X_labeled: np.ndarray,
     y: np.ndarray,
@@ -175,17 +193,10 @@ def fit_ssl(
         )
     if X_labeled.shape[0] == 0:
         raise InputError("labeled set is empty")
-    if X_unlabeled is None or np.size(X_unlabeled) == 0:
+    pooled = pool_unlabeled(X_labeled, X_unlabeled)
+    if pooled.shape[0] == X_labeled.shape[0]:
         model = fit(X_labeled, y, spec, j_max, mode, method, J)
         return replace(model, ssl=False)
-    X_unlabeled = np.atleast_2d(np.asarray(X_unlabeled, dtype=float))
-    if X_unlabeled.shape[1] != X_labeled.shape[1]:
-        raise InputError(
-            f"unlabeled dimension {X_unlabeled.shape[1]} does not match "
-            f"labeled dimension {X_labeled.shape[1]}"
-        )
-    check_finite_rows(X_unlabeled, "unlabeled")
-    pooled = np.vstack([X_labeled, X_unlabeled])
     basis = fit_basis(pooled, spec, j_max, mode, method)
     coef = estimate_coefficients(basis, y, labeled=np.arange(X_labeled.shape[0]))
     return SeriesModel(basis, coef, j_max if J is None else J, ssl=True)

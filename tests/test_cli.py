@@ -1,7 +1,12 @@
 """End-to-end command-line behavior: artifacts, exit codes, reproducibility."""
 
+import argparse
+import dataclasses
+import enum
 import functools
 import importlib
+import inspect
+import itertools
 import json
 import re
 import os
@@ -16,6 +21,7 @@ import pytest
 
 import spectral_series
 from spectral_series import EigenMethod, benchmarks, load_csv, load_model, predict
+from spectral_series import cli
 from spectral_series.cli import build_parser, main
 
 
@@ -339,6 +345,269 @@ class TestBenchmark:
                          values.get(flag, "1"), "--out", tmp_path / "b")[0]
                      for suite in benchmarks.SUITES]
             assert 0 in codes, f"{flag} is taken by no suite"
+
+
+def run_any(capsys, *argv):
+    """run(), with argparse's own usage-error exit returned as a code too."""
+    try:
+        code = main([str(a) for a in argv])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """Two noisy and two noiseless spirals, and an archive tuned on each noisy one."""
+    root = tmp_path_factory.mktemp("flags")
+    paths = {"tmp": root}
+    for name, noise_sd, seed in (("data", 0.1, 1), ("data2", 0.1, 2),
+                                 ("clean", 0, 3), ("clean2", 0, 4)):
+        paths[name] = root / f"{name}.csv"
+        assert main(["gen", "spiral", "--n", "60", "--noise-sd", str(noise_sd),
+                     "--seed", str(seed), "--out", str(paths[name])]) == 0
+    for name, data in (("model", "data"), ("model2", "data2")):
+        assert main(["tune", "--data", str(paths[data]), "--seed", "0", "--jmax", "6",
+                     "--grid-size", "2", "--out", str(root / name)]) == 0
+        paths[name] = root / f"{name}.model"
+    return paths
+
+
+# What each subcommand needs besides the flags under test.
+_REQUIRED = {"gen": "--n 20 --seed 0 --out {out}",
+             "tune": "--data {data} --seed 0 --out {out}",
+             "embed": "--data {data} --out {out}",
+             "verify": "--data {clean}"}
+
+# The 50 (variant, flag) pairs that the variant parsed and then ignored before
+# each subcommand took only the flags it reads.
+_UNREAD = [
+    *[("gen spiral", f) for f in ("--d 3", "--noise-var 0.2", "--rotate", "--lo 0",
+                                  "--hi 2")],
+    *[("gen circle", f) for f in ("--noise-sd 0.2", "--u-max 5", "--lo 0", "--hi 2")],
+    *[("gen uniform", f) for f in ("--noise-sd 0.2", "--u-max 5", "--d 3",
+                                   "--noise-var 0.2", "--rotate")],
+    ("tune", "--degree 2"),
+    ("tune --bandwidth 1", "--degree 2"),
+    ("tune --bandwidth 1", "--grid-size 3"),
+    ("tune --kernel poly", "--bandwidth 1"),
+    ("tune --kernel poly", "--grid-size 3"),
+    ("tune --kernel poly", "--mode stochastic"),
+    *[("embed --model {model}", f) for f in (
+        "--jmax 5", "--kernel gaussian", "--degree 2", "--bandwidth 1", "--grid-size 3",
+        "--mode symmetric", "--method randomized", "--oversample 3", "--power-iters 1",
+        "--seed 1")],
+    ("embed", "--degree 2"),
+    ("embed", "--grid-size 3"),
+    ("embed --kernel poly", "--bandwidth 1"),
+    ("embed --kernel poly", "--grid-size 3"),
+    ("embed --kernel poly", "--mode stochastic"),
+    *[("verify spiral-identity", f) for f in (
+        "--threshold 0.5", "--jdim 2", "--kernel poly", "--degree 2", "--bandwidth 1",
+        "--grid-size 3", "--mode uniform", "--method full", "--oversample 3",
+        "--power-iters 1", "--seed 1")],
+    *[("verify embedding", f) for f in ("--tol 0.1", "--kernel poly", "--degree 2",
+                                        "--grid-size 3")],
+]
+
+# Accepted invocations, each deterministic, that the reach test varies.
+_BASES = {
+    "gen spiral": "gen spiral --n 30 --seed 0 --out {tmp}/g.csv",
+    "gen circle": "gen circle --n 30 --seed 0 --out {tmp}/g.csv",
+    "gen uniform": "gen uniform --n 30 --seed 0 --out {tmp}/g.csv",
+    "tune": "tune --data {data} --seed 0 --jmax 4 --out {tmp}/t",
+    "tune poly": "tune --data {data} --seed 0 --jmax 4 --kernel poly --out {tmp}/t",
+    "predict": "predict --model {model} --data {data} --out {tmp}/p.csv",
+    "embed": "embed --data {data} --seed 0 --out {tmp}/e.csv",
+    "embed poly": "embed --data {data} --kernel poly --out {tmp}/e.csv",
+    "embed --model": "embed --data {data} --model {model} --out {tmp}/e.csv",
+    "benchmark circle-dims": "benchmark --suite circle-dims --out {tmp}/b",
+    "benchmark growing-n": "benchmark --suite growing-n --out {tmp}/b",
+    "verify spiral-identity": "verify spiral-identity --data {clean}",
+    "verify embedding": "verify embedding --data {data} --seed 0 --threshold 0",
+}
+
+# For each base, the flags set on it and the value each is set to (None for
+# a switch). Together they cover every flag that every parser declares.
+_SOLVER_PROBES = {"--method": "randomized", "--oversample": "3", "--power-iters": "1",
+                  "--seed": "1"}
+_GEN_PROBES = {"--n": "31", "--seed": "1", "--out": "{tmp}/g2.csv"}
+_PROBES = {
+    "gen spiral": {**_GEN_PROBES, "--noise-sd": "0.2", "--u-max": "10"},
+    "gen circle": {**_GEN_PROBES, "--d": "3", "--noise-var": "0.1", "--rotate": None},
+    "gen uniform": {**_GEN_PROBES, "--lo": "-1", "--hi": "2"},
+    "tune": {"--data": "{data2}", "--response": "x2", "--split": "0.6,0.2,0.2",
+             "--jmax": "3", "--unlabeled": "{clean}", "--standardize": None,
+             "--unit-norm": None, "--kernel": "poly", "--bandwidth": "1.0",
+             "--grid-size": "2", "--mode": "symmetric", **_SOLVER_PROBES,
+             "--out": "{tmp}/t2"},
+    "tune poly": {"--degree": "2"},
+    "predict": {"--model": "{model2}", "--data": "{data2}", "--out": "{tmp}/p2.csv"},
+    "embed": {"--data": "{data2}", "--jdim": "3", "--jmax": "5", "--kernel": "poly",
+              "--bandwidth": "1.0", "--mode": "symmetric", **_SOLVER_PROBES,
+              "--out": "{tmp}/e2.csv"},
+    "embed poly": {"--degree": "3"},
+    "embed --model": {"--model": "{model2}"},
+    "benchmark circle-dims": {"--suite": "spiral-compare", "--n": "50", "--dims": "3",
+                              "--seeds": "2", "--noise-var": "0.1", "--grid-size": "2",
+                              "--jmax": "3", **_SOLVER_PROBES, "--out": "{tmp}/b2"},
+    "benchmark growing-n": {"--ns": "30", "--noise-sd": "0.2"},
+    "verify spiral-identity": {"--data": "{clean2}", "--tol": "0.001"},
+    "verify embedding": {"--data": "{data2}", "--threshold": "0.001", "--jdim": "2",
+                         "--bandwidth": "1.0", "--mode": "symmetric", **_SOLVER_PROBES},
+}
+
+
+def _declared_flags(parser, path=()):
+    """(parser path, flag) for every option each parser and sub-parser declares."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from _declared_flags(child, path + (name,))
+        for flag in action.option_strings:
+            if flag.startswith("--") and flag != "--help":
+                yield " ".join(path), flag
+
+
+def _fingerprint(obj):
+    """A comparable rendering of a call argument: arrays by their bytes."""
+    if isinstance(obj, np.ndarray):
+        return ("array", obj.shape, obj.tobytes())
+    if dataclasses.is_dataclass(obj):
+        return (type(obj).__name__, *(_fingerprint(getattr(obj, f.name))
+                                      for f in dataclasses.fields(obj)))
+    if isinstance(obj, enum.Enum):
+        return obj.value
+    if isinstance(obj, (list, tuple)):
+        return tuple(_fingerprint(v) for v in obj)
+    if isinstance(obj, dict):
+        return tuple((k, _fingerprint(v)) for k, v in obj.items())
+    if callable(obj):
+        return "callable"
+    return repr(obj)
+
+
+def _with_flag(argv, flag, value):
+    """argv with flag set to value: replaced where present, else appended."""
+    if flag in argv:
+        i = argv.index(flag)
+        return argv[:i + 1] + [value] + argv[i + 2:]
+    return argv + [flag] + ([] if value is None else [value])
+
+
+class TestFlagRule:
+    @pytest.mark.parametrize("variant, flag", _UNREAD,
+                             ids=[f"{v}|{f.split()[0]}" for v, f in _UNREAD])
+    def test_flag_the_variant_does_not_read_exits_2(self, tmp_path, capsys, files,
+                                                    variant, flag):
+        command = variant.split()[0]
+        argv = " ".join([variant, _REQUIRED[command], flag]).format(
+            **files, out=tmp_path / "out").split()
+        code, _, err = run_any(capsys, *argv)
+        assert code == 2
+        assert flag.split()[0] in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.fixture()
+    def trace(self, monkeypatch):
+        """Record every library call the CLI makes and every CSV it writes.
+
+        The experiment suites are stubbed, as they take minutes.
+        """
+        calls = []
+
+        def recorder(name, fn, stub=False):
+            @functools.wraps(fn)
+            def record(*args, **kwargs):
+                calls.append((name, _fingerprint(args), _fingerprint(kwargs)))
+                return ([], []) if stub else fn(*args, **kwargs)
+            return record
+
+        for name, obj in list(vars(cli).items()):
+            if (inspect.isfunction(obj) and obj.__module__ != cli.__name__
+                    and obj.__module__.startswith("spectral_series.")):
+                monkeypatch.setattr(cli, name, recorder(name, obj))
+        monkeypatch.setattr(cli, "_write_csv", recorder("_write_csv", cli._write_csv))
+        monkeypatch.setattr(cli, "GENERATORS", {
+            kind: recorder(kind, fn) for kind, fn in cli.GENERATORS.items()})
+        monkeypatch.setattr(cli, "SUITES", {
+            name: recorder(name, fn, stub=True) for name, fn in benchmarks.SUITES.items()})
+        return calls
+
+    def test_every_flag_reaches_a_library_call_or_the_output(self, capsys, files, trace):
+        def observe(argv):
+            trace.clear()
+            code, out, err = run_any(capsys, *argv)
+            assert code == 0, f"{' '.join(argv)} exited {code}: {err}"
+            # wall-clock stage timings differ between any two runs
+            return list(trace), [line for line in out.splitlines()
+                                 if not line.startswith("stage seconds:")]
+
+        probed = set()
+        for base, probes in _PROBES.items():
+            argv = _BASES[base].format(**files).split()
+            parser_path = " ".join(
+                itertools.takewhile(lambda t: not t.startswith("-"), argv))
+            reference = observe(argv)
+            assert observe(argv) == reference, f"{base!r} is not deterministic"
+            for flag, value in probes.items():
+                probed.add((parser_path, flag))
+                changed = _with_flag(argv, flag, value and value.format(**files))
+                assert observe(changed) != reference, (
+                    f"{flag} on {base!r} reaches no library call or output")
+        assert probed == set(_declared_flags(build_parser()))
+
+    def test_gen_left_out_flags_keep_the_generator_defaults(self, tmp_path, capsys):
+        for kind, generator in cli.GENERATORS.items():
+            out = tmp_path / f"{kind}.csv"
+            assert run(capsys, "gen", kind, "--n", 30, "--seed", 5, "--out", out)[0] == 0
+            data = generator(30, seed=5)
+            expected = (data.features if data.responses is None
+                        else np.column_stack([data.features, data.responses]))
+            assert np.array_equal(load_csv(out).features, expected)
+
+    def test_repeated_tune_degree_exits_2(self, tmp_path, capsys, files):
+        code, _, err = run(capsys, "tune", "--data", files["data"], "--seed", 0,
+                           "--kernel", "poly", "--degree", "3,3",
+                           "--out", tmp_path / "t")
+        assert code == 2
+        assert "degree candidates must not repeat" in err
+
+    def test_only_a_randomized_fresh_embedding_draws_a_seed(self, tmp_path, capsys, files):
+        out = tmp_path / "e.csv"
+        _, printed, _ = run(capsys, "embed", "--data", files["data"],
+                            "--method", "randomized", "--out", out)
+        assert "pass --seed" in printed
+        for extra in ([], ["--model", files["model"]]):
+            code, printed, _ = run(capsys, "embed", "--data", files["data"], *extra,
+                                   "--out", out)
+            assert code == 0
+            assert "seed" not in printed
+
+
+class TestLoadTable:
+    @pytest.mark.parametrize("text", ["x1,x2,y\n1,2,3\n4,5,6\n",
+                                      "y,x1\n3,1\n6,4\n",
+                                      "x1,x2\n1,2\n4,5\n"])
+    def test_parses_the_csv_once(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        parses = []
+
+        def counting_load_csv(*args, **kwargs):
+            parses.append(args)
+            return load_csv(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_csv", counting_load_csv)
+        table = cli._load_table(path)
+        assert len(parses) == 1
+        expected = load_csv(path, response_column="y" if "y" in text else None)
+        assert table.column_names == expected.column_names
+        assert np.array_equal(table.features, expected.features)
+        assert (table.responses is None) == (expected.responses is None)
+        if expected.responses is not None:
+            assert np.array_equal(table.responses, expected.responses)
 
 
 @pytest.mark.skipif(shutil.which("spectral-series") is None,

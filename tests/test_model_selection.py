@@ -92,6 +92,12 @@ class TestTuneGrid:
         labels = [k.label() for k in grid.kernels]
         assert len(labels) == 4
 
+    def test_degrees_must_not_repeat(self):
+        # a repeated degree would fit the same candidate twice
+        with pytest.raises(InputError, match="degree candidates must not repeat"):
+            TuneGrid(degrees=(3, 3, 1))
+        assert TuneGrid(degrees=(3, 1)).degrees == (3, 1)
+
 
 class TestFitReport:
     def test_chosen_must_be_minimum(self):
