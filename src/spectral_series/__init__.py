@@ -39,12 +39,10 @@ from .dataset import (
     unit_normalize_rows,
 )
 from .diffusion import (
-    DiffusionSystem,
     EigenBasis,
     EigenMethod,
     Mode,
     bias_correct,
-    diffusion_system,
     eigendecompose,
     fit_basis,
     rescale,

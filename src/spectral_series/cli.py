@@ -94,6 +94,15 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise InputError(f"cannot parse integer list {text!r}") from None
 
 
+def _one_value(args, dest: str, parse):
+    """The single value a flag takes where one kernel is fitted, not a grid."""
+    values = parse(getattr(args, dest))
+    if len(values) != 1:
+        raise InputError(f"{_flag(dest)} takes one value here, got "
+                         f"{getattr(args, dest)!r}")
+    return values[0]
+
+
 def _load_table(path: str) -> Dataset:
     """Load a CSV, treating a 'y' column as the response when present."""
     data = load_csv(path)
@@ -303,10 +312,10 @@ def cmd_embed(args) -> int:
         data = _load_table(args.data)
         X = data.features
         if getattr(args, "kernel", None) == "poly":
-            degree = _parse_ints(args.degree)[0] if "degree" in args else 2
+            degree = _one_value(args, "degree", _parse_ints) if "degree" in args else 2
             spec, mode = KernelSpec.polynomial(degree), {"mode": Mode.UNIFORM}
         else:
-            bw = (_parse_floats(args.bandwidth)[0] if "bandwidth" in args
+            bw = (_one_value(args, "bandwidth", _parse_floats) if "bandwidth" in args
                   else _local_bandwidth(X))
             spec, mode = KernelSpec.gaussian(bw), _mode_kwargs(args)
         basis = fit_basis(X, spec, getattr(args, "jmax", args.jdim), method=method,
@@ -379,7 +388,7 @@ def cmd_verify(args) -> int:
     from scipy.stats import spearmanr
 
     method = _fit_method(args)
-    bw = (_parse_floats(args.bandwidth)[0] if "bandwidth" in args
+    bw = (_one_value(args, "bandwidth", _parse_floats) if "bandwidth" in args
           else _local_bandwidth(X))
     basis = fit_basis(X, KernelSpec.gaussian(bw), max(args.jdim, 1), method=method,
                       **_mode_kwargs(args))

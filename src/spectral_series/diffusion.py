@@ -3,6 +3,10 @@
 Pipeline: Gram matrix K -> mode-specific normalization -> symmetric
 eigendecomposition (exact or randomized) -> density rescaling. The result is
 an orthogonal basis adapted to the sampling distribution of the data.
+
+fit_basis carries one n x n array from Gram to eigenvectors: one row-sum pass
+gives the degrees, the stationary weights and the symmetric scaling, and every
+normalization is applied to K in place, one block of rows at a time.
 """
 
 from __future__ import annotations
@@ -15,18 +19,16 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InputError, NumericalError
-from .kernels import KernelSpec, gram_matrix
+from .kernels import KernelSpec, gram_matrix, row_blocks
 
 __all__ = [
     "Mode",
     "EigenMethod",
-    "DiffusionSystem",
     "EigenBasis",
     "row_stochastic",
     "symmetric_normalize",
     "stationary_weights",
     "bias_correct",
-    "diffusion_system",
     "eigendecompose",
     "rescale",
     "fit_basis",
@@ -73,30 +75,6 @@ class EigenMethod:
             raise InputError(f"method must be 'full' or 'randomized', got {self.name!r}")
         if self.oversample < 0 or self.power_iters < 0:
             raise InputError("oversample and power_iters must be >= 0")
-
-
-@dataclass(frozen=True)
-class DiffusionSystem:
-    """Normalized kernel system: the matrix the random walk runs on.
-
-    gram is the (possibly bias-corrected) kernel matrix; degrees are the
-    raw-kernel density estimates p(X_i) = (1/n) sum_j k(X_i, X_j); stationary
-    holds the random-walk stationary weights (uniform 1/n in Uniform mode).
-    """
-
-    gram: np.ndarray
-    degrees: np.ndarray
-    stationary: np.ndarray
-    mode: Mode
-
-    def __post_init__(self):
-        if self.mode is not Mode.UNIFORM and np.any(self.degrees <= 0):
-            raise NumericalError("nonpositive kernel degree; all degrees must be > 0")
-        if np.any(self.stationary < 0):
-            raise NumericalError("negative stationary weight")
-        total = float(self.stationary.sum())
-        if abs(total - 1.0) > 1e-12:
-            raise NumericalError(f"stationary weights sum to {total!r}, expected 1")
 
 
 @dataclass(frozen=True)
@@ -156,17 +134,38 @@ class EigenBasis:
 
 
 def _row_sums(K: np.ndarray) -> np.ndarray:
-    K = np.asarray(K, dtype=float)
+    """K's row sums in one pass; NumericalError unless each is finite and > 0."""
     sums = K.sum(axis=1)
+    # a NaN or Inf row sum, or an overflowing total, leaves the total non-finite
+    if not np.isfinite(sums.sum()):
+        raise NumericalError("kernel row sums overflowed to NaN or Inf; rescale the features")
     if np.any(sums <= 0.0):
         raise NumericalError("kernel matrix has a nonpositive row sum")
     return sums
 
 
+def _scale_pairs(K: np.ndarray, v: np.ndarray, op) -> np.ndarray:
+    """K_ij = op(K_ij, v_i v_j) in place, one row block at a time.
+
+    Each entry meets the single product v_i v_j, as with a full np.outer, so a
+    symmetric K stays exactly symmetric and the bits do not depend on the
+    blocking; the heap beyond K is one kernels.BLOCK_BYTES block.
+    """
+    for rows in row_blocks(K.shape[0], K.shape[1]):
+        op(K[rows], np.outer(v[rows], v), out=K[rows])
+    return K
+
+
+def _own(K: np.ndarray) -> np.ndarray:
+    """A C-ordered float64 copy of K, for the helpers that leave K unchanged."""
+    return np.array(K, dtype=float, order="C")
+
+
 def row_stochastic(K: np.ndarray) -> np.ndarray:
     """Markov transition matrix: each row of K divided by its row sum."""
-    K = np.asarray(K, dtype=float)
-    return K / _row_sums(K)[:, None]
+    K = _own(K)
+    K /= _row_sums(K)[:, None]
+    return K
 
 
 def symmetric_normalize(K: np.ndarray) -> np.ndarray:
@@ -177,11 +176,8 @@ def symmetric_normalize(K: np.ndarray) -> np.ndarray:
     each entry is K_ij times the single product r_i r_j, so the symmetric
     eigensolver applies.
     """
-    K = np.asarray(K, dtype=float)
-    inv_root = 1.0 / np.sqrt(_row_sums(K))
-    A = np.outer(inv_root, inv_root)
-    A *= K
-    return A
+    K = _own(K)
+    return _scale_pairs(K, 1.0 / np.sqrt(_row_sums(K)), np.multiply)
 
 
 def stationary_weights(K: np.ndarray) -> np.ndarray:
@@ -190,7 +186,7 @@ def stationary_weights(K: np.ndarray) -> np.ndarray:
     Proportional to the row sums (equivalently to the degree estimates),
     normalized to sum to 1.
     """
-    sums = _row_sums(K)
+    sums = _row_sums(np.ascontiguousarray(K, dtype=float))
     return sums / sums.sum()
 
 
@@ -199,27 +195,10 @@ def bias_correct(K: np.ndarray) -> np.ndarray:
 
     Removes the leading sampling-density bias; the corrected matrix is fed
     back through the stochastic pipeline. Exactly symmetric for symmetric K.
+    The degrees p(X_i) are the row means of K.
     """
-    K = np.asarray(K, dtype=float)
-    degrees = K.mean(axis=1)
-    if np.any(degrees <= 0.0):
-        raise NumericalError("nonpositive degree; cannot bias-correct")
-    Kc = np.outer(degrees, degrees)
-    np.divide(K, Kc, out=Kc)
-    return Kc
-
-
-def diffusion_system(K: np.ndarray, mode: Mode) -> DiffusionSystem:
-    """Assemble the normalized system for the requested mode."""
-    K = np.asarray(K, dtype=float)
-    n = K.shape[0]
-    degrees = K.mean(axis=1)
-    if mode is Mode.UNIFORM:
-        return DiffusionSystem(K, degrees, np.full(n, 1.0 / n), mode)
-    if np.any(degrees <= 0.0):
-        raise NumericalError("nonpositive kernel degree in a degree-weighted mode")
-    gram = bias_correct(K) if mode is Mode.BIAS_CORRECTED else K
-    return DiffusionSystem(gram, degrees, stationary_weights(gram), mode)
+    K = _own(K)
+    return _scale_pairs(K, _row_sums(K) / K.shape[0], np.divide)
 
 
 def _check_symmetric(A: np.ndarray) -> np.ndarray:
@@ -349,7 +328,8 @@ def rescale(vectors: np.ndarray, stationary: np.ndarray) -> np.ndarray:
     Markov matrix, orthonormal in the stationary-weighted inner product.
     """
     stationary = np.asarray(stationary, dtype=float)
-    if np.any(stationary <= 0.0):
+    # NaN compares False, so test for the weights that are > 0
+    if not np.all(stationary > 0.0):
         raise NumericalError("nonpositive stationary weight; cannot rescale")
     return vectors / np.sqrt(stationary)[:, None]
 
@@ -368,8 +348,13 @@ def fit_basis(
     rescale pipeline; Symmetric keeps the conjugate eigenvectors unrescaled;
     Uniform eigendecomposes K/n directly with flat weights (the route for
     kernels whose entries may be negative). A precomputed self Gram matrix
-    for (spec, X) may be passed to avoid rebuilding it; like the one built
-    here it must be symmetric, or the eigensolve raises NumericalError.
+    for (spec, X) may be passed to avoid rebuilding it. It is consumed: the
+    normalization and the full solver work inside it, so the caller must not
+    use it afterwards. One that is not float64, C-contiguous and writeable is
+    copied first. Beyond K, the fit's heap is one kernels.BLOCK_BYTES block
+    plus a few n x (j_max+1) arrays. Like the one built here, gram must be
+    n x n (else InputError) and symmetric (else the eigensolve raises
+    NumericalError).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = X.shape[0]
@@ -382,23 +367,38 @@ def fit_basis(
     if method is None:
         method = EigenMethod()
 
-    K = gram_matrix(spec, X) if gram is None else np.asarray(gram, dtype=float)
-    system = diffusion_system(K, mode)
-    if mode is Mode.UNIFORM:
-        target = K / n
+    if gram is None:
+        K = gram_matrix(spec, X)
     else:
-        target = symmetric_normalize(system.gram)
-    # target is a fresh array nobody else sees, so the solver may overwrite it
-    vals, vecs = eigendecompose(_Scratch(target), j_max, method)
+        # the fit works inside K; an F-ordered K would also sum its rows,
+        # and so round, differently from the C-ordered one gram_matrix builds
+        K = np.require(gram, float, "CW")
+        if K.shape != (n, n):
+            raise InputError(f"gram has shape {K.shape}; expected ({n}, {n}) "
+                             f"for the {n} rows of X")
+    if mode is Mode.UNIFORM:
+        degrees = K.sum(axis=1) / n
+        stationary = np.full(n, 1.0 / n)
+        K /= n
+    else:
+        sums = _row_sums(K)
+        degrees = sums / n
+        if mode is Mode.BIAS_CORRECTED:
+            sums = _row_sums(_scale_pairs(K, degrees, np.divide))
+        stationary = sums / sums.sum()
+        _scale_pairs(K, 1.0 / np.sqrt(sums), np.multiply)
+    # K is now the normalized operator, which nobody else holds, so the
+    # solver may overwrite it
+    vals, vecs = eigendecompose(_Scratch(K), j_max, method)
     if mode in (Mode.STOCHASTIC, Mode.BIAS_CORRECTED):
-        vecs = rescale(vecs, system.stationary)
+        vecs = rescale(vecs, stationary)
     return EigenBasis(
         kernel=spec,
         training_points=X,
         eigenvalues=vals,
         eigenvectors=vecs,
-        stationary=system.stationary,
-        degrees=system.degrees,
+        stationary=stationary,
+        degrees=degrees,
         mode=mode,
         method=method,
     )

@@ -228,8 +228,10 @@ def tune_series(
             else:
                 K = gram_matrix(spec, pooled)
             t1 = time.perf_counter()
+            # fit_basis works inside K; dropping the name frees it before
+            # the next candidate's K is built
             basis = fit_basis(pooled, spec, j_cap, cand_mode, method, gram=K)
-            del K  # else it lives on while the next candidate's K is built
+            del K
             t2 = time.perf_counter()
             coef = estimate_coefficients(basis, train.responses, labeled=labeled)
             t3 = time.perf_counter()

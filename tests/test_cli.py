@@ -411,6 +411,13 @@ _UNREAD = [
                                         "--grid-size 3")],
 ]
 
+# Flags that take a comma list in tune, given a list where one kernel is fitted.
+_ONE_VALUE = [
+    ("embed", "--bandwidth 0.5,9"),
+    ("embed --kernel poly", "--degree 2,3"),
+    ("verify embedding", "--bandwidth 0.5,9"),
+]
+
 # Accepted invocations, each deterministic, that the reach test varies.
 _BASES = {
     "gen spiral": "gen spiral --n 30 --seed 0 --out {tmp}/g.csv",
@@ -507,6 +514,18 @@ class TestFlagRule:
         code, _, err = run_any(capsys, *argv)
         assert code == 2
         assert flag.split()[0] in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("variant, flag", _ONE_VALUE,
+                             ids=[f"{v}|{f.split()[0]}" for v, f in _ONE_VALUE])
+    def test_comma_list_where_one_value_is_read_exits_2(self, tmp_path, capsys, files,
+                                                        variant, flag):
+        command = variant.split()[0]
+        argv = " ".join([variant, _REQUIRED[command], flag]).format(
+            **files, out=tmp_path / "out").split()
+        code, _, err = run_any(capsys, *argv)
+        assert code == 2
+        assert f"{flag.split()[0]} takes one value" in err
         assert not any(tmp_path.iterdir())
 
     @pytest.fixture()

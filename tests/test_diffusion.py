@@ -1,6 +1,7 @@
 """Diffusion normalizations, eigendecomposition, and the fitted basis."""
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,14 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectral_series import (
-    DiffusionSystem,
     EigenMethod,
     InputError,
     KernelSpec,
     Mode,
     NumericalError,
     bias_correct,
-    diffusion_system,
     eigendecompose,
     fit_basis,
     gen_spiral,
@@ -27,6 +26,7 @@ from spectral_series import (
     stationary_weights,
     symmetric_normalize,
 )
+from spectral_series.kernels import BLOCK_BYTES
 
 E1 = np.exp(-1.0)
 # two 1-D points at distance 2, bandwidth 1: off-diagonal kernel e^-1
@@ -143,24 +143,6 @@ class TestBiasCorrect:
         expected = E1 / (((1.0 + E1) / 2.0) ** 2)
         assert np.isclose(out[0, 1], expected, atol=1e-12)
         assert np.isclose(expected, 0.7864, atol=5e-5)
-
-
-class TestDiffusionSystem:
-    def test_stationary_must_sum_to_one(self):
-        with pytest.raises(NumericalError):
-            DiffusionSystem(K2, np.array([0.5, 0.5]), np.array([0.4, 0.4]),
-                            Mode.STOCHASTIC)
-
-    def test_nonpositive_degree_rejected(self):
-        with pytest.raises(NumericalError):
-            DiffusionSystem(K2, np.array([0.5, 0.0]), np.array([0.5, 0.5]),
-                            Mode.STOCHASTIC)
-
-    def test_constructor_modes(self):
-        for mode in Mode:
-            sys = diffusion_system(random_gram(10, 5), mode)
-            assert sys.mode is mode
-            assert np.isclose(sys.stationary.sum(), 1.0, atol=1e-12)
 
 
 class TestEigendecompose:
@@ -299,6 +281,8 @@ class TestRescale:
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(NumericalError):
             rescale(np.ones((2, 1)), np.array([1.0, 0.0]))
+        with pytest.raises(NumericalError):
+            rescale(np.ones((2, 1)), np.array([1.0, np.nan]))
 
 
 def basis_system_matrix(basis, X):
@@ -318,6 +302,7 @@ class TestFitBasis:
     def test_orthonormal_and_eigen_identity(self, mode):
         X = gen_spiral(60, noise_sd=0.05, seed=0).features
         basis = fit_basis(X, KernelSpec.gaussian(1.0), 10, mode)
+        assert np.isclose(basis.stationary.sum(), 1.0, rtol=0, atol=1e-12)
         W = np.diag(basis.ortho_weights)
         G = basis.eigenvectors.T @ W @ basis.eigenvectors
         assert np.max(np.abs(G - np.eye(11))) <= 1e-8
@@ -325,23 +310,50 @@ class TestFitBasis:
         resid = A @ basis.eigenvectors - basis.eigenvalues * basis.eigenvectors
         assert np.max(np.abs(resid)) <= 1e-8
 
-    @pytest.mark.parametrize("spec, mode", [
-        *[pytest.param(KernelSpec.gaussian(0.5), m, id=f"gaussian-{m.value}") for m in Mode],
-        pytest.param(KernelSpec.polynomial(2), Mode.UNIFORM, id="poly-uniform"),
+    @pytest.mark.parametrize("spec, mode, method", [
+        *[pytest.param(KernelSpec.gaussian(0.5), m, EigenMethod("full"),
+                       id=f"gaussian-{m.value}") for m in Mode],
+        pytest.param(KernelSpec.polynomial(2), Mode.UNIFORM, EigenMethod("full"),
+                     id="poly-uniform"),
+        *[pytest.param(KernelSpec.gaussian(0.5), m, EigenMethod("randomized", seed=6),
+                       id=f"gaussian-{m.value}-randomized") for m in Mode],
     ])
-    def test_solve_in_place_matches_solve_on_a_copy(self, spec, mode):
-        # fit_basis lets the solver overwrite its own operator; the public
-        # eigendecompose copies. Both must give the same bits.
+    def test_solve_in_place_matches_solve_on_a_copy(self, spec, mode, method):
+        # fit_basis normalizes and solves inside the K it is handed; the
+        # public helpers and eigendecompose work on copies. Both must give
+        # the same bits.
         X = gen_spiral(300, noise_sd=0.1, seed=5).features
         K = gram_matrix(spec, X)
-        system = diffusion_system(K, mode)
-        target = K / 300 if mode is Mode.UNIFORM else symmetric_normalize(system.gram)
-        vals, vecs = eigendecompose(target, 20)
+        if mode is Mode.UNIFORM:
+            target, stationary = K / 300, None
+        else:
+            system = bias_correct(K) if mode is Mode.BIAS_CORRECTED else K
+            target, stationary = symmetric_normalize(system), stationary_weights(system)
+        vals, vecs = eigendecompose(target, 20, method)
         if mode in (Mode.STOCHASTIC, Mode.BIAS_CORRECTED):
-            vecs = rescale(vecs, system.stationary)
-        basis = fit_basis(X, spec, 20, mode, gram=K)
+            vecs = rescale(vecs, stationary)
+        basis = fit_basis(X, spec, 20, mode, method, gram=K)
         assert np.array_equal(basis.eigenvalues, vals)
         assert np.array_equal(basis.eigenvectors, vecs)
+        if stationary is not None:
+            assert np.array_equal(basis.stationary, stationary)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_heap_beyond_gram_is_one_block(self, mode):
+        # the fit normalizes and solves inside the K it is handed; what it
+        # allocates besides is one row block and a few n x (j_max+1) arrays
+        n, j_max = 2000, 60
+        X = gen_spiral(n, noise_sd=0.1, seed=0).features
+        spec = KernelSpec.gaussian(0.05)
+        K = gram_matrix(spec, X)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            fit_basis(X, spec, j_max, mode, gram=K)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= BLOCK_BYTES + 4 * n * (j_max + 1) * 8
 
     def test_stochastic_top_pair(self):
         X = np.random.default_rng(1).normal(size=(25, 3))
@@ -361,6 +373,47 @@ class TestFitBasis:
         basis = fit_basis(X, KernelSpec.polynomial(2), 5, Mode.STOCHASTIC)
         G = basis.eigenvectors.T @ np.diag(basis.ortho_weights) @ basis.eigenvectors
         assert np.max(np.abs(G - np.eye(6))) <= 1e-8
+
+    def test_nonpositive_degree_rejected(self):
+        K = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, -1.0], [0.0, -1.0, 1.0]])
+        X = np.zeros((3, 1))
+        for mode in (Mode.STOCHASTIC, Mode.SYMMETRIC, Mode.BIAS_CORRECTED):
+            with pytest.raises(NumericalError, match="nonpositive"):
+                fit_basis(X, KernelSpec.gaussian(1.0), 1, mode, gram=K.copy())
+
+    @pytest.mark.parametrize("mode", [Mode.STOCHASTIC, Mode.SYMMETRIC,
+                                      Mode.BIAS_CORRECTED])
+    def test_overflowing_row_sums_rejected(self, mode):
+        # every Gram entry is finite (up to 1.6e307), but the row sums are not
+        X = gen_spiral(60, seed=0).features
+        X = X / np.abs(X).max() * 6.31e76
+        spec = KernelSpec.polynomial(2)
+        assert np.isfinite(gram_matrix(spec, X)).all()
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericalError, match="overflowed"):
+                fit_basis(X, spec, 5, mode)
+
+    @pytest.mark.parametrize("layout", ["fortran", "read-only"])
+    def test_gram_fit_cannot_work_inside_is_copied(self, layout):
+        X = gen_spiral(60, noise_sd=0.1, seed=1).features
+        spec = KernelSpec.gaussian(0.5)
+        K = gram_matrix(spec, X)
+        if layout == "fortran":
+            K = np.asfortranarray(K)
+        else:
+            K.setflags(write=False)
+        before = K.copy()
+        basis = fit_basis(X, spec, 8, Mode.BIAS_CORRECTED, gram=K)
+        assert np.array_equal(K, before)
+        ref = fit_basis(X, spec, 8, Mode.BIAS_CORRECTED)
+        assert np.array_equal(basis.eigenvectors, ref.eigenvectors)
+        assert np.array_equal(basis.stationary, ref.stationary)
+
+    def test_gram_of_another_size_rejected(self):
+        X = np.random.default_rng(9).normal(size=(30, 2))
+        K = gram_matrix(KernelSpec.gaussian(1.0), X)
+        with pytest.raises(InputError, match=r"expected \(20, 20\)"):
+            fit_basis(X[:20], KernelSpec.gaussian(1.0), 4, gram=K)
 
     def test_sign_indefinite_polynomial_fails_loudly(self):
         # odd degree with opposing points: a kernel row sums to zero
