@@ -127,7 +127,7 @@ def _fit_method(args) -> EigenMethod:
     """EigenMethod for one basis fit; only the randomized solver draws a seed."""
     if getattr(args, "method", None) == "randomized":
         return _method_from_args(args, _resolve_seed(args))
-    return _method_from_args(args, getattr(args, "seed", None))
+    return _method_from_args(args, None)
 
 
 def _mode_kwargs(args) -> dict:
@@ -164,6 +164,24 @@ def _check_flags(args, variant: str, reads) -> None:
     for dest in vars(args):
         if dest not in reads and dest not in ("command", "func"):
             raise InputError(f"{_flag(dest)} is not read with {variant}")
+
+
+# the flags that only the randomized eigensolver reads
+_RANDOMIZED_FLAGS = ("oversample", "power_iters", "seed")
+
+
+def _check_solver_flags(args, seed_read: bool = False) -> None:
+    """Raise InputError naming a randomized-solver flag given with another method.
+
+    seed_read: --seed also seeds something besides the solver, so it stays.
+    """
+    method = getattr(args, "method", EigenMethod().name)
+    if method == "randomized":
+        return
+    for dest in _RANDOMIZED_FLAGS:
+        if dest in args and not (seed_read and dest == "seed"):
+            raise InputError(f"{_flag(dest)} is not read with --method {method}; "
+                             "only --method randomized reads it")
 
 
 def _kernel_variant(args) -> tuple[str, set[str]]:
@@ -222,6 +240,7 @@ _TUNE_READS = {"data", "response", "split", "jmax", "unlabeled", "standardize",
 def cmd_tune(args) -> int:
     variant, kernel_reads = _kernel_variant(args)
     _check_flags(args, variant, _TUNE_READS | kernel_reads)
+    _check_solver_flags(args, seed_read=True)
     seed = _resolve_seed(args)
     data = load_csv(args.data, response_column=args.response)
     if data.responses is None:
@@ -308,6 +327,7 @@ def cmd_embed(args) -> int:
     else:
         variant, kernel_reads = _kernel_variant(args)
         _check_flags(args, variant, _EMBED_FIT_READS | kernel_reads)
+        _check_solver_flags(args)
         method = _fit_method(args)
         data = _load_table(args.data)
         X = data.features
@@ -337,7 +357,7 @@ def cmd_embed(args) -> int:
 
 
 # flags that fold into one method=EigenMethod(...) suite argument
-_SOLVER_FLAGS = ("method", "oversample", "power_iters", "seed")
+_SOLVER_FLAGS = ("method", *_RANDOMIZED_FLAGS)
 
 
 def cmd_benchmark(args) -> int:
@@ -349,6 +369,7 @@ def cmd_benchmark(args) -> int:
     if "method" in params:
         reads.update(_SOLVER_FLAGS)
     _check_flags(args, f"--suite {args.suite}", reads)
+    _check_solver_flags(args)
     kwargs = {k: v for k, v in vars(args).items() if k in params}
     if any(k in args for k in _SOLVER_FLAGS):
         kwargs["method"] = _method_from_args(args, getattr(args, "seed", None))
@@ -387,6 +408,7 @@ def cmd_verify(args) -> int:
     # embedding check: first eigenmap coordinate tracks the response
     from scipy.stats import spearmanr
 
+    _check_solver_flags(args)
     method = _fit_method(args)
     bw = (_one_value(args, "bandwidth", _parse_floats) if "bandwidth" in args
           else _local_bandwidth(X))
@@ -409,7 +431,9 @@ _MODES = ["stochastic", "symmetric", "bias-corrected", "uniform"]
 
 def _add_method_flags(p: argparse.ArgumentParser) -> None:
     # no defaults: EigenMethod's fields hold them
-    p.add_argument("--method", choices=["full", "randomized"])
+    p.add_argument("--method", choices=["lanczos", "full", "randomized"],
+                   help="eigensolver (default lanczos); only randomized reads "
+                   "--oversample, --power-iters and a solver --seed")
     p.add_argument("--oversample", type=int)
     p.add_argument("--power-iters", type=int)
 

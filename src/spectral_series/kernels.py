@@ -268,8 +268,12 @@ def gram_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray | None = None) ->
         A, _ = _check_dims(A, A)
         if spec.family == "gaussian":
             return self_gram_from_sqdist(sq_distances(A), spec.bandwidth)
-        K = _polynomial_from_inner(A @ A.T, spec.degree)
-        return 0.5 * (K + K.T)
+        # numpy hands A @ A.T to BLAS syrk, which computes one triangle and
+        # mirrors it, so K is exactly symmetric without a symmetrizing pass.
+        # It does so for any A with a unit stride; a column-strided or
+        # reversed view would go through gemm, so it is copied first.
+        A = np.ascontiguousarray(A)
+        return _polynomial_from_inner(A @ A.T, spec.degree)
     A, B = _check_dims(A, B)
     if spec.family == "gaussian":
         return gaussian_from_sqdist(sq_distances(A, B), spec.bandwidth)

@@ -15,17 +15,13 @@ import logging
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .diffusion import EigenBasis, Mode
+from .diffusion import EIGENVALUE_FLOOR_REL, EigenBasis, Mode
 from .errors import InputError, NumericalError
 from .kernels import check_finite_rows, gram_matrix, row_blocks
 
 __all__ = ["EIGENVALUE_FLOOR_REL", "extend", "eigenmap"]
 
 logger = logging.getLogger(__name__)
-
-# components with eigenvalue <= EIGENVALUE_FLOOR_REL * lambda_0 cannot be
-# extended (the formula divides by lambda_j) and are rejected by name
-EIGENVALUE_FLOOR_REL = 1e-10
 
 
 def _check_query(basis: EigenBasis, Xnew: np.ndarray, J: int) -> np.ndarray:

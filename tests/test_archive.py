@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from spectral_series import (
     ArchiveError,
     Dataset,
+    EigenMethod,
     KernelSpec,
     Mode,
     Preprocessing,
@@ -22,6 +23,7 @@ from spectral_series import (
     standardize,
 )
 from spectral_series.archive import FORMAT_VERSION
+from spectral_series.diffusion import LANCZOS_MIN_N
 
 
 @pytest.fixture()
@@ -222,6 +224,38 @@ def test_version_1_archive_still_read(fitted, tmp_path):
     path.write_bytes(_join_header(header, body))
     loaded, _ = load_model(path)
     assert _same_model(loaded, fitted)
+
+
+def test_lanczos_fitted_model_round_trip_is_bit_exact(tmp_path):
+    # large enough that the default solver runs ARPACK, not LAPACK
+    data = gen_spiral(LANCZOS_MIN_N + 100, noise_sd=0.1, seed=9)
+    model = fit(data.features, data.responses, KernelSpec.gaussian(0.5), j_max=30, J=25)
+    assert model.basis.method == EigenMethod("lanczos")
+    path = tmp_path / "model.ssm"
+    save_model(path, model)
+    loaded, _ = load_model(path)
+    assert _same_model(loaded, model)
+    queries = gen_spiral(200, noise_sd=0.1, seed=10).features
+    assert np.array_equal(predict(loaded, queries), predict(model, queries))
+
+
+@pytest.mark.parametrize("version", [1, FORMAT_VERSION])
+def test_full_solver_archive_still_read(tmp_path, version):
+    # archives written before "lanczos" became the default name "full"
+    data = gen_spiral(60, noise_sd=0.1, seed=5)
+    model = fit(data.features, data.responses, KernelSpec.gaussian(1.0), j_max=8,
+                J=6, method=EigenMethod("full"))
+    path = tmp_path / "model.ssm"
+    save_model(path, model)
+    header, body = _split_header(path.read_bytes())
+    assert header["method"]["name"] == "full"
+    if version == 1:
+        del header["checksum"]
+        header["format_version"] = 1
+        path.write_bytes(_join_header(header, body))
+    loaded, _ = load_model(path)
+    assert loaded.basis.method == EigenMethod("full")
+    assert _same_model(loaded, model)
 
 
 def _same_model(a, b):

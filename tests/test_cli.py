@@ -329,9 +329,10 @@ class TestBenchmark:
 
     def test_solver_flags_fold_into_one_method(self, tmp_path, capsys, calls):
         code, _, _ = run(capsys, "benchmark", "--suite", "circle-dims",
-                         "--oversample", 4, "--seed", 7, "--out", tmp_path / "b")
+                         "--method", "randomized", "--oversample", 4, "--seed", 7,
+                         "--out", tmp_path / "b")
         assert code == 0
-        assert calls == [{"method": EigenMethod("full", 4, 2, 7)}]
+        assert calls == [{"method": EigenMethod("randomized", 4, 2, 7)}]
 
     def test_every_flag_reaches_some_suite(self, tmp_path, capsys, calls):
         with pytest.raises(SystemExit):
@@ -341,7 +342,10 @@ class TestBenchmark:
         assert len(flags) == 12
         values = {"--method": "full", "--dims": "3", "--ns": "3"}
         for flag in sorted(flags):
-            codes = [run(capsys, "benchmark", "--suite", suite, flag,
+            # only the randomized solver reads these three
+            method = (["--method", "randomized"]
+                      if flag in ("--oversample", "--power-iters", "--seed") else [])
+            codes = [run(capsys, "benchmark", "--suite", suite, *method, flag,
                          values.get(flag, "1"), "--out", tmp_path / "b")[0]
                      for suite in benchmarks.SUITES]
             assert 0 in codes, f"{flag} is taken by no suite"
@@ -378,7 +382,8 @@ def files(tmp_path_factory):
 _REQUIRED = {"gen": "--n 20 --seed 0 --out {out}",
              "tune": "--data {data} --seed 0 --out {out}",
              "embed": "--data {data} --out {out}",
-             "verify": "--data {clean}"}
+             "verify": "--data {clean}",
+             "benchmark": "--out {out}"}
 
 # The 50 (variant, flag) pairs that the variant parsed and then ignored before
 # each subcommand took only the flags it reads.
@@ -411,6 +416,21 @@ _UNREAD = [
                                         "--grid-size 3")],
 ]
 
+# Flags that only the randomized eigensolver reads, given with another method.
+# tune keeps --seed, which also seeds its split.
+_NOT_RANDOMIZED = [
+    ("tune --method full", "--oversample 5"),
+    ("tune", "--oversample 5"),
+    ("tune --method lanczos", "--power-iters 1"),
+    ("embed --method full", "--oversample 5"),
+    ("embed", "--seed 1"),
+    ("embed", "--power-iters 1"),
+    ("verify embedding", "--seed 1"),
+    ("verify embedding --method full", "--oversample 5"),
+    ("benchmark --suite circle-dims", "--seed 1"),
+    ("benchmark --suite circle-dims --method full", "--oversample 5"),
+]
+
 # Flags that take a comma list in tune, given a list where one kernel is fitted.
 _ONE_VALUE = [
     ("embed", "--bandwidth 0.5,9"),
@@ -425,20 +445,28 @@ _BASES = {
     "gen uniform": "gen uniform --n 30 --seed 0 --out {tmp}/g.csv",
     "tune": "tune --data {data} --seed 0 --jmax 4 --out {tmp}/t",
     "tune poly": "tune --data {data} --seed 0 --jmax 4 --kernel poly --out {tmp}/t",
+    "tune randomized": "tune --data {data} --seed 0 --jmax 4 --method randomized "
+                       "--out {tmp}/t",
     "predict": "predict --model {model} --data {data} --out {tmp}/p.csv",
-    "embed": "embed --data {data} --seed 0 --out {tmp}/e.csv",
+    "embed": "embed --data {data} --out {tmp}/e.csv",
+    "embed randomized": "embed --data {data} --method randomized --seed 0 "
+                        "--out {tmp}/e.csv",
     "embed poly": "embed --data {data} --kernel poly --out {tmp}/e.csv",
     "embed --model": "embed --data {data} --model {model} --out {tmp}/e.csv",
     "benchmark circle-dims": "benchmark --suite circle-dims --out {tmp}/b",
+    "benchmark randomized": "benchmark --suite circle-dims --method randomized "
+                            "--out {tmp}/b",
     "benchmark growing-n": "benchmark --suite growing-n --out {tmp}/b",
     "verify spiral-identity": "verify spiral-identity --data {clean}",
-    "verify embedding": "verify embedding --data {data} --seed 0 --threshold 0",
+    "verify embedding": "verify embedding --data {data} --threshold 0",
+    "verify randomized": "verify embedding --data {data} --method randomized "
+                         "--seed 0 --threshold 0",
 }
 
 # For each base, the flags set on it and the value each is set to (None for
 # a switch). Together they cover every flag that every parser declares.
-_SOLVER_PROBES = {"--method": "randomized", "--oversample": "3", "--power-iters": "1",
-                  "--seed": "1"}
+# the randomized solver's flags are probed on a base that chose it
+_RANDOMIZED_PROBES = {"--oversample": "3", "--power-iters": "1", "--seed": "1"}
 _GEN_PROBES = {"--n": "31", "--seed": "1", "--out": "{tmp}/g2.csv"}
 _PROBES = {
     "gen spiral": {**_GEN_PROBES, "--noise-sd": "0.2", "--u-max": "10"},
@@ -447,22 +475,27 @@ _PROBES = {
     "tune": {"--data": "{data2}", "--response": "x2", "--split": "0.6,0.2,0.2",
              "--jmax": "3", "--unlabeled": "{clean}", "--standardize": None,
              "--unit-norm": None, "--kernel": "poly", "--bandwidth": "1.0",
-             "--grid-size": "2", "--mode": "symmetric", **_SOLVER_PROBES,
-             "--out": "{tmp}/t2"},
+             "--grid-size": "2", "--mode": "symmetric", "--method": "randomized",
+             "--seed": "1", "--out": "{tmp}/t2"},
     "tune poly": {"--degree": "2"},
+    "tune randomized": _RANDOMIZED_PROBES,
     "predict": {"--model": "{model2}", "--data": "{data2}", "--out": "{tmp}/p2.csv"},
     "embed": {"--data": "{data2}", "--jdim": "3", "--jmax": "5", "--kernel": "poly",
-              "--bandwidth": "1.0", "--mode": "symmetric", **_SOLVER_PROBES,
+              "--bandwidth": "1.0", "--mode": "symmetric", "--method": "full",
               "--out": "{tmp}/e2.csv"},
+    "embed randomized": _RANDOMIZED_PROBES,
     "embed poly": {"--degree": "3"},
     "embed --model": {"--model": "{model2}"},
     "benchmark circle-dims": {"--suite": "spiral-compare", "--n": "50", "--dims": "3",
                               "--seeds": "2", "--noise-var": "0.1", "--grid-size": "2",
-                              "--jmax": "3", **_SOLVER_PROBES, "--out": "{tmp}/b2"},
+                              "--jmax": "3", "--method": "full", "--out": "{tmp}/b2"},
+    "benchmark randomized": _RANDOMIZED_PROBES,
     "benchmark growing-n": {"--ns": "30", "--noise-sd": "0.2"},
     "verify spiral-identity": {"--data": "{clean2}", "--tol": "0.001"},
     "verify embedding": {"--data": "{data2}", "--threshold": "0.001", "--jdim": "2",
-                         "--bandwidth": "1.0", "--mode": "symmetric", **_SOLVER_PROBES},
+                         "--bandwidth": "1.0", "--mode": "symmetric",
+                         "--method": "full"},
+    "verify randomized": _RANDOMIZED_PROBES,
 }
 
 
@@ -514,6 +547,18 @@ class TestFlagRule:
         code, _, err = run_any(capsys, *argv)
         assert code == 2
         assert flag.split()[0] in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("variant, flag", _NOT_RANDOMIZED,
+                             ids=[f"{v}|{f.split()[0]}" for v, f in _NOT_RANDOMIZED])
+    def test_randomized_solver_flag_with_another_method_exits_2(
+            self, tmp_path, capsys, files, variant, flag):
+        command = variant.split()[0]
+        argv = " ".join([variant, _REQUIRED[command], flag]).format(
+            **files, out=tmp_path / "out").split()
+        code, _, err = run_any(capsys, *argv)
+        assert code == 2
+        assert f"{flag.split()[0]} is not read with --method" in err
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("variant, flag", _ONE_VALUE,

@@ -1,11 +1,17 @@
 """Diffusion normalizations, eigendecomposition, and the fitted basis."""
 
+import hashlib
 import logging
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +21,7 @@ from spectral_series import (
     KernelSpec,
     Mode,
     NumericalError,
+    bandwidth_grid,
     bias_correct,
     eigendecompose,
     fit_basis,
@@ -26,7 +33,11 @@ from spectral_series import (
     stationary_weights,
     symmetric_normalize,
 )
+from spectral_series import diffusion
+from spectral_series.cli import main
+from spectral_series.diffusion import EIGENVALUE_TIE_GAP, LANCZOS_MIN_N
 from spectral_series.kernels import BLOCK_BYTES
+from spectral_series.nystrom import EIGENVALUE_FLOOR_REL
 
 E1 = np.exp(-1.0)
 # two 1-D points at distance 2, bandwidth 1: off-diagonal kernel e^-1
@@ -63,7 +74,7 @@ class TestModeAndMethod:
             EigenMethod("dense")
         with pytest.raises(InputError):
             EigenMethod("randomized", oversample=-1)
-        assert EigenMethod().name == "full"
+        assert EigenMethod().name == "lanczos"
 
 
 class TestRowStochastic:
@@ -270,6 +281,181 @@ class TestEigendecompose:
         assert len(caplog.records) == 1
         message = caplog.records[0].getMessage()
         assert "2 eigenvalue tie" in message and "indices 0/1" in message
+
+    @pytest.mark.parametrize("spectrum, logged", [
+        # ties only below the extension floor: no prediction can use them
+        ([1.0, 0.5, 0.25, 1e-13, 1e-13, 1e-14, 1e-14], []),
+        # one tie above the floor, among others below it
+        ([1.0, 0.5, 0.5, 0.25, 1e-13, 1e-13], ["1 eigenvalue tie", "indices 1/2"]),
+    ], ids=["below-floor", "above-floor"])
+    def test_ties_judged_above_the_floor_relative_to_lambda0(self, caplog, spectrum,
+                                                             logged):
+        n = 40
+        Q = np.linalg.qr(np.random.default_rng(15).normal(size=(n, n)))[0]
+        lam = np.zeros(n)
+        lam[:len(spectrum)] = spectrum
+        # scaled so an absolute gap rule would see a different picture
+        A = Q @ np.diag(1e3 * lam) @ Q.T
+        A = 0.5 * (A + A.T)
+        with caplog.at_level(logging.WARNING, logger="spectral_series.diffusion"):
+            vals, _ = eigendecompose(A, len(spectrum) - 1, EigenMethod("full"))
+        assert np.allclose(vals, 1e3 * np.array(spectrum), rtol=0, atol=1e-11)
+        messages = [rec.getMessage() for rec in caplog.records]
+        if not logged:
+            assert messages == []
+        else:
+            assert len(messages) == 1
+            assert all(part in messages[0] for part in logged)
+
+
+def spiral_operator(n, bandwidth_index, seed=1):
+    """A spiral's symmetric operator at one of its 5 grid bandwidths."""
+    X = gen_spiral(n, noise_sd=0.1, seed=seed).features
+    bw = bandwidth_grid(X, 5)[bandwidth_index]
+    return symmetric_normalize(gram_matrix(KernelSpec.gaussian(bw), X))
+
+
+def three_blobs(n=800):
+    """Three Gaussian blobs 100 apart: a kernel graph with three components."""
+    rng = np.random.default_rng(16)
+    centers = np.array([[0.0, 0.0], [100.0, 0.0], [0.0, 100.0]])
+    return np.concatenate([rng.normal(size=(m, 2)) + c for m, c in
+                           zip((n - 2 * (n // 3), n // 3, n // 3), centers)])
+
+
+def _pairs_digest(A, j_max):
+    """SHA-256 of the default solver's pairs on A, or its NumericalError message."""
+    try:
+        vals, vecs = eigendecompose(A, j_max)
+    except NumericalError as exc:
+        return f"NumericalError: {exc}"
+    return hashlib.sha256(vals.tobytes() + vecs.tobytes()).hexdigest()
+
+
+# the operators of the determinism test, also built in a fresh process
+_DETERMINISM_CASES = {
+    # tied throughout: ARPACK would restart from its own random vectors
+    "near-diagonal": lambda: np.eye(1000) + 1e-217,
+    "three-blobs": lambda: symmetric_normalize(
+        gram_matrix(KernelSpec.gaussian(1.0), three_blobs())),
+    "spiral": lambda: spiral_operator(1000, 1),
+}
+
+
+def _print_digests():
+    for name, make in _DETERMINISM_CASES.items():
+        print(name, _pairs_digest(make(), 5), sep="\t")
+
+
+class TestLanczos:
+    def test_default_is_lanczos(self):
+        assert EigenMethod() == EigenMethod("lanczos")
+
+    @pytest.mark.parametrize("bandwidth_index", [0, 2, 4])
+    def test_matches_full_above_the_crossover(self, bandwidth_index):
+        A = spiral_operator(800, bandwidth_index)
+        j_max = 40
+        full_vals, full_vecs = eigendecompose(A, j_max, EigenMethod("full"))
+        vals, vecs = eigendecompose(A, j_max, EigenMethod("lanczos"))
+        lam0 = full_vals[0]
+        assert np.max(np.abs(vals - full_vals)) <= 1e-12 * lam0
+        # a vector is pinned down only above the floor and outside a tie
+        gaps = np.abs(np.diff(full_vals))
+        tied = np.zeros(j_max + 1, dtype=bool)
+        tied[:-1] |= gaps < EIGENVALUE_TIE_GAP * lam0
+        tied[1:] |= gaps < EIGENVALUE_TIE_GAP * lam0
+        keep = ~tied & (full_vals > EIGENVALUE_FLOOR_REL * lam0)
+        assert keep.sum() >= 20
+        n = A.shape[0]
+        cos = np.abs(np.sum(vecs * full_vecs, axis=0)) / n
+        assert np.all(cos[keep] >= 1.0 - 1e-10)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_below_the_crossover_is_lapack_bit_for_bit(self, mode):
+        X = gen_spiral(LANCZOS_MIN_N - 1, noise_sd=0.1, seed=2).features
+        spec = KernelSpec.gaussian(0.5)
+        default = fit_basis(X, spec, 30, mode)
+        full = fit_basis(X, spec, 30, mode, EigenMethod("full"))
+        assert np.array_equal(default.eigenvalues, full.eigenvalues)
+        assert np.array_equal(default.eigenvectors, full.eigenvectors)
+
+    def test_too_many_pairs_for_lanczos_is_lapack_bit_for_bit(self):
+        # 2k + 1 >= n: ARPACK's Krylov space would fill the whole matrix
+        A = spiral_operator(LANCZOS_MIN_N, 1)
+        j_max = (LANCZOS_MIN_N - 1) // 2
+        vals, vecs = eigendecompose(A, j_max)
+        ref_vals, ref_vecs = eigendecompose(A, j_max, EigenMethod("full"))
+        assert np.array_equal(vals, ref_vals) and np.array_equal(vecs, ref_vecs)
+
+    def test_input_left_unchanged_when_flushing_subnormals(self):
+        # the narrowest bandwidth underflows many kernel entries to subnormals
+        A = spiral_operator(LANCZOS_MIN_N, 0)
+        tiny = np.finfo(float).tiny
+        assert np.any((A != 0.0) & (np.abs(A) < tiny))
+        before = A.copy()
+        eigendecompose(A, 10)
+        assert np.array_equal(A, before)
+
+    def test_fit_matches_full_in_every_mode(self):
+        X = gen_spiral(600, noise_sd=0.1, seed=3).features
+        spec = KernelSpec.gaussian(0.3)
+        for mode in Mode:
+            lz = fit_basis(X, spec, 30, mode)
+            full = fit_basis(X, spec, 30, mode, EigenMethod("full"))
+            lam0 = full.eigenvalues[0]
+            assert lz.method.name == "lanczos"
+            assert np.max(np.abs(lz.eigenvalues - full.eigenvalues)) <= 1e-12 * lam0
+            W = np.diag(lz.ortho_weights)
+            G = lz.eigenvectors.T @ W @ lz.eigenvectors
+            assert np.max(np.abs(G - np.eye(31))) <= 1e-8
+
+    def test_three_components_give_eigenvalue_one_three_times(self):
+        basis = fit_basis(three_blobs(800), KernelSpec.gaussian(1.0), 10)
+        vals = basis.eigenvalues
+        assert np.allclose(vals[:3], 1.0, rtol=0, atol=1e-12)
+        assert vals[3] < 1.0 - 1e-3
+
+    def test_deterministic_within_and_across_processes(self):
+        digests = {}
+        for name, make in _DETERMINISM_CASES.items():
+            A = make()
+            runs = {_pairs_digest(A, 5) for _ in range(3)}
+            assert len(runs) == 1, f"{name}: {len(runs)} different results"
+            digests[name] = runs.pop()
+        assert digests["near-diagonal"] == (
+            "NumericalError: eigensolver returned 0 of the 6 eigenpairs asked for")
+        script = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                  "import test_diffusion; test_diffusion._print_digests()")
+        src = str(Path(diffusion.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", script, str(Path(__file__).parent)],
+                              capture_output=True, text=True, env=env, check=True)
+        fresh = dict(line.split("\t") for line in proc.stdout.splitlines())
+        assert fresh == digests
+
+    @pytest.fixture()
+    def arpack_fails(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence(
+                "ARPACK error -1: No convergence", np.zeros(0), np.zeros((0, 0)))
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
+
+    def test_arpack_failure_raises_numerical_error(self, arpack_fails):
+        A = spiral_operator(LANCZOS_MIN_N, 1)
+        with pytest.raises(NumericalError, match="Lanczos eigensolver failed"):
+            eigendecompose(A, 5)
+        # the full solver does not go near ARPACK
+        eigendecompose(A, 5, EigenMethod("full"))
+
+    def test_arpack_failure_exits_3(self, arpack_fails, tmp_path, capsys):
+        data = tmp_path / "s.csv"
+        assert main(["gen", "spiral", "--n", str(LANCZOS_MIN_N), "--seed", "0",
+                     "--out", str(data)]) == 0
+        capsys.readouterr()
+        code = main(["embed", "--data", str(data), "--out", str(tmp_path / "e.csv")])
+        assert code == 3
+        assert "Lanczos eigensolver failed" in capsys.readouterr().err
 
 
 class TestRescale:

@@ -76,6 +76,22 @@ class TestGramMatrix:
         K = gram_matrix(KernelSpec.polynomial(degree), X)
         assert np.array_equal(K, K.T)
 
+    @pytest.mark.parametrize("n, d", [(2000, 2), (1000, 10), (777, 1000)])
+    @pytest.mark.parametrize("layout", ["C", "F", "row-sliced", "column-sliced",
+                                        "reversed"])
+    def test_poly_self_gram_symmetric_without_a_symmetrizing_pass(self, n, d, layout):
+        # the Gram relies on numpy computing A @ A.T by syrk, which mirrors
+        # one triangle; pin that, for every layout of X, at degree 1 where K
+        # is A @ A.T + 1 itself
+        X = np.random.default_rng(n + d).normal(size=(2 * n, 2 * d))
+        C = np.ascontiguousarray(X[:n, :d])
+        A = {"C": C, "F": np.asfortranarray(C), "row-sliced": X[::2, :d],
+             "column-sliced": X[:n, ::2], "reversed": X[::-2, :d]}[layout]
+        K = gram_matrix(KernelSpec.polynomial(1), A)
+        assert np.array_equal(K, K.T)
+        assert np.array_equal(K, gram_matrix(KernelSpec.polynomial(1),
+                                             np.ascontiguousarray(A)))
+
     def test_two_point_closed_form(self):
         # distance 2 at bandwidth 1: off-diagonal is exactly e^-1
         X = np.array([[0.0], [2.0]])
