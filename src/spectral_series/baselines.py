@@ -10,7 +10,7 @@ import scipy.linalg.lapack
 from scipy.spatial.distance import cdist
 
 from .errors import InputError, NumericalError
-from .kernels import KernelSpec, check_finite_rows, gram_matrix, row_blocks
+from .kernels import KernelSpec, check_finite_rows, gram_matrix, matmul, row_blocks
 
 __all__ = [
     "NWModel",
@@ -53,8 +53,8 @@ def nw_predict(
         sums = K.sum(axis=1)
         dead = sums <= 0.0
         sums[dead] = 1.0
-        block = out[rows]
-        block[:] = (K @ y) / sums
+        block = matmul(K, y, out=out[rows])
+        block /= sums
         del K  # else it lives on while the next block's is built
         if dead.any():
             idx = np.nonzero(dead)[0]
@@ -193,7 +193,8 @@ def krr_predict(model: KRRModel, Xnew: np.ndarray) -> np.ndarray:
     alpha = model.dual_coefficients
     out = np.empty(Xnew.shape[0])
     for rows in row_blocks(Xnew.shape[0], model.training_points.shape[0]):
-        out[rows] = gram_matrix(model.kernel, Xnew[rows], model.training_points) @ alpha
+        matmul(gram_matrix(model.kernel, Xnew[rows], model.training_points), alpha,
+               out=out[rows])
     return out
 
 

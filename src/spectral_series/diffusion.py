@@ -21,7 +21,7 @@ import scipy.linalg
 from scipy.linalg.blas import dsymv
 
 from .errors import InputError, NumericalError
-from .kernels import KernelSpec, gram_matrix, row_blocks
+from .kernels import KernelSpec, gram_matrix, matmul, row_blocks
 
 __all__ = [
     "Mode",
@@ -304,16 +304,23 @@ def _solve_randomized(A: np.ndarray, k: int, method: EigenMethod, scratch: bool,
     n = A.shape[0]
     rng = np.random.default_rng(method.seed)
     n_probe = min(n, k + method.oversample)
-    Q, _ = np.linalg.qr(A @ rng.standard_normal((n, n_probe)))
+    Y = matmul(A, rng.standard_normal((n, n_probe)))
     for _ in range(method.power_iters):
-        Q, _ = np.linalg.qr(A @ Q)
-    B = Q.T @ A @ Q
+        Y = matmul(A, _orthonormal_basis(Y))
+    Q = _orthonormal_basis(Y)
+    B = matmul(Q.T, matmul(A, Q))
     B = 0.5 * (B + B.T)
     # A is finite, but its products can still overflow
     if not np.isfinite(B).all():
         raise NumericalError("randomized projection overflowed (kernel scale too large?)")
     vals, U = scipy.linalg.eigh(B, check_finite=False)
-    return vals[::-1][:k], Q @ U[:, ::-1][:, :k]
+    return vals[::-1][:k], matmul(Q, U[:, ::-1][:, :k])
+
+
+def _orthonormal_basis(Y: np.ndarray) -> np.ndarray:
+    """The Q of Y's reduced QR (LAPACK geqrf/orgqr); Y is overwritten."""
+    # a non-finite Y is caught by the projection check that follows
+    return scipy.linalg.qr(Y, mode="economic", overwrite_a=True, check_finite=False)[0]
 
 
 def _flush_subnormals(A: np.ndarray) -> np.ndarray:

@@ -27,10 +27,31 @@ cancellation, at the data's spread instead of its offset from the origin.
 The absolute error of an entry is then a small multiple of
 d * eps * (||a - mu||^2 + ||b - mu||^2); on 800 points in d = 1000 with
 squared distances up to 4 it stayed within 1.6e-14, also with every coordinate
-shifted by 1e3. The products run on scipy's BLAS (``scipy.linalg.blas``), the
-library that also runs the eigensolver's ``eigh``: numpy and scipy load
-separate OpenBLAS builds with separate thread pools, and alternating between
-them stalls both.
+shifted by 1e3.
+
+One BLAS thread pool. numpy and scipy load separate OpenBLAS builds, each
+with its own thread pool, and a process that alternates between the two
+stalls on every hand-over. So every dense product and factorization on the
+fit, tune, predict and baseline paths runs on scipy's build: the distances,
+the eigensolvers (``eigh``, the Lanczos ``dsymv``), the randomized range
+finder, the extension, the coefficients, the polynomial Grams and the KRR
+solves. Products go through ``matmul``, which hands C-ordered operands to
+``scipy.linalg.blas`` as their Fortran views and writes into the caller's
+output, so no operand is copied. A tier-1 test fails on any ``@``,
+``np.matmul``, ``np.dot``, ``np.inner``, ``np.tensordot`` or ``np.linalg``
+call in the package outside its allowlist:
+
+- ``dataset.gen_circle``'s QR, whose bits fix the benchmark data;
+- ``kernel_value``'s 1-D dot, one pair at a time, no BLAS call;
+- row norms from ``np.linalg.norm``, a reduction, no BLAS call.
+
+Gaussian entries come from ``np.exp``, whose vectorized loop leaves for a
+slow path on arguments below -1021 ln 2 = -707.70: there a 0 or a tiny
+normal result costs about 13x a normal entry and a subnormal one about 100x,
+and at a narrow bandwidth over half of a Gram lands there. ``_exp`` keeps
+those arguments out of the vectorized call and computes only the band whose
+result is not exactly 0 with ``np.exp`` itself, so every entry keeps
+``np.exp``'s bits.
 """
 
 from __future__ import annotations
@@ -39,8 +60,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.blas import dgemm
-from scipy.spatial.distance import cdist, pdist, squareform
+from scipy.linalg.blas import dgemm, dgemv, dsyrk
+from scipy.spatial.distance import cdist, pdist
 
 from .errors import InputError
 
@@ -53,8 +74,28 @@ BLOCK_BYTES = 8 * 2**20
 # Squared distances of rows with at least this many columns come from BLAS
 # products; narrower rows keep the exact pdist/cdist loops.
 BLAS_DISTANCE_MIN_D = 32
-# Rows per tile of the BLAS route; its heap beyond the output is a few tiles.
+# Rows per tile of the BLAS route, whose heap beyond the output is a few
+# tiles, and of the triangle mirror of a self Gram.
 DISTANCE_TILE_ROWS = 256
+
+# np.exp's vectorized loop takes arguments down to -1021 ln 2 = -707.7033
+# (results down to 2**-1021); below that each entry takes a slow path, about
+# 20 ns for a small normal result or a 0 and 120-200 ns for a subnormal one,
+# against 1.5 ns. Below EXP_ZERO_BELOW every result is exactly 0: the last
+# subnormal, 2**-1074, is exp(-744.44), and exp(x) rounds to 0 once x is
+# under -745.1332.
+EXP_SLOW_BELOW = -707.7
+EXP_ZERO_BELOW = -745.2
+# _exp samples every EXP_SAMPLE_STRIDE-th argument (a full pass would cost a
+# fifth of the exponential) and takes the detour when at least
+# EXP_DETOUR_FRAC of the sample lies below EXP_SLOW_BELOW: measured on 2**17
+# arguments, the detour costs 3.2 ns an entry with none there, 4.4 ns with
+# 3 % there (plain call 5.4 ns) and 14 ns with 30 % (plain call 27 ns). A
+# missed entry keeps the plain call's bits, at its cost.
+EXP_SAMPLE_STRIDE = 64
+EXP_DETOUR_FRAC = 0.02
+# Entries per detour pass, so that its masks stay in cache.
+EXP_CHUNK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -135,6 +176,55 @@ def row_blocks(m: int, n: int) -> Iterator[slice]:
     step = max(1, step)
     for start in range(0, m, step):
         yield slice(start, min(start + step, m))
+
+
+def _fortran(M: np.ndarray) -> tuple[np.ndarray, int]:
+    """(F, t) with F Fortran-ordered and F (t = 0) or F.T (t = 1) equal to M.
+
+    A C-ordered M is passed as its transpose view, so f2py copies nothing;
+    only an M that is neither C- nor F-contiguous is copied.
+    """
+    if M.flags.f_contiguous:
+        return M, 0
+    return np.ascontiguousarray(M).T, 1
+
+
+def matmul(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """A @ B for a 2-D A and a 1-D or 2-D B, on scipy's BLAS (dgemv / dgemm).
+
+    Every product of the package goes through here (see the module notes).
+    With out given, which must be C-contiguous, the product is written into
+    it and out is returned; a C-ordered out is the Fortran view out.T of the
+    transposed product, so BLAS writes it in place.
+    """
+    if B.ndim == 1:
+        a, ta = _fortran(A)
+        if out is None:
+            return dgemv(1.0, a, B, trans=ta)
+        dgemv(1.0, a, B, trans=ta, y=out, overwrite_y=1)
+        return out
+    # A @ B = (B^T A^T)^T, and B^T, A^T are the Fortran views of C-ordered B, A
+    bt, tb = _fortran(B.T)
+    at, ta = _fortran(A.T)
+    if out is None:
+        return dgemm(1.0, bt, at, trans_a=tb, trans_b=ta).T
+    dgemm(1.0, bt, at, trans_a=tb, trans_b=ta, c=out.T, overwrite_c=1)
+    return out
+
+
+def _mirror_upper(K: np.ndarray) -> np.ndarray:
+    """Copy K's strict upper triangle into its lower one, tile by tile.
+
+    K's strict lower triangle must hold zeros on entry.
+    """
+    tiles = _tiles(K.shape[0])
+    for k, ti in enumerate(tiles):
+        # x + 0.0 is x, so adding the zeros copies each entry across exactly
+        d = K[ti, ti]
+        d += np.triu(d, 1).T
+        for tj in tiles[k + 1:]:
+            K[tj, ti] = K[ti, tj].T
+    return K
 
 
 def _tiles(n: int) -> list[slice]:
@@ -232,6 +322,42 @@ def kernel_value(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
     return float((np.dot(x, y) + 1.0) ** spec.degree)
 
 
+def _exp(x: np.ndarray) -> np.ndarray:
+    """np.exp(x, out=x), with np.exp's bits, without its slow path where it matters.
+
+    When at least EXP_DETOUR_FRAC of a strided sample of x lies below
+    EXP_SLOW_BELOW, x goes through _exp_detour one EXP_CHUNK at a time;
+    otherwise, and for an x that is not C-contiguous, it is the plain call.
+    """
+    if not x.flags.c_contiguous:
+        return np.exp(x, out=x)
+    flat = x.reshape(-1)
+    sample = flat[::EXP_SAMPLE_STRIDE]
+    if np.count_nonzero(sample < EXP_SLOW_BELOW) < max(1.0, EXP_DETOUR_FRAC * sample.size):
+        return np.exp(x, out=x)
+    for i in range(0, flat.size, EXP_CHUNK):
+        _exp_detour(flat[i:i + EXP_CHUNK])
+    return x
+
+
+def _exp_detour(x: np.ndarray) -> np.ndarray:
+    """np.exp(x, out=x) for a 1-D x, keeping arguments below EXP_SLOW_BELOW out of it.
+
+    Those are raised to EXP_SLOW_BELOW for the vectorized call and their
+    results then multiplied by 0; the few in the band above EXP_ZERO_BELOW
+    get np.exp of their own argument. NaN fails the keep test, so its
+    result stays NaN.
+    """
+    keep = x >= EXP_SLOW_BELOW
+    band = np.flatnonzero((x >= EXP_ZERO_BELOW) & ~keep)
+    exact = np.exp(x[band])
+    np.maximum(x, EXP_SLOW_BELOW, out=x)
+    np.exp(x, out=x)
+    np.multiply(x, keep, out=x)
+    x[band] = exact
+    return x
+
+
 def gaussian_from_sqdist(
     sq: np.ndarray, bandwidth: float, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -242,17 +368,38 @@ def gaussian_from_sqdist(
     bits as negating first, because IEEE division is sign-symmetric.
     """
     out = sq if out is None else out
-    np.divide(sq, -4.0 * bandwidth, out=out)
-    return np.exp(out, out=out)
+    return _exp(np.divide(sq, -4.0 * bandwidth, out=out))
 
 
 def self_gram_from_sqdist(condensed: np.ndarray, bandwidth: float) -> np.ndarray:
     """Gaussian self Gram from condensed squared distances (``pdist`` order).
 
-    squareform is exactly symmetric and every later step is elementwise, so
-    K needs no symmetrizing pass; the diagonal is exactly 1.
+    Each run of rows of the condensed vector is exponentiated once, in one
+    EXP_CHUNK buffer, and copied into K's upper triangle, which is then
+    mirrored. So each pair costs one exponential, K is exactly symmetric with
+    no symmetrizing pass, and the diagonal is exactly 1. The bits are those of
+    ``gaussian_from_sqdist(squareform(condensed), bandwidth)`` with a unit
+    diagonal.
     """
-    K = gaussian_from_sqdist(squareform(condensed), bandwidth)
+    condensed = np.ascontiguousarray(condensed, dtype=float)
+    m = condensed.shape[0]
+    n = int(round((1.0 + np.sqrt(1.0 + 8.0 * m)) / 2.0))
+    if n * (n - 1) // 2 != m:
+        raise InputError(f"{m} condensed distances are not n(n-1)/2 for any n")
+    K = np.zeros((n, n))
+    # rows per run, so that a run fits one EXP_CHUNK buffer
+    step = max(1, EXP_CHUNK // n)
+    buf = np.empty(min(m, step * n))
+    for i0 in range(0, n - 1, step):
+        i1 = min(i0 + step, n - 1)
+        first = n * i0 - i0 * (i0 + 1) // 2
+        stop = n * i1 - i1 * (i1 + 1) // 2
+        run = _exp(np.divide(condensed[first:stop], -4.0 * bandwidth,
+                             out=buf[:stop - first]))
+        for i in range(i0, i1):
+            start = n * i - i * (i + 1) // 2 - first
+            K[i, i + 1:] = run[start:start + n - i - 1]
+    _mirror_upper(K)
     np.fill_diagonal(K, 1.0)
     return K
 
@@ -268,16 +415,18 @@ def gram_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray | None = None) ->
         A, _ = _check_dims(A, A)
         if spec.family == "gaussian":
             return self_gram_from_sqdist(sq_distances(A), spec.bandwidth)
-        # numpy hands A @ A.T to BLAS syrk, which computes one triangle and
-        # mirrors it, so K is exactly symmetric without a symmetrizing pass.
-        # It does so for any A with a unit stride; a column-strided or
-        # reversed view would go through gemm, so it is copied first.
-        A = np.ascontiguousarray(A)
-        return _polynomial_from_inner(A @ A.T, spec.degree)
+        # BLAS syrk writes one triangle of A A^T, the lower one of the
+        # Fortran-ordered product and so the upper one of its C-ordered
+        # transpose, and the mirror copies it: K is exactly symmetric
+        # without a symmetrizing pass
+        n = A.shape[0]
+        G = dsyrk(1.0, np.ascontiguousarray(A).T, c=np.zeros((n, n), order="F"),
+                  trans=1, lower=1, overwrite_c=1).T
+        return _polynomial_from_inner(_mirror_upper(G), spec.degree)
     A, B = _check_dims(A, B)
     if spec.family == "gaussian":
         return gaussian_from_sqdist(sq_distances(A, B), spec.bandwidth)
-    return _polynomial_from_inner(A @ B.T, spec.degree)
+    return _polynomial_from_inner(matmul(A, B.T), spec.degree)
 
 
 def _polynomial_from_inner(G: np.ndarray, degree: int) -> np.ndarray:
@@ -307,13 +456,16 @@ def bandwidth_grid(X: np.ndarray, n_grid: int = 1) -> np.ndarray:
     if n_grid < 1:
         raise InputError("n_grid must be >= 1")
     sq = sq_distances(X)
-    sq = sq[sq > 0.0]
+    # NaN fails the test too, and is dropped by the filter as before
+    if not sq.min() > 0.0:
+        sq = sq[sq > 0.0]
     if sq.size == 0:
         raise InputError("all points identical; no distance scale to build a grid from")
+    # sq is this function's own array, so the selection may reorder it
     if n_grid == 1:
-        return np.array([float(np.median(sq)) / 4.0])
-    lo = float(np.percentile(sq, 1.0)) / 4.0
-    hi = float(np.percentile(sq, 99.0)) / 4.0
+        return np.array([float(np.median(sq, overwrite_input=True)) / 4.0])
+    lo, hi = np.percentile(sq, [1.0, 99.0], overwrite_input=True) / 4.0
+    lo, hi = float(lo), float(hi)
     # degenerate spread (e.g. one distinct distance) collapses to one value
     if not hi > lo:
         return np.array([lo])

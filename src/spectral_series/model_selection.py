@@ -19,7 +19,8 @@ from .dataset import Dataset
 from .diffusion import EigenMethod, Mode, fit_basis
 from .errors import InputError, NumericalError
 from .kernels import (
-    KernelSpec, gaussian_from_sqdist, gram_matrix, self_gram_from_sqdist, sq_distances,
+    KernelSpec, gaussian_from_sqdist, gram_matrix, matmul, self_gram_from_sqdist,
+    sq_distances,
 )
 from .nystrom import EIGENVALUE_FLOOR_REL, extend, extend_from_gram
 from .series import SeriesModel, estimate_coefficients, pool_unlabeled
@@ -341,7 +342,7 @@ def tune_baseline(
             surface[(kind, float(param), -1)] = float("inf")
             continue
         t1 = time.perf_counter()
-        preds = Kv @ alpha if kind == "krr" else model.predict(val.features)
+        preds = matmul(Kv, alpha) if kind == "krr" else model.predict(val.features)
         loss = empirical_loss(preds, val.responses)
         timings["fit"] += t1 - t0
         timings["validation"] += time.perf_counter() - t1

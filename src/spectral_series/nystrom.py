@@ -5,19 +5,22 @@ query cross Gram. So the extension of any right-hand side R is
 a * (Kx @ (b * R)), and no query-by-training rescaling pass is needed:
 extend() takes R = Psi / lambda, expansion() the vector R = Psi (beta /
 lambda), which turns a sum over basis functions into one matrix-vector
-product. Query rows are processed in blocks of kernels.BLOCK_BYTES.
+product. Query rows are processed in blocks of kernels.BLOCK_BYTES. A
+SeriesModel folds its expansion operands once (expansion_operands) and hands
+them to every later call.
 """
 
 from __future__ import annotations
 
 import logging
+from collections.abc import Callable
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from .diffusion import EIGENVALUE_FLOOR_REL, EigenBasis, Mode
 from .errors import InputError, NumericalError
-from .kernels import check_finite_rows, gram_matrix, row_blocks
+from .kernels import check_finite_rows, gram_matrix, matmul, row_blocks
 
 __all__ = ["EIGENVALUE_FLOOR_REL", "extend", "eigenmap"]
 
@@ -62,7 +65,10 @@ def _operands(
     if beta is None:
         R, T = Psi / lam[None, :], Psi
     else:
-        R, T = Psi @ (beta / lam), Psi @ beta
+        # Psi is a column-sliced view, which f2py copies; the copy is made
+        # once here, and a SeriesModel folds these operands once
+        Psi = np.ascontiguousarray(Psi)
+        R, T = matmul(Psi, beta / lam), matmul(Psi, beta)
     if basis.mode is Mode.SYMMETRIC:
         R = (R.T / np.sqrt(basis.n * basis.degrees)).T
     elif basis.mode is Mode.BIAS_CORRECTED:
@@ -95,14 +101,14 @@ def _extend_block(
     mode = basis.mode
     rows = Kx.sum(axis=1)
     dead = _dead_rows(basis, Kx, rows)
-    np.matmul(Kx, R, out=out)
+    matmul(Kx, R, out=out)
     if mode is Mode.UNIFORM:
         out /= basis.n
     else:
         if mode is Mode.STOCHASTIC:
             a = rows
         elif mode is Mode.BIAS_CORRECTED:
-            a = Kx @ (1.0 / basis.degrees)
+            a = matmul(Kx, 1.0 / basis.degrees)
         else:
             a = np.sqrt(rows)
         # out.T puts the query axis last for a vector and a matrix alike
@@ -124,12 +130,18 @@ def _log_fallback(count: int) -> None:
         )
 
 
-def _extend_blocked(
-    basis: EigenBasis, Xnew: np.ndarray, J: int, beta: np.ndarray | None
+def extend_blocked(
+    basis: EigenBasis, Xnew: np.ndarray, J: int,
+    operands: Callable[[], tuple[np.ndarray, np.ndarray]],
 ) -> np.ndarray:
-    """The read path: per block of query rows, cross Gram then _extend_block."""
+    """The read path: per block of query rows, cross Gram then _extend_block.
+
+    operands returns _operands' (R, T), or expansion_operands' for a caller
+    that keeps them; it is called after the query checks, so a J at the
+    eigenvalue floor raises before any division by its eigenvalue.
+    """
     Xnew = _check_query(basis, Xnew, J)
-    R, T = _operands(basis, J, beta)
+    R, T = operands()
     out = np.empty((Xnew.shape[0],) + R.shape[1:])
     fallbacks = 0
     for rows in row_blocks(Xnew.shape[0], basis.n):
@@ -166,7 +178,7 @@ def extend(basis: EigenBasis, Xnew: np.ndarray, J: int) -> np.ndarray:
     no nearest training point. Memory beyond the output is bounded by one
     block of query rows, whatever m is.
     """
-    return _extend_blocked(basis, Xnew, J, None)
+    return extend_blocked(basis, Xnew, J, lambda: _operands(basis, J, None))
 
 
 def expansion(basis: EigenBasis, Xnew: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
@@ -178,7 +190,19 @@ def expansion(basis: EigenBasis, Xnew: np.ndarray, coefficients: np.ndarray) -> 
     at the nearest training point (logged); the other checks are extend()'s.
     """
     beta = np.asarray(coefficients, dtype=float).ravel()
-    return _extend_blocked(basis, Xnew, beta.size - 1, beta)
+    J = beta.size - 1
+    return extend_blocked(basis, Xnew, J, lambda: _operands(basis, J, beta))
+
+
+def expansion_operands(
+    basis: EigenBasis, coefficients: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The operands expansion(basis, ., coefficients) computes on every call.
+
+    coefficients must hold at most basis.n_components finite values.
+    """
+    beta = np.asarray(coefficients, dtype=float).ravel()
+    return _operands(basis, beta.size - 1, beta)
 
 
 def eigenmap(basis: EigenBasis, Xnew: np.ndarray, J: int) -> np.ndarray:

@@ -9,13 +9,15 @@ estimated up to the basis cutoff, so changing the truncation J is free.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
 from .diffusion import EigenBasis, EigenMethod, Mode, fit_basis, smoothness_spectrum
 from .errors import InputError, NumericalError
-from .kernels import KernelSpec, check_finite_rows
-from .nystrom import expansion
+from .kernels import KernelSpec, check_finite_rows, matmul
+from .nystrom import expansion_operands, extend_blocked
 
 __all__ = [
     "SeriesModel",
@@ -34,7 +36,8 @@ class SeriesModel:
 
     Only terms 0..J enter predictions; the remaining coefficients are kept so
     retruncation does not refit anything. ssl records whether unlabeled rows
-    entered the basis.
+    entered the basis. The expansion operands of terms 0..J are folded on the
+    first predict and kept with the model, not in its archive.
     """
 
     basis: EigenBasis
@@ -57,6 +60,10 @@ class SeriesModel:
     def with_truncation(self, J: int) -> "SeriesModel":
         """Same fit viewed at a different truncation; no recomputation."""
         return replace(self, J=J)
+
+    @cached_property
+    def _operands(self) -> tuple[np.ndarray, np.ndarray]:
+        return expansion_operands(self.basis, self.coefficients[: self.J + 1])
 
 
 def _coefficient_weights(basis: EigenBasis, labeled: np.ndarray | None) -> np.ndarray:
@@ -99,7 +106,7 @@ def estimate_coefficients(
     if not np.all(np.isfinite(y)):
         raise InputError("responses contain NaN or Inf")
     Psi = basis.eigenvectors if labeled is None else basis.eigenvectors[labeled]
-    return Psi.T @ (c * y)
+    return matmul(Psi.T, c * y)
 
 
 def wls_coefficients(basis: EigenBasis, y: np.ndarray) -> np.ndarray:
@@ -115,11 +122,11 @@ def wls_coefficients(basis: EigenBasis, y: np.ndarray) -> np.ndarray:
         raise InputError(f"got {y.shape[0]} responses for {basis.n} training rows")
     Z = basis.eigenvectors
     w = basis.n * basis.ortho_weights
-    ZtWZ = Z.T @ (w[:, None] * Z)
-    ZtWy = Z.T @ (w * y)
+    ZtWZ = matmul(Z.T, w[:, None] * Z)
+    ZtWy = matmul(Z.T, w * y)
     try:
-        return np.linalg.solve(ZtWZ, ZtWy)
-    except np.linalg.LinAlgError as exc:
+        return scipy.linalg.solve(ZtWZ, ZtWy, check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
         raise NumericalError(f"singular normal equations: {exc}") from exc
 
 
@@ -128,9 +135,11 @@ def predict(model: SeriesModel, Xnew: np.ndarray) -> np.ndarray:
 
     Costs one kernel pass over the training points plus one matrix-vector
     product, whatever J is; memory beyond the output is bounded by one block
-    of query rows, whatever their number (nystrom.expansion).
+    of query rows, whatever their number (nystrom.expansion). Bit for bit
+    nystrom.expansion(model.basis, Xnew, model.coefficients[:model.J + 1]),
+    with its operands folded once per model.
     """
-    return expansion(model.basis, Xnew, model.coefficients[: model.J + 1])
+    return extend_blocked(model.basis, Xnew, model.J, lambda: model._operands)
 
 
 def fit(

@@ -11,7 +11,10 @@ from scipy.spatial.distance import cdist, pdist, squareform
 from spectral_series import (
     InputError, KernelSpec, bandwidth_grid, gen_circle, gram_matrix, kernel_value,
 )
-from spectral_series.kernels import BLAS_DISTANCE_MIN_D, DISTANCE_TILE_ROWS, sq_distances
+from spectral_series.kernels import (
+    BLAS_DISTANCE_MIN_D, DISTANCE_TILE_ROWS, EXP_CHUNK, EXP_SLOW_BELOW, EXP_ZERO_BELOW,
+    _exp, gaussian_from_sqdist, matmul, self_gram_from_sqdist, sq_distances,
+)
 
 
 class TestKernelSpec:
@@ -80,9 +83,8 @@ class TestGramMatrix:
     @pytest.mark.parametrize("layout", ["C", "F", "row-sliced", "column-sliced",
                                         "reversed"])
     def test_poly_self_gram_symmetric_without_a_symmetrizing_pass(self, n, d, layout):
-        # the Gram relies on numpy computing A @ A.T by syrk, which mirrors
-        # one triangle; pin that, for every layout of X, at degree 1 where K
-        # is A @ A.T + 1 itself
+        # the Gram is one BLAS syrk triangle mirrored; pin that, for every
+        # layout of X, at degree 1 where K is A @ A.T + 1 itself
         X = np.random.default_rng(n + d).normal(size=(2 * n, 2 * d))
         C = np.ascontiguousarray(X[:n, :d])
         A = {"C": C, "F": np.asfortranarray(C), "row-sliced": X[::2, :d],
@@ -217,3 +219,132 @@ class TestBandwidthGrid:
         grid = bandwidth_grid(X, 4)
         assert grid.shape[0] >= 1
         assert np.all(grid > 0.0)
+
+    def test_one_call_equals_the_two_call_formula(self):
+        # duplicate rows give zero distances, which both formulas drop
+        rng = np.random.default_rng(11)
+        for X in (rng.normal(size=(300, 3)),
+                  np.vstack([rng.normal(size=(200, 40))] * 2),
+                  np.repeat(rng.normal(size=(50, 2)), 3, axis=0)):
+            sq = pdist(X, "sqeuclidean") if X.shape[1] < BLAS_DISTANCE_MIN_D \
+                else sq_distances(X)
+            sq = sq[sq > 0.0]
+            assert np.array_equal(bandwidth_grid(X, 1), [float(np.median(sq)) / 4.0])
+            lo = float(np.percentile(sq, 1.0)) / 4.0
+            hi = float(np.percentile(sq, 99.0)) / 4.0
+            assert np.array_equal(bandwidth_grid(X, 5), np.geomspace(lo, hi, 5))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+class TestExpFastPath:
+    """_exp skips np.exp's slow path for underflowing arguments, bit for bit."""
+
+    EDGES = [
+        -745.1332191019411, -745.1332191019412, float(np.log(np.finfo(float).tiny)),
+        EXP_SLOW_BELOW, EXP_ZERO_BELOW, -1021 * np.log(2.0), -1074 * np.log(2.0),
+        -744.44, -708.4, -0.0, 0.0, -1e300, -1e308,
+    ]
+
+    def _check(self, x):
+        want = np.exp(x)
+        got = _exp(x.copy())
+        assert np.array_equal(_bits(got), _bits(want))
+
+    def test_dense_sweep_of_the_negative_range(self):
+        x = np.linspace(-800.0, 0.0, 400_001)
+        x = np.concatenate([x, self.EDGES,
+                            np.nextafter(self.EDGES, 0.0), np.nextafter(self.EDGES, -np.inf)])
+        self._check(x)
+        self._check(np.linspace(-746.0, -700.0, 200_001))
+
+    @pytest.mark.parametrize("special", [np.nan, -np.inf])
+    def test_nan_and_minus_inf_keep_np_exp(self, special):
+        x = np.linspace(-800.0, 0.0, 1001)
+        x[[3, 500]] = special
+        self._check(x)
+
+    def test_adversarial_vectors(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            size = int(rng.integers(1, 3000))
+            x = np.concatenate([rng.uniform(-760.0, -700.0, size),
+                                rng.uniform(-2000.0, 0.0, size),
+                                rng.choice(self.EDGES, size)])
+            rng.shuffle(x)
+            self._check(x.reshape(3, size))
+
+    @pytest.mark.parametrize("bw", [0.0002, 0.0005, 0.0185, 58.9])
+    def test_gaussian_grams_keep_the_plain_formula_bits(self, bw):
+        # the two narrow bandwidths send 75 % and 59 % of the self Gram below
+        # EXP_SLOW_BELOW, with 0.7 % and 1.3 % in the band above
+        # EXP_ZERO_BELOW; the cross Gram spans several EXP_CHUNK chunks
+        X = gen_circle(700, d=2, noise_var=0.5, seed=4).features
+        Q = X[:EXP_CHUNK // 700 + 200]
+        cond = pdist(X, "sqeuclidean")
+        direct = np.exp(squareform(cond) / (-4.0 * bw))
+        np.fill_diagonal(direct, 1.0)
+        K = self_gram_from_sqdist(cond, bw)
+        assert np.array_equal(_bits(K), _bits(direct))
+        sq = cdist(Q, X, "sqeuclidean")
+        want = np.exp(sq / (-4.0 * bw))
+        assert np.array_equal(_bits(gaussian_from_sqdist(sq.copy(), bw)), _bits(want))
+        assert np.array_equal(_bits(gaussian_from_sqdist(sq[:, ::2], bw,
+                                                         out=np.empty((Q.shape[0], 350)))),
+                              _bits(want[:, ::2]))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 129, 1030])
+    def test_self_gram_sizes(self, n):
+        X = np.random.default_rng(n).normal(size=(n, 3))
+        cond = pdist(X, "sqeuclidean")
+        want = np.exp(squareform(cond) / (-4.0 * 0.3))
+        np.fill_diagonal(want, 1.0)
+        assert np.array_equal(self_gram_from_sqdist(cond, 0.3), want)
+
+    def test_self_gram_rejects_a_ragged_condensed_vector(self):
+        with pytest.raises(InputError):
+            self_gram_from_sqdist(np.ones(4), 1.0)
+
+
+class TestMatmul:
+    """The package's one product helper runs on scipy's BLAS, in place."""
+
+    rng = np.random.default_rng(8)
+    A = rng.normal(size=(300, 70))
+    LAYOUTS = {
+        "C": lambda M: M,
+        "F": np.asfortranarray,
+        "T-of-C": lambda M: np.ascontiguousarray(M.T).T,
+        "column-sliced": lambda M: np.repeat(M, 2, axis=1)[:, ::2],
+    }
+
+    @pytest.mark.parametrize("la", list(LAYOUTS))
+    @pytest.mark.parametrize("lb", list(LAYOUTS))
+    def test_matrix_products_match_numpy(self, la, lb):
+        B = self.rng.normal(size=(70, 40))
+        got = matmul(self.LAYOUTS[la](self.A), self.LAYOUTS[lb](B))
+        assert got.flags.c_contiguous
+        assert np.allclose(got, self.A @ B, rtol=1e-13, atol=1e-12)
+
+    @pytest.mark.parametrize("la", list(LAYOUTS))
+    def test_matrix_vector_products_match_numpy(self, la):
+        x = self.rng.normal(size=70)
+        assert np.allclose(matmul(self.LAYOUTS[la](self.A), x), self.A @ x,
+                           rtol=1e-13, atol=1e-12)
+        z = self.rng.normal(size=300)
+        assert np.allclose(matmul(self.LAYOUTS[la](self.A).T, z), self.A.T @ z,
+                           rtol=1e-13, atol=1e-12)
+
+    def test_output_is_written_in_place(self):
+        B = self.rng.normal(size=(70, 5))
+        big = np.full((400, 5), np.nan)
+        block = big[50:350]
+        assert matmul(self.A, B, out=block) is block
+        assert np.allclose(big[50:350], self.A @ B, rtol=1e-13, atol=1e-12)
+        assert np.isnan(big[:50]).all() and np.isnan(big[350:]).all()
+        y = np.full(400, np.nan)
+        assert matmul(self.A, B[:, 0], out=y[100:400]).base is y
+        assert np.allclose(y[100:400], self.A @ B[:, 0], rtol=1e-13, atol=1e-12)
+        assert np.isnan(y[:100]).all()

@@ -18,10 +18,12 @@ from spectral_series import (
     gen_spiral,
     gram_matrix,
     predict,
+    save_model,
     smoothness_functional,
     smoothness_spectrum,
     wls_coefficients,
 )
+from spectral_series.nystrom import expansion
 
 
 def spiral_basis(n=60, j_max=10, bw=1.0, seed=0, mode=Mode.STOCHASTIC):
@@ -164,6 +166,40 @@ class TestPredict:
         Psi = basis.eigenvectors
         assert np.allclose(predict(part, X), Psi[:, :5] @ full.coefficients[:5],
                            atol=1e-10)
+
+
+class TestFoldedOperands:
+    """predict folds its expansion operands once per model, with the same bits."""
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("J", [4, 10])
+    def test_predict_equals_expansion_bit_for_bit(self, mode, J):
+        X, basis = spiral_basis(n=80, mode=mode)
+        y = gen_spiral(80, noise_sd=0.05, seed=0).responses
+        model = SeriesModel(basis, estimate_coefficients(basis, y), J=J)
+        queries = np.vstack([X[:7], np.random.default_rng(J).normal(size=(30, 2))])
+        want = expansion(basis, queries, model.coefficients[: J + 1])
+        for _ in range(2):  # the first call folds, the second reuses
+            assert np.array_equal(predict(model, queries), want)
+        assert np.array_equal(predict(model, queries[5:9]), want[5:9])
+
+    def test_truncation_folds_its_own_operands(self):
+        X, basis = spiral_basis()
+        y = gen_spiral(60, noise_sd=0.05, seed=0).responses
+        full = SeriesModel(basis, estimate_coefficients(basis, y), J=10)
+        predict(full, X)
+        part = full.with_truncation(3)
+        assert np.array_equal(predict(part, X),
+                              expansion(basis, X, full.coefficients[:4]))
+
+    def test_archive_is_the_same_before_and_after_a_predict(self, tmp_path):
+        X, basis = spiral_basis()
+        y = gen_spiral(60, noise_sd=0.05, seed=0).responses
+        model = SeriesModel(basis, estimate_coefficients(basis, y), J=7)
+        save_model(tmp_path / "before.ssm", model)
+        predict(model, X)
+        save_model(tmp_path / "after.ssm", model)
+        assert (tmp_path / "before.ssm").read_bytes() == (tmp_path / "after.ssm").read_bytes()
 
 
 class TestFitSsl:
