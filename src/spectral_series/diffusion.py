@@ -41,8 +41,9 @@ logger = logging.getLogger(__name__)
 
 # two eigenvalues closer than EIGENVALUE_TIE_GAP * lambda_0 are tied
 EIGENVALUE_TIE_GAP = 1e-12
-# components with eigenvalue <= EIGENVALUE_FLOOR_REL * lambda_0 cannot be
-# extended (the formula divides by lambda_j) and are rejected by name
+# the extension divides by lambda_j, so only the leading run of eigenvalues
+# above EIGENVALUE_FLOOR_REL * lambda_0 (_n_usable) can be extended; a J past
+# it is rejected by name
 EIGENVALUE_FLOOR_REL = 1e-10
 # below this many rows the Lanczos method hands the solve to LAPACK
 LANCZOS_MIN_N = 400
@@ -137,23 +138,6 @@ class EigenBasis:
         if self.mode in (Mode.STOCHASTIC, Mode.BIAS_CORRECTED):
             return self.stationary / self.n
         return np.full(self.n, 1.0 / self.n)
-
-    def truncate(self, n_components: int) -> "EigenBasis":
-        """Keep the leading eigenpairs only."""
-        if not (1 <= n_components <= self.n_components):
-            raise InputError(
-                f"n_components must be in 1..{self.n_components}, got {n_components}"
-            )
-        return EigenBasis(
-            self.kernel,
-            self.training_points,
-            self.eigenvalues[:n_components],
-            self.eigenvectors[:, :n_components],
-            self.stationary,
-            self.degrees,
-            self.mode,
-            self.method,
-        )
 
 
 def _row_sums(K: np.ndarray) -> np.ndarray:
@@ -262,13 +246,24 @@ def _tie_gap(eigenvalues: np.ndarray) -> float:
     return EIGENVALUE_TIE_GAP * abs(float(eigenvalues[0]))
 
 
+def _n_usable(eigenvalues: np.ndarray) -> int:
+    """Length of the leading run of eigenvalues above the extension floor.
+
+    Components 0..run-1 can be extended; the run ends at the first eigenvalue
+    at or below EIGENVALUE_FLOOR_REL * lambda_0, or at a NaN, which compares
+    False against the floor.
+    """
+    above = eigenvalues > EIGENVALUE_FLOOR_REL * eigenvalues[0]
+    return above.size if above.all() else int(np.argmin(above))
+
+
 def _log_ties(eigenvalues: np.ndarray) -> None:
     """One warning per eigensolve: the tie count and the first tied pair.
 
     Only pairs above the extension floor count; the ones below it can never
     enter a prediction.
     """
-    usable = eigenvalues[eigenvalues > EIGENVALUE_FLOOR_REL * eigenvalues[0]]
+    usable = eigenvalues[: _n_usable(eigenvalues)]
     gaps = np.abs(np.diff(usable))
     ties = np.nonzero(gaps < _tie_gap(eigenvalues))[0]
     if ties.size:

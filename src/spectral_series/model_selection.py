@@ -16,13 +16,13 @@ import numpy as np
 
 from .baselines import KNNModel, KRRModel, NWModel, krr_solve, max_abs_row_sum
 from .dataset import Dataset
-from .diffusion import EigenMethod, Mode, fit_basis
+from .diffusion import EigenMethod, Mode, _n_usable, fit_basis
 from .errors import InputError, NumericalError
 from .kernels import (
     KernelSpec, gaussian_from_sqdist, gram_matrix, matmul, self_gram_from_sqdist,
     sq_distances,
 )
-from .nystrom import EIGENVALUE_FLOOR_REL, extend, extend_from_gram
+from .nystrom import _extend, _operands
 from .series import SeriesModel, estimate_coefficients, pool_unlabeled
 
 __all__ = [
@@ -187,7 +187,8 @@ def tune_series(
     Per candidate, one basis fit and one coefficient pass at the cutoff; all
     truncations are scored from a single extension of the validation points.
     Gaussian candidates share one computation of the training and validation
-    squared distances; each bandwidth only exponentiates them.
+    squared distances; each bandwidth only exponentiates them. Every
+    candidate's validation cross Gram is built whole and extended in one call.
     Polynomial candidates run in Uniform mode (their Gram entries may be
     negative, which the degree-weighted modes cannot accept). Unlabeled rows,
     when given, enter every candidate basis; coefficients use training rows
@@ -241,20 +242,16 @@ def tune_series(
             timings["coefficient"] += t3 - t2
 
             t4 = time.perf_counter()
-            floor = EIGENVALUE_FLOOR_REL * basis.eigenvalues[0]
-            usable = int(np.count_nonzero(basis.eigenvalues > floor))
-            usable = min(usable, j_cap + 1)
-            if usable > 0 and basis.eigenvalues[0] > 0:
+            usable = _n_usable(basis.eigenvalues)
+            if usable:
                 if gaussian:
-                    # bound to no name, so it is freed when the extension
-                    # returns instead of living on through the next fit
-                    Psi_val = extend_from_gram(
-                        basis, val.features,
-                        gaussian_from_sqdist(sq_val, spec.bandwidth,
-                                             out=np.empty_like(sq_val)),
-                        usable - 1)
+                    Kv = gaussian_from_sqdist(sq_val, spec.bandwidth,
+                                              out=np.empty_like(sq_val))
                 else:
-                    Psi_val = extend(basis, val.features, usable - 1)
+                    Kv = gram_matrix(spec, val.features, pooled)
+                Psi_val = _extend(basis, val.features,
+                                  *_operands(basis, usable - 1, None), Kx=Kv)
+                del Kv  # else it lives on through the next candidate's fit
                 cum = np.cumsum(Psi_val * coef[:usable][None, :], axis=1)
                 err = val.responses[:, None] - cum
                 losses[:usable] = np.mean(err * err, axis=0)

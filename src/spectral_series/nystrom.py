@@ -2,23 +2,23 @@
 
 Every mode's extension weights factor as W = diag(a) Kx diag(b), with Kx the
 query cross Gram. So the extension of any right-hand side R is
-a * (Kx @ (b * R)), and no query-by-training rescaling pass is needed:
-extend() takes R = Psi / lambda, expansion() the vector R = Psi (beta /
-lambda), which turns a sum over basis functions into one matrix-vector
-product. Query rows are processed in blocks of kernels.BLOCK_BYTES. A
-SeriesModel folds its expansion operands once (expansion_operands) and hands
-them to every later call.
+a * (Kx @ (b * R)), and no query-by-training rescaling pass is needed. Every
+reader takes one path: _check_query, then _operands, then _extend, which
+builds the cross Gram one block of query rows (kernels.BLOCK_BYTES) at a time
+and runs _extend_block on it. extend() takes R = Psi / lambda; a SeriesModel
+folds R = Psi (beta / lambda) once, which turns a sum over basis functions
+into one matrix-vector product per block; the tuner hands _extend the
+validation cross Gram it built from the sweep's shared distances.
 """
 
 from __future__ import annotations
 
 import logging
-from collections.abc import Callable
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .diffusion import EIGENVALUE_FLOOR_REL, EigenBasis, Mode
+from .diffusion import EIGENVALUE_FLOOR_REL, EigenBasis, Mode, _n_usable
 from .errors import InputError, NumericalError
 from .kernels import check_finite_rows, gram_matrix, matmul, row_blocks
 
@@ -38,13 +38,11 @@ def _check_query(basis: EigenBasis, Xnew: np.ndarray, J: int) -> np.ndarray:
     check_finite_rows(Xnew)
     if not (0 <= J <= basis.n_components - 1):
         raise InputError(f"J must be in 0..{basis.n_components - 1}, got {J}")
-    lam = basis.eigenvalues[: J + 1]
-    floor = EIGENVALUE_FLOOR_REL * basis.eigenvalues[0]
-    bad = np.nonzero(lam <= floor)[0]
-    if bad.size:
+    usable = _n_usable(basis.eigenvalues)
+    if J >= usable:
         raise NumericalError(
-            f"eigenvalue {lam[bad[0]]:.3e} at index {bad[0]} is at or below the "
-            f"floor {floor:.3e}; reduce J"
+            f"eigenvalue {basis.eigenvalues[usable]:.3e} at index {usable} is not "
+            f"above the floor {EIGENVALUE_FLOOR_REL:.0e} * lambda_0; reduce J"
         )
     return Xnew
 
@@ -122,49 +120,30 @@ def _extend_block(
     return idx.size
 
 
-def _log_fallback(count: int) -> None:
-    if count:
+def _extend(
+    basis: EigenBasis, Xq: np.ndarray, R: np.ndarray, T: np.ndarray,
+    Kx: np.ndarray | None = None,
+) -> np.ndarray:
+    """_extend_block over the checked query rows Xq; fallbacks logged once.
+
+    Without Kx the cross Gram is built one block of query rows at a time, so
+    memory beyond the output is one block; a caller that already holds the
+    whole cross Gram passes it as Kx, which is left unchanged.
+    """
+    out = np.empty((Xq.shape[0],) + R.shape[1:])
+    if Kx is not None:
+        fallbacks = _extend_block(basis, Xq, Kx, R, T, out)
+    else:
+        fallbacks = 0
+        for rows in row_blocks(Xq.shape[0], basis.n):
+            Kx = gram_matrix(basis.kernel, Xq[rows], basis.training_points)
+            fallbacks += _extend_block(basis, Xq[rows], Kx, R, T, out[rows])
+            del Kx  # else it lives on while the next block's is built
+    if fallbacks:
         logger.warning(
             "kernel weights underflowed for %d query point(s); "
-            "fell back to nearest training point", count,
+            "fell back to nearest training point", fallbacks,
         )
-
-
-def extend_blocked(
-    basis: EigenBasis, Xnew: np.ndarray, J: int,
-    operands: Callable[[], tuple[np.ndarray, np.ndarray]],
-) -> np.ndarray:
-    """The read path: per block of query rows, cross Gram then _extend_block.
-
-    operands returns _operands' (R, T), or expansion_operands' for a caller
-    that keeps them; it is called after the query checks, so a J at the
-    eigenvalue floor raises before any division by its eigenvalue.
-    """
-    Xnew = _check_query(basis, Xnew, J)
-    R, T = operands()
-    out = np.empty((Xnew.shape[0],) + R.shape[1:])
-    fallbacks = 0
-    for rows in row_blocks(Xnew.shape[0], basis.n):
-        Kx = gram_matrix(basis.kernel, Xnew[rows], basis.training_points)
-        fallbacks += _extend_block(basis, Xnew[rows], Kx, R, T, out[rows])
-        del Kx  # else it lives on while the next block's is built
-    _log_fallback(fallbacks)
-    return out
-
-
-def extend_from_gram(
-    basis: EigenBasis, Xnew: np.ndarray, Kx: np.ndarray, J: int
-) -> np.ndarray:
-    """extend() given the query cross Gram Kx = k(Xnew, training points).
-
-    Kx is left unchanged. Xnew must be a finite 2-D float array and J must
-    pass the eigenvalue-floor check; extend() checks both. Callers that
-    already hold the squared query distances build Kx from them and skip a
-    second distance pass.
-    """
-    R, T = _operands(basis, J, None)
-    out = np.empty((Kx.shape[0], J + 1))
-    _log_fallback(_extend_block(basis, Xnew, Kx, R, T, out))
     return out
 
 
@@ -178,31 +157,8 @@ def extend(basis: EigenBasis, Xnew: np.ndarray, J: int) -> np.ndarray:
     no nearest training point. Memory beyond the output is bounded by one
     block of query rows, whatever m is.
     """
-    return extend_blocked(basis, Xnew, J, lambda: _operands(basis, J, None))
-
-
-def expansion(basis: EigenBasis, Xnew: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
-    """Evaluate sum_j coefficients[j] * psi_j at m query points; returns m values.
-
-    Equals extend(basis, Xnew, J) @ coefficients with J = len(coefficients) - 1,
-    up to rounding, in one kernel pass and one matrix-vector product whatever
-    J is. Queries whose kernel values all underflow take the expansion's value
-    at the nearest training point (logged); the other checks are extend()'s.
-    """
-    beta = np.asarray(coefficients, dtype=float).ravel()
-    J = beta.size - 1
-    return extend_blocked(basis, Xnew, J, lambda: _operands(basis, J, beta))
-
-
-def expansion_operands(
-    basis: EigenBasis, coefficients: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The operands expansion(basis, ., coefficients) computes on every call.
-
-    coefficients must hold at most basis.n_components finite values.
-    """
-    beta = np.asarray(coefficients, dtype=float).ravel()
-    return _operands(basis, beta.size - 1, beta)
+    Xnew = _check_query(basis, Xnew, J)
+    return _extend(basis, Xnew, *_operands(basis, J, None))
 
 
 def eigenmap(basis: EigenBasis, Xnew: np.ndarray, J: int) -> np.ndarray:

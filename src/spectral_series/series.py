@@ -17,7 +17,7 @@ import scipy.linalg
 from .diffusion import EigenBasis, EigenMethod, Mode, fit_basis, smoothness_spectrum
 from .errors import InputError, NumericalError
 from .kernels import KernelSpec, check_finite_rows, matmul
-from .nystrom import expansion_operands, extend_blocked
+from . import nystrom
 
 __all__ = [
     "SeriesModel",
@@ -63,7 +63,7 @@ class SeriesModel:
 
     @cached_property
     def _operands(self) -> tuple[np.ndarray, np.ndarray]:
-        return expansion_operands(self.basis, self.coefficients[: self.J + 1])
+        return nystrom._operands(self.basis, self.J, self.coefficients[: self.J + 1])
 
 
 def _coefficient_weights(basis: EigenBasis, labeled: np.ndarray | None) -> np.ndarray:
@@ -134,12 +134,13 @@ def predict(model: SeriesModel, Xnew: np.ndarray) -> np.ndarray:
     """Evaluate the truncated expansion at query points.
 
     Costs one kernel pass over the training points plus one matrix-vector
-    product, whatever J is; memory beyond the output is bounded by one block
-    of query rows, whatever their number (nystrom.expansion). Bit for bit
-    nystrom.expansion(model.basis, Xnew, model.coefficients[:model.J + 1]),
-    with its operands folded once per model.
+    product, whatever J is: the model folds beta / lambda into its extension
+    operands on the first call and keeps them. Memory beyond the output is
+    bounded by one block of query rows, whatever their number. The checks and
+    the far-query fallback are nystrom.extend's.
     """
-    return extend_blocked(model.basis, Xnew, model.J, lambda: model._operands)
+    Xnew = nystrom._check_query(model.basis, Xnew, model.J)
+    return nystrom._extend(model.basis, Xnew, *model._operands)
 
 
 def fit(

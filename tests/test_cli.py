@@ -175,6 +175,36 @@ class TestPredict:
         assert code == 4
         assert "99" in err
 
+    def test_nan_eigenvalue_in_version_1_archive_exits_3(self, tmp_path, spiral_csv,
+                                                         capsys):
+        # version 1 has no checksum, so an edited eigenvalue still loads; the
+        # extension floor must reject it rather than print NaN predictions
+        run(capsys, "tune", "--data", spiral_csv, "--seed", 0, "--jmax", 6,
+            "--grid-size", 2, "--out", tmp_path / "m")
+        path = tmp_path / "m.model"
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack_from("<Q", raw)
+        header = json.loads(raw[8:8 + hlen])
+        del header["checksum"]
+        header["format_version"] = 1
+        body = bytearray(raw[8 + hlen:])
+        pos = 0
+        for name in header["blocks"]:
+            if name == "eigenvalues":
+                struct.pack_into("<d", body, pos + 16, float("nan"))  # lambda_0
+                break
+            rows, cols = struct.unpack_from("<QQ", body, pos)
+            pos += 16 + 8 * rows * cols
+        blob = json.dumps(header, sort_keys=True).encode()
+        path.write_bytes(struct.pack("<Q", len(blob)) + blob + bytes(body))
+        assert np.isnan(load_model(path)[0].basis.eigenvalues[0])
+        out = tmp_path / "p.csv"
+        code, _, err = run(capsys, "predict", "--model", path,
+                           "--data", spiral_csv, "--out", out)
+        assert code == 3
+        assert "index 0" in err
+        assert not out.exists()
+
     def test_inconsistent_archive_exits_4(self, tmp_path, spiral_csv, capsys):
         run(capsys, "tune", "--data", spiral_csv, "--seed", 0, "--jmax", 6,
             "--grid-size", 2, "--out", tmp_path / "m")

@@ -630,15 +630,6 @@ class TestFitBasis:
         with pytest.raises(NumericalError, match="eigenpairs"):
             fit_basis(X, KernelSpec.gaussian(1.0), 4)
 
-    def test_truncate_view(self):
-        X = np.random.default_rng(4).normal(size=(20, 2))
-        basis = fit_basis(X, KernelSpec.gaussian(1.0), 8, Mode.STOCHASTIC)
-        small = basis.truncate(4)
-        assert small.n_components == 4
-        assert np.array_equal(small.eigenvalues, basis.eigenvalues[:4])
-        with pytest.raises(InputError):
-            basis.truncate(0)
-
     @given(st.integers(0, 2 ** 31 - 1), st.floats(0.3, 5.0),
            st.sampled_from([Mode.STOCHASTIC, Mode.BIAS_CORRECTED,
                             Mode.SYMMETRIC, Mode.UNIFORM]))

@@ -1,5 +1,7 @@
 """Grid tuning for the series estimator and the baselines."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -295,6 +297,51 @@ class TestSharedSweep:
         assert report.chosen == min(surface, key=surface.get)
         assert np.array_equal(model.dual_coefficients, ref.dual_coefficients)
         assert np.array_equal(model.predict(test.features), ref.predict(test.features))
+
+
+class TestValidationExtension:
+    """The tuner scores both kernel families through one validation extension."""
+
+    def test_polynomial_surface_matches_refit_predictions(self):
+        # criterion 06's check on polynomial candidates, which run in Uniform
+        # mode; a J at the eigenvalue floor is inf here and raises in predict
+        data = gen_spiral(120, noise_sd=0.1, seed=1)
+        train, val, _ = split(data, SplitSpec(seed=1))
+        degrees = (1, 2, 3)
+        _, report = tune_series(train, val, TuneGrid(degrees=degrees, j_max=8),
+                                Mode.UNIFORM)
+        finite = 0
+        for q in degrees:
+            basis = fit_basis(train.features, KernelSpec.polynomial(q), 8, Mode.UNIFORM)
+            coef = estimate_coefficients(basis, train.responses)
+            for J in range(9):
+                loss = report.loss_surface[("poly", float(q), J)]
+                model = SeriesModel(basis, coef, J)
+                if np.isfinite(loss):
+                    finite += 1
+                    refit = empirical_loss(predict(model, val.features), val.responses)
+                    assert abs(loss - refit) <= 1e-10
+                else:
+                    with pytest.raises(NumericalError, match="floor"):
+                        predict(model, val.features)
+        assert finite > len(degrees)
+
+    def test_far_validation_row_scored_at_nearest_training_row(self, caplog):
+        train, val, _ = spiral_splits(n=150, seed=3)
+        far = np.array([[500.0, 500.0]])  # every kernel weight underflows
+        val_far = Dataset(np.vstack([val.features, far]), np.append(val.responses, 0.25))
+        grid = TuneGrid(bandwidths=tuple(bandwidth_grid(train.features, 3)), j_max=6)
+        with caplog.at_level(logging.WARNING, logger="spectral_series.nystrom"):
+            model, report = tune_series(train, val_far, grid)
+        fallbacks = [rec.args[0] for rec in caplog.records
+                     if rec.name == "spectral_series.nystrom"]
+        assert fallbacks == [1] * len(grid.kernels)  # one record per candidate
+        assert all(np.isfinite(v) for v in report.loss_surface.values())
+        nearest = np.argmin(((train.features - far) ** 2).sum(axis=1))
+        J = model.J
+        at_nearest = model.basis.eigenvectors[nearest, :J + 1] @ model.coefficients[:J + 1]
+        preds = np.append(predict(model, val.features), at_nearest)
+        assert abs(report.val_loss - empirical_loss(preds, val_far.responses)) <= 1e-10
 
 
 class TestGridEdges:

@@ -1,5 +1,6 @@
 """Out-of-sample extension and the eigenmap transform."""
 
+import dataclasses
 import logging
 import tracemalloc
 
@@ -14,6 +15,7 @@ from spectral_series import (
     KernelSpec,
     Mode,
     NumericalError,
+    SeriesModel,
     eigenmap,
     extend,
     fit,
@@ -73,6 +75,21 @@ class TestExtend:
         assert basis.eigenvalues[3] <= floor  # precondition for the message
         with pytest.raises(NumericalError, match="index 3"):
             extend(basis, X, 6)
+
+    @pytest.mark.parametrize("reader", ["extend", "predict"])
+    def test_nan_eigenvalue_rejected_at_the_floor(self, reader):
+        # NaN compares False against the floor; a NaN at j <= J must raise
+        # rather than turn every prediction into NaN
+        X, basis = spiral_basis()
+        lam = basis.eigenvalues.copy()
+        lam[2] = np.nan
+        bad = dataclasses.replace(basis, eigenvalues=lam)
+        with pytest.raises(NumericalError, match="index 2"):
+            if reader == "extend":
+                extend(bad, X, 4)
+            else:
+                predict(SeriesModel(bad, np.ones(bad.n_components), J=4), X)
+        assert np.array_equal(extend(bad, X, 1), extend(basis, X, 1))
 
     def test_far_query_falls_back_to_nearest_row(self, caplog):
         X, basis = spiral_basis(bw=0.01)
