@@ -10,7 +10,9 @@ import scipy.linalg.lapack
 from scipy.spatial.distance import cdist
 
 from .errors import InputError, NumericalError
-from .kernels import KernelSpec, check_finite_rows, gram_matrix, matmul, row_blocks
+from .kernels import (
+    KernelSpec, check_finite_rows, cross_gram, gram_matrix, map_blocks, matmul,
+)
 
 __all__ = [
     "NWModel",
@@ -45,22 +47,24 @@ def nw_predict(
         raise InputError(f"bandwidth must be > 0, got {bandwidth}")
     Xnew = np.atleast_2d(np.asarray(Xnew, dtype=float))
     check_finite_rows(Xnew)
-    spec = KernelSpec.gaussian(bandwidth)
+    gram = cross_gram(KernelSpec.gaussian(bandwidth), X_train)
     out = np.empty(Xnew.shape[0])
-    fallbacks = 0
-    for rows in row_blocks(Xnew.shape[0], X_train.shape[0]):
-        K = gram_matrix(spec, Xnew[rows], X_train)
+
+    def block(rows: slice) -> int:
+        K = gram(Xnew[rows])
         sums = K.sum(axis=1)
         dead = sums <= 0.0
         sums[dead] = 1.0
-        block = matmul(K, y, out=out[rows])
-        block /= sums
-        del K  # else it lives on while the next block's is built
-        if dead.any():
-            idx = np.nonzero(dead)[0]
-            nearest = np.argmin(cdist(Xnew[rows][idx], X_train, "sqeuclidean"), axis=1)
-            block[idx] = y[nearest]
-            fallbacks += idx.size
+        part = matmul(K, y, out=out[rows])
+        part /= sums
+        if not dead.any():
+            return 0
+        idx = np.nonzero(dead)[0]
+        nearest = np.argmin(cdist(Xnew[rows][idx], X_train, "sqeuclidean"), axis=1)
+        part[idx] = y[nearest]
+        return idx.size
+
+    fallbacks = sum(map_blocks(block, Xnew.shape[0], X_train.shape[0], Xnew.shape[1]))
     if fallbacks:
         logger.warning(
             "kernel weights underflowed for %d query point(s); "
@@ -84,12 +88,15 @@ def knn_predict(X_train: np.ndarray, y: np.ndarray, k: int, Xnew: np.ndarray) ->
     Xnew = np.atleast_2d(np.asarray(Xnew, dtype=float))
     check_finite_rows(Xnew)
     out = np.empty(Xnew.shape[0])
-    for rows in row_blocks(Xnew.shape[0], n):
+
+    def block(rows: slice) -> None:
         # stable sort keeps the lowest training index first among equal distances
         order = np.argsort(cdist(Xnew[rows], X_train, "sqeuclidean"),
                            axis=1, kind="stable")
         out[rows] = y[order[:, :k]].mean(axis=1)
-        del order  # else it lives on while the next block's is built
+
+    # cdist and argsort are single-threaded loops at every d
+    map_blocks(block, Xnew.shape[0], n)
     return out
 
 
@@ -191,10 +198,10 @@ def krr_predict(model: KRRModel, Xnew: np.ndarray) -> np.ndarray:
     Xnew = np.atleast_2d(np.asarray(Xnew, dtype=float))
     check_finite_rows(Xnew)
     alpha = model.dual_coefficients
+    gram = cross_gram(model.kernel, model.training_points)
     out = np.empty(Xnew.shape[0])
-    for rows in row_blocks(Xnew.shape[0], model.training_points.shape[0]):
-        matmul(gram_matrix(model.kernel, Xnew[rows], model.training_points), alpha,
-               out=out[rows])
+    map_blocks(lambda rows: matmul(gram(Xnew[rows]), alpha, out=out[rows]),
+               Xnew.shape[0], model.training_points.shape[0], Xnew.shape[1])
     return out
 
 

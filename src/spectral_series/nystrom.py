@@ -4,9 +4,15 @@ Every mode's extension weights factor as W = diag(a) Kx diag(b), with Kx the
 query cross Gram. So the extension of any right-hand side R is
 a * (Kx @ (b * R)), and no query-by-training rescaling pass is needed. Every
 reader takes one path: _check_query, then _operands, then _extend, which
-builds the cross Gram one block of query rows (kernels.BLOCK_BYTES) at a time
-and runs _extend_block on it. extend() takes R = Psi / lambda; a SeriesModel
-folds R = Psi (beta / lambda) once, which turns a sum over basis functions
+builds the cross Gram one block of query rows at a time and runs
+_extend_block on it (kernels.map_blocks). Below kernels.BLAS_DISTANCE_MIN_D
+columns, where the distance and exponential loops are single-threaded, the
+blocks run on a worker pool, one whole block (cross Gram, row factor,
+product, fallback rows) per task, each writing only its own output rows;
+the output's bits do not depend on the worker count. The training side of
+the cross distances is prepared once per call (kernels.cross_gram).
+extend() takes R = Psi / lambda; a SeriesModel folds
+R = Psi (beta / lambda) once, which turns a sum over basis functions
 into one matrix-vector product per block; the tuner hands _extend the
 validation cross Gram it built from the sweep's shared distances.
 """
@@ -20,7 +26,7 @@ from scipy.spatial.distance import cdist
 
 from .diffusion import EIGENVALUE_FLOOR_REL, EigenBasis, Mode, _n_usable
 from .errors import InputError, NumericalError
-from .kernels import check_finite_rows, gram_matrix, matmul, row_blocks
+from .kernels import check_finite_rows, cross_gram, map_blocks, matmul
 
 __all__ = ["EIGENVALUE_FLOOR_REL", "extend", "eigenmap"]
 
@@ -126,19 +132,21 @@ def _extend(
 ) -> np.ndarray:
     """_extend_block over the checked query rows Xq; fallbacks logged once.
 
-    Without Kx the cross Gram is built one block of query rows at a time, so
-    memory beyond the output is one block; a caller that already holds the
-    whole cross Gram passes it as Kx, which is left unchanged.
+    Without Kx the cross Gram is built one block of query rows at a time
+    (kernels.map_blocks), each block on one thread, so memory beyond the
+    output is one block per thread; a caller that already holds the whole
+    cross Gram passes it as Kx, which is left unchanged.
     """
     out = np.empty((Xq.shape[0],) + R.shape[1:])
     if Kx is not None:
         fallbacks = _extend_block(basis, Xq, Kx, R, T, out)
     else:
-        fallbacks = 0
-        for rows in row_blocks(Xq.shape[0], basis.n):
-            Kx = gram_matrix(basis.kernel, Xq[rows], basis.training_points)
-            fallbacks += _extend_block(basis, Xq[rows], Kx, R, T, out[rows])
-            del Kx  # else it lives on while the next block's is built
+        gram = cross_gram(basis.kernel, basis.training_points)
+
+        def block(rows: slice) -> int:
+            return _extend_block(basis, Xq[rows], gram(Xq[rows]), R, T, out[rows])
+
+        fallbacks = sum(map_blocks(block, Xq.shape[0], basis.n, Xq.shape[1]))
     if fallbacks:
         logger.warning(
             "kernel weights underflowed for %d query point(s); "

@@ -25,7 +25,8 @@ from spectral_series import (
     nw_predict,
 )
 from spectral_series.baselines import krr_solve, max_abs_row_sum
-from spectral_series.kernels import row_blocks
+from spectral_series import kernels
+from spectral_series.kernels import READ_BLOCK_BYTES, row_blocks
 
 
 class TestNadarayaWatson:
@@ -257,7 +258,7 @@ def test_blocked_prediction_bit_identical_to_whole_array(estimator):
     # The query count is a multiple of 64: OpenBLAS rounds a matrix-vector
     # product's rows by where they fall in its per-thread shares, so only then
     # is the whole-array reference itself free of ragged shares
-    step = next(row_blocks(10 ** 9, X.shape[0])).stop
+    step = next(row_blocks(10 ** 9, X.shape[0], READ_BLOCK_BYTES)).stop
     Q = gen_spiral(3 * step + step // 2, noise_sd=0.1, seed=7).features
     assert Q.shape[0] % 64 == 0
     Q[step + step // 2:step + step // 2 + 3] += 500.0
@@ -265,7 +266,7 @@ def test_blocked_prediction_bit_identical_to_whole_array(estimator):
 
 
 @pytest.mark.parametrize("estimator", ["nw", "knn", "krr"])
-def test_heap_peak_independent_of_query_count(estimator):
+def test_heap_peak_independent_of_query_count(estimator, monkeypatch):
     data = gen_spiral(800, noise_sd=0.1, seed=6)
     X, y = data.features, data.responses
     krr = krr_fit(X, y, KernelSpec.gaussian(0.05), 1e-3)
@@ -274,13 +275,19 @@ def test_heap_peak_independent_of_query_count(estimator):
                  "krr": krr.predict}[estimator]
     queries = gen_spiral(20_000, noise_sd=0.1, seed=8).features
     peaks = {}
-    for m in (2_000, 20_000):
+    for workers, m in ((1, 2_000), (1, 20_000), (2, 20_000)):
+        monkeypatch.setattr(kernels, "READ_WORKERS", workers)
         tracemalloc.start()
         try:
             predictor(queries[:m])
-            peaks[m] = tracemalloc.get_traced_memory()[1]
+            peaks[workers, m] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
     # allowed: the output's own growth (8 bytes per extra row) and 64 KiB of
-    # small objects; one block of the query-by-training matrix is 8 MiB
-    assert peaks[20_000] <= peaks[2_000] + 18_000 * 8 + 64 * 1024
+    # small objects; one block of the query-by-training matrix is 1 MiB
+    assert peaks[1, 20_000] <= peaks[1, 2_000] + 18_000 * 8 + 64 * 1024
+    # knn holds a block's distances and its argsort at once
+    working = peaks[1, 20_000] - 20_000 * 8
+    assert working <= 3 * READ_BLOCK_BYTES
+    # on the pool each worker holds one block's heap at most
+    assert peaks[2, 20_000] <= 20_000 * 8 + 2 * working + 64 * 1024

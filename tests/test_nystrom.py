@@ -25,7 +25,8 @@ from spectral_series import (
     gram_matrix,
     predict,
 )
-from spectral_series.kernels import bandwidth_grid, row_blocks
+from spectral_series import kernels
+from spectral_series.kernels import READ_BLOCK_BYTES, bandwidth_grid, row_blocks
 
 
 def spiral_basis(mode=Mode.STOCHASTIC, n=50, j_max=8, bw=1.0, seed=0):
@@ -208,7 +209,7 @@ class TestBlockedReadPath:
     @staticmethod
     def queries(n_train, n_blocks=3.5):
         # far rows sit in the middle of the second block
-        step = next(row_blocks(10 ** 9, n_train)).stop  # rows per block
+        step = next(row_blocks(10 ** 9, n_train, READ_BLOCK_BYTES)).stop  # rows per block
         Q = gen_spiral(int(n_blocks * step), noise_sd=0.1, seed=4).features
         far = np.arange(step + step // 2, step + step // 2 + 3)
         Q[far] += 500.0
@@ -218,7 +219,7 @@ class TestBlockedReadPath:
     def test_blocks_equal_per_block_calls(self, mode):
         model = self.fitted(mode)
         Q, _ = self.queries(model.basis.n)
-        blocks = list(row_blocks(Q.shape[0], model.basis.n))
+        blocks = list(row_blocks(Q.shape[0], model.basis.n, READ_BLOCK_BYTES))
         assert len(blocks) >= 3
         ext = extend(model.basis, Q, model.J)
         pred = predict(model, Q)
@@ -302,11 +303,12 @@ class TestBlockedReadPath:
         assert [rec.args[0] for rec in caplog.records] == [3, 3]
 
     @pytest.mark.parametrize("mode", [Mode.STOCHASTIC, Mode.SYMMETRIC])
-    def test_heap_peak_independent_of_query_count(self, mode):
+    def test_heap_peak_independent_of_query_count(self, mode, monkeypatch):
         model = self.fitted(mode)
         queries = gen_spiral(20_000, noise_sd=0.1, seed=5).features
         working = {}
-        for m in (2_000, 20_000):
+        for workers, m in ((1, 2_000), (1, 20_000), (2, 20_000)):
+            monkeypatch.setattr(kernels, "READ_WORKERS", workers)
             for name, call in (("extend", lambda Q: extend(model.basis, Q, model.J)),
                                ("predict", lambda Q: predict(model, Q))):
                 tracemalloc.start()
@@ -315,11 +317,15 @@ class TestBlockedReadPath:
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
-                working[name, m] = peak - out.nbytes
+                working[name, workers, m] = peak - out.nbytes
         for name in ("extend", "predict"):
-            assert working[name, 20_000] <= 1.05 * working[name, 2_000]
+            assert working[name, 1, 20_000] <= 1.05 * working[name, 1, 2_000]
             # one block of the cross Gram, not all 2000 rows of it
-            assert working[name, 2_000] < 0.6 * 2_000 * model.basis.n * 8
+            assert working[name, 1, 2_000] < 0.6 * 2_000 * model.basis.n * 8
+            assert working[name, 1, 20_000] <= 2 * READ_BLOCK_BYTES
+            # on the pool each worker holds one block's heap at most; the
+            # slack covers the pool's own objects
+            assert working[name, 2, 20_000] <= 2 * working[name, 1, 20_000] + 64 * 1024
 
 
 class TestEigenmap:
