@@ -11,7 +11,8 @@ from scipy.spatial.distance import cdist
 
 from .errors import InputError, NumericalError
 from .kernels import (
-    KernelSpec, check_finite_rows, cross_gram, gram_matrix, map_blocks, matmul,
+    KernelSpec, _check_dims, check_finite_rows, cross_gram, gram_matrix, map_blocks,
+    matmul,
 )
 
 __all__ = [
@@ -76,7 +77,8 @@ def nw_predict(
 def knn_predict(X_train: np.ndarray, y: np.ndarray, k: int, Xnew: np.ndarray) -> np.ndarray:
     """Mean label over the k nearest training points (distance ties: lowest index).
 
-    Query rows with NaN or Inf raise InputError.
+    Query rows with NaN or Inf, or a query column count other than the
+    training one, raise InputError.
     """
     X_train = np.atleast_2d(np.asarray(X_train, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
@@ -85,7 +87,7 @@ def knn_predict(X_train: np.ndarray, y: np.ndarray, k: int, Xnew: np.ndarray) ->
         raise InputError(f"got {y.shape[0]} labels for {n} points")
     if not (1 <= k <= n):
         raise InputError(f"k must be in 1..{n}, got {k}")
-    Xnew = np.atleast_2d(np.asarray(Xnew, dtype=float))
+    Xnew, _ = _check_dims(Xnew, X_train)
     check_finite_rows(Xnew)
     out = np.empty(Xnew.shape[0])
 

@@ -5,9 +5,15 @@ eigendecomposition (Lanczos, dense LAPACK or randomized) -> density
 rescaling. The result is an orthogonal basis adapted to the sampling
 distribution of the data.
 
-fit_basis carries one n x n array from Gram to eigenvectors: one row-sum pass
-gives the degrees, the stationary weights and the symmetric scaling, and every
-normalization is applied to K in place, one block of rows at a time.
+fit_basis carries one n x n array from Gram to eigenvectors. A Gram it builds
+comes with its row sums (kernels._self_gram_into), and is symmetric by
+construction; a caller's gram= is scanned for symmetry and finiteness as it
+enters, and summed. The row sums give the degrees, the stationary weights and
+the symmetric scaling, and every normalization is applied to K in place, one
+_FIT_BLOCK_BYTES block of rows at a time. Finite row sums stand in for a scan
+of K's entries, so no operator with a NaN or Inf entry reaches the solver.
+tune_series builds each candidate's Gram in one buffer for the whole sweep and
+hands it to _fit, the fit behind fit_basis.
 """
 
 from __future__ import annotations
@@ -19,9 +25,10 @@ from enum import Enum
 import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import dsymv
+from scipy.linalg.lapack import dgemqrt, dgeqrt
 
 from .errors import InputError, NumericalError
-from .kernels import KernelSpec, gram_matrix, matmul, row_blocks
+from .kernels import KernelSpec, _self_gram_into, matmul, row_blocks
 
 __all__ = [
     "Mode",
@@ -49,6 +56,11 @@ EIGENVALUE_FLOOR_REL = 1e-10
 LANCZOS_MIN_N = 400
 SYMMETRY_RTOL = 1e-10
 SYMMETRY_TILE = 256
+# The fit's in-place passes over K (scaling, subnormal flush) take their
+# temporaries this many bytes of rows at a time: 1 MiB blocks stay in a
+# core's L2 (see the kernels module notes), and the fit's heap beyond K
+# stays below one 8 MiB block.
+_FIT_BLOCK_BYTES = 2**20
 
 
 class Mode(str, Enum):
@@ -140,26 +152,42 @@ class EigenBasis:
         return np.full(self.n, 1.0 / self.n)
 
 
-def _row_sums(K: np.ndarray) -> np.ndarray:
-    """K's row sums in one pass; NumericalError unless each is finite and > 0."""
-    sums = K.sum(axis=1)
+def _check_row_sums(sums: np.ndarray, positive: bool = True) -> np.ndarray:
+    """sums, unless NumericalError: they stand in for a scan of K.
+
+    A NaN or Inf entry leaves its row sum non-finite, so finite row sums
+    mean a finite K. The degree-weighted modes (positive=True) also divide
+    by each sum and by their total, which must then be > 0 and finite.
+    """
     # a NaN or Inf row sum, or an overflowing total, leaves the total non-finite
-    if not np.isfinite(sums.sum()):
+    finite = np.isfinite(sums.sum()) if positive else np.isfinite(sums).all()
+    if not finite:
         raise NumericalError("kernel row sums overflowed to NaN or Inf; rescale the features")
-    if np.any(sums <= 0.0):
+    if positive and np.any(sums <= 0.0):
         raise NumericalError("kernel matrix has a nonpositive row sum")
     return sums
 
 
-def _scale_pairs(K: np.ndarray, v: np.ndarray, op) -> np.ndarray:
+def _row_sums(K: np.ndarray) -> np.ndarray:
+    """K's row sums in one pass; NumericalError unless each is finite and > 0."""
+    return _check_row_sums(K.sum(axis=1))
+
+
+def _scale_pairs(K: np.ndarray, v: np.ndarray, op,
+                 sums: np.ndarray | None = None) -> np.ndarray:
     """K_ij = op(K_ij, v_i v_j) in place, one row block at a time.
 
     Each entry meets the single product v_i v_j, as with a full np.outer, so a
     symmetric K stays exactly symmetric and the bits do not depend on the
-    blocking; the heap beyond K is one kernels.BLOCK_BYTES block.
+    blocking; the heap beyond K is one _FIT_BLOCK_BYTES block. With sums
+    given, the scaled rows' sums are written into it while each block is in
+    cache, with the bits of K.sum(axis=1).
     """
-    for rows in row_blocks(K.shape[0], K.shape[1]):
-        op(K[rows], np.outer(v[rows], v), out=K[rows])
+    for rows in row_blocks(K.shape[0], K.shape[1], _FIT_BLOCK_BYTES):
+        block = K[rows]
+        op(block, np.outer(v[rows], v), out=block)
+        if sums is not None:
+            block.sum(axis=1, out=sums[rows])
     return K
 
 
@@ -313,19 +341,29 @@ def _solve_randomized(A: np.ndarray, k: int, method: EigenMethod, scratch: bool,
 
 
 def _orthonormal_basis(Y: np.ndarray) -> np.ndarray:
-    """The Q of Y's reduced QR (LAPACK geqrf/orgqr); Y is overwritten."""
+    """The Q of Y's reduced QR, as a Fortran-ordered array.
+
+    LAPACK's dgeqrt factors the whole n x k panel in one recursive block
+    (Elmroth & Gustavson 2000), and dgemqrt applies the block reflector to
+    the first k columns of the identity; both run on BLAS-3 products. The
+    panel steps of geqrf/orgqr are matrix-vector products instead, which
+    took 2.2 ms for an 800 x 41 panel on 2 threads against 0.5 ms here.
+    """
     # a non-finite Y is caught by the projection check that follows
-    return scipy.linalg.qr(Y, mode="economic", overwrite_a=True, check_finite=False)[0]
+    k = Y.shape[1]
+    V, T, _ = dgeqrt(k, Y, overwrite_a=1)
+    return dgemqrt(V, T, np.eye(Y.shape[0], k, order="F"), overwrite_c=1)[0]
 
 
 def _flush_subnormals(A: np.ndarray) -> np.ndarray:
     """Set A's subnormal entries to 0 in place, one row block at a time.
 
     A product with subnormal operands runs about 5x slower; zeroing them moves
-    no eigenvalue by more than n * 2.3e-308. The masks take 3/8 of a block.
+    no eigenvalue by more than n * 2.3e-308. The masks take 3/8 of a
+    _FIT_BLOCK_BYTES block.
     """
     tiny = np.finfo(float).tiny
-    for rows in row_blocks(*A.shape):
+    for rows in row_blocks(*A.shape, _FIT_BLOCK_BYTES):
         block = A[rows]
         np.copyto(block, 0.0, where=(block < tiny) & (block > -tiny))
     return A
@@ -382,21 +420,23 @@ def eigendecompose(
     2(j_max+1) + 1 >= n, and when the Lanczos pairs hold a tie; see
     EigenMethod. Every method is deterministic; the randomized one given its
     seed. A is left unchanged: the Lanczos method zeroes subnormal entries
-    in a copy of it. Raises NumericalError when the solver fails or returns
-    fewer than j_max+1 pairs.
+    in a copy of it. A that is not square raises InputError, and one that
+    is not symmetric within SYMMETRY_RTOL, or holds NaN or Inf, raises
+    NumericalError; so does a solver that fails or returns fewer than
+    j_max+1 pairs.
     """
-    return _eigendecompose(A, j_max, method)
+    return _eigendecompose(_check_symmetric(A), j_max, method)
 
 
 def _eigendecompose(
     A: np.ndarray, j_max: int, method: EigenMethod | None, scratch: bool = False,
     start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """eigendecompose; with scratch=True the solver may overwrite A.
+    """eigendecompose of a finite, exactly symmetric float64 A, unscanned.
 
-    start, a vector near the top eigenvector, is the Lanczos start vector.
+    With scratch=True the solver may overwrite A. start, a vector near the
+    top eigenvector, is the Lanczos start vector.
     """
-    A = _check_symmetric(A)
     n = A.shape[0]
     k = j_max + 1
     if k > n:
@@ -448,11 +488,32 @@ def fit_basis(
     for (spec, X) may be passed to avoid rebuilding it. It is consumed: the
     normalization and the solver work inside it, so the caller must not
     use it afterwards. One that is not float64, C-contiguous and writeable is
-    copied first. Beyond K, the fit's heap is one kernels.BLOCK_BYTES block
-    plus a few n x (j_max+1) arrays. Like the one built here, gram must be
-    n x n (else InputError) and symmetric (else the eigensolve raises
-    NumericalError).
+    copied first. It must be n x n (else InputError) and symmetric within
+    SYMMETRY_RTOL with no NaN or Inf (else NumericalError), which is checked
+    as it enters; a Gram built here is symmetric by construction and comes
+    with its row sums. Beyond K, the fit's heap is one 1 MiB block plus a
+    few n x (j_max+1) arrays. Row sums that are not finite raise
+    NumericalError in every mode, and in the degree-weighted modes so do
+    row sums that are not > 0.
     """
+    X = _fit_points(X, j_max)
+    n = X.shape[0]
+    if gram is None:
+        sums = np.empty(n)
+        K = _self_gram_into(spec, X, sums=sums)
+    else:
+        # the fit works inside K; an F-ordered K would also sum its rows,
+        # and so round, differently from the C-ordered one built here
+        K = np.require(gram, float, "CW")
+        if K.shape != (n, n):
+            raise InputError(f"gram has shape {K.shape}; expected ({n}, {n}) "
+                             f"for the {n} rows of X")
+        sums = _check_symmetric(K).sum(axis=1)
+    return _fit(X, spec, j_max, mode, method, K, sums)
+
+
+def _fit_points(X: np.ndarray, j_max: int) -> np.ndarray:
+    """X as a 2-D float array, after fit_basis' checks on X and j_max."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = X.shape[0]
     if n < 2:
@@ -461,31 +522,40 @@ def fit_basis(
         raise InputError("j_max must be >= 0")
     if j_max + 1 > n:
         raise InputError(f"j_max+1 = {j_max + 1} exceeds n = {n}")
+    return X
+
+
+def _fit(
+    X: np.ndarray, spec: KernelSpec, j_max: int, mode: Mode,
+    method: EigenMethod | None, K: np.ndarray, sums: np.ndarray,
+) -> EigenBasis:
+    """fit_basis on checked points X, given K and its row sums.
+
+    K must be C-ordered float64 and exactly symmetric; it is consumed. Its
+    finiteness is judged from sums alone.
+    """
+    n = X.shape[0]
     if method is None:
         method = EigenMethod()
-
-    if gram is None:
-        K = gram_matrix(spec, X)
-    else:
-        # the fit works inside K; an F-ordered K would also sum its rows,
-        # and so round, differently from the C-ordered one gram_matrix builds
-        K = np.require(gram, float, "CW")
-        if K.shape != (n, n):
-            raise InputError(f"gram has shape {K.shape}; expected ({n}, {n}) "
-                             f"for the {n} rows of X")
     start = None
     if mode is Mode.UNIFORM:
-        degrees = K.sum(axis=1) / n
+        degrees = _check_row_sums(sums, positive=False) / n
         stationary = np.full(n, 1.0 / n)
         K /= n
     else:
-        sums = _row_sums(K)
-        degrees = sums / n
+        degrees = _check_row_sums(sums) / n
         if mode is Mode.BIAS_CORRECTED:
-            sums = _row_sums(_scale_pairs(K, degrees, np.divide))
+            sums = np.empty(n)
+            _scale_pairs(K, degrees, np.divide, sums)
+            _check_row_sums(sums)
         stationary = sums / sums.sum()
         root = np.sqrt(sums)
-        _scale_pairs(K, 1.0 / root, np.multiply)
+        scale = 1.0 / root
+        # K is finite, and so is each scaled entry K_ij * (s_i s_j) unless a
+        # product s_i s_j overflows, which takes row sums below 5.6e-309
+        if scale.max() > np.sqrt(np.finfo(float).max):
+            raise NumericalError("kernel row sums underflowed; rescale the features")
+        _scale_pairs(K, scale, np.multiply)
         # the operator's top eigenvector is root, so Lanczos starts there
         start = root
     # K is now the normalized operator, which nobody else holds, so the

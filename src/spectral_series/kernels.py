@@ -13,8 +13,8 @@ column count d:
 - At or above it they come from BLAS products, in ``DISTANCE_TILE_ROWS``-row
   tiles: ||a||^2 + ||b||^2 - 2<a, b>, clamped at 0 and written straight into
   the output. The self form fills only the upper triangle (condensed
-  ``pdist`` order), so a self Gram stays exactly symmetric through
-  ``squareform``. Measured on a 2-core box with 800 reference rows, over
+  ``pdist`` order), so a self Gram built from it is exactly symmetric.
+  Measured on a 2-core box with 800 reference rows, over
   repeated runs, the BLAS route broke even with ``pdist`` between d = 25 and
   d = 50 and with ``cdist`` between d = 10 and d = 20, and a tuning sweep's
   self plus cross pass gained from d = 32 on; at d = 1000 it is about 6x
@@ -74,6 +74,17 @@ and at a narrow bandwidth over half of a Gram lands there. ``_exp`` keeps
 those arguments out of the vectorized call and computes only the band whose
 result is not exactly 0 with ``np.exp`` itself, so every entry keeps
 ``np.exp``'s bits.
+
+A self Gram is built in an n x n array (``_self_gram_into``), a new one or a
+buffer the caller reuses, in two passes and with no n x n temporary. The first fills the upper
+triangle: the Gaussian exponentials of the condensed distances, run by run,
+or one BLAS ``syrk``. The second (``_complete_rows``) walks 64-row tiles in
+order. It copies each tile's lower part from the rows above it, sets the
+Gaussian diagonal to 1 or raises the polynomial tile to its degree, and takes
+the tile's row sums while the tile is still in L2; they have the bits of
+``K.sum(axis=1)``. The array's old contents are never read, so
+``tune_series`` builds every candidate in one buffer, and ``fit_basis`` takes
+its row sums from the build instead of from a pass of its own.
 """
 
 from __future__ import annotations
@@ -93,9 +104,9 @@ from .errors import InputError
 
 __all__ = ["KernelSpec", "kernel_value", "gram_matrix", "bandwidth_grid", "sq_distances"]
 
-# The fit's n x n passes build their temporaries this many bytes at a time,
-# so their heap beyond K is one block; so do read paths whose blocks run in
-# order (see map_blocks).
+# Read paths whose blocks run in order (see map_blocks) build their
+# temporaries this many bytes at a time, so their heap beyond the output is
+# one block.
 BLOCK_BYTES = 8 * 2**20
 # Read paths on the worker pool build their query-by-training matrices this
 # many bytes at a time, so their heap is bounded by one block per worker, not
@@ -123,8 +134,12 @@ READ_WORKERS = _read_workers()
 # products; narrower rows keep the exact pdist/cdist loops.
 BLAS_DISTANCE_MIN_D = 32
 # Rows per tile of the BLAS route, whose heap beyond the output is a few
-# tiles, and of the triangle mirror of a self Gram.
+# tiles.
 DISTANCE_TILE_ROWS = 256
+# Rows per tile of a self Gram's completing pass (_complete_rows): at
+# n = 2000 a tile is 1 MiB, so it is still in L2 when its row sums are taken.
+_ROW_TILE = 64
+_STRICT_LOWER = np.tri(_ROW_TILE, k=-1, dtype=bool)
 
 # np.exp's vectorized loop takes arguments down to -1021 ln 2 = -707.7033
 # (results down to 2**-1021); below that each entry takes a slow path, about
@@ -337,21 +352,6 @@ def matmul(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np.nd
     return out
 
 
-def _mirror_upper(K: np.ndarray) -> np.ndarray:
-    """Copy K's strict upper triangle into its lower one, tile by tile.
-
-    K's strict lower triangle must hold zeros on entry.
-    """
-    tiles = _tiles(K.shape[0])
-    for k, ti in enumerate(tiles):
-        # x + 0.0 is x, so adding the zeros copies each entry across exactly
-        d = K[ti, ti]
-        d += np.triu(d, 1).T
-        for tj in tiles[k + 1:]:
-            K[tj, ti] = K[ti, tj].T
-    return K
-
-
 def _tiles(n: int) -> list[slice]:
     return [slice(i, min(i + DISTANCE_TILE_ROWS, n))
             for i in range(0, n, DISTANCE_TILE_ROWS)]
@@ -522,22 +522,14 @@ def gaussian_from_sqdist(
     return _exp(np.divide(sq, -4.0 * bandwidth, out=out))
 
 
-def self_gram_from_sqdist(condensed: np.ndarray, bandwidth: float) -> np.ndarray:
-    """Gaussian self Gram from condensed squared distances (``pdist`` order).
+def _gaussian_upper(condensed: np.ndarray, bandwidth: float, K: np.ndarray) -> None:
+    """Write exp(-condensed / (4 bandwidth)) into K's strict upper triangle.
 
     Each run of rows of the condensed vector is exponentiated once, in one
-    EXP_CHUNK buffer, and copied into K's upper triangle, which is then
-    mirrored. So each pair costs one exponential, K is exactly symmetric with
-    no symmetrizing pass, and the diagonal is exactly 1. The bits are those of
-    ``gaussian_from_sqdist(squareform(condensed), bandwidth)`` with a unit
-    diagonal.
+    EXP_CHUNK buffer, and copied into its rows. The rest of K is not written.
     """
-    condensed = np.ascontiguousarray(condensed, dtype=float)
+    n = K.shape[0]
     m = condensed.shape[0]
-    n = int(round((1.0 + np.sqrt(1.0 + 8.0 * m)) / 2.0))
-    if n * (n - 1) // 2 != m:
-        raise InputError(f"{m} condensed distances are not n(n-1)/2 for any n")
-    K = np.zeros((n, n))
     # rows per run, so that a run fits one EXP_CHUNK buffer
     step = max(1, EXP_CHUNK // n)
     buf = np.empty(min(m, step * n))
@@ -550,8 +542,67 @@ def self_gram_from_sqdist(condensed: np.ndarray, bandwidth: float) -> np.ndarray
         for i in range(i0, i1):
             start = n * i - i * (i + 1) // 2 - first
             K[i, i + 1:] = run[start:start + n - i - 1]
-    _mirror_upper(K)
-    np.fill_diagonal(K, 1.0)
+
+
+def _complete_rows(K: np.ndarray, degree: int | None, sums: np.ndarray | None) -> None:
+    """Complete a self Gram from its upper triangle, _ROW_TILE rows at a time.
+
+    Entries below the diagonal are ignored on entry. With degree None the
+    upper triangle holds Gaussian values and the diagonal becomes 1; with a
+    degree it holds inner products, diagonal included, and each tile's rows
+    from the diagonal on become (G + 1) ** degree. Tiles are walked in
+    order, and each tile's lower part is copied from the rows above it (and,
+    inside the diagonal tile, from that tile's upper part), so K comes out
+    exactly symmetric. With sums given, each tile's row sums are written
+    into it while the tile is in cache; they have the bits of
+    ``K.sum(axis=1)``.
+    """
+    n = K.shape[0]
+    for r in range(0, n, _ROW_TILE):
+        rows = slice(r, min(r + _ROW_TILE, n))
+        h = rows.stop - r
+        d = K[rows, rows]
+        np.copyto(d, d.T, where=_STRICT_LOWER[:h, :h])
+        if degree is None:
+            np.fill_diagonal(d, 1.0)
+        else:
+            _polynomial_from_inner(K[rows, r:], degree)
+        # column tiles keep the transposed copy's temporary small
+        for c in range(0, r, _ROW_TILE):
+            K[rows, c:c + _ROW_TILE] = K[c:c + _ROW_TILE, rows].T
+        if sums is not None:
+            K[rows].sum(axis=1, out=sums[rows])
+
+
+def _self_gram_into(spec: KernelSpec, A: np.ndarray, K: np.ndarray | None = None,
+                    condensed: np.ndarray | None = None,
+                    sums: np.ndarray | None = None) -> np.ndarray:
+    """Build the self Gram of the rows of A in the n x n C-ordered K; returns K.
+
+    K's old contents are ignored, so one buffer serves a whole tuning sweep.
+    With K None a new array is made after the distances, so that their heap
+    block, freed on return, lies below K and takes the caller's later
+    arrays, while K, freed last, rejoins the top of the heap. Made first, K
+    left a hole that the fitted basis pinned, and three 2000-point fits in
+    one process peaked 10 MB higher. Two passes over K and no n x n
+    temporary: the upper triangle, then _complete_rows, which also writes
+    K's row sums into sums if given. condensed, A's condensed squared
+    distances, saves a Gaussian build from recomputing them. The bits are
+    those of ``gram_matrix(spec, A)`` and of its ``sum(axis=1)``.
+    """
+    n = A.shape[0]
+    if spec.family == "gaussian":
+        if condensed is None:
+            condensed = sq_distances(A)
+        K = np.empty((n, n)) if K is None else K
+        _gaussian_upper(condensed, spec.bandwidth, K)
+        _complete_rows(K, None, sums)
+        return K
+    K = np.empty((n, n)) if K is None else K
+    # BLAS syrk writes one triangle of A A^T, the lower one of the
+    # Fortran-ordered product and so the upper one of K, without reading K
+    dsyrk(1.0, np.ascontiguousarray(A).T, c=K.T, trans=1, lower=1, overwrite_c=1)
+    _complete_rows(K, spec.degree, sums)
     return K
 
 
@@ -564,16 +615,7 @@ def gram_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray | None = None) ->
     self_gram = B is None or B is A
     if self_gram:
         A, _ = _check_dims(A, A)
-        if spec.family == "gaussian":
-            return self_gram_from_sqdist(sq_distances(A), spec.bandwidth)
-        # BLAS syrk writes one triangle of A A^T, the lower one of the
-        # Fortran-ordered product and so the upper one of its C-ordered
-        # transpose, and the mirror copies it: K is exactly symmetric
-        # without a symmetrizing pass
-        n = A.shape[0]
-        G = dsyrk(1.0, np.ascontiguousarray(A).T, c=np.zeros((n, n), order="F"),
-                  trans=1, lower=1, overwrite_c=1).T
-        return _polynomial_from_inner(_mirror_upper(G), spec.degree)
+        return _self_gram_into(spec, A)
     return cross_gram(spec, B)(A)
 
 
@@ -597,12 +639,15 @@ def _polynomial_from_inner(G: np.ndarray, degree: int) -> np.ndarray:
 
     ``**`` goes through ``pow``, which is about 7x slower at degree 3 once
     some bases are negative. Degree 2 gives the same bits as ``**``; higher
-    degrees can differ from it in the last bit.
+    degrees can differ from it in the last bit. The base is copied one
+    READ_BLOCK_BYTES block of rows at a time.
     """
-    G += 1.0
-    base = G.copy() if degree > 1 else None
-    for _ in range(degree - 1):
-        G *= base
+    for rows in row_blocks(*G.shape, READ_BLOCK_BYTES):
+        g = G[rows]
+        g += 1.0
+        base = g.copy() if degree > 1 else None
+        for _ in range(degree - 1):
+            g *= base
     return G
 
 

@@ -16,11 +16,11 @@ import numpy as np
 
 from .baselines import KNNModel, KRRModel, NWModel, krr_solve, max_abs_row_sum
 from .dataset import Dataset
-from .diffusion import EigenMethod, Mode, _n_usable, fit_basis
+from .diffusion import EigenMethod, Mode, _fit, _fit_points, _n_usable
 from .errors import InputError, NumericalError
 from .kernels import (
-    KernelSpec, gaussian_from_sqdist, gram_matrix, matmul, self_gram_from_sqdist,
-    sq_distances,
+    KernelSpec, _polynomial_from_inner, _self_gram_into, gaussian_from_sqdist,
+    gram_matrix, matmul, sq_distances,
 )
 from .nystrom import _extend, _operands
 from .series import SeriesModel, estimate_coefficients, pool_unlabeled
@@ -188,8 +188,11 @@ def tune_series(
     truncations are scored from a single extension of the validation points.
     Gaussian candidates share one computation of the training and validation
     squared distances; each bandwidth only exponentiates them. Every
-    candidate's validation cross Gram is built whole and extended in one call.
-    Polynomial candidates run in Uniform mode (their Gram entries may be
+    candidate's operator is built, normalized and solved in one n x n buffer
+    for the whole sweep, and once its fit is done, its validation cross Gram
+    is built whole in the same buffer (in an array of its own only when the
+    validation set has more rows than the training pool) and extended in one
+    call. Polynomial candidates run in Uniform mode (their Gram entries may be
     negative, which the degree-weighted modes cannot accept). Unlabeled rows,
     when given, enter every candidate basis; coefficients use training rows
     only. Ties prefer smaller J, then the smoother kernel.
@@ -202,11 +205,13 @@ def tune_series(
     labeled = np.arange(train.n) if pooled.shape[0] > train.n else None
 
     j_cap = min(grid.j_max, pooled.shape[0] - 1)
+    _fit_points(pooled, j_cap)  # fit_basis' input checks, once for the sweep
     surface: dict[tuple[str, float, int], float] = {}
     timings = {"kernel_build": 0.0, "eigendecomposition": 0.0,
                "coefficient": 0.0, "validation": 0.0}
     best = None  # (loss, J, spec, basis, coef)
 
+    sq_pooled = sq_val = None
     if grid.bandwidths:
         # Gaussian candidates differ only in the exponent's scale, so the
         # squared distances are computed once for the whole sweep
@@ -217,6 +222,11 @@ def tune_series(
         timings["kernel_build"] += t1 - t0
         timings["validation"] += time.perf_counter() - t1
 
+    n, m = pooled.shape[0], val.n
+    K, sums = np.empty((n, n)), np.empty(n)
+    # the fit consumes K, so the validation cross Gram goes into its prefix
+    Kv = K.reshape(-1)[:m * n].reshape(m, n) if m <= n else np.empty((m, n))
+
     for spec in grid.kernels:
         gaussian = spec.family == "gaussian"
         cand_mode = mode if gaussian else Mode.UNIFORM
@@ -225,15 +235,9 @@ def tune_series(
         basis = coef = None
         try:
             t0 = time.perf_counter()
-            if gaussian:
-                K = self_gram_from_sqdist(sq_pooled, spec.bandwidth)
-            else:
-                K = gram_matrix(spec, pooled)
+            _self_gram_into(spec, pooled, K, sq_pooled if gaussian else None, sums)
             t1 = time.perf_counter()
-            # fit_basis works inside K; dropping the name frees it before
-            # the next candidate's K is built
-            basis = fit_basis(pooled, spec, j_cap, cand_mode, method, gram=K)
-            del K
+            basis = _fit(pooled, spec, j_cap, cand_mode, method, K, sums)
             t2 = time.perf_counter()
             coef = estimate_coefficients(basis, train.responses, labeled=labeled)
             t3 = time.perf_counter()
@@ -245,13 +249,12 @@ def tune_series(
             usable = _n_usable(basis.eigenvalues)
             if usable:
                 if gaussian:
-                    Kv = gaussian_from_sqdist(sq_val, spec.bandwidth,
-                                              out=np.empty_like(sq_val))
+                    gaussian_from_sqdist(sq_val, spec.bandwidth, out=Kv)
                 else:
-                    Kv = gram_matrix(spec, val.features, pooled)
+                    _polynomial_from_inner(matmul(val.features, pooled.T, out=Kv),
+                                           spec.degree)
                 Psi_val = _extend(basis, val.features,
                                   *_operands(basis, usable - 1, None), Kx=Kv)
-                del Kv  # else it lives on through the next candidate's fit
                 cum = np.cumsum(Psi_val * coef[:usable][None, :], axis=1)
                 err = val.responses[:, None] - cum
                 losses[:usable] = np.mean(err * err, axis=0)

@@ -208,20 +208,34 @@ class TestKrrSolve:
             krr_solve(K, y, 1e-3, max_abs_row_sum(K))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("estimator", ["nw", "knn", "krr"])
-def test_non_finite_query_rejected(estimator, bad):
-    # NaN distances used to sort first (kNN) or hit the underflow fallback (NW)
-    data = gen_spiral(200, seed=0)
+def spiral_predictors(n=200):
+    """The three baseline predictors on an n-point spiral, keyed by name."""
+    data = gen_spiral(n, seed=0)
     X, y = data.features, data.responses
-    predictors = {
+    return X, {
         "nw": lambda Q: nw_predict(X, y, 1.0, Q),
         "knn": lambda Q: knn_predict(X, y, 5, Q),
         "krr": lambda Q: krr_fit(X, y, KernelSpec.gaussian(1.0), 1e-3).predict(Q),
     }
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("estimator", ["nw", "knn", "krr"])
+def test_non_finite_query_rejected(estimator, bad):
+    # NaN distances used to sort first (kNN) or hit the underflow fallback (NW)
+    X, predictors = spiral_predictors()
     queries = np.vstack([X[:2], [[0.5, bad]], [[500.0, 500.0]]])
     with pytest.raises(InputError, match="row 2 contains NaN or Inf"):
         predictors[estimator](queries)
+
+
+@pytest.mark.parametrize("columns", [1, 3])
+@pytest.mark.parametrize("estimator", ["nw", "knn", "krr"])
+def test_query_dimension_mismatch_rejected(estimator, columns):
+    # kNN used to let scipy's cdist raise ValueError
+    _, predictors = spiral_predictors(50)
+    with pytest.raises(InputError, match=f"dimension mismatch: {columns} vs 2 columns"):
+        predictors[estimator](np.zeros((4, columns)))
 
 
 def whole_array_predictors(X, y, bw, k, krr):

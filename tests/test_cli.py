@@ -160,6 +160,20 @@ class TestPredict:
         assert "NaN or Inf" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("header, row", [("x1", "0"), ("x1,x2,x3", "0,1,2")])
+    def test_query_column_mismatch_exits_2(self, tmp_path, spiral_csv, capsys,
+                                           header, row):
+        run(capsys, "tune", "--data", spiral_csv, "--seed", 0, "--jmax", 6,
+            "--grid-size", 2, "--out", tmp_path / "m")
+        queries = tmp_path / "wide.csv"
+        queries.write_text(f"{header}\n{row}\n")
+        out = tmp_path / "preds.csv"
+        code, _, err = run(capsys, "predict", "--model", tmp_path / "m.model",
+                           "--data", queries, "--out", out)
+        assert code == 2
+        assert "does not match training dimension 2" in err
+        assert not out.exists()
+
     def test_unsupported_archive_version_exits_4(self, tmp_path, spiral_csv, capsys):
         run(capsys, "tune", "--data", spiral_csv, "--seed", 0, "--jmax", 6,
             "--grid-size", 2, "--out", tmp_path / "m")

@@ -21,6 +21,8 @@ from spectral_series import (
     KernelSpec,
     Mode,
     NumericalError,
+    SplitSpec,
+    TuneGrid,
     bandwidth_grid,
     bias_correct,
     eigendecompose,
@@ -30,13 +32,14 @@ from spectral_series import (
     rescale,
     row_stochastic,
     smoothness_spectrum,
+    split,
     stationary_weights,
     symmetric_normalize,
+    tune_series,
 )
 from spectral_series import diffusion
 from spectral_series.cli import main
 from spectral_series.diffusion import EIGENVALUE_TIE_GAP, LANCZOS_MIN_N
-from spectral_series.kernels import BLOCK_BYTES
 from spectral_series.nystrom import EIGENVALUE_FLOOR_REL
 
 E1 = np.exp(-1.0)
@@ -527,7 +530,10 @@ class TestFitBasis:
     @pytest.mark.parametrize("mode", list(Mode))
     def test_heap_beyond_gram_is_one_block(self, mode):
         # the fit normalizes and solves inside the K it is handed; what it
-        # allocates besides is one row block and a few n x (j_max+1) arrays
+        # allocates besides is one 1 MiB row block and a few n x (j_max+1)
+        # arrays (the Lanczos basis alone holds 2 (j_max+1) + 1 columns). The
+        # default solver peaked at 5.2-6.1 MB here; the bound, 6.9 MB, stays
+        # below the 8.4 MB of a single 8 MiB temporary.
         n, j_max = 2000, 60
         X = gen_spiral(n, noise_sd=0.1, seed=0).features
         spec = KernelSpec.gaussian(0.05)
@@ -539,7 +545,37 @@ class TestFitBasis:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak <= BLOCK_BYTES + 4 * n * (j_max + 1) * 8
+        bound = diffusion._FIT_BLOCK_BYTES + 6 * n * (j_max + 1) * 8
+        assert bound < 8 * 2**20
+        assert peak <= bound
+
+    def test_symmetry_scanned_once_on_a_callers_gram_only(self, monkeypatch):
+        # a Gram the package builds is symmetric by construction; only a
+        # caller's gram= (and eigendecompose's input) is scanned
+        calls = []
+        scan = diffusion._check_symmetric
+        monkeypatch.setattr(diffusion, "_check_symmetric",
+                            lambda A: calls.append(A.shape) or scan(A))
+        X = gen_spiral(80, noise_sd=0.1, seed=2).features
+        for spec in (KernelSpec.gaussian(0.5), KernelSpec.polynomial(2)):
+            fit_basis(X, spec, 6, Mode.UNIFORM)
+        train, val, _ = split(gen_spiral(120, noise_sd=0.1, seed=2), SplitSpec(seed=2))
+        tune_series(train, val, TuneGrid(bandwidths=(0.5, 1.0), degrees=(2,), j_max=6))
+        assert calls == []
+        fit_basis(X, KernelSpec.gaussian(0.5), 6, gram=gram_matrix(KernelSpec.gaussian(0.5), X))
+        eigendecompose(K2, 1)
+        assert calls == [(80, 80), (2, 2)]
+
+    @pytest.mark.parametrize("mode", [Mode.STOCHASTIC, Mode.SYMMETRIC,
+                                      Mode.BIAS_CORRECTED])
+    def test_underflowing_row_sums_rejected(self, mode):
+        # finite, symmetric and positive, but 1/sqrt(s_i s_j) overflows (in
+        # bias-corrected mode the degree products already underflow to 0):
+        # the scaled operator would hold Inf and NaN
+        X = np.zeros((3, 1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="row sums (underflowed|overflowed)"):
+                fit_basis(X, KernelSpec.gaussian(1.0), 1, mode, gram=np.eye(3) * 1e-310)
 
     def test_stochastic_top_pair(self):
         X = np.random.default_rng(1).normal(size=(25, 3))
@@ -640,6 +676,26 @@ class TestFitBasis:
         G = basis.eigenvectors.T @ np.diag(basis.ortho_weights) @ basis.eigenvectors
         assert np.max(np.abs(G - np.eye(7))) <= 1e-8
         assert np.all(np.diff(basis.eigenvalues) <= 1e-12)
+
+
+class TestOrthonormalBasis:
+    """The randomized range finder's QR (LAPACK dgeqrt + dgemqrt)."""
+
+    @pytest.mark.parametrize("shape", [(800, 41), (2000, 71), (64, 64), (5, 1)])
+    def test_orthonormal_spans_y_and_deterministic(self, shape):
+        Y = np.random.default_rng(shape[1]).normal(size=shape)
+        Q = diffusion._orthonormal_basis(Y.copy())
+        assert Q.shape == shape
+        assert np.abs(Q.T @ Q - np.eye(shape[1])).max() <= 1e-14
+        # Y lies in Q's span: projecting it onto Q leaves it unchanged
+        assert np.abs(Q @ (Q.T @ Y) - Y).max() <= 1e-12 * np.abs(Y).max()
+        for _ in range(3):
+            assert np.array_equal(diffusion._orthonormal_basis(Y.copy()), Q)
+
+    def test_c_and_fortran_inputs_give_the_same_bits(self):
+        Y = np.random.default_rng(3).normal(size=(300, 20))
+        assert np.array_equal(diffusion._orthonormal_basis(Y.copy()),
+                              diffusion._orthonormal_basis(np.asfortranarray(Y)))
 
 
 class TestSmoothnessSpectrum:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.blas import dsyrk
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from spectral_series import (
@@ -13,7 +14,7 @@ from spectral_series import (
 )
 from spectral_series.kernels import (
     BLAS_DISTANCE_MIN_D, DISTANCE_TILE_ROWS, EXP_CHUNK, EXP_SLOW_BELOW, EXP_ZERO_BELOW,
-    _exp, gaussian_from_sqdist, matmul, self_gram_from_sqdist, sq_distances,
+    _exp, _self_gram_into, gaussian_from_sqdist, matmul, sq_distances,
 )
 
 
@@ -93,6 +94,31 @@ class TestGramMatrix:
         assert np.array_equal(K, K.T)
         assert np.array_equal(K, gram_matrix(KernelSpec.polynomial(1),
                                              np.ascontiguousarray(A)))
+
+    @pytest.mark.parametrize("spec", [KernelSpec.gaussian(0.3), KernelSpec.polynomial(1),
+                                      KernelSpec.polynomial(3)],
+                             ids=["gaussian", "poly1", "poly3"])
+    @pytest.mark.parametrize("n, d", [(1, 3), (2, 3), (63, 3), (64, 3), (65, 3),
+                                      (300, 3), (129, BLAS_DISTANCE_MIN_D)])
+    def test_build_in_a_used_buffer(self, spec, n, d):
+        # one buffer serves a whole tuning sweep, so whatever it held (NaN
+        # here) must not reach the Gram; the row sums come with the build
+        X = np.random.default_rng(n + d).normal(size=(n, d))
+        if spec.family == "gaussian":
+            want = np.exp(squareform(sq_distances(X)) / (-4.0 * spec.bandwidth))
+            np.fill_diagonal(want, 1.0)
+        else:
+            # a zeroed syrk triangle, mirrored whole, then the power
+            G = dsyrk(1.0, X.T, c=np.zeros((n, n), order="F"), trans=1, lower=1).T
+            want = np.triu(G) + np.triu(G, 1).T + 1.0
+            base = want.copy()
+            for _ in range(spec.degree - 1):
+                want *= base
+        K, sums = np.full((n, n), np.nan), np.full(n, np.nan)
+        assert _self_gram_into(spec, X, K, sums=sums) is K
+        assert np.array_equal(K, want)
+        assert np.array_equal(sums, want.sum(axis=1))
+        assert np.array_equal(gram_matrix(spec, X), want)
 
     def test_two_point_closed_form(self):
         # distance 2 at bandwidth 1: off-diagonal is exactly e^-1
@@ -286,7 +312,7 @@ class TestExpFastPath:
         cond = pdist(X, "sqeuclidean")
         direct = np.exp(squareform(cond) / (-4.0 * bw))
         np.fill_diagonal(direct, 1.0)
-        K = self_gram_from_sqdist(cond, bw)
+        K = _self_gram_into(KernelSpec.gaussian(bw), X, np.empty((700, 700)), cond)
         assert np.array_equal(_bits(K), _bits(direct))
         sq = cdist(Q, X, "sqeuclidean")
         want = np.exp(sq / (-4.0 * bw))
@@ -301,11 +327,7 @@ class TestExpFastPath:
         cond = pdist(X, "sqeuclidean")
         want = np.exp(squareform(cond) / (-4.0 * 0.3))
         np.fill_diagonal(want, 1.0)
-        assert np.array_equal(self_gram_from_sqdist(cond, 0.3), want)
-
-    def test_self_gram_rejects_a_ragged_condensed_vector(self):
-        with pytest.raises(InputError):
-            self_gram_from_sqdist(np.ones(4), 1.0)
+        assert np.array_equal(gram_matrix(KernelSpec.gaussian(0.3), X), want)
 
 
 class TestMatmul:

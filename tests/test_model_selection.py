@@ -1,6 +1,7 @@
 """Grid tuning for the series estimator and the baselines."""
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -275,6 +276,48 @@ class TestSharedSweep:
         basis, coef = fits[chosen[:2]]
         assert np.array_equal(predict(model, test.features),
                               predict(SeriesModel(basis, coef, chosen[2]), test.features))
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_full_solver_bit_identical_in_every_mode(self, mode):
+        # the sweep builds every operator in one buffer and its validation
+        # Grams in an array of their own here, as the 150 validation rows
+        # outnumber the 110 pooled training rows
+        data = gen_spiral(230, noise_sd=0.1, seed=6)
+        X, y = data.features, data.responses
+        train, val = Dataset(X[:80], y[:80], None), Dataset(X[80:], y[80:], None)
+        unl = gen_spiral(30, noise_sd=0.1, seed=8).features
+        grid = TuneGrid(bandwidths=tuple(bandwidth_grid(train.features, 3)),
+                        degrees=(2,), j_max=15)
+        method = EigenMethod("full")
+        model, report = tune_series(train, val, grid, mode, method, unlabeled=unl)
+        surface, fits = reference_sweep(train, val, grid, mode, method, unlabeled=unl)
+        assert report.loss_surface == surface
+        chosen = min(surface, key=lambda k: (surface[k], k[2]))
+        assert report.chosen == chosen
+        basis, coef = fits[chosen[:2]]
+        ref_model = SeriesModel(basis, coef, chosen[2], ssl=True)
+        assert np.array_equal(predict(model, val.features), predict(ref_model, val.features))
+
+    def test_sweep_holds_one_n_by_n_buffer(self):
+        # beyond the shared distances, a Gaussian sweep holds one n x n
+        # buffer: each candidate's operator is built, normalized and solved
+        # in it, and its validation cross Gram reuses it. A K per candidate
+        # (32 MB here) or a validation Gram of its own (16 MB) breaks the
+        # bound, which leaves half a validation Gram for everything else
+        n, m = 2000, 1000
+        data = gen_spiral(n + m, noise_sd=0.1, seed=3)
+        X, y = data.features, data.responses
+        train, val = Dataset(X[:n], y[:n], None), Dataset(X[n:], y[n:], None)
+        grid = TuneGrid(bandwidths=tuple(bandwidth_grid(train.features, 2)), j_max=20)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tune_series(train, val, grid)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        shared = (n * (n - 1) // 2 + m * n) * 8
+        assert peak <= shared + n * n * 8 + m * n * 8 // 2
 
     def test_krr_bit_identical_to_per_penalty_fits(self):
         # 1e-18 trips the condition bound and must be refused the same way
