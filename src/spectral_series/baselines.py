@@ -11,7 +11,7 @@ from scipy.spatial.distance import cdist
 
 from .errors import InputError, NumericalError
 from .kernels import (
-    KernelSpec, _check_dims, check_finite_rows, cross_gram, gram_matrix, map_blocks,
+    KernelSpec, _checked_queries, _checked_training, cross_gram, gram_matrix, map_blocks,
     matmul,
 )
 
@@ -38,16 +38,14 @@ def nw_predict(
 
     Each prediction is a convex combination of training labels, so it lies in
     [min(y), max(y)]. Queries whose weights all underflow get their nearest
-    neighbor's label (logged). Query rows with NaN or Inf raise InputError.
+    neighbor's label (logged). Training points, labels and queries follow the
+    input contract (README, "Input contract"); a fault, or a bandwidth that is
+    not > 0, raises InputError.
     """
-    X_train = np.atleast_2d(np.asarray(X_train, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
-    if y.shape[0] != X_train.shape[0]:
-        raise InputError(f"got {y.shape[0]} labels for {X_train.shape[0]} points")
+    X_train, y = _checked_training(X_train, y)
     if not bandwidth > 0:
         raise InputError(f"bandwidth must be > 0, got {bandwidth}")
-    Xnew = np.atleast_2d(np.asarray(Xnew, dtype=float))
-    check_finite_rows(Xnew)
+    Xnew = _checked_queries(Xnew, X_train.shape[1])
     gram = cross_gram(KernelSpec.gaussian(bandwidth), X_train)
     out = np.empty(Xnew.shape[0])
 
@@ -77,18 +75,16 @@ def nw_predict(
 def knn_predict(X_train: np.ndarray, y: np.ndarray, k: int, Xnew: np.ndarray) -> np.ndarray:
     """Mean label over the k nearest training points (distance ties: lowest index).
 
-    Query rows with NaN or Inf, or a query column count other than the
-    training one, raise InputError.
+    Training points, labels and queries follow the input contract (README,
+    "Input contract"); a fault, or a k that is not an integer in 1..n, raises
+    InputError.
     """
-    X_train = np.atleast_2d(np.asarray(X_train, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
+    X_train, y = _checked_training(X_train, y)
     n = X_train.shape[0]
-    if y.shape[0] != n:
-        raise InputError(f"got {y.shape[0]} labels for {n} points")
-    if not (1 <= k <= n):
-        raise InputError(f"k must be in 1..{n}, got {k}")
-    Xnew, _ = _check_dims(Xnew, X_train)
-    check_finite_rows(Xnew)
+    if not (1 <= k <= n and k == int(k)):
+        raise InputError(f"k must be an integer in 1..{n}, got {k}")
+    k = int(k)
+    Xnew = _checked_queries(Xnew, X_train.shape[1])
     out = np.empty(Xnew.shape[0])
 
     def block(rows: slice) -> None:
@@ -144,13 +140,11 @@ def krr_fit(X: np.ndarray, y: np.ndarray, spec: KernelSpec, penalty: float) -> K
 
     Refuses visibly ill-conditioned systems: the Gershgorin bound
     max_rowsum(K + n*penalty*I) / (n*penalty) estimates the condition number
-    from above for a positive semi-definite K.
+    from above for a positive semi-definite K. X and y follow the input
+    contract (README, "Input contract"); a fault raises InputError, not the
+    NumericalError of a failed solve.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
-    n = X.shape[0]
-    if y.shape[0] != n:
-        raise InputError(f"got {y.shape[0]} labels for {n} points")
+    X, y = _checked_training(X, y)
     K = gram_matrix(spec, X)
     alpha = krr_solve(K, y, penalty, max_abs_row_sum(K))
     return KRRModel(spec, X, alpha, penalty)
@@ -196,9 +190,8 @@ def krr_solve(K: np.ndarray, y: np.ndarray, penalty: float, row_bound: float) ->
 
 
 def krr_predict(model: KRRModel, Xnew: np.ndarray) -> np.ndarray:
-    """Dual-form prediction at query points; rows with NaN or Inf raise InputError."""
-    Xnew = np.atleast_2d(np.asarray(Xnew, dtype=float))
-    check_finite_rows(Xnew)
+    """Dual-form prediction at query points, checked as in the input contract."""
+    Xnew = _checked_queries(Xnew, model.training_points.shape[1])
     alpha = model.dual_coefficients
     gram = cross_gram(model.kernel, model.training_points)
     out = np.empty(Xnew.shape[0])
@@ -208,8 +201,11 @@ def krr_predict(model: KRRModel, Xnew: np.ndarray) -> np.ndarray:
 
 
 def krr_penalty_grid(y: np.ndarray, n_grid: int = 10) -> np.ndarray:
-    """Log-spaced ridge penalties 1e-8..1e2 scaled by the response variance."""
-    y = np.asarray(y, dtype=float).ravel()
+    """Log-spaced ridge penalties 1e-8..1e2 scaled by the response variance.
+
+    y holding NaN or Inf raises InputError.
+    """
+    _, y = _checked_training(None, y)
     scale = float(np.var(y, ddof=1)) if y.size >= 2 else 1.0
     if scale <= 0.0:
         scale = 1.0

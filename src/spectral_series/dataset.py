@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
+from .kernels import _checked_training
 
 __all__ = [
     "Dataset",
@@ -34,9 +35,10 @@ class Dataset:
     Parameters
     ----------
     features : ndarray, shape (n, d)
-        One row per observation. Must be finite.
+        One row per observation, n >= 1 and d >= 1. Must be finite; a 1-D
+        array is refused (README, "Input contract").
     responses : ndarray, shape (n,), optional
-        Real-valued responses aligned with the feature rows.
+        Finite real-valued responses aligned with the feature rows.
     column_names : list of str, optional
         Names for the d feature columns.
     """
@@ -46,24 +48,10 @@ class Dataset:
     column_names: list[str] | None = None
 
     def __post_init__(self):
-        feats = np.asarray(self.features, dtype=float)
-        if feats.ndim != 2:
-            raise InputError(f"features must be 2-D, got shape {feats.shape}")
-        n, d = feats.shape
-        if n < 1 or d < 1:
-            raise InputError(f"need n >= 1 and d >= 1, got shape {feats.shape}")
-        if not np.all(np.isfinite(feats)):
-            raise InputError("features contain NaN or Inf")
+        feats, resp = _checked_training(self.features, self.responses)
         object.__setattr__(self, "features", feats)
-        if self.responses is not None:
-            resp = np.asarray(self.responses, dtype=float).ravel()
-            if resp.shape[0] != n:
-                raise InputError(
-                    f"responses have length {resp.shape[0]}, expected {n}"
-                )
-            if not np.all(np.isfinite(resp)):
-                raise InputError("responses contain NaN or Inf")
-            object.__setattr__(self, "responses", resp)
+        object.__setattr__(self, "responses", resp)
+        d = feats.shape[1]
         if self.column_names is not None and len(self.column_names) != d:
             raise InputError(
                 f"{len(self.column_names)} column names for {d} columns"

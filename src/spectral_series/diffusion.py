@@ -28,7 +28,7 @@ from scipy.linalg.blas import dsymv
 from scipy.linalg.lapack import dgemqrt, dgeqrt
 
 from .errors import InputError, NumericalError
-from .kernels import KernelSpec, _self_gram_into, matmul, row_blocks
+from .kernels import KernelSpec, _checked_training, _self_gram_into, matmul, row_blocks
 
 __all__ = [
     "Mode",
@@ -494,10 +494,14 @@ def fit_basis(
     with its row sums. Beyond K, the fit's heap is one 1 MiB block plus a
     few n x (j_max+1) arrays. Row sums that are not finite raise
     NumericalError in every mode, and in the degree-weighted modes so do
-    row sums that are not > 0.
+    row sums that are not > 0. X follows the input contract (README, "Input
+    contract") with at least 2 points, and j_max lies in 0..n-1; a fault
+    raises InputError before any kernel is built.
     """
-    X = _fit_points(X, j_max)
+    X, _ = _checked_training(X, min_rows=2)
     n = X.shape[0]
+    if not 0 <= j_max < n:
+        raise InputError(f"j_max must be in 0..{n - 1} for {n} points, got {j_max}")
     if gram is None:
         sums = np.empty(n)
         K = _self_gram_into(spec, X, sums=sums)
@@ -510,19 +514,6 @@ def fit_basis(
                              f"for the {n} rows of X")
         sums = _check_symmetric(K).sum(axis=1)
     return _fit(X, spec, j_max, mode, method, K, sums)
-
-
-def _fit_points(X: np.ndarray, j_max: int) -> np.ndarray:
-    """X as a 2-D float array, after fit_basis' checks on X and j_max."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    n = X.shape[0]
-    if n < 2:
-        raise InputError("fit_basis needs at least 2 training points")
-    if j_max < 0:
-        raise InputError("j_max must be >= 0")
-    if j_max + 1 > n:
-        raise InputError(f"j_max+1 = {j_max + 1} exceeds n = {n}")
-    return X
 
 
 def _fit(

@@ -203,24 +203,53 @@ class KernelSpec:
         return f"poly(q={self.degree})"
 
 
-def _check_dims(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    if A.shape[1] != B.shape[1]:
-        raise InputError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]} columns")
-    return A, B
+def _checked_training(X, y=None, min_rows: int = 1) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Training points X as a 2-D float array and responses y as a 1-D one.
 
-
-def check_finite_rows(X: np.ndarray, what: str = "query") -> None:
-    """Raise InputError naming the first row of X that holds NaN or Inf.
-
-    Such a row has no distance to any training point, so no estimator can
-    predict there; without the check, NaN distances sort or fall back to an
-    arbitrary training row. what names the rows in the message.
+    The input contract of every fit and baseline (README, "Input contract"):
+    X holds n >= min_rows finite points, one per row, in d >= 1 columns; a
+    1-D X is refused, not read as one point or one feature. y, if given,
+    ravels to n finite values; with X None, y is checked alone. A float64 X
+    is returned as passed, with no copy and its memory order kept, so no
+    output bit depends on the check. Every fault raises InputError.
     """
-    finite = np.isfinite(X).all(axis=1)
-    if not finite.all():
-        raise InputError(f"{what} row {int(np.argmin(finite))} contains NaN or Inf")
+    if X is not None:
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2:
+            raise InputError(f"training points must be 2-D, one point per row; got shape "
+                             f"{X.shape} (pass a single feature as X.reshape(-1, 1))")
+        if X.shape[1] < 1:
+            raise InputError(f"training points have no columns (shape {X.shape})")
+        if X.shape[0] < min_rows:
+            raise InputError(f"got {X.shape[0]} training points; need at least {min_rows}")
+        _checked_queries(X, X.shape[1], "training")
+    if y is None:
+        return X, None
+    y = np.asarray(y, dtype=float).ravel()
+    if X is not None and y.shape[0] != X.shape[0]:
+        raise InputError(f"got {y.shape[0]} responses for {X.shape[0]} training points")
+    _checked_queries(y[:, None], 1, "response")
+    return X, y
+
+
+def _checked_queries(Q, d: int, what: str = "query") -> np.ndarray:
+    """Query rows Q as a 2-D float array of d finite columns; a 1-D Q is one row.
+
+    Another column count, or a row holding NaN or Inf (it has no distance to
+    any training point), raises InputError naming the rows by what. A float64
+    Q is returned as passed, after one pass over it.
+    """
+    Q = np.atleast_2d(np.asarray(Q, dtype=float))
+    if Q.shape[1] != d:
+        raise InputError(f"{what} dimension {Q.shape[1]} does not match training dimension {d}")
+    # a sum of finite entries is finite unless it overflows; only then are the rows scanned
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = Q.sum()
+    if not np.isfinite(total):
+        finite = np.isfinite(Q).all(axis=1)
+        if not finite.all():
+            raise InputError(f"{what} row {int(np.argmin(finite))} contains NaN or Inf")
+    return Q
 
 
 def row_blocks(m: int, n: int, nbytes: int = BLOCK_BYTES) -> Iterator[slice]:
@@ -383,15 +412,16 @@ def sq_distances(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
     ``pdist`` order; otherwise the m x n matrix ``cdist`` returns. Below
     BLAS_DISTANCE_MIN_D columns these are ``pdist``/``cdist`` themselves; at
     or above it they come from tiled BLAS products (see the module notes),
-    every entry >= 0.
+    every entry >= 0. A 1-D A or B is one row. With B given, A and B are
+    checked as query rows are (_checked_queries).
     """
     if B is None:
         A = np.atleast_2d(np.asarray(A, dtype=float))
         if A.shape[1] < BLAS_DISTANCE_MIN_D:
             return pdist(A, "sqeuclidean")
         return _self_sq_distances(A)
-    A, B = _check_dims(A, B)
-    return _cross_sq_distances(B)(A)
+    B = _checked_queries(B, np.shape(B)[-1], "reference")
+    return _cross_sq_distances(B)(_checked_queries(A, B.shape[1]))
 
 
 def _cross_sq_distances(B: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -611,12 +641,13 @@ def gram_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray | None = None) ->
 
     With B omitted (or identical to A) the self Gram matrix is computed. It is
     exactly symmetric, and for the Gaussian family its diagonal is exactly 1.
+    A 1-D A or B is one row. With B given, A is checked as query rows are
+    (_checked_queries): a column count other than B's, or a row holding NaN
+    or Inf, raises InputError.
     """
-    self_gram = B is None or B is A
-    if self_gram:
-        A, _ = _check_dims(A, A)
-        return _self_gram_into(spec, A)
-    return cross_gram(spec, B)(A)
+    if B is None or B is A:
+        return _self_gram_into(spec, np.atleast_2d(np.asarray(A, dtype=float)))
+    return cross_gram(spec, B)(_checked_queries(A, np.shape(B)[-1]))
 
 
 def cross_gram(spec: KernelSpec, B: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -624,14 +655,14 @@ def cross_gram(spec: KernelSpec, B: np.ndarray) -> Callable[[np.ndarray], np.nda
 
     A read path makes one per call and applies it to each block of query
     rows; each block's Gram has the bits of ``gram_matrix(spec, A, B)``. A
-    query block whose column count differs from B's raises InputError.
+    block is a 2-D float array of B's column count, as _checked_queries
+    returns it.
     """
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if spec.family == "gaussian":
         distances = _cross_sq_distances(B)
-        return lambda A: gaussian_from_sqdist(distances(_check_dims(A, B)[0]),
-                                              spec.bandwidth)
-    return lambda A: _polynomial_from_inner(matmul(_check_dims(A, B)[0], B.T), spec.degree)
+        return lambda A: gaussian_from_sqdist(distances(A), spec.bandwidth)
+    return lambda A: _polynomial_from_inner(matmul(A, B.T), spec.degree)
 
 
 def _polynomial_from_inner(G: np.ndarray, degree: int) -> np.ndarray:
@@ -657,14 +688,12 @@ def bandwidth_grid(X: np.ndarray, n_grid: int = 1) -> np.ndarray:
     Values are squared-distance quantiles divided by 4: the median alone for
     n_grid=1, otherwise a log-spaced grid spanning the 1st to 99th percentile.
     Zero distances (duplicate points) are dropped before taking quantiles.
+    X holds at least 2 training points (see _checked_training).
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[0] < 2:
-        raise InputError("bandwidth_grid needs at least 2 points")
+    X, _ = _checked_training(X, min_rows=2)
     if n_grid < 1:
         raise InputError("n_grid must be >= 1")
     sq = sq_distances(X)
-    # NaN fails the test too, and is dropped by the filter as before
     if not sq.min() > 0.0:
         sq = sq[sq > 0.0]
     if sq.size == 0:

@@ -16,14 +16,14 @@ import numpy as np
 
 from .baselines import KNNModel, KRRModel, NWModel, krr_solve, max_abs_row_sum
 from .dataset import Dataset
-from .diffusion import EigenMethod, Mode, _fit, _fit_points, _n_usable
+from .diffusion import EigenMethod, Mode, _fit, _n_usable
 from .errors import InputError, NumericalError
 from .kernels import (
-    KernelSpec, _polynomial_from_inner, _self_gram_into, gaussian_from_sqdist,
-    gram_matrix, matmul, sq_distances,
+    KernelSpec, _cross_sq_distances, _polynomial_from_inner, _self_gram_into,
+    gaussian_from_sqdist, gram_matrix, matmul, sq_distances,
 )
 from .nystrom import _extend, _operands
-from .series import SeriesModel, estimate_coefficients, pool_unlabeled
+from .series import SeriesModel, _coefficients, pool_unlabeled
 
 __all__ = [
     "TuneGrid",
@@ -195,7 +195,9 @@ def tune_series(
     call. Polynomial candidates run in Uniform mode (their Gram entries may be
     negative, which the degree-weighted modes cannot accept). Unlabeled rows,
     when given, enter every candidate basis; coefficients use training rows
-    only. Ties prefer smaller J, then the smoother kernel.
+    only. Ties prefer smaller J, then the smoother kernel. train and val are
+    Datasets, checked when they were made, and unlabeled rows are checked as
+    queries are (README, "Input contract"), so the sweep scans no input again.
     """
     if train.responses is None or val.responses is None:
         raise InputError("tuning needs responses on both the train and validation splits")
@@ -204,8 +206,9 @@ def tune_series(
     pooled = pool_unlabeled(train.features, unlabeled)
     labeled = np.arange(train.n) if pooled.shape[0] > train.n else None
 
+    if pooled.shape[0] < 2:
+        raise InputError(f"got {pooled.shape[0]} training points; need at least 2")
     j_cap = min(grid.j_max, pooled.shape[0] - 1)
-    _fit_points(pooled, j_cap)  # fit_basis' input checks, once for the sweep
     surface: dict[tuple[str, float, int], float] = {}
     timings = {"kernel_build": 0.0, "eigendecomposition": 0.0,
                "coefficient": 0.0, "validation": 0.0}
@@ -218,7 +221,7 @@ def tune_series(
         t0 = time.perf_counter()
         sq_pooled = sq_distances(pooled)
         t1 = time.perf_counter()
-        sq_val = sq_distances(val.features, pooled)
+        sq_val = _cross_sq_distances(pooled)(val.features)
         timings["kernel_build"] += t1 - t0
         timings["validation"] += time.perf_counter() - t1
 
@@ -239,7 +242,7 @@ def tune_series(
             t1 = time.perf_counter()
             basis = _fit(pooled, spec, j_cap, cand_mode, method, K, sums)
             t2 = time.perf_counter()
-            coef = estimate_coefficients(basis, train.responses, labeled=labeled)
+            coef = _coefficients(basis, train.responses, labeled)
             t3 = time.perf_counter()
             timings["kernel_build"] += t1 - t0
             timings["eigendecomposition"] += t2 - t1

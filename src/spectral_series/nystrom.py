@@ -26,7 +26,7 @@ from scipy.spatial.distance import cdist
 
 from .diffusion import EIGENVALUE_FLOOR_REL, EigenBasis, Mode, _n_usable
 from .errors import InputError, NumericalError
-from .kernels import check_finite_rows, cross_gram, map_blocks, matmul
+from .kernels import _checked_queries, cross_gram, map_blocks, matmul
 
 __all__ = ["EIGENVALUE_FLOOR_REL", "extend", "eigenmap"]
 
@@ -35,13 +35,7 @@ logger = logging.getLogger(__name__)
 
 def _check_query(basis: EigenBasis, Xnew: np.ndarray, J: int) -> np.ndarray:
     """Xnew as a 2-D float array, after the checks every extension needs."""
-    Xnew = np.atleast_2d(np.asarray(Xnew, dtype=float))
-    if Xnew.shape[1] != basis.training_points.shape[1]:
-        raise InputError(
-            f"query dimension {Xnew.shape[1]} does not match "
-            f"training dimension {basis.training_points.shape[1]}"
-        )
-    check_finite_rows(Xnew)
+    Xnew = _checked_queries(Xnew, basis.training_points.shape[1])
     if not (0 <= J <= basis.n_components - 1):
         raise InputError(f"J must be in 0..{basis.n_components - 1}, got {J}")
     usable = _n_usable(basis.eigenvalues)
@@ -161,9 +155,10 @@ def extend(basis: EigenBasis, Xnew: np.ndarray, J: int) -> np.ndarray:
     Entry (i, j) = (1/lambda_j) * sum_l w(x_i, X_l) * Psi[l, j] with the
     mode-matched weights w. Queries so far from the training set that every
     kernel value underflows fall back to the nearest training point's basis
-    row (logged). Query rows holding NaN or inf raise InputError: they have
-    no nearest training point. Memory beyond the output is bounded by one
-    block of query rows, whatever m is.
+    row (logged). Queries follow the input contract (README, "Input
+    contract"): a 1-D Xnew is one row, and a column count other than the
+    training one or a row holding NaN or Inf raises InputError. Memory beyond
+    the output is bounded by one block of query rows, whatever m is.
     """
     Xnew = _check_query(basis, Xnew, J)
     return _extend(basis, Xnew, *_operands(basis, J, None))

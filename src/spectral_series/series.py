@@ -16,7 +16,7 @@ import scipy.linalg
 
 from .diffusion import EigenBasis, EigenMethod, Mode, fit_basis, smoothness_spectrum
 from .errors import InputError, NumericalError
-from .kernels import KernelSpec, check_finite_rows, matmul
+from .kernels import KernelSpec, _checked_queries, _checked_training, matmul
 from . import nystrom
 
 __all__ = [
@@ -97,14 +97,18 @@ def estimate_coefficients(
     """Project responses onto every basis column.
 
     y is aligned with the labeled rows (all training rows when labeled is
-    None). Returns the full coefficient vector beta_0..beta_Jmax.
+    None). Returns the full coefficient vector beta_0..beta_Jmax. y of
+    another length, or holding NaN or Inf, raises InputError.
     """
-    y = np.asarray(y, dtype=float).ravel()
+    _, y = _checked_training(None, y)
+    return _coefficients(basis, y, labeled)
+
+
+def _coefficients(basis: EigenBasis, y: np.ndarray, labeled: np.ndarray | None) -> np.ndarray:
+    """estimate_coefficients for 1-D finite responses y, which are not scanned again."""
     c = _coefficient_weights(basis, labeled)
     if y.shape[0] != c.shape[0]:
         raise InputError(f"got {y.shape[0]} responses for {c.shape[0]} labeled rows")
-    if not np.all(np.isfinite(y)):
-        raise InputError("responses contain NaN or Inf")
     Psi = basis.eigenvectors if labeled is None else basis.eigenvectors[labeled]
     return matmul(Psi.T, c * y)
 
@@ -115,9 +119,10 @@ def wls_coefficients(basis: EigenBasis, y: np.ndarray) -> np.ndarray:
     Solves (Z^T W Z) beta = Z^T W y with Z the basis columns at the training
     points and W the diagonal sampling-weight matrix (n times the
     orthogonality weights). Because Z^T W Z = n I up to roundoff, this agrees
-    with estimate_coefficients; it exists as an independent cross-check.
+    with estimate_coefficients; it exists as an independent cross-check. y
+    holding NaN or Inf raises InputError.
     """
-    y = np.asarray(y, dtype=float).ravel()
+    _, y = _checked_training(None, y)
     if y.shape[0] != basis.n:
         raise InputError(f"got {y.shape[0]} responses for {basis.n} training rows")
     Z = basis.eigenvectors
@@ -154,7 +159,9 @@ def fit(
 ) -> SeriesModel:
     """Supervised fit: basis on X, coefficients from all rows.
 
-    J defaults to j_max; pass a smaller value to truncate immediately.
+    J defaults to j_max; pass a smaller value to truncate immediately. X
+    (checked by fit_basis) and y (by estimate_coefficients) follow the input
+    contract (README, "Input contract"); a fault raises InputError.
     """
     basis = fit_basis(X, spec, j_max, mode, method)
     coef = estimate_coefficients(basis, y)
@@ -162,20 +169,14 @@ def fit(
 
 
 def pool_unlabeled(X_labeled: np.ndarray, X_unlabeled: np.ndarray | None) -> np.ndarray:
-    """Labeled rows stacked over the unlabeled ones, or the labeled rows alone.
+    """Labeled rows stacked over the checked unlabeled ones, or the labeled rows alone.
 
-    Raises InputError when the unlabeled rows have another dimension or a row
-    holds NaN or Inf.
+    The unlabeled rows are checked as queries are (a 1-D array is one row):
+    another dimension, or a row holding NaN or Inf, raises InputError.
     """
     if X_unlabeled is None or np.size(X_unlabeled) == 0:
         return X_labeled
-    X_unlabeled = np.atleast_2d(np.asarray(X_unlabeled, dtype=float))
-    if X_unlabeled.shape[1] != X_labeled.shape[1]:
-        raise InputError(
-            f"unlabeled rows have d={X_unlabeled.shape[1]}, "
-            f"labeled rows have d={X_labeled.shape[1]}"
-        )
-    check_finite_rows(X_unlabeled, "unlabeled")
+    X_unlabeled = _checked_queries(X_unlabeled, X_labeled.shape[1], "unlabeled")
     return np.vstack([X_labeled, X_unlabeled])
 
 
@@ -193,23 +194,16 @@ def fit_ssl(
 
     The eigenbasis and its weights see the pooled sample; the coefficient
     projection runs over the labeled rows only. With no unlabeled rows this
-    is exactly the supervised fit.
+    is exactly the supervised fit. Labeled points and y follow the input
+    contract, unlabeled rows are checked as queries are (README, "Input
+    contract"); a fault raises InputError.
     """
-    X_labeled = np.atleast_2d(np.asarray(X_labeled, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
-    if y.shape[0] != X_labeled.shape[0]:
-        raise InputError(
-            f"got {y.shape[0]} responses for {X_labeled.shape[0]} labeled rows"
-        )
-    if X_labeled.shape[0] == 0:
-        raise InputError("labeled set is empty")
+    X_labeled, y = _checked_training(X_labeled, y)
     pooled = pool_unlabeled(X_labeled, X_unlabeled)
-    if pooled.shape[0] == X_labeled.shape[0]:
-        model = fit(X_labeled, y, spec, j_max, mode, method, J)
-        return replace(model, ssl=False)
+    ssl = pooled.shape[0] > X_labeled.shape[0]
     basis = fit_basis(pooled, spec, j_max, mode, method)
-    coef = estimate_coefficients(basis, y, labeled=np.arange(X_labeled.shape[0]))
-    return SeriesModel(basis, coef, j_max if J is None else J, ssl=True)
+    coef = _coefficients(basis, y, np.arange(X_labeled.shape[0]) if ssl else None)
+    return SeriesModel(basis, coef, j_max if J is None else J, ssl=ssl)
 
 
 def smoothness_functional(model: SeriesModel) -> float:

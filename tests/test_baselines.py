@@ -234,7 +234,8 @@ def test_non_finite_query_rejected(estimator, bad):
 def test_query_dimension_mismatch_rejected(estimator, columns):
     # kNN used to let scipy's cdist raise ValueError
     _, predictors = spiral_predictors(50)
-    with pytest.raises(InputError, match=f"dimension mismatch: {columns} vs 2 columns"):
+    with pytest.raises(InputError,
+                       match=f"query dimension {columns} does not match training dimension 2"):
         predictors[estimator](np.zeros((4, columns)))
 
 

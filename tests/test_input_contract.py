@@ -1,0 +1,228 @@
+"""One input contract: every public entry point checks points, responses and
+queries the same way, raises InputError on a fault, and hands valid inputs to
+its arithmetic unchanged."""
+
+import numpy as np
+import pytest
+
+from spectral_series import (
+    Dataset,
+    InputError,
+    KernelSpec,
+    Mode,
+    SplitSpec,
+    TuneGrid,
+    bandwidth_grid,
+    estimate_coefficients,
+    extend,
+    fit,
+    fit_basis,
+    fit_ssl,
+    gen_spiral,
+    knn_predict,
+    krr_fit,
+    krr_penalty_grid,
+    krr_predict,
+    nw_predict,
+    predict,
+    split,
+    tune_baseline,
+    tune_series,
+    wls_coefficients,
+)
+from spectral_series import baselines, dataset, diffusion, kernels, nystrom, series
+from spectral_series.kernels import _checked_queries, _checked_training
+
+N = 60
+SPEC = KernelSpec.gaussian(1.0)
+
+
+def _valid():
+    data = gen_spiral(N, noise_sd=0.1, seed=0)
+    queries = gen_spiral(7, noise_sd=0.1, seed=1).features
+    return data.features.copy(), data.responses.copy(), queries
+
+
+_X, _Y, _Q = _valid()
+_MODEL = fit(_X, _Y, SPEC, 6)
+_KRR = krr_fit(_X, _Y, SPEC, 1e-2)
+_VAL = Dataset(*_valid()[:2])
+
+
+# entry name -> (inputs it reads, n if it checks the length of y; call(X, y, Q))
+ENTRIES = {
+    "Dataset": ("Xyn", lambda X, y, Q: Dataset(X, y)),
+    "fit_basis": ("X", lambda X, y, Q: fit_basis(X, SPEC, 6)),
+    "fit": ("Xyn", lambda X, y, Q: fit(X, y, SPEC, 6)),
+    "fit_ssl": ("XynQ", lambda X, y, Q: fit_ssl(X, y, Q, SPEC, 6)),
+    "estimate_coefficients": ("yn", lambda X, y, Q: estimate_coefficients(_MODEL.basis, y)),
+    "wls_coefficients": ("yn", lambda X, y, Q: wls_coefficients(_MODEL.basis, y)),
+    "bandwidth_grid": ("X", lambda X, y, Q: bandwidth_grid(X, 3)),
+    "tune_series": ("XynQ", lambda X, y, Q: tune_series(
+        Dataset(X, y), _VAL, TuneGrid((1.0,), j_max=4), unlabeled=Q)),
+    "tune_baseline_nw": ("XynQ", lambda X, y, Q: tune_baseline(
+        Dataset(X, y), Dataset(Q, np.ones(len(Q))), [1.0], "nw")),
+    "tune_baseline_krr": ("XynQ", lambda X, y, Q: tune_baseline(
+        Dataset(X, y), Dataset(Q, np.ones(len(Q))), [1e-2], "krr", SPEC)),
+    "krr_fit": ("Xyn", lambda X, y, Q: krr_fit(X, y, SPEC, 1e-2)),
+    "krr_penalty_grid": ("y", lambda X, y, Q: krr_penalty_grid(y)),
+    "nw_predict": ("XynQ", lambda X, y, Q: nw_predict(X, y, 1.0, Q)),
+    "knn_predict": ("XynQ", lambda X, y, Q: knn_predict(X, y, 5, Q)),
+    "krr_predict": ("Q", lambda X, y, Q: krr_predict(_KRR, Q)),
+    "predict": ("Q", lambda X, y, Q: predict(_MODEL, Q)),
+    "extend": ("Q", lambda X, y, Q: extend(_MODEL.basis, Q, 3)),
+}
+
+
+def _set(a, index, value):
+    a = a.copy()
+    a[index] = value
+    return a
+
+
+# fault name -> (input it spoils, spoil(X, y, Q) -> (X, y, Q))
+FAULTS = {
+    "nan-points": ("X", lambda X, y, Q: (_set(X, (3, 1), np.nan), y, Q)),
+    "inf-points": ("X", lambda X, y, Q: (_set(X, (5, 0), -np.inf), y, Q)),
+    "nan-responses": ("y", lambda X, y, Q: (X, _set(y, 4, np.nan), Q)),
+    "inf-responses": ("y", lambda X, y, Q: (X, _set(y, 2, np.inf), Q)),
+    "zero-columns": ("X", lambda X, y, Q: (np.empty((N, 0)), y, Q)),
+    "1-d-points": ("X", lambda X, y, Q: (X[:, 0].copy(), y, Q)),
+    "mismatched-lengths": ("n", lambda X, y, Q: (X, y[:-1], Q)),
+    "query-columns": ("Q", lambda X, y, Q: (X, y, np.ones((len(Q), 3)))),
+    "nan-query": ("Q", lambda X, y, Q: (X, y, _set(Q, (2, 0), np.nan))),
+}
+
+
+@pytest.mark.parametrize("entry, fault", [
+    pytest.param(entry, fault, id=f"{entry}-{fault}")
+    for entry, (reads, _) in ENTRIES.items()
+    for fault, (spoils, _) in FAULTS.items() if spoils in reads
+])
+def test_bad_input_raises_input_error(entry, fault):
+    # NaN used to come back as NaN answers (nw, krr_penalty_grid, wls), a
+    # finite answer (knn, bandwidth_grid), NumericalError (krr_fit, fit_basis)
+    # or a fit on zero columns or on one 600-column point
+    X, y, Q = FAULTS[fault][1](*_valid())
+    with pytest.raises(InputError):
+        ENTRIES[entry][1](X, y, Q)
+
+
+@pytest.mark.parametrize("k", [2.5, 0.5, np.nan])
+def test_knn_non_integral_k_rejected(k):
+    # 2.5 used to end in a TypeError from the neighbour slice
+    X, y, Q = _valid()
+    with pytest.raises(InputError, match="k must be an integer"):
+        knn_predict(X, y, k, Q)
+
+
+def test_knn_integral_float_k_accepted():
+    X, y, Q = _valid()
+    assert np.array_equal(knn_predict(X, y, 5.0, Q), knn_predict(X, y, 5, Q))
+
+
+def test_messages_name_the_fault():
+    X, y, Q = _valid()
+    with pytest.raises(InputError, match=r"2-D.*reshape\(-1, 1\)"):
+        fit_basis(X[:, 0], SPEC, 3)
+    with pytest.raises(InputError, match="training row 3 contains NaN or Inf"):
+        krr_fit(_set(X, (3, 1), np.nan), y, SPEC, 1e-2)
+    with pytest.raises(InputError, match="response row 4 contains NaN or Inf"):
+        krr_penalty_grid(_set(y, 4, np.nan))
+    with pytest.raises(InputError, match=f"got {N - 1} responses for {N} training points"):
+        nw_predict(X, y[:-1], 1.0, Q)
+    with pytest.raises(InputError, match="no columns"):
+        Dataset(np.empty((N, 0)))
+    with pytest.raises(InputError, match="query row 2 contains NaN or Inf"):
+        predict(_MODEL, _set(Q, (2, 1), np.inf))
+
+
+def test_one_query_row_may_be_1d():
+    X, y, Q = _valid()
+    for call in (lambda q: predict(_MODEL, q), lambda q: nw_predict(X, y, 1.0, q),
+                 lambda q: knn_predict(X, y, 5, q), lambda q: krr_predict(_KRR, q)):
+        assert np.array_equal(call(Q[3]), call(Q[3:4]))
+
+
+@pytest.mark.parametrize("entry", ["nw_predict", "knn_predict", "krr_predict", "predict",
+                                   "extend"])
+@pytest.mark.parametrize("fault", ["query-columns", "nan-query"])
+def test_queries_checked_before_any_block(entry, fault, monkeypatch):
+    # a fault is raised by the entry's check, before a block reaches the pool
+    def no_blocks(*args, **kwargs):
+        raise AssertionError("a query block ran")
+
+    monkeypatch.setattr(baselines, "map_blocks", no_blocks)
+    monkeypatch.setattr(nystrom, "map_blocks", no_blocks)
+    X, y, Q = FAULTS[fault][1](*_valid())
+    with pytest.raises(InputError):
+        ENTRIES[entry][1](X, y, Q)
+
+
+def test_finite_values_whose_sum_overflows_pass():
+    # the one-pass check sums the entries; an overflowing sum alone is no fault
+    big = np.full((4, 2), 1e308)
+    assert _checked_queries(big, 2) is big
+    assert _checked_training(None, np.full(3, -1e308))[1].shape == (3,)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_checked_arrays_are_the_callers_own(order):
+    # no copy, dtype or memory-order change: the arithmetic sees the caller's
+    # array, as it did before the checks were shared
+    X, y, Q = (np.asarray(a, order=order) for a in _valid())
+    assert _checked_training(X, y)[0] is X
+    assert _checked_queries(Q, 2) is Q
+    assert Dataset(X, y).features is X
+    assert fit_basis(X, SPEC, 4).training_points is X
+    assert fit(X, y, SPEC, 4).basis.training_points is X
+    assert fit_ssl(X, y, None, SPEC, 4).basis.training_points is X
+    assert krr_fit(X, y, SPEC, 1e-2).training_points is X
+    # other inputs become what np.atleast_2d(np.asarray(., dtype=float)) gives
+    as_list = _checked_training(X.tolist(), y.tolist())
+    assert np.array_equal(as_list[0], X) and as_list[0].flags.c_contiguous
+    assert np.array_equal(as_list[1], y)
+    assert np.array_equal(_checked_queries(Q[0].tolist(), 2), Q[:1])
+
+
+def _unchecked_training(X, y=None, min_rows=1):
+    """The conversion the entry points made before the shared checks."""
+    X = None if X is None else np.atleast_2d(np.asarray(X, dtype=float))
+    return X, None if y is None else np.asarray(y, dtype=float).ravel()
+
+
+def _unchecked_queries(Q, d, what="query"):
+    return np.atleast_2d(np.asarray(Q, dtype=float))
+
+
+def _outputs():
+    """fit/predict in every mode, the three baselines and a tuning surface."""
+    data = gen_spiral(300, noise_sd=0.1, seed=5)
+    X = np.asfortranarray(data.features)  # memory order must be kept too
+    y = data.responses
+    Q = gen_spiral(200, noise_sd=0.1, seed=6).features
+    out = []
+    for mode in Mode:
+        model = fit(X, y, SPEC, 12, mode)
+        out += [model.basis.eigenvectors, model.coefficients, predict(model, Q)]
+    krr = krr_fit(X, y, SPEC, 1e-3)
+    out += [nw_predict(X, y, 0.5, Q), knn_predict(X, y, 7, Q), krr_predict(krr, Q)]
+    train, val, _ = split(gen_spiral(240, noise_sd=0.1, seed=7), SplitSpec(seed=1))
+    grid = TuneGrid(tuple(bandwidth_grid(train.features, 3)), (2,), j_max=10)
+    _, report = tune_series(train, val, grid, unlabeled=Q[:40])
+    out.append(np.array([v for _, v in sorted(report.loss_surface.items())]))
+    return out
+
+
+def test_valid_inputs_give_the_unchecked_bits(monkeypatch):
+    checked = _outputs()
+    for module in (dataset, diffusion, series, baselines, kernels):
+        if hasattr(module, "_checked_training"):
+            monkeypatch.setattr(module, "_checked_training", _unchecked_training)
+    for module in (series, baselines, nystrom, kernels):
+        if hasattr(module, "_checked_queries"):
+            monkeypatch.setattr(module, "_checked_queries", _unchecked_queries)
+    unchecked = _outputs()
+    assert len(checked) == len(unchecked)
+    for a, b in zip(checked, unchecked):
+        assert np.array_equal(a, b)
