@@ -92,10 +92,9 @@ class EigenMethod:
       spiral's five grid bandwidths, a fit at n = 400 took about as long
       with either solver for k = 61 and less with Lanczos for k = 11 and
       31, while at n = 350 LAPACK was ahead for k = 11 and 61. It also
-      hands it over whenever 2k + 1 >= n, and when the pairs it found hold
-      a tie (a gap below EIGENVALUE_TIE_GAP * lambda_0), because on a tied
-      spectrum ARPACK restarts from its own random vectors and the pairs
-      would differ from call to call.
+      hands it over whenever 2k + 1 >= n. ARPACK's restarts are seeded,
+      so a tied spectrum gives the same pairs in every call and every
+      process.
     - "full": exact, by LAPACK's dense subset eigh.
     - "randomized": Gaussian range-finding with power iteration; the only
       method that reads oversample, power_iters and seed.
@@ -270,10 +269,6 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
-def _tie_gap(eigenvalues: np.ndarray) -> float:
-    return EIGENVALUE_TIE_GAP * abs(float(eigenvalues[0]))
-
-
 def _n_usable(eigenvalues: np.ndarray) -> int:
     """Length of the leading run of eigenvalues above the extension floor.
 
@@ -293,7 +288,7 @@ def _log_ties(eigenvalues: np.ndarray) -> None:
     """
     usable = eigenvalues[: _n_usable(eigenvalues)]
     gaps = np.abs(np.diff(usable))
-    ties = np.nonzero(gaps < _tie_gap(eigenvalues))[0]
+    ties = np.nonzero(gaps < EIGENVALUE_TIE_GAP * abs(float(eigenvalues[0])))[0]
     if ties.size:
         j = ties[0]
         logger.warning(
@@ -373,7 +368,9 @@ def _solve_lanczos(A: np.ndarray, k: int, method: EigenMethod, scratch: bool,
                    start: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """ARPACK's restarted Lanczos on the k largest pairs, from a fixed start.
 
-    Hands the solve to LAPACK where EigenMethod says so.
+    Hands the solve to LAPACK where EigenMethod says so. ARPACK restarts a
+    Krylov space that breaks down, as it can on a tied spectrum, from a
+    random vector; rng=0 seeds it, so the pairs are the same in every call.
     """
     n = A.shape[0]
     if n < LANCZOS_MIN_N or 2 * k + 1 >= n:
@@ -388,15 +385,11 @@ def _solve_lanczos(A: np.ndarray, k: int, method: EigenMethod, scratch: bool,
     op = LinearOperator((n, n), matvec=lambda x: dsymv(1.0, AT, x), dtype=float)
     v0 = np.ones(n) if start is None else start
     try:
-        vals, vecs = eigsh(op, k, which="LA", v0=v0, tol=0)
+        vals, vecs = eigsh(op, k, which="LA", v0=v0, tol=0, rng=0)
     except ArpackError as exc:
         raise NumericalError(f"Lanczos eigensolver failed: {exc}") from None
     # returned ascending
-    vals, vecs = vals[::-1], vecs[:, ::-1]
-    if np.any(np.abs(np.diff(vals)) < _tie_gap(vals)):
-        # A is now this solve's own copy or scratch either way
-        return _solve_lapack(A, k, method, True, start)
-    return vals, vecs
+    return vals[::-1], vecs[:, ::-1]
 
 
 # EigenMethod.name -> solver(A, k, method, scratch, start) returning the k
@@ -416,14 +409,13 @@ def eigendecompose(
 
     Eigenvectors are scaled so (1/n) sum_i v_j(i) v_k(i) = delta_jk and
     sign-fixed. method defaults to EigenMethod(), i.e. "lanczos", which
-    solves with LAPACK ("full") below LANCZOS_MIN_N = 400 rows, when
-    2(j_max+1) + 1 >= n, and when the Lanczos pairs hold a tie; see
-    EigenMethod. Every method is deterministic; the randomized one given its
-    seed. A is left unchanged: the Lanczos method zeroes subnormal entries
-    in a copy of it. A that is not square raises InputError, and one that
-    is not symmetric within SYMMETRY_RTOL, or holds NaN or Inf, raises
-    NumericalError; so does a solver that fails or returns fewer than
-    j_max+1 pairs.
+    solves with LAPACK ("full") below LANCZOS_MIN_N = 400 rows and when
+    2(j_max+1) + 1 >= n; see EigenMethod. Every method is deterministic, on
+    tied spectra too; the randomized one given its seed. A is left
+    unchanged: the Lanczos method zeroes subnormal entries in a copy of it.
+    A that is not square raises InputError, and one that is not symmetric
+    within SYMMETRY_RTOL, or holds NaN or Inf, raises NumericalError; so
+    does a solver that fails or returns fewer than j_max+1 pairs.
     """
     return _eigendecompose(_check_symmetric(A), j_max, method)
 

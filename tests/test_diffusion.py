@@ -260,7 +260,7 @@ class TestEigendecompose:
         # LAPACK's subset solve returns no pairs for this nearly diagonal
         # operator, and reports no error
         with pytest.raises(NumericalError, match="returned 0 of the 6 eigenpairs"):
-            eigendecompose(np.eye(1000) + 1e-217, 5)
+            eigendecompose(np.eye(1000) + 1e-217, 5, EigenMethod("full"))
 
     def test_short_randomized_solve_rejected(self, monkeypatch):
         # with no oversampling the small problem has exactly k pairs; a
@@ -326,28 +326,49 @@ def three_blobs(n=800):
                            zip((n - 2 * (n // 3), n // 3, n // 3), centers)])
 
 
-def _pairs_digest(A, j_max):
-    """SHA-256 of the default solver's pairs on A, or its NumericalError message."""
+def three_blobs_operator():
+    return symmetric_normalize(gram_matrix(KernelSpec.gaussian(1.0), three_blobs()))
+
+
+def _top_pairs(A):
+    return eigendecompose(A, 5)
+
+
+def _fits_in_every_mode(X):
+    """Each mode's default-method fit: the values and vectors, mode by mode."""
+    arrays = []
+    for mode in Mode:
+        basis = fit_basis(X, KernelSpec.gaussian(1.0), 5, mode)
+        arrays += [basis.eigenvalues, basis.eigenvectors]
+    return arrays
+
+
+def _digest(solve, x):
+    """SHA-256 of the arrays solve(x) returns, or its NumericalError message."""
     try:
-        vals, vecs = eigendecompose(A, j_max)
+        arrays = solve(x)
     except NumericalError as exc:
         return f"NumericalError: {exc}"
-    return hashlib.sha256(vals.tobytes() + vecs.tobytes()).hexdigest()
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
 
 
-# the operators of the determinism test, also built in a fresh process
+# name -> (make the input, solve it with the default method): the cases of
+# the determinism test, also run in a fresh process
 _DETERMINISM_CASES = {
-    # tied throughout: ARPACK would restart from its own random vectors
-    "near-diagonal": lambda: np.eye(1000) + 1e-217,
-    "three-blobs": lambda: symmetric_normalize(
-        gram_matrix(KernelSpec.gaussian(1.0), three_blobs())),
-    "spiral": lambda: spiral_operator(1000, 1),
+    # tied throughout: the first product breaks the Krylov space down, and
+    # ARPACK restarts from a random vector
+    "near-diagonal": (lambda: np.eye(1000) + 1e-217, _top_pairs),
+    # a threefold lambda = 1, which the fit's start vector, the square-rooted
+    # row sums, lies in
+    "three-blobs": (three_blobs_operator, _top_pairs),
+    "three-blobs-fit": (three_blobs, _fits_in_every_mode),
+    "spiral": (lambda: spiral_operator(1000, 1), _top_pairs),
 }
 
 
 def _print_digests():
-    for name, make in _DETERMINISM_CASES.items():
-        print(name, _pairs_digest(make(), 5), sep="\t")
+    for name, (make, solve) in _DETERMINISM_CASES.items():
+        print(name, _digest(solve, make()), sep="\t")
 
 
 class TestLanczos:
@@ -412,6 +433,25 @@ class TestLanczos:
             G = lz.eigenvectors.T @ W @ lz.eigenvectors
             assert np.max(np.abs(G - np.eye(31))) <= 1e-8
 
+    def test_tied_spectrum_makes_no_lapack_call(self, monkeypatch):
+        def eigh(*args, **kwargs):
+            raise AssertionError("LAPACK eigh called")
+        monkeypatch.setattr(scipy.linalg, "eigh", eigh)
+        A = three_blobs_operator()
+        assert A.shape[0] >= LANCZOS_MIN_N
+        vals, _ = eigendecompose(A, 5)
+        assert np.allclose(vals[:3], 1.0, rtol=0, atol=1e-12)
+
+    def test_eigenvalue_one_cluster_spans_the_full_subspace(self):
+        # the three lambda = 1 vectors are pinned down only as a subspace
+        A = three_blobs_operator()
+        vals, vecs = eigendecompose(A, 5)
+        full_vals, full_vecs = eigendecompose(A, 5, EigenMethod("full"))
+        assert np.allclose(full_vals[:3], 1.0, rtol=0, atol=1e-12)
+        assert full_vals[3] < 1.0 - 1e-3
+        angles = scipy.linalg.subspace_angles(vecs[:, :3], full_vecs[:, :3])
+        assert np.max(angles) <= 1e-10
+
     def test_three_components_give_eigenvalue_one_three_times(self):
         basis = fit_basis(three_blobs(800), KernelSpec.gaussian(1.0), 10)
         vals = basis.eigenvalues
@@ -420,13 +460,15 @@ class TestLanczos:
 
     def test_deterministic_within_and_across_processes(self):
         digests = {}
-        for name, make in _DETERMINISM_CASES.items():
-            A = make()
-            runs = {_pairs_digest(A, 5) for _ in range(3)}
+        for name, (make, solve) in _DETERMINISM_CASES.items():
+            x = make()
+            runs = {_digest(solve, x) for _ in range(3)}
             assert len(runs) == 1, f"{name}: {len(runs)} different results"
             digests[name] = runs.pop()
-        assert digests["near-diagonal"] == (
-            "NumericalError: eigensolver returned 0 of the 6 eigenpairs asked for")
+        # 1 + 1000 * 1e-217 rounds to 1, so every pair has eigenvalue 1
+        make, solve = _DETERMINISM_CASES["near-diagonal"]
+        vals, _ = solve(make())
+        assert np.array_equal(vals, np.ones(6))
         script = ("import sys; sys.path.insert(0, sys.argv[1]); "
                   "import test_diffusion; test_diffusion._print_digests()")
         src = str(Path(diffusion.__file__).resolve().parents[1])
@@ -664,7 +706,7 @@ class TestFitBasis:
         # kernel value is near 1e-217, and the subset solve returns no pairs
         X = np.random.default_rng(0).normal(size=(1000, 1000))
         with pytest.raises(NumericalError, match="eigenpairs"):
-            fit_basis(X, KernelSpec.gaussian(1.0), 4)
+            fit_basis(X, KernelSpec.gaussian(1.0), 4, method=EigenMethod("full"))
 
     @given(st.integers(0, 2 ** 31 - 1), st.floats(0.3, 5.0),
            st.sampled_from([Mode.STOCHASTIC, Mode.BIAS_CORRECTED,
