@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +13,7 @@ from .kernels import (
     KernelSpec, _checked_queries, _checked_training, cross_gram, gram_matrix, map_blocks,
     matmul,
 )
+from .nystrom import _extend
 
 __all__ = [
     "NWModel",
@@ -26,8 +26,6 @@ __all__ = [
     "krr_penalty_grid",
 ]
 
-logger = logging.getLogger(__name__)
-
 KRR_CONDITION_LIMIT = 1e12
 
 
@@ -37,39 +35,29 @@ def nw_predict(
     """Locally weighted mean with Gaussian kernel weights.
 
     Each prediction is a convex combination of training labels, so it lies in
-    [min(y), max(y)]. Queries whose weights all underflow get their nearest
-    neighbor's label (logged). Training points, labels and queries follow the
-    input contract (README, "Input contract"); a fault, or a bandwidth that is
-    not > 0, raises InputError.
+    [min(y), max(y)]. It is nystrom's Stochastic extension of y: one product
+    of each cross Gram block with [y | 1] gives the weighted sums and their
+    normaliser. Queries whose weights all underflow get their nearest
+    neighbor's label (logged by spectral_series.nystrom). Training points,
+    labels and queries follow the input contract (README, "Input contract");
+    a fault, or a bandwidth that is not > 0, raises InputError.
     """
     X_train, y = _checked_training(X_train, y)
+    bandwidth = _checked_bandwidth(bandwidth)
+    Xnew = _checked_queries(Xnew, X_train.shape[1])
+    return _nw(X_train, y, bandwidth, Xnew)
+
+
+def _checked_bandwidth(bandwidth: float) -> float:
     if not bandwidth > 0:
         raise InputError(f"bandwidth must be > 0, got {bandwidth}")
-    Xnew = _checked_queries(Xnew, X_train.shape[1])
-    gram = cross_gram(KernelSpec.gaussian(bandwidth), X_train)
-    out = np.empty(Xnew.shape[0])
+    return float(bandwidth)
 
-    def block(rows: slice) -> int:
-        K = gram(Xnew[rows])
-        sums = K.sum(axis=1)
-        dead = sums <= 0.0
-        sums[dead] = 1.0
-        part = matmul(K, y, out=out[rows])
-        part /= sums
-        if not dead.any():
-            return 0
-        idx = np.nonzero(dead)[0]
-        nearest = np.argmin(cdist(Xnew[rows][idx], X_train, "sqeuclidean"), axis=1)
-        part[idx] = y[nearest]
-        return idx.size
 
-    fallbacks = sum(map_blocks(block, Xnew.shape[0], X_train.shape[0], Xnew.shape[1]))
-    if fallbacks:
-        logger.warning(
-            "kernel weights underflowed for %d query point(s); "
-            "used nearest neighbor's label", fallbacks,
-        )
-    return out
+def _nw(X_train: np.ndarray, y: np.ndarray, bandwidth: float, Xnew: np.ndarray) -> np.ndarray:
+    """nw_predict on checked inputs, which are not scanned again."""
+    M = np.column_stack([y, np.ones_like(y)])
+    return _extend(KernelSpec.gaussian(bandwidth), X_train, Xnew, M, y, 1.0)
 
 
 def knn_predict(X_train: np.ndarray, y: np.ndarray, k: int, Xnew: np.ndarray) -> np.ndarray:
@@ -80,11 +68,19 @@ def knn_predict(X_train: np.ndarray, y: np.ndarray, k: int, Xnew: np.ndarray) ->
     InputError.
     """
     X_train, y = _checked_training(X_train, y)
-    n = X_train.shape[0]
+    k = _checked_k(k, X_train.shape[0])
+    Xnew = _checked_queries(Xnew, X_train.shape[1])
+    return _knn(X_train, y, k, Xnew)
+
+
+def _checked_k(k: int, n: int) -> int:
     if not (1 <= k <= n and k == int(k)):
         raise InputError(f"k must be an integer in 1..{n}, got {k}")
-    k = int(k)
-    Xnew = _checked_queries(Xnew, X_train.shape[1])
+    return int(k)
+
+
+def _knn(X_train: np.ndarray, y: np.ndarray, k: int, Xnew: np.ndarray) -> np.ndarray:
+    """knn_predict on checked inputs, which are not scanned again."""
     out = np.empty(Xnew.shape[0])
 
     def block(rows: slice) -> None:
@@ -94,7 +90,7 @@ def knn_predict(X_train: np.ndarray, y: np.ndarray, k: int, Xnew: np.ndarray) ->
         out[rows] = y[order[:, :k]].mean(axis=1)
 
     # cdist and argsort are single-threaded loops at every d
-    map_blocks(block, Xnew.shape[0], n)
+    map_blocks(block, Xnew.shape[0], X_train.shape[0])
     return out
 
 

@@ -14,7 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import KNNModel, KRRModel, NWModel, krr_solve, max_abs_row_sum
+from .baselines import (
+    KNNModel, KRRModel, NWModel, _checked_bandwidth, _checked_k, _knn, _nw, krr_solve,
+    max_abs_row_sum,
+)
 from .dataset import Dataset
 from .diffusion import EigenMethod, Mode, _fit, _n_usable
 from .errors import InputError, NumericalError
@@ -256,7 +259,7 @@ def tune_series(
                 else:
                     _polynomial_from_inner(matmul(val.features, pooled.T, out=Kv),
                                            spec.degree)
-                Psi_val = _extend(basis, val.features,
+                Psi_val = _extend(spec, pooled, val.features,
                                   *_operands(basis, usable - 1, None), Kx=Kv)
                 cum = np.cumsum(Psi_val * coef[:usable][None, :], axis=1)
                 err = val.responses[:, None] - cum
@@ -306,17 +309,23 @@ def tune_baseline(
     kind is "nw" (candidates are bandwidths), "knn" (neighbor counts), or
     "krr" (penalties; needs the kernel, whose Gram and validation cross Gram
     are built once for all penalties). Exact ties go to the larger
-    parameter, i.e. the smoother model.
+    parameter, i.e. the smoother model. Candidates are checked as the
+    predictors check them, all before the first is scored.
     """
     if train.responses is None or val.responses is None:
         raise InputError("tuning needs responses on both the train and validation splits")
+    if train.d != val.d:
+        raise InputError(f"train has d={train.d} but validation has d={val.d}")
     candidates = sorted(candidates)
     if not candidates:
         raise InputError("no candidates to tune over")
-    if kind not in ("nw", "knn", "krr"):
+    checked = {"nw": _checked_bandwidth, "knn": lambda k: _checked_k(k, train.n), "krr": float}
+    if kind not in checked:
         raise InputError(f"unknown baseline kind {kind!r}")
     if kind == "krr" and kernel is None:
         raise InputError("krr tuning needs a kernel spec")
+    candidates = [checked[kind](param) for param in candidates]
+    score = _nw if kind == "nw" else _knn
 
     surface: dict[tuple[str, float, int], float] = {}
     timings = {"fit": 0.0, "validation": 0.0}
@@ -334,18 +343,19 @@ def tune_baseline(
         t0 = time.perf_counter()
         try:
             if kind == "nw":
-                model = NWModel(train.features, train.responses, float(param))
+                model = NWModel(train.features, train.responses, param)
             elif kind == "knn":
-                model = KNNModel(train.features, train.responses, int(param))
+                model = KNNModel(train.features, train.responses, param)
             else:
-                alpha = krr_solve(K, train.responses, float(param), row_bound)
-                model = KRRModel(kernel, train.features, alpha, float(param))
+                alpha = krr_solve(K, train.responses, param, row_bound)
+                model = KRRModel(kernel, train.features, alpha, param)
         except NumericalError as exc:
             logger.warning("%s candidate %s failed: %s", kind, param, exc)
             surface[(kind, float(param), -1)] = float("inf")
             continue
         t1 = time.perf_counter()
-        preds = matmul(Kv, alpha) if kind == "krr" else model.predict(val.features)
+        preds = (matmul(Kv, alpha) if kind == "krr"
+                 else score(train.features, train.responses, param, val.features))
         loss = empirical_loss(preds, val.responses)
         timings["fit"] += t1 - t0
         timings["validation"] += time.perf_counter() - t1

@@ -62,7 +62,7 @@ class SeriesModel:
         return replace(self, J=J)
 
     @cached_property
-    def _operands(self) -> tuple[np.ndarray, np.ndarray]:
+    def _operands(self) -> tuple[np.ndarray, np.ndarray, float]:
         return nystrom._operands(self.basis, self.J, self.coefficients[: self.J + 1])
 
 
@@ -138,14 +138,15 @@ def wls_coefficients(basis: EigenBasis, y: np.ndarray) -> np.ndarray:
 def predict(model: SeriesModel, Xnew: np.ndarray) -> np.ndarray:
     """Evaluate the truncated expansion at query points.
 
-    Costs one kernel pass over the training points plus one matrix-vector
+    Costs one kernel pass over the training points plus one two-column
     product, whatever J is: the model folds beta / lambda into its extension
     operands on the first call and keeps them. Memory beyond the output is
     bounded by one block of query rows, whatever their number. The checks and
     the far-query fallback are nystrom.extend's.
     """
     Xnew = nystrom._check_query(model.basis, Xnew, model.J)
-    return nystrom._extend(model.basis, Xnew, *model._operands)
+    basis = model.basis
+    return nystrom._extend(basis.kernel, basis.training_points, Xnew, *model._operands)
 
 
 def fit(

@@ -244,11 +244,10 @@ def whole_array_predictors(X, y, bw, k, krr):
 
     def nw(Q):
         K = gram_matrix(KernelSpec.gaussian(bw), Q, X)
-        sums = K.sum(axis=1)
-        dead = sums <= 0.0
-        sums[dead] = 1.0
-        out = (K @ y) / sums
-        idx = np.nonzero(dead)[0]
+        P = K @ np.column_stack([y, np.ones_like(y)])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = P[:, 0] / P[:, 1]
+        idx = np.nonzero(P[:, 1] <= 0.0)[0]
         out[idx] = y[np.argmin(cdist(Q[idx], X, "sqeuclidean"), axis=1)]
         return out
 

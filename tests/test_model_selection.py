@@ -25,14 +25,17 @@ from spectral_series import (
     gen_circle,
     gen_spiral,
     gram_matrix,
+    knn_predict,
     krr_fit,
     krr_predict,
     loss_se,
+    nw_predict,
     predict,
     split,
     tune_baseline,
     tune_series,
 )
+from spectral_series import baselines, model_selection
 from spectral_series.model_selection import _is_smoother
 from spectral_series.nystrom import EIGENVALUE_FLOOR_REL
 from spectral_series.series import SeriesModel
@@ -454,6 +457,46 @@ class TestTuneBaseline:
         _, report = tune_baseline(train, val, [1, 3, 5], "knn")
         assert all(v == 0.0 for v in report.loss_surface.values())
         assert report.chosen[1] == 5
+
+    @pytest.mark.parametrize("kind, candidates, match", [
+        ("knn", [2.5], "k must be an integer"),
+        ("knn", [1, 3, 2.5], "k must be an integer"),
+        ("knn", [1, 1000], r"k must be an integer in 1\.\.\d+, got 1000"),
+        ("nw", [0.5, 0.0], "bandwidth must be > 0"),
+        ("nw", [0.5, np.nan], "bandwidth must be > 0"),
+    ])
+    def test_bad_candidate_raises_before_scoring(self, kind, candidates, match,
+                                                 monkeypatch):
+        # k = 2.5 used to be scored as k = 2 and reported as ("knn", 2.5, -1)
+        train, val, _ = spiral_splits()
+        scored = []
+        monkeypatch.setattr(model_selection, "empirical_loss",
+                            lambda *args: scored.append(args) or 0.0)
+        with pytest.raises(InputError, match=match):
+            tune_baseline(train, val, candidates, kind)
+        assert scored == []
+
+    @pytest.mark.parametrize("kind, candidates", [
+        ("nw", [0.3, 0.7, 1.5, 4.0]),
+        ("knn", [1, 3, 5.0, 20]),
+    ])
+    def test_candidates_scored_without_rechecking_inputs(self, kind, candidates,
+                                                         monkeypatch):
+        train, val, _ = spiral_splits()
+        checks = []
+        for name in ("_checked_training", "_checked_queries"):
+            real = getattr(baselines, name)
+            monkeypatch.setattr(
+                baselines, name,
+                lambda *args, real=real, name=name, **kw: checks.append(name)
+                or real(*args, **kw))
+        _, report = tune_baseline(train, val, candidates, kind)
+        assert checks == []
+        predictor = {"nw": nw_predict, "knn": knn_predict}[kind]
+        for param in candidates:
+            preds = predictor(train.features, train.responses, param, val.features)
+            assert report.loss_surface[(kind, float(param), -1)] == \
+                empirical_loss(preds, val.responses)
 
     def test_krr_needs_kernel(self):
         train, val, _ = spiral_splits()

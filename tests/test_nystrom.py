@@ -302,6 +302,27 @@ class TestBlockedReadPath:
         # one record per call, counting the rows of every block
         assert [rec.args[0] for rec in caplog.records] == [3, 3]
 
+    def test_polynomial_row_with_negative_normaliser_is_extended(self, caplog):
+        # A polynomial row is dead when its plain row sum is <= 0, not its
+        # normaliser: here the row sum is > 0 while Kx @ (1/deg) is < 0, and
+        # the weights k / (deg * normaliser) still sum to 1
+        X = np.linspace(-3.0, 0.8, 12)[:, None]
+        basis = fit_basis(X, KernelSpec.polynomial(1), 3, Mode.BIAS_CORRECTED)
+        q = np.array([[-8.0]])
+        Kx = gram_matrix(basis.kernel, q, X)
+        assert Kx.sum() > 0.0 and (Kx @ (1.0 / basis.degrees))[0] < 0.0
+        # lambda = 1 belongs to the constant column, at index 1 here
+        assert basis.eigenvalues[1] == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(basis.eigenvectors[:, 1], np.sqrt(12), rtol=1e-12)
+        with caplog.at_level(logging.WARNING, logger="spectral_series.nystrom"):
+            ext = extend(basis, q, 1)
+        assert not caplog.records
+        assert ext[0, 1] == pytest.approx(np.sqrt(12), rel=1e-12)
+        # the fallback would have copied the nearest training row (X = -3)
+        assert abs(ext[0, 0] - basis.eigenvectors[0, 0]) > 1.0
+        ref = entrywise_reference(basis, q, 1)
+        assert np.allclose(ext, ref, rtol=1e-12, atol=0.0)
+
     @pytest.mark.parametrize("mode", [Mode.STOCHASTIC, Mode.SYMMETRIC])
     def test_heap_peak_independent_of_query_count(self, mode, monkeypatch):
         model = self.fitted(mode)
