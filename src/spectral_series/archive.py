@@ -10,7 +10,8 @@ reloaded predictions bit-identical.
 The checksum is the SHA-256 of the header's other fields (as canonical JSON)
 followed by every byte after the header, so an edit anywhere in the file is
 rejected instead of loading as a different model. Version 1 archives, which
-predate the checksum, are still read, without that check.
+predate the checksum, are refused: a version field is as easy to edit as any
+other, so reading them would let any edit through.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Standardizer
+from .dataset import Standardizer, _unit_rows
 from .diffusion import EigenBasis, EigenMethod, Mode
-from .errors import ArchiveError, InputError
+from .errors import ArchiveError
 from .kernels import KernelSpec
 from .series import SeriesModel
 
@@ -49,10 +50,7 @@ class Preprocessing:
         if self.standardizer is not None:
             X = self.standardizer.transform(X)
         if self.unit_norm:
-            norms = np.linalg.norm(X, axis=1)
-            if np.any(norms == 0.0):
-                raise InputError("query row has zero norm; cannot unit-normalize")
-            X = X / norms[:, None]
+            X = _unit_rows(X)
         return X
 
 
@@ -199,17 +197,17 @@ def load_model(path) -> tuple[SeriesModel, Preprocessing]:
                 raise ArchiveError(f"corrupt archive header in {path}: not a JSON object")
 
             version = header.get("format_version")
-            if version not in (1, FORMAT_VERSION):
+            if version != FORMAT_VERSION:
                 raise ArchiveError(
                     f"archive format version {version!r} is not supported "
-                    f"(this build reads versions 1 and {FORMAT_VERSION})"
+                    f"(this build reads version {FORMAT_VERSION})"
                 )
             digest = _header_digest(header)
             arrays = {name: _read_block(fh, digest) for name in header["blocks"]}
             digest.update(fh.read())  # trailing bytes count too
 
         _check_shapes(arrays, header["n"], header["d"], header["n_components"])
-        if version > 1 and header["checksum"] != digest.hexdigest():
+        if header["checksum"] != digest.hexdigest():
             raise ArchiveError(f"archive {path} fails its checksum; the file is corrupt")
         kern = header["kernel"]
         spec = KernelSpec(kern["family"], kern.get("bandwidth"), kern.get("degree"))

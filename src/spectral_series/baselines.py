@@ -10,8 +10,8 @@ from scipy.spatial.distance import cdist
 
 from .errors import InputError, NumericalError
 from .kernels import (
-    KernelSpec, _checked_queries, _checked_training, cross_gram, gram_matrix, map_blocks,
-    matmul,
+    KernelSpec, _checked_int, _checked_queries, _checked_training, cross_gram, gram_matrix,
+    map_blocks, matmul,
 )
 from .nystrom import _extend
 
@@ -68,15 +68,9 @@ def knn_predict(X_train: np.ndarray, y: np.ndarray, k: int, Xnew: np.ndarray) ->
     InputError.
     """
     X_train, y = _checked_training(X_train, y)
-    k = _checked_k(k, X_train.shape[0])
+    k = _checked_int(k, "k", 1, X_train.shape[0])
     Xnew = _checked_queries(Xnew, X_train.shape[1])
     return _knn(X_train, y, k, Xnew)
-
-
-def _checked_k(k: int, n: int) -> int:
-    if not (1 <= k <= n and k == int(k)):
-        raise InputError(f"k must be an integer in 1..{n}, got {k}")
-    return int(k)
 
 
 def _knn(X_train: np.ndarray, y: np.ndarray, k: int, Xnew: np.ndarray) -> np.ndarray:

@@ -29,7 +29,6 @@ from .dataset import (
     load_csv,
     split,
     standardize,
-    unit_normalize_rows,
 )
 from .diffusion import EigenMethod, Mode, fit_basis
 from .errors import ArchiveError, InputError, NumericalError
@@ -135,6 +134,24 @@ def _mode_kwargs(args) -> dict:
     return {"mode": Mode.parse(args.mode)} if "mode" in args else {}
 
 
+def _fresh_basis(args, X: np.ndarray, j_max: int):
+    """fit_basis on X from the kernel, mode and solver flags of embed or verify.
+
+    Without --bandwidth a Gaussian kernel takes _local_bandwidth(X); a
+    polynomial one (--kernel poly, default degree 2) runs in uniform mode.
+    """
+    _check_solver_flags(args)
+    method = _fit_method(args)
+    if getattr(args, "kernel", None) == "poly":
+        degree = _one_value(args, "degree", _parse_ints) if "degree" in args else 2
+        spec, mode = KernelSpec.polynomial(degree), {"mode": Mode.UNIFORM}
+    else:
+        bw = (_one_value(args, "bandwidth", _parse_floats) if "bandwidth" in args
+              else _local_bandwidth(X))
+        spec, mode = KernelSpec.gaussian(bw), _mode_kwargs(args)
+    return fit_basis(X, spec, j_max, method=method, **mode)
+
+
 def _local_bandwidth(X: np.ndarray) -> float:
     """Default embedding bandwidth: 2nd-percentile squared distance over 4.
 
@@ -221,16 +238,14 @@ def cmd_gen(args) -> int:
 
 
 def _preprocess_splits(args, train, val, test):
-    std = None
-    if args.standardize:
-        train, std = standardize(train)
-        val = Dataset(std.transform(val.features), val.responses, val.column_names)
-        test = Dataset(std.transform(test.features), test.responses, test.column_names)
-    if args.unit_norm:
-        train = unit_normalize_rows(train)
-        val = unit_normalize_rows(val)
-        test = unit_normalize_rows(test)
-    return train, val, test, Preprocessing(std, args.unit_norm)
+    """The splits through the Preprocessing fitted on train, and that record.
+
+    Each split goes through Preprocessing.apply, as archived queries do later.
+    """
+    prep = Preprocessing(standardize(train)[1] if args.standardize else None,
+                         args.unit_norm)
+    return (*(Dataset(prep.apply(s.features), s.responses, s.column_names)
+              for s in (train, val, test)), prep)
 
 
 _TUNE_READS = {"data", "response", "split", "jmax", "unlabeled", "standardize",
@@ -327,19 +342,9 @@ def cmd_embed(args) -> int:
     else:
         variant, kernel_reads = _kernel_variant(args)
         _check_flags(args, variant, _EMBED_FIT_READS | kernel_reads)
-        _check_solver_flags(args)
-        method = _fit_method(args)
         data = _load_table(args.data)
         X = data.features
-        if getattr(args, "kernel", None) == "poly":
-            degree = _one_value(args, "degree", _parse_ints) if "degree" in args else 2
-            spec, mode = KernelSpec.polynomial(degree), {"mode": Mode.UNIFORM}
-        else:
-            bw = (_one_value(args, "bandwidth", _parse_floats) if "bandwidth" in args
-                  else _local_bandwidth(X))
-            spec, mode = KernelSpec.gaussian(bw), _mode_kwargs(args)
-        basis = fit_basis(X, spec, getattr(args, "jmax", args.jdim), method=method,
-                          **mode)
+        basis = _fresh_basis(args, X, getattr(args, "jmax", args.jdim))
     if args.jdim > basis.n_components - 1:
         raise NumericalError(
             f"J={args.jdim} exceeds the {basis.n_components - 1} available "
@@ -408,12 +413,7 @@ def cmd_verify(args) -> int:
     # embedding check: first eigenmap coordinate tracks the response
     from scipy.stats import spearmanr
 
-    _check_solver_flags(args)
-    method = _fit_method(args)
-    bw = (_one_value(args, "bandwidth", _parse_floats) if "bandwidth" in args
-          else _local_bandwidth(X))
-    basis = fit_basis(X, KernelSpec.gaussian(bw), max(args.jdim, 1), method=method,
-                      **_mode_kwargs(args))
+    basis = _fresh_basis(args, X, max(args.jdim, 1))
     coords = eigenmap(basis, X, 1)
     rho = float(spearmanr(coords[:, 0], t).statistic)
     ok = abs(rho) >= args.threshold

@@ -206,11 +206,16 @@ def standardize(data: Dataset) -> tuple[Dataset, Standardizer]:
 
 def unit_normalize_rows(data: Dataset) -> Dataset:
     """Rescale every row to Euclidean norm 1."""
-    norms = np.linalg.norm(data.features, axis=1)
+    return Dataset(_unit_rows(data.features), data.responses, data.column_names)
+
+
+def _unit_rows(X: np.ndarray) -> np.ndarray:
+    """X's rows divided by their Euclidean norms; InputError names a zero row."""
+    norms = np.linalg.norm(X, axis=1)
     zero = np.nonzero(norms == 0.0)[0]
     if zero.size:
         raise InputError(f"row {zero[0]} has zero norm; cannot unit-normalize")
-    return Dataset(data.features / norms[:, None], data.responses, data.column_names)
+    return X / norms[:, None]
 
 
 def split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:

@@ -5,15 +5,16 @@ eigendecomposition (Lanczos, dense LAPACK or randomized) -> density
 rescaling. The result is an orthogonal basis adapted to the sampling
 distribution of the data.
 
-fit_basis carries one n x n array from Gram to eigenvectors. A Gram it builds
-comes with its row sums (kernels._self_gram_into), and is symmetric by
-construction; a caller's gram= is scanned for symmetry and finiteness as it
-enters, and summed. The row sums give the degrees, the stationary weights and
-the symmetric scaling, and every normalization is applied to K in place, one
+fit_basis carries one n x n array from Gram to eigenvectors. It builds the
+Gram with its row sums (kernels._self_gram_into), symmetric by construction.
+The row sums give the degrees, the stationary weights and the symmetric
+scaling, and every normalization is applied to K in place, one
 _FIT_BLOCK_BYTES block of rows at a time. Finite row sums stand in for a scan
 of K's entries, so no operator with a NaN or Inf entry reaches the solver.
 tune_series builds each candidate's Gram in one buffer for the whole sweep and
-hands it to _fit, the fit behind fit_basis.
+hands it to _fit, the fit behind fit_basis. So every operator a solver sees is
+exactly symmetric, C-ordered and owned by the solve; eigendecompose makes one
+copy of its argument to the same end, after scanning it for symmetry.
 """
 
 from __future__ import annotations
@@ -28,7 +29,9 @@ from scipy.linalg.blas import dsymv
 from scipy.linalg.lapack import dgemqrt, dgeqrt
 
 from .errors import InputError, NumericalError
-from .kernels import KernelSpec, _checked_training, _self_gram_into, matmul, row_blocks
+from .kernels import (
+    KernelSpec, _checked_int, _checked_training, _self_gram_into, matmul, row_blocks,
+)
 
 __all__ = [
     "Mode",
@@ -98,6 +101,9 @@ class EigenMethod:
     - "full": exact, by LAPACK's dense subset eigh.
     - "randomized": Gaussian range-finding with power iteration; the only
       method that reads oversample, power_iters and seed.
+
+    oversample, power_iters and seed must be integers >= 0 (2.0 counts as 2),
+    else InputError.
     """
 
     name: str = "lanczos"
@@ -108,8 +114,8 @@ class EigenMethod:
     def __post_init__(self):
         if self.name not in _SOLVERS:
             raise InputError(f"method must be one of {list(_SOLVERS)}, got {self.name!r}")
-        if self.oversample < 0 or self.power_iters < 0:
-            raise InputError("oversample and power_iters must be >= 0")
+        for name in ("oversample", "power_iters", "seed"):
+            object.__setattr__(self, name, _checked_int(getattr(self, name), name, 0))
 
 
 @dataclass(frozen=True)
@@ -236,7 +242,6 @@ def bias_correct(K: np.ndarray) -> np.ndarray:
 
 
 def _check_symmetric(A: np.ndarray) -> np.ndarray:
-    A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InputError(f"expected a square matrix, got shape {A.shape}")
     scale = max(float(A.max()), -float(A.min()), 1e-300)
@@ -298,25 +303,21 @@ def _log_ties(eigenvalues: np.ndarray) -> None:
         )
 
 
-def _solve_lapack(A: np.ndarray, k: int, method: EigenMethod, scratch: bool,
+def _solve_lapack(A: np.ndarray, k: int, method: EigenMethod,
                   start: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """LAPACK's subset eigh: only the k largest pairs, in scratch when allowed."""
+    """LAPACK's subset eigh: only the k largest pairs, worked out inside A."""
     n = A.shape[0]
-    if scratch:
-        # LAPACK wants Fortran order and copies a C-ordered A. A.T is the
-        # Fortran view of the same memory; with lower=True it reads A's
-        # upper triangle, which equals the lower one for an exactly
-        # symmetric A, so the result is bit-identical to eigh(A)
-        vals, vecs = scipy.linalg.eigh(A.T, subset_by_index=(n - k, n - 1),
-                                       overwrite_a=True, check_finite=False)
-    else:
-        vals, vecs = scipy.linalg.eigh(A, subset_by_index=(n - k, n - 1),
-                                       check_finite=False)
+    # LAPACK wants Fortran order and copies a C-ordered A. A.T is the Fortran
+    # view of the same memory; with lower=True it reads A's upper triangle,
+    # which equals the lower one for an exactly symmetric A, so the result is
+    # bit-identical to eigh(A)
+    vals, vecs = scipy.linalg.eigh(A.T, subset_by_index=(n - k, n - 1),
+                                   overwrite_a=True, check_finite=False)
     # returned ascending
     return vals[::-1], vecs[:, ::-1]
 
 
-def _solve_randomized(A: np.ndarray, k: int, method: EigenMethod, scratch: bool,
+def _solve_randomized(A: np.ndarray, k: int, method: EigenMethod,
                       start: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian range-finding with power iteration, seeded by method.seed."""
     n = A.shape[0]
@@ -364,7 +365,7 @@ def _flush_subnormals(A: np.ndarray) -> np.ndarray:
     return A
 
 
-def _solve_lanczos(A: np.ndarray, k: int, method: EigenMethod, scratch: bool,
+def _solve_lanczos(A: np.ndarray, k: int, method: EigenMethod,
                    start: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """ARPACK's restarted Lanczos on the k largest pairs, from a fixed start.
 
@@ -374,11 +375,11 @@ def _solve_lanczos(A: np.ndarray, k: int, method: EigenMethod, scratch: bool,
     """
     n = A.shape[0]
     if n < LANCZOS_MIN_N or 2 * k + 1 >= n:
-        return _solve_lapack(A, k, method, scratch, start)
+        return _solve_lapack(A, k, method, start)
     # imported here: it adds about 15 ms to the package import
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-    A = _flush_subnormals(A if scratch else A.copy())
+    A = _flush_subnormals(A)
     # dsymv on the Fortran view A.T reads A in place, on scipy's BLAS pool,
     # the one eigh uses
     AT = A.T
@@ -392,9 +393,10 @@ def _solve_lanczos(A: np.ndarray, k: int, method: EigenMethod, scratch: bool,
     return vals[::-1], vecs[:, ::-1]
 
 
-# EigenMethod.name -> solver(A, k, method, scratch, start) returning the k
-# largest pairs, largest first. Only a solver handed scratch=True may
-# overwrite A; start is a vector near the top eigenvector, or None.
+# EigenMethod.name -> solver(A, k, method, start) returning the k largest
+# pairs, largest first. A is finite, exactly symmetric, C-ordered float64 and
+# the solve's own, so a solver may overwrite it; start is a vector near the
+# top eigenvector, or None.
 _SOLVERS = {
     "lanczos": _solve_lanczos,
     "full": _solve_lapack,
@@ -412,22 +414,23 @@ def eigendecompose(
     solves with LAPACK ("full") below LANCZOS_MIN_N = 400 rows and when
     2(j_max+1) + 1 >= n; see EigenMethod. Every method is deterministic, on
     tied spectra too; the randomized one given its seed. A is left
-    unchanged: the Lanczos method zeroes subnormal entries in a copy of it.
-    A that is not square raises InputError, and one that is not symmetric
-    within SYMMETRY_RTOL, or holds NaN or Inf, raises NumericalError; so
-    does a solver that fails or returns fewer than j_max+1 pairs.
+    unchanged: every method works in one copy of A (the Lanczos method
+    zeroes its subnormal entries there). A that is not square raises
+    InputError, and one that is not symmetric within SYMMETRY_RTOL, or holds
+    NaN or Inf, raises NumericalError; so does a solver that fails or
+    returns fewer than j_max+1 pairs.
     """
-    return _eigendecompose(_check_symmetric(A), j_max, method)
+    return _eigendecompose(_check_symmetric(_own(A)), j_max, method)
 
 
 def _eigendecompose(
-    A: np.ndarray, j_max: int, method: EigenMethod | None, scratch: bool = False,
+    A: np.ndarray, j_max: int, method: EigenMethod | None,
     start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """eigendecompose of a finite, exactly symmetric float64 A, unscanned.
+    """eigendecompose of a finite, exactly symmetric, C-ordered float64 A.
 
-    With scratch=True the solver may overwrite A. start, a vector near the
-    top eigenvector, is the Lanczos start vector.
+    A is not scanned, and the solver may overwrite it. start, a vector near
+    the top eigenvector, is the Lanczos start vector.
     """
     n = A.shape[0]
     k = j_max + 1
@@ -435,7 +438,7 @@ def _eigendecompose(
         raise InputError(f"j_max+1 = {k} exceeds matrix size {n}")
     if method is None:
         method = EigenMethod()
-    vals, vecs = _SOLVERS[method.name](A, k, method, scratch, start)
+    vals, vecs = _SOLVERS[method.name](A, k, method, start)
     # LAPACK's subset solve can return fewer pairs than asked for, without
     # an error, on a nearly diagonal operator
     if vals.shape[0] != k or vecs.shape[1] != k:
@@ -469,22 +472,16 @@ def fit_basis(
     j_max: int,
     mode: Mode = Mode.STOCHASTIC,
     method: EigenMethod | None = None,
-    gram: np.ndarray | None = None,
 ) -> EigenBasis:
     """Build the adaptive eigenbasis on training points X.
 
     Stochastic and BiasCorrected modes run the full normalize/eigendecompose/
     rescale pipeline; Symmetric keeps the conjugate eigenvectors unrescaled;
     Uniform eigendecomposes K/n directly with flat weights (the route for
-    kernels whose entries may be negative). A precomputed self Gram matrix
-    for (spec, X) may be passed to avoid rebuilding it. It is consumed: the
-    normalization and the solver work inside it, so the caller must not
-    use it afterwards. One that is not float64, C-contiguous and writeable is
-    copied first. It must be n x n (else InputError) and symmetric within
-    SYMMETRY_RTOL with no NaN or Inf (else NumericalError), which is checked
-    as it enters; a Gram built here is symmetric by construction and comes
-    with its row sums. Beyond K, the fit's heap is one 1 MiB block plus a
-    few n x (j_max+1) arrays. Row sums that are not finite raise
+    kernels whose entries may be negative). The n x n Gram is built here
+    with its row sums, symmetric by construction, and the normalization and
+    the solver work inside it. Beyond K, the fit's heap is one 1 MiB block
+    plus a few n x (j_max+1) arrays. Row sums that are not finite raise
     NumericalError in every mode, and in the degree-weighted modes so do
     row sums that are not > 0. X follows the input contract (README, "Input
     contract") with at least 2 points, and j_max lies in 0..n-1; a fault
@@ -494,17 +491,8 @@ def fit_basis(
     n = X.shape[0]
     if not 0 <= j_max < n:
         raise InputError(f"j_max must be in 0..{n - 1} for {n} points, got {j_max}")
-    if gram is None:
-        sums = np.empty(n)
-        K = _self_gram_into(spec, X, sums=sums)
-    else:
-        # the fit works inside K; an F-ordered K would also sum its rows,
-        # and so round, differently from the C-ordered one built here
-        K = np.require(gram, float, "CW")
-        if K.shape != (n, n):
-            raise InputError(f"gram has shape {K.shape}; expected ({n}, {n}) "
-                             f"for the {n} rows of X")
-        sums = _check_symmetric(K).sum(axis=1)
+    sums = np.empty(n)
+    K = _self_gram_into(spec, X, sums=sums)
     return _fit(X, spec, j_max, mode, method, K, sums)
 
 
@@ -541,9 +529,8 @@ def _fit(
         _scale_pairs(K, scale, np.multiply)
         # the operator's top eigenvector is root, so Lanczos starts there
         start = root
-    # K is now the normalized operator, which nobody else holds, so the
-    # solver may overwrite it
-    vals, vecs = _eigendecompose(K, j_max, method, scratch=True, start=start)
+    # K is now the normalized operator, which the solver may overwrite
+    vals, vecs = _eigendecompose(K, j_max, method, start)
     if mode in (Mode.STOCHASTIC, Mode.BIAS_CORRECTED):
         vecs = rescale(vecs, stationary)
     return EigenBasis(

@@ -235,11 +235,14 @@ def _checked_training(X, y=None, min_rows: int = 1) -> tuple[np.ndarray | None, 
 def _checked_queries(Q, d: int, what: str = "query") -> np.ndarray:
     """Query rows Q as a 2-D float array of d finite columns; a 1-D Q is one row.
 
-    Another column count, or a row holding NaN or Inf (it has no distance to
-    any training point), raises InputError naming the rows by what. A float64
-    Q is returned as passed, after one pass over it.
+    More than two dimensions, another column count, or a row holding NaN or
+    Inf (it has no distance to any training point) raises InputError naming
+    the rows by what. A float64 Q is returned as passed, after one pass over
+    it.
     """
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
+    if Q.ndim > 2:
+        raise InputError(f"{what} rows must be 1-D or 2-D, got shape {Q.shape}")
     if Q.shape[1] != d:
         raise InputError(f"{what} dimension {Q.shape[1]} does not match training dimension {d}")
     # a sum of finite entries is finite unless it overflows; only then are the rows scanned
@@ -250,6 +253,18 @@ def _checked_queries(Q, d: int, what: str = "query") -> np.ndarray:
         if not finite.all():
             raise InputError(f"{what} row {int(np.argmin(finite))} contains NaN or Inf")
     return Q
+
+
+def _checked_int(value, what: str, low: int, high: float = np.inf) -> int:
+    """value as an int in low..high, else InputError: 2.0 passes as 2, 2.5 fails."""
+    try:
+        ok = low <= value <= high and value == int(value)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        bounds = f">= {low}" if high == np.inf else f"in {low}..{high}"
+        raise InputError(f"{what} must be an integer {bounds}, got {value}")
+    return int(value)
 
 
 def row_blocks(m: int, n: int, nbytes: int = BLOCK_BYTES) -> Iterator[slice]:

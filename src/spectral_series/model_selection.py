@@ -15,14 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import (
-    KNNModel, KRRModel, NWModel, _checked_bandwidth, _checked_k, _knn, _nw, krr_solve,
-    max_abs_row_sum,
+    KNNModel, KRRModel, NWModel, _checked_bandwidth, _knn, _nw, krr_solve, max_abs_row_sum,
 )
 from .dataset import Dataset
 from .diffusion import EigenMethod, Mode, _fit, _n_usable
 from .errors import InputError, NumericalError
 from .kernels import (
-    KernelSpec, _cross_sq_distances, _polynomial_from_inner, _self_gram_into,
+    KernelSpec, _checked_int, _cross_sq_distances, _polynomial_from_inner, _self_gram_into,
     gaussian_from_sqdist, gram_matrix, matmul, sq_distances,
 )
 from .nystrom import _extend, _operands
@@ -46,7 +45,9 @@ class TuneGrid:
     """Candidate kernels and the basis cutoff for the tuning sweep.
 
     Gaussian candidates come from ``bandwidths``; polynomial candidates from
-    ``degrees``. At least one candidate is required.
+    ``degrees``, integers >= 1. At least one candidate is required, and
+    ``j_max`` is an integer >= 0. An integral float such as 2.0 counts as
+    that integer; a fault raises InputError.
     """
 
     bandwidths: tuple[float, ...] = ()
@@ -55,21 +56,18 @@ class TuneGrid:
 
     def __post_init__(self):
         bw = tuple(float(b) for b in self.bandwidths)
-        dg = tuple(int(q) for q in self.degrees)
+        dg = tuple(_checked_int(q, "degree candidates", 1) for q in self.degrees)
         if not bw and not dg:
             raise InputError("tuning grid has no kernel candidates")
         if any(b <= 0 for b in bw):
             raise InputError("bandwidth candidates must be positive")
         if any(b2 <= b1 for b1, b2 in zip(bw, bw[1:])):
             raise InputError("bandwidth candidates must be strictly ascending")
-        if any(q < 1 for q in dg):
-            raise InputError("degree candidates must be >= 1")
         if len(set(dg)) != len(dg):
             raise InputError("degree candidates must not repeat")
-        if self.j_max < 0:
-            raise InputError("j_max must be >= 0")
         object.__setattr__(self, "bandwidths", bw)
         object.__setattr__(self, "degrees", dg)
+        object.__setattr__(self, "j_max", _checked_int(self.j_max, "j_max", 0))
 
     @property
     def kernels(self) -> list[KernelSpec]:
@@ -319,7 +317,8 @@ def tune_baseline(
     candidates = sorted(candidates)
     if not candidates:
         raise InputError("no candidates to tune over")
-    checked = {"nw": _checked_bandwidth, "knn": lambda k: _checked_k(k, train.n), "krr": float}
+    checked = {"nw": _checked_bandwidth, "knn": lambda k: _checked_int(k, "k", 1, train.n),
+               "krr": float}
     if kind not in checked:
         raise InputError(f"unknown baseline kind {kind!r}")
     if kind == "krr" and kernel is None:

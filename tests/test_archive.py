@@ -12,6 +12,7 @@ from spectral_series import (
     ArchiveError,
     Dataset,
     EigenMethod,
+    InputError,
     KernelSpec,
     Mode,
     Preprocessing,
@@ -172,6 +173,9 @@ def test_unit_norm_rejects_zero_rows():
     prep = Preprocessing(unit_norm=True)
     with pytest.raises(Exception, match="zero norm"):
         prep.apply(np.zeros((2, 3)))
+    # the message names the row, as unit_normalize_rows' does
+    with pytest.raises(InputError, match="row 2 has zero norm"):
+        prep.apply(np.eye(3)[[0, 1, 2, 2]] * [1.0, 1.0, 0.0])
 
 
 def _split_header(raw):
@@ -214,16 +218,19 @@ def test_missing_checksum_rejected(fitted, tmp_path):
         load_model(path)
 
 
-def test_version_1_archive_still_read(fitted, tmp_path):
-    # version 1 is the same layout without the checksum field
+def test_downgraded_and_edited_archive_rejected(fitted, tmp_path):
+    # version 1 had no checksum; reading it let an edited file through by
+    # also editing the version and dropping the checksum
     path = tmp_path / "model.ssm"
     save_model(path, fitted)
     header, body = _split_header(path.read_bytes())
+    body = bytearray(body)
+    body[-3] ^= 0x10  # inside the coefficients payload
     del header["checksum"]
     header["format_version"] = 1
-    path.write_bytes(_join_header(header, body))
-    loaded, _ = load_model(path)
-    assert _same_model(loaded, fitted)
+    path.write_bytes(_join_header(header, bytes(body)))
+    with pytest.raises(ArchiveError, match="format version 1 is not supported"):
+        load_model(path)
 
 
 def test_lanczos_fitted_model_round_trip_is_bit_exact(tmp_path):
@@ -239,7 +246,7 @@ def test_lanczos_fitted_model_round_trip_is_bit_exact(tmp_path):
     assert np.array_equal(predict(loaded, queries), predict(model, queries))
 
 
-@pytest.mark.parametrize("version", [1, FORMAT_VERSION])
+@pytest.mark.parametrize("version", [FORMAT_VERSION])
 def test_full_solver_archive_still_read(tmp_path, version):
     # archives written before "lanczos" became the default name "full"
     data = gen_spiral(60, noise_sd=0.1, seed=5)
@@ -247,12 +254,9 @@ def test_full_solver_archive_still_read(tmp_path, version):
                 J=6, method=EigenMethod("full"))
     path = tmp_path / "model.ssm"
     save_model(path, model)
-    header, body = _split_header(path.read_bytes())
+    header, _ = _split_header(path.read_bytes())
     assert header["method"]["name"] == "full"
-    if version == 1:
-        del header["checksum"]
-        header["format_version"] = 1
-        path.write_bytes(_join_header(header, body))
+    assert header["format_version"] == version
     loaded, _ = load_model(path)
     assert loaded.basis.method == EigenMethod("full")
     assert _same_model(loaded, model)

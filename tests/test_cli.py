@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import spectral_series
-from spectral_series import EigenMethod, benchmarks, load_csv, load_model, predict
+from spectral_series import EigenMethod, archive, benchmarks, load_csv, load_model, predict
 from spectral_series import cli
 from spectral_series.cli import build_parser, main
 
@@ -189,18 +189,17 @@ class TestPredict:
         assert code == 4
         assert "99" in err
 
-    def test_nan_eigenvalue_in_version_1_archive_exits_3(self, tmp_path, spiral_csv,
-                                                         capsys):
-        # version 1 has no checksum, so an edited eigenvalue still loads; the
-        # extension floor must reject it rather than print NaN predictions
+    def test_nan_eigenvalue_in_checksummed_archive_exits_3(self, tmp_path, spiral_csv,
+                                                           capsys):
+        # an archive written with a NaN eigenvalue, under a valid checksum,
+        # still loads; the extension floor must reject it rather than print
+        # NaN predictions
         run(capsys, "tune", "--data", spiral_csv, "--seed", 0, "--jmax", 6,
             "--grid-size", 2, "--out", tmp_path / "m")
         path = tmp_path / "m.model"
         raw = path.read_bytes()
         (hlen,) = struct.unpack_from("<Q", raw)
         header = json.loads(raw[8:8 + hlen])
-        del header["checksum"]
-        header["format_version"] = 1
         body = bytearray(raw[8 + hlen:])
         pos = 0
         for name in header["blocks"]:
@@ -209,6 +208,9 @@ class TestPredict:
                 break
             rows, cols = struct.unpack_from("<QQ", body, pos)
             pos += 16 + 8 * rows * cols
+        digest = archive._header_digest(header)
+        digest.update(body)
+        header["checksum"] = digest.hexdigest()
         blob = json.dumps(header, sort_keys=True).encode()
         path.write_bytes(struct.pack("<Q", len(blob)) + blob + bytes(body))
         assert np.isnan(load_model(path)[0].basis.eigenvalues[0])

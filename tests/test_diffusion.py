@@ -40,6 +40,7 @@ from spectral_series import (
 from spectral_series import diffusion
 from spectral_series.cli import main
 from spectral_series.diffusion import EIGENVALUE_TIE_GAP, LANCZOS_MIN_N
+from spectral_series.kernels import _self_gram_into
 from spectral_series.nystrom import EIGENVALUE_FLOOR_REL
 
 E1 = np.exp(-1.0)
@@ -73,11 +74,26 @@ class TestModeAndMethod:
             Mode.parse("markov")
 
     def test_method_validation(self):
-        with pytest.raises(InputError):
-            EigenMethod("dense")
-        with pytest.raises(InputError):
-            EigenMethod("randomized", oversample=-1)
+        for kwargs, match in [
+            ({"name": "dense"}, "method must be one of"),
+            ({"oversample": -1}, r"oversample must be an integer >= 0, got -1"),
+            # these used to end in a TypeError inside the solve, or in a
+            # ValueError from default_rng
+            ({"oversample": 2.5}, r"oversample must be an integer >= 0, got 2.5"),
+            ({"power_iters": 1.5}, r"power_iters must be an integer >= 0, got 1.5"),
+            ({"seed": -1}, r"seed must be an integer >= 0, got -1"),
+            ({"seed": "7"}, "seed must be an integer"),
+        ]:
+            with pytest.raises(InputError, match=match):
+                EigenMethod(**{"name": "randomized", **kwargs})
         assert EigenMethod().name == "lanczos"
+
+    def test_integral_method_fields_become_ints(self):
+        method = EigenMethod("randomized", oversample=2.0, power_iters=np.int64(1),
+                             seed=np.uint32(3))
+        assert method == EigenMethod("randomized", 2, 1, 3)
+        assert all(type(v) is int for v in (method.oversample, method.power_iters,
+                                             method.seed))
 
 
 class TestRowStochastic:
@@ -550,9 +566,9 @@ class TestFitBasis:
                        id=f"gaussian-{m.value}-randomized") for m in Mode],
     ])
     def test_solve_in_place_matches_solve_on_a_copy(self, spec, mode, method):
-        # fit_basis normalizes and solves inside the K it is handed; the
-        # public helpers and eigendecompose work on copies. Both must give
-        # the same bits.
+        # fit_basis normalizes and solves inside the K it builds; the public
+        # helpers and eigendecompose work on copies of a caller's K. Both
+        # must give the same bits.
         X = gen_spiral(300, noise_sd=0.1, seed=5).features
         K = gram_matrix(spec, X)
         if mode is Mode.UNIFORM:
@@ -563,7 +579,7 @@ class TestFitBasis:
         vals, vecs = eigendecompose(target, 20, method)
         if mode in (Mode.STOCHASTIC, Mode.BIAS_CORRECTED):
             vecs = rescale(vecs, stationary)
-        basis = fit_basis(X, spec, 20, mode, method, gram=K)
+        basis = fit_basis(X, spec, 20, mode, method)
         assert np.array_equal(basis.eigenvalues, vals)
         assert np.array_equal(basis.eigenvectors, vecs)
         if stationary is not None:
@@ -579,11 +595,12 @@ class TestFitBasis:
         n, j_max = 2000, 60
         X = gen_spiral(n, noise_sd=0.1, seed=0).features
         spec = KernelSpec.gaussian(0.05)
-        K = gram_matrix(spec, X)
+        sums = np.empty(n)
+        K = _self_gram_into(spec, X, sums=sums)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            fit_basis(X, spec, j_max, mode, gram=K)
+            diffusion._fit(X, spec, j_max, mode, None, K, sums)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -593,7 +610,7 @@ class TestFitBasis:
 
     def test_symmetry_scanned_once_on_a_callers_gram_only(self, monkeypatch):
         # a Gram the package builds is symmetric by construction; only a
-        # caller's gram= (and eigendecompose's input) is scanned
+        # caller's matrix handed to eigendecompose is scanned
         calls = []
         scan = diffusion._check_symmetric
         monkeypatch.setattr(diffusion, "_check_symmetric",
@@ -604,9 +621,8 @@ class TestFitBasis:
         train, val, _ = split(gen_spiral(120, noise_sd=0.1, seed=2), SplitSpec(seed=2))
         tune_series(train, val, TuneGrid(bandwidths=(0.5, 1.0), degrees=(2,), j_max=6))
         assert calls == []
-        fit_basis(X, KernelSpec.gaussian(0.5), 6, gram=gram_matrix(KernelSpec.gaussian(0.5), X))
         eigendecompose(K2, 1)
-        assert calls == [(80, 80), (2, 2)]
+        assert calls == [(2, 2)]
 
     @pytest.mark.parametrize("mode", [Mode.STOCHASTIC, Mode.SYMMETRIC,
                                       Mode.BIAS_CORRECTED])
@@ -614,10 +630,10 @@ class TestFitBasis:
         # finite, symmetric and positive, but 1/sqrt(s_i s_j) overflows (in
         # bias-corrected mode the degree products already underflow to 0):
         # the scaled operator would hold Inf and NaN
-        X = np.zeros((3, 1))
+        X, K = np.zeros((3, 1)), np.eye(3) * 1e-310
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(NumericalError, match="row sums (underflowed|overflowed)"):
-                fit_basis(X, KernelSpec.gaussian(1.0), 1, mode, gram=np.eye(3) * 1e-310)
+                diffusion._fit(X, KernelSpec.gaussian(1.0), 1, mode, None, K, K.sum(axis=1))
 
     def test_stochastic_top_pair(self):
         X = np.random.default_rng(1).normal(size=(25, 3))
@@ -643,7 +659,8 @@ class TestFitBasis:
         X = np.zeros((3, 1))
         for mode in (Mode.STOCHASTIC, Mode.SYMMETRIC, Mode.BIAS_CORRECTED):
             with pytest.raises(NumericalError, match="nonpositive"):
-                fit_basis(X, KernelSpec.gaussian(1.0), 1, mode, gram=K.copy())
+                diffusion._fit(X, KernelSpec.gaussian(1.0), 1, mode, None, K.copy(),
+                               K.sum(axis=1))
 
     @pytest.mark.parametrize("mode", [Mode.STOCHASTIC, Mode.SYMMETRIC,
                                       Mode.BIAS_CORRECTED])
@@ -657,28 +674,6 @@ class TestFitBasis:
             with pytest.raises(NumericalError, match="overflowed"):
                 fit_basis(X, spec, 5, mode)
 
-    @pytest.mark.parametrize("layout", ["fortran", "read-only"])
-    def test_gram_fit_cannot_work_inside_is_copied(self, layout):
-        X = gen_spiral(60, noise_sd=0.1, seed=1).features
-        spec = KernelSpec.gaussian(0.5)
-        K = gram_matrix(spec, X)
-        if layout == "fortran":
-            K = np.asfortranarray(K)
-        else:
-            K.setflags(write=False)
-        before = K.copy()
-        basis = fit_basis(X, spec, 8, Mode.BIAS_CORRECTED, gram=K)
-        assert np.array_equal(K, before)
-        ref = fit_basis(X, spec, 8, Mode.BIAS_CORRECTED)
-        assert np.array_equal(basis.eigenvectors, ref.eigenvectors)
-        assert np.array_equal(basis.stationary, ref.stationary)
-
-    def test_gram_of_another_size_rejected(self):
-        X = np.random.default_rng(9).normal(size=(30, 2))
-        K = gram_matrix(KernelSpec.gaussian(1.0), X)
-        with pytest.raises(InputError, match=r"expected \(20, 20\)"):
-            fit_basis(X[:20], KernelSpec.gaussian(1.0), 4, gram=K)
-
     def test_sign_indefinite_polynomial_fails_loudly(self):
         # odd degree with opposing points: a kernel row sums to zero
         X = np.array([[1.0], [-3.0]])
@@ -686,16 +681,8 @@ class TestFitBasis:
             fit_basis(X, KernelSpec.polynomial(3), 1, Mode.STOCHASTIC)
 
     @pytest.mark.parametrize("mode", list(Mode))
-    def test_asymmetric_gram_rejected(self, mode):
-        X = np.random.default_rng(8).normal(size=(20, 2))
-        K = gram_matrix(KernelSpec.gaussian(1.0), X)
-        K[2, 7] *= 1.0 + 1e-6
-        with pytest.raises(NumericalError, match="asymmetry"):
-            fit_basis(X, KernelSpec.gaussian(1.0), 4, mode, gram=K)
-
-    @pytest.mark.parametrize("mode", list(Mode))
     def test_overflowing_polynomial_gram_rejected(self, mode):
-        # inf - inf in the symmetry scan is NaN, which no tolerance rejects
+        # the Gram overflows to Inf, and its row sums with it
         X = gen_spiral(60, seed=0).features * 1e110
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError, match="NaN or Inf"):

@@ -91,6 +91,8 @@ FAULTS = {
     "mismatched-lengths": ("n", lambda X, y, Q: (X, y[:-1], Q)),
     "query-columns": ("Q", lambda X, y, Q: (X, y, np.ones((len(Q), 3)))),
     "nan-query": ("Q", lambda X, y, Q: (X, y, _set(Q, (2, 0), np.nan))),
+    # d columns in shape[1], but a third axis
+    "3-d-query": ("Q", lambda X, y, Q: (X, y, Q[:, :, None])),
 }
 
 
@@ -146,7 +148,7 @@ def test_one_query_row_may_be_1d():
 
 @pytest.mark.parametrize("entry", ["nw_predict", "knn_predict", "krr_predict", "predict",
                                    "extend"])
-@pytest.mark.parametrize("fault", ["query-columns", "nan-query"])
+@pytest.mark.parametrize("fault", ["query-columns", "nan-query", "3-d-query"])
 def test_queries_checked_before_any_block(entry, fault, monkeypatch):
     # a fault is raised by the entry's check, before a block reaches the pool
     def no_blocks(*args, **kwargs):

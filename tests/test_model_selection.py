@@ -24,7 +24,6 @@ from spectral_series import (
     fit_basis,
     gen_circle,
     gen_spiral,
-    gram_matrix,
     knn_predict,
     krr_fit,
     krr_predict,
@@ -97,6 +96,31 @@ class TestTuneGrid:
         grid = TuneGrid(bandwidths=(0.5, 1.0), degrees=(1, 2), j_max=5)
         labels = [k.label() for k in grid.kernels]
         assert len(labels) == 4
+
+    @pytest.mark.parametrize("kwargs, match", [
+        pytest.param({"degrees": (0,)}, "degree candidates must be an integer >= 1, got 0",
+                     id="degree-0"),
+        # 2.5 used to be tuned as degree 2, and a j_max of 5.5 to end in a
+        # TypeError inside the sweep
+        pytest.param({"degrees": (2.5,)}, "degree candidates must be an integer >= 1, got 2.5",
+                     id="degree-2.5"),
+        pytest.param({"degrees": (1, np.nan)}, "degree candidates must be an integer",
+                     id="degree-nan"),
+        pytest.param({"bandwidths": (1.0,), "j_max": -1}, "j_max must be an integer >= 0",
+                     id="j_max-negative"),
+        pytest.param({"bandwidths": (1.0,), "j_max": 5.5}, "j_max must be an integer >= 0, "
+                     "got 5.5", id="j_max-5.5"),
+        pytest.param({"bandwidths": (1.0,), "j_max": np.inf}, "j_max must be an integer",
+                     id="j_max-inf"),
+    ])
+    def test_integer_fields_checked(self, kwargs, match):
+        with pytest.raises(InputError, match=match):
+            TuneGrid(**kwargs)
+
+    def test_integral_floats_accepted(self):
+        grid = TuneGrid(degrees=(2.0, np.int64(3)), j_max=np.int64(5))
+        assert grid.degrees == (2, 3) and grid.j_max == 5
+        assert all(type(v) is int for v in (*grid.degrees, grid.j_max))
 
     def test_degrees_must_not_repeat(self):
         # a repeated degree would fit the same candidate twice
@@ -218,7 +242,7 @@ class TestTuneSeries:
 
 
 def reference_sweep(train, val, grid, mode=Mode.STOCHASTIC, method=None, unlabeled=None):
-    """Per-candidate public path: gram_matrix -> fit_basis(gram=K) -> extend.
+    """Per-candidate public path: fit_basis -> extend.
 
     Returns the loss surface and each candidate's (basis, coefficients).
     """
@@ -229,9 +253,7 @@ def reference_sweep(train, val, grid, mode=Mode.STOCHASTIC, method=None, unlabel
     for spec in grid.kernels:
         gaussian = spec.family == "gaussian"
         param = spec.bandwidth if gaussian else float(spec.degree)
-        K = gram_matrix(spec, pooled)
-        basis = fit_basis(pooled, spec, j_cap, mode if gaussian else Mode.UNIFORM,
-                          method, gram=K)
+        basis = fit_basis(pooled, spec, j_cap, mode if gaussian else Mode.UNIFORM, method)
         coef = estimate_coefficients(basis, train.responses, labeled=labeled)
         floor = EIGENVALUE_FLOOR_REL * basis.eigenvalues[0]
         usable = min(int(np.count_nonzero(basis.eigenvalues > floor)), j_cap + 1)
