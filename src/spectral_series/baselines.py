@@ -3,15 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.linalg.lapack
 from scipy.spatial.distance import cdist
 
-from .errors import InputError, NumericalError
+from .errors import NumericalError
 from .kernels import (
-    KernelSpec, _checked_int, _checked_queries, _checked_training, cross_gram, gram_matrix,
-    map_blocks, matmul,
+    KernelSpec, _checked_int, _checked_positive, _checked_queries, _checked_training, cross_gram,
+    gram_matrix, map_blocks, matmul,
 )
 from .nystrom import _extend
 
@@ -40,18 +41,12 @@ def nw_predict(
     normaliser. Queries whose weights all underflow get their nearest
     neighbor's label (logged by spectral_series.nystrom). Training points,
     labels and queries follow the input contract (README, "Input contract");
-    a fault, or a bandwidth that is not > 0, raises InputError.
+    a fault, or a bandwidth that is not finite and > 0, raises InputError.
     """
     X_train, y = _checked_training(X_train, y)
-    bandwidth = _checked_bandwidth(bandwidth)
+    bandwidth = _checked_positive(bandwidth, "bandwidth")
     Xnew = _checked_queries(Xnew, X_train.shape[1])
     return _nw(X_train, y, bandwidth, Xnew)
-
-
-def _checked_bandwidth(bandwidth: float) -> float:
-    if not bandwidth > 0:
-        raise InputError(f"bandwidth must be > 0, got {bandwidth}")
-    return float(bandwidth)
 
 
 def _nw(X_train: np.ndarray, y: np.ndarray, bandwidth: float, Xnew: np.ndarray) -> np.ndarray:
@@ -130,13 +125,18 @@ def krr_fit(X: np.ndarray, y: np.ndarray, spec: KernelSpec, penalty: float) -> K
 
     Refuses visibly ill-conditioned systems: the Gershgorin bound
     max_rowsum(K + n*penalty*I) / (n*penalty) estimates the condition number
-    from above for a positive semi-definite K. X and y follow the input
-    contract (README, "Input contract"); a fault raises InputError, not the
-    NumericalError of a failed solve.
+    from above for a positive semi-definite K. The solve takes the route of
+    _ridge_solver in the fit's own K: one tridiagonal reduction, O(n^3), made
+    to be shared by a penalty sweep over one Gram (tune_baseline), so one fit
+    costs more than a Cholesky factorization would. X and y follow the input
+    contract (README, "Input contract"); a fault, or a penalty that is not
+    finite and > 0, raises InputError, not the NumericalError of a failed
+    solve.
     """
     X, y = _checked_training(X, y)
+    penalty = _checked_positive(penalty, "penalty")
     K = gram_matrix(spec, X)
-    alpha = krr_solve(K, y, penalty, max_abs_row_sum(K))
+    alpha = _ridge_solver(K, y, max_abs_row_sum(K))(penalty)
     return KRRModel(spec, X, alpha, penalty)
 
 
@@ -148,35 +148,83 @@ def max_abs_row_sum(K: np.ndarray) -> float:
 def krr_solve(K: np.ndarray, y: np.ndarray, penalty: float, row_bound: float) -> np.ndarray:
     """Dual coefficients solving (K + n*penalty*I) alpha = y; K and y are not modified.
 
-    row_bound is max_abs_row_sum(K), passed in so that a penalty sweep over
-    one K takes it once. Refuses visibly ill-conditioned systems (see krr_fit).
-    Each call is one Cholesky factorization (LAPACK ``dposv``) done in place
-    on a single copy of K with the ridge added to its diagonal. K must be
-    exactly symmetric, as every self Gram is: the factorization reads the
-    upper triangle of the copy's Fortran view, which is its lower triangle.
-    A failed factorization (K + n*penalty*I not positive definite) or a
-    non-finite solution raises NumericalError.
+    row_bound is max_abs_row_sum(K). The solve works in one copy of K, by
+    the route of _ridge_solver. A penalty that is not finite and > 0 raises
+    InputError; a visibly ill-conditioned system (see krr_fit), a
+    K + n*penalty*I that is not positive definite, or a non-finite solution
+    raises NumericalError.
+    """
+    penalty = _checked_positive(penalty, "penalty")
+    return _ridge_solver(np.array(K, dtype=float, order="C"), y, row_bound)(penalty)
+
+
+def _ridge_solver(K: np.ndarray, y: np.ndarray, row_bound: float) -> Callable[[float], np.ndarray]:
+    """solve(penalty) -> alpha with (K + n*penalty*I) alpha = y, for any number of penalties.
+
+    The systems differ only by a shift of the diagonal, so they share one
+    orthogonal reduction K = Q T Q^T with T tridiagonal (LAPACK dsytrd, in
+    place: K is consumed) and one Q^T y. Every penalty meets the condition
+    bound (see krr_fit) first, so the reduction is made when the first
+    penalty passes it. Each penalty then costs O(n^2): (T + n*penalty*I) z =
+    Q^T y by dptsv, O(n), and alpha = Q z by dormqr. K must be C-ordered and
+    exactly symmetric, as every self Gram is: the reduction reads the lower
+    triangle of its Fortran view, which is its upper triangle. A
+    T + n*penalty*I that is not positive definite, or a non-finite alpha,
+    raises NumericalError.
     """
     n = K.shape[0]
-    if not penalty > 0:
-        raise InputError(f"penalty must be > 0, got {penalty}")
-    ridge = n * penalty
-    cond_bound = (row_bound + ridge) / ridge
-    if cond_bound > KRR_CONDITION_LIMIT:
-        raise NumericalError(
-            f"system condition estimate {cond_bound:.3e} exceeds "
-            f"{KRR_CONDITION_LIMIT:.0e}; increase the penalty"
-        )
-    M = np.array(K, dtype=float, order="C")
-    M.flat[:: n + 1] += ridge  # off the diagonal, K + ridge*I adds +0.0: same bits
-    _, alpha, info = scipy.linalg.lapack.dposv(M.T, y, lower=0, overwrite_a=1)
-    if info != 0:
-        raise NumericalError(
-            f"ridge solve failed: Cholesky factorization broke down (dposv info {info})"
-        )
-    if not np.isfinite(alpha).all():
-        raise NumericalError("ridge solve failed: non-finite dual coefficients")
-    return alpha
+    reduction = []  # [reflectors, tau, d, e, Q^T y] once made
+
+    def solve(penalty: float) -> np.ndarray:
+        ridge = n * penalty
+        cond_bound = (row_bound + ridge) / ridge
+        if cond_bound > KRR_CONDITION_LIMIT:
+            raise NumericalError(
+                f"system condition estimate {cond_bound:.3e} exceeds "
+                f"{KRR_CONDITION_LIMIT:.0e}; increase the penalty"
+            )
+        if not reduction:
+            reduction.extend(_tridiagonalize(K, y))
+        V, tau, d, e, qty = reduction
+        # a decoupled unit row keeps e non-empty at n = 1, which the wrapper
+        # refuses, and changes no bit of the other entries
+        _, _, z, info = scipy.linalg.lapack.dptsv(
+            np.append(d + ridge, 1.0), np.append(e, 0.0), np.append(qty, 0.0)[:, None],
+            overwrite_d=1, overwrite_e=1, overwrite_b=1)
+        if info != 0:
+            raise NumericalError(
+                f"ridge solve failed: T + n*penalty*I is not positive definite "
+                f"(dptsv info {info})"
+            )
+        alpha = _apply_q(V, tau, z[:n, 0], "N")
+        if not np.isfinite(alpha).all():
+            raise NumericalError("ridge solve failed: non-finite dual coefficients")
+        return alpha
+
+    return solve
+
+
+def _tridiagonalize(K: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Reflectors, tau, diagonal and off-diagonal of K = Q T Q^T, and Q^T y; K is consumed."""
+    n = K.shape[0]
+    lwork = int(scipy.linalg.lapack.dsytrd_lwork(n, lower=1)[0])
+    c, d, e, tau, _ = scipy.linalg.lapack.dsytrd(K.T, lower=1, lwork=lwork, overwrite_a=1)
+    # Q = diag(1, Q'), where Q' is the product of reflectors stored from c[1, 0]
+    # down with c's leading dimension: LAPACK dormtr's view for UPLO = 'L'
+    V = c.ravel(order="F")[1:1 + n * (n - 1)].reshape(n, n - 1, order="F")
+    return V, tau, d, e, _apply_q(V, tau, y, "T")
+
+
+def _apply_q(V: np.ndarray, tau: np.ndarray, x: np.ndarray, trans: str) -> np.ndarray:
+    """Q x (trans "N") or Q^T x ("T") as a new array, for _tridiagonalize's Q."""
+    out = np.array(x, dtype=float)
+    if out.size > 1:
+        # lwork 1 takes the unblocked dorm2r: on one column it measured about
+        # twice as fast as the blocked route at n = 800
+        cq, _, _ = scipy.linalg.lapack.dormqr("L", trans, V, tau, out[1:, None], 1,
+                                             overwrite_c=1)
+        out[1:] = cq[:, 0]
+    return out
 
 
 def krr_predict(model: KRRModel, Xnew: np.ndarray) -> np.ndarray:
@@ -191,11 +239,13 @@ def krr_predict(model: KRRModel, Xnew: np.ndarray) -> np.ndarray:
 
 
 def krr_penalty_grid(y: np.ndarray, n_grid: int = 10) -> np.ndarray:
-    """Log-spaced ridge penalties 1e-8..1e2 scaled by the response variance.
+    """n_grid log-spaced ridge penalties 1e-8..1e2 scaled by the response variance.
 
-    y holding NaN or Inf raises InputError.
+    y holding NaN or Inf, or an n_grid that is not an integer >= 0, raises
+    InputError.
     """
     _, y = _checked_training(None, y)
+    n_grid = _checked_int(n_grid, "n_grid", 0)
     scale = float(np.var(y, ddof=1)) if y.size >= 2 else 1.0
     if scale <= 0.0:
         scale = 1.0

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .kernels import _checked_training
+from .kernels import _checked_int, _checked_training
 
 __all__ = [
     "Dataset",
@@ -254,8 +254,7 @@ def gen_spiral(
     u is uniform on (0, u_max) and the response is the arc parameter
     sqrt(u), which serves as the regression target.
     """
-    if n < 1:
-        raise InputError("n must be >= 1")
+    n, seed = _checked_int(n, "n", 1), _checked_int(seed, "seed", 0)
     if noise_sd < 0:
         raise InputError("noise_sd must be >= 0")
     if u_max <= 0:
@@ -281,10 +280,7 @@ def gen_circle(
     matrix's first two columns touch the circle, so only they are formed,
     at O(nd) cost.
     """
-    if n < 1:
-        raise InputError("n must be >= 1")
-    if d < 2:
-        raise InputError("d must be >= 2")
+    n, d, seed = _checked_int(n, "n", 1), _checked_int(d, "d", 2), _checked_int(seed, "seed", 0)
     if noise_var < 0:
         raise InputError("noise_var must be >= 0")
     rng = np.random.default_rng(seed)
@@ -306,8 +302,7 @@ def gen_circle(
 
 def gen_uniform_interval(n: int, lo: float = 0.0, hi: float = 1.0, seed: int = 0) -> Dataset:
     """1-D features uniform on (lo, hi); no responses."""
-    if n < 1:
-        raise InputError("n must be >= 1")
+    n, seed = _checked_int(n, "n", 1), _checked_int(seed, "seed", 0)
     if lo >= hi:
         raise InputError(f"need lo < hi, got ({lo}, {hi})")
     rng = np.random.default_rng(seed)

@@ -484,13 +484,12 @@ def fit_basis(
     plus a few n x (j_max+1) arrays. Row sums that are not finite raise
     NumericalError in every mode, and in the degree-weighted modes so do
     row sums that are not > 0. X follows the input contract (README, "Input
-    contract") with at least 2 points, and j_max lies in 0..n-1; a fault
-    raises InputError before any kernel is built.
+    contract") with at least 2 points, and j_max is an integer in 0..n-1; a
+    fault raises InputError before any kernel is built.
     """
     X, _ = _checked_training(X, min_rows=2)
     n = X.shape[0]
-    if not 0 <= j_max < n:
-        raise InputError(f"j_max must be in 0..{n - 1} for {n} points, got {j_max}")
+    j_max = _checked_int(j_max, "j_max", 0, n - 1)
     sums = np.empty(n)
     K = _self_gram_into(spec, X, sums=sums)
     return _fit(X, spec, j_max, mode, method, K, sums)

@@ -165,8 +165,8 @@ EXP_CHUNK = 1 << 17
 class KernelSpec:
     """Kernel family plus its single hyperparameter.
 
-    family is "gaussian" (needs bandwidth > 0) or "poly" (needs integer
-    degree >= 1). Distances are Euclidean.
+    family is "gaussian" (needs a finite bandwidth > 0) or "poly" (needs
+    integer degree >= 1). Distances are Euclidean.
     """
 
     family: str
@@ -175,8 +175,8 @@ class KernelSpec:
 
     def __post_init__(self):
         if self.family == "gaussian":
-            if self.bandwidth is None or not (self.bandwidth > 0):
-                raise InputError(f"gaussian kernel needs bandwidth > 0, got {self.bandwidth}")
+            object.__setattr__(self, "bandwidth",
+                               _checked_positive(self.bandwidth, "gaussian kernel bandwidth"))
         elif self.family == "poly":
             if self.degree is None or int(self.degree) != self.degree or self.degree < 1:
                 raise InputError(f"poly kernel needs integer degree >= 1, got {self.degree}")
@@ -265,6 +265,17 @@ def _checked_int(value, what: str, low: int, high: float = np.inf) -> int:
         bounds = f">= {low}" if high == np.inf else f"in {low}..{high}"
         raise InputError(f"{what} must be an integer {bounds}, got {value}")
     return int(value)
+
+
+def _checked_positive(value, what: str) -> float:
+    """value as a float that is finite and > 0, else InputError."""
+    try:
+        ok = 0 < value < np.inf
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise InputError(f"{what} must be > 0 and finite, got {value}")
+    return float(value)
 
 
 def row_blocks(m: int, n: int, nbytes: int = BLOCK_BYTES) -> Iterator[slice]:
@@ -706,8 +717,7 @@ def bandwidth_grid(X: np.ndarray, n_grid: int = 1) -> np.ndarray:
     X holds at least 2 training points (see _checked_training).
     """
     X, _ = _checked_training(X, min_rows=2)
-    if n_grid < 1:
-        raise InputError("n_grid must be >= 1")
+    n_grid = _checked_int(n_grid, "n_grid", 1)
     sq = sq_distances(X)
     if not sq.min() > 0.0:
         sq = sq[sq > 0.0]

@@ -14,15 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import (
-    KNNModel, KRRModel, NWModel, _checked_bandwidth, _knn, _nw, krr_solve, max_abs_row_sum,
-)
+from .baselines import KNNModel, KRRModel, NWModel, _knn, _nw, _ridge_solver, max_abs_row_sum
 from .dataset import Dataset
 from .diffusion import EigenMethod, Mode, _fit, _n_usable
 from .errors import InputError, NumericalError
 from .kernels import (
-    KernelSpec, _checked_int, _cross_sq_distances, _polynomial_from_inner, _self_gram_into,
-    gaussian_from_sqdist, gram_matrix, matmul, sq_distances,
+    KernelSpec, _checked_int, _checked_positive, _cross_sq_distances, _polynomial_from_inner,
+    _self_gram_into, gaussian_from_sqdist, gram_matrix, matmul, sq_distances,
 )
 from .nystrom import _extend, _operands
 from .series import SeriesModel, _coefficients, pool_unlabeled
@@ -44,10 +42,10 @@ logger = logging.getLogger(__name__)
 class TuneGrid:
     """Candidate kernels and the basis cutoff for the tuning sweep.
 
-    Gaussian candidates come from ``bandwidths``; polynomial candidates from
-    ``degrees``, integers >= 1. At least one candidate is required, and
-    ``j_max`` is an integer >= 0. An integral float such as 2.0 counts as
-    that integer; a fault raises InputError.
+    Gaussian candidates come from ``bandwidths``, finite and > 0; polynomial
+    candidates from ``degrees``, integers >= 1. At least one candidate is
+    required, and ``j_max`` is an integer >= 0. An integral float such as 2.0
+    counts as that integer; a fault raises InputError.
     """
 
     bandwidths: tuple[float, ...] = ()
@@ -55,12 +53,10 @@ class TuneGrid:
     j_max: int = 60
 
     def __post_init__(self):
-        bw = tuple(float(b) for b in self.bandwidths)
+        bw = tuple(_checked_positive(b, "bandwidth candidates") for b in self.bandwidths)
         dg = tuple(_checked_int(q, "degree candidates", 1) for q in self.degrees)
         if not bw and not dg:
             raise InputError("tuning grid has no kernel candidates")
-        if any(b <= 0 for b in bw):
-            raise InputError("bandwidth candidates must be positive")
         if any(b2 <= b1 for b1, b2 in zip(bw, bw[1:])):
             raise InputError("bandwidth candidates must be strictly ascending")
         if len(set(dg)) != len(dg):
@@ -306,33 +302,35 @@ def tune_baseline(
 
     kind is "nw" (candidates are bandwidths), "knn" (neighbor counts), or
     "krr" (penalties; needs the kernel, whose Gram and validation cross Gram
-    are built once for all penalties). Exact ties go to the larger
-    parameter, i.e. the smoother model. Candidates are checked as the
-    predictors check them, all before the first is scored.
+    are built once for all penalties, and whose Gram is reduced to
+    tridiagonal form once, so that each penalty costs O(n^2) more; see
+    krr_fit). Exact ties go to the larger parameter, i.e. the smoother model.
+    Candidates are checked as the predictors check them, all before the
+    first is scored and before any kernel is built.
     """
     if train.responses is None or val.responses is None:
         raise InputError("tuning needs responses on both the train and validation splits")
     if train.d != val.d:
         raise InputError(f"train has d={train.d} but validation has d={val.d}")
-    candidates = sorted(candidates)
-    if not candidates:
-        raise InputError("no candidates to tune over")
-    checked = {"nw": _checked_bandwidth, "knn": lambda k: _checked_int(k, "k", 1, train.n),
-               "krr": float}
+    checked = {"nw": lambda bw: _checked_positive(bw, "bandwidth"),
+               "knn": lambda k: _checked_int(k, "k", 1, train.n),
+               "krr": lambda penalty: _checked_positive(penalty, "penalty")}
     if kind not in checked:
         raise InputError(f"unknown baseline kind {kind!r}")
     if kind == "krr" and kernel is None:
         raise InputError("krr tuning needs a kernel spec")
-    candidates = [checked[kind](param) for param in candidates]
+    candidates = sorted(checked[kind](param) for param in candidates)
+    if not candidates:
+        raise InputError("no candidates to tune over")
     score = _nw if kind == "nw" else _knn
 
     surface: dict[tuple[str, float, int], float] = {}
     timings = {"fit": 0.0, "validation": 0.0}
     if kind == "krr":
-        # every penalty shares one K and one validation cross Gram
+        # every penalty shares one K, reduced in place, and one validation cross Gram
         t0 = time.perf_counter()
         K = gram_matrix(kernel, train.features)
-        row_bound = max_abs_row_sum(K)
+        solve = _ridge_solver(K, train.responses, max_abs_row_sum(K))
         t1 = time.perf_counter()
         Kv = gram_matrix(kernel, val.features, train.features)
         timings["fit"] += t1 - t0
@@ -346,7 +344,7 @@ def tune_baseline(
             elif kind == "knn":
                 model = KNNModel(train.features, train.responses, param)
             else:
-                alpha = krr_solve(K, train.responses, param, row_bound)
+                alpha = solve(param)
                 model = KRRModel(kernel, train.features, alpha, param)
         except NumericalError as exc:
             logger.warning("%s candidate %s failed: %s", kind, param, exc)

@@ -24,26 +24,25 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .diffusion import EIGENVALUE_FLOOR_REL, EigenBasis, Mode, _n_usable
-from .errors import InputError, NumericalError
-from .kernels import KernelSpec, _checked_queries, cross_gram, map_blocks, matmul
+from .errors import NumericalError
+from .kernels import KernelSpec, _checked_int, _checked_queries, cross_gram, map_blocks, matmul
 
 __all__ = ["EIGENVALUE_FLOOR_REL", "extend", "eigenmap"]
 
 logger = logging.getLogger(__name__)
 
 
-def _check_query(basis: EigenBasis, Xnew: np.ndarray, J: int) -> np.ndarray:
-    """Xnew as a 2-D float array, after the checks every extension needs."""
+def _check_query(basis: EigenBasis, Xnew: np.ndarray, J: int) -> tuple[np.ndarray, int]:
+    """Xnew as a 2-D float array and J as an int, after the checks every extension needs."""
     Xnew = _checked_queries(Xnew, basis.training_points.shape[1])
-    if not (0 <= J <= basis.n_components - 1):
-        raise InputError(f"J must be in 0..{basis.n_components - 1}, got {J}")
+    J = _checked_int(J, "J", 0, basis.n_components - 1)
     usable = _n_usable(basis.eigenvalues)
     if J >= usable:
         raise NumericalError(
             f"eigenvalue {basis.eigenvalues[usable]:.3e} at index {usable} is not "
             f"above the floor {EIGENVALUE_FLOOR_REL:.0e} * lambda_0; reduce J"
         )
-    return Xnew
+    return Xnew, J
 
 
 def _operands(
@@ -152,7 +151,7 @@ def extend(basis: EigenBasis, Xnew: np.ndarray, J: int) -> np.ndarray:
     training one or a row holding NaN or Inf raises InputError. Memory beyond
     the output is bounded by one block of query rows, whatever m is.
     """
-    Xnew = _check_query(basis, Xnew, J)
+    Xnew, J = _check_query(basis, Xnew, J)
     return _extend(basis.kernel, basis.training_points, Xnew, *_operands(basis, J, None))
 
 
@@ -162,6 +161,4 @@ def eigenmap(basis: EigenBasis, Xnew: np.ndarray, J: int) -> np.ndarray:
     Drops the constant component psi_0, leaving the nontrivial diffusion
     coordinates used for embeddings.
     """
-    if J < 1:
-        raise InputError("eigenmap needs J >= 1")
-    return extend(basis, Xnew, J)[:, 1:]
+    return extend(basis, Xnew, _checked_int(J, "eigenmap J", 1))[:, 1:]

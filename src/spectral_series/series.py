@@ -16,7 +16,7 @@ import scipy.linalg
 
 from .diffusion import EigenBasis, EigenMethod, Mode, fit_basis, smoothness_spectrum
 from .errors import InputError, NumericalError
-from .kernels import KernelSpec, _checked_queries, _checked_training, matmul
+from .kernels import KernelSpec, _checked_int, _checked_queries, _checked_training, matmul
 from . import nystrom
 
 __all__ = [
@@ -53,8 +53,7 @@ class SeriesModel:
             )
         if not np.all(np.isfinite(coef)):
             raise NumericalError("non-finite expansion coefficient")
-        if not (0 <= self.J <= self.basis.n_components - 1):
-            raise InputError(f"J must be in 0..{self.basis.n_components - 1}, got {self.J}")
+        object.__setattr__(self, "J", _checked_int(self.J, "J", 0, self.basis.n_components - 1))
         object.__setattr__(self, "coefficients", coef)
 
     def with_truncation(self, J: int) -> "SeriesModel":
@@ -144,7 +143,7 @@ def predict(model: SeriesModel, Xnew: np.ndarray) -> np.ndarray:
     bounded by one block of query rows, whatever their number. The checks and
     the far-query fallback are nystrom.extend's.
     """
-    Xnew = nystrom._check_query(model.basis, Xnew, model.J)
+    Xnew, _ = nystrom._check_query(model.basis, Xnew, model.J)
     basis = model.basis
     return nystrom._extend(basis.kernel, basis.training_points, Xnew, *model._operands)
 

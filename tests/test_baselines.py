@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from spectral_series import (
+    Dataset,
     InputError,
     KernelSpec,
     KNNModel,
@@ -23,6 +24,7 @@ from spectral_series import (
     krr_penalty_grid,
     krr_predict,
     nw_predict,
+    tune_baseline,
 )
 from spectral_series.baselines import krr_solve, max_abs_row_sum
 from spectral_series import kernels
@@ -169,22 +171,62 @@ class TestKrr:
 class TestKrrSolve:
     @pytest.mark.parametrize("spec", [KernelSpec.gaussian(0.05), KernelSpec.polynomial(2)],
                              ids=["gaussian", "poly"])
-    def test_bit_equal_to_dense_solve(self, spec):
+    def test_backward_stable_and_close_to_dense_solve(self, spec):
+        # the tridiagonal route is backward stable, so it agrees with a
+        # Cholesky solve up to the condition bound times rounding
         data = gen_spiral(300, noise_sd=0.1, seed=11)
         X, y = data.features, data.responses
         K = gram_matrix(spec, X)
-        n = K.shape[0]
+        n, eps = K.shape[0], np.finfo(float).eps
+        row_bound = max_abs_row_sum(K)
         solved = 0
         for penalty in krr_penalty_grid(y, 11):
             try:
-                alpha = krr_solve(K, y, penalty, max_abs_row_sum(K))
+                alpha = krr_solve(K, y, penalty, row_bound)
             except NumericalError as exc:
                 assert "condition" in str(exc)
                 continue
-            ref = scipy.linalg.solve(K + n * penalty * np.eye(n), y, assume_a="pos")
-            assert np.array_equal(alpha, ref)
+            A = K + n * penalty * np.eye(n)
+            backward = np.linalg.norm(A @ alpha - y) / (
+                np.linalg.norm(A, 2) * np.linalg.norm(alpha) + np.linalg.norm(y))
+            assert backward <= 10 * n * eps
+            ref = scipy.linalg.solve(A, y, assume_a="pos")
+            cond_bound = (row_bound + n * penalty) / (n * penalty)
+            assert np.linalg.norm(alpha - ref) <= cond_bound * n * eps * np.linalg.norm(ref)
             solved += 1
         assert solved >= 5
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_smallest_systems(self, n):
+        # n = 1 has no off-diagonal for dptsv and no reflector to apply;
+        # n = 2 is tridiagonal already (one reflector, tau = 0)
+        X = np.array([[0.0], [0.7]])[:n]
+        y = np.array([3.0, -1.0])[:n]
+        K = gram_matrix(KernelSpec.gaussian(0.5), X)
+        alpha = krr_solve(K, y, 0.25, max_abs_row_sum(K))
+        assert np.allclose(alpha, np.linalg.solve(K + 0.25 * n * np.eye(n), y),
+                           rtol=1e-14, atol=0.0)
+        model = krr_fit(X, y, KernelSpec.gaussian(0.5), 0.25)
+        assert np.array_equal(model.dual_coefficients, alpha)
+
+    def test_penalty_sweep_reduces_k_once(self, monkeypatch):
+        # one tridiagonal reduction serves all 10 penalties; no Cholesky factorization
+        calls = {"dsytrd": 0, "dposv": 0}
+        for name in calls:
+            real = getattr(scipy.linalg.lapack, name)
+
+            def counted(*args, real=real, name=name, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(scipy.linalg.lapack, name, counted)
+        data = gen_spiral(300, noise_sd=0.1, seed=13)
+        train = Dataset(data.features[:200], data.responses[:200])
+        val = Dataset(data.features[200:], data.responses[200:])
+        penalties = krr_penalty_grid(train.responses)
+        _, report = tune_baseline(train, val, penalties, "krr", KernelSpec.gaussian(0.1))
+        assert len(report.loss_surface) == 10
+        assert calls == {"dsytrd": 1, "dposv": 0}
 
     def test_inputs_left_unchanged(self):
         data = gen_spiral(200, noise_sd=0.1, seed=12)

@@ -10,15 +10,19 @@ from spectral_series import (
     InputError,
     KernelSpec,
     Mode,
+    SeriesModel,
     SplitSpec,
     TuneGrid,
     bandwidth_grid,
+    eigenmap,
     estimate_coefficients,
     extend,
     fit,
     fit_basis,
     fit_ssl,
+    gen_circle,
     gen_spiral,
+    gen_uniform_interval,
     knn_predict,
     krr_fit,
     krr_penalty_grid,
@@ -108,6 +112,59 @@ def test_bad_input_raises_input_error(entry, fault):
     X, y, Q = FAULTS[fault][1](*_valid())
     with pytest.raises(InputError):
         ENTRIES[entry][1](X, y, Q)
+
+
+# argument fault -> call(X, y, Q). Before the integer and positive-scale
+# checks were shared, each returned a silently finite answer (inf scales: a
+# constant or zero predictor; J = 2.5 in a model or in with_truncation) or
+# raised another exception (TypeError, ValueError, or NumericalError for
+# fit_basis' j_max)
+ARGUMENT_FAULTS = {
+    "krr_fit-inf-penalty": lambda X, y, Q: krr_fit(X, y, SPEC, np.inf),
+    "tune_baseline_krr-inf-penalty": lambda X, y, Q: tune_baseline(
+        Dataset(X, y), _VAL, [np.inf], "krr", SPEC),
+    "tune_baseline_krr-string-penalty": lambda X, y, Q: tune_baseline(
+        Dataset(X, y), _VAL, ["a"], "krr", SPEC),
+    "krr_penalty_grid-2.5": lambda X, y, Q: krr_penalty_grid(y, 2.5),
+    "krr_penalty_grid-negative": lambda X, y, Q: krr_penalty_grid(y, -1),
+    "KernelSpec-inf-bandwidth": lambda X, y, Q: KernelSpec.gaussian(np.inf),
+    "nw_predict-inf-bandwidth": lambda X, y, Q: nw_predict(X, y, np.inf, Q),
+    "tune_baseline_nw-inf-bandwidth": lambda X, y, Q: tune_baseline(
+        Dataset(X, y), _VAL, [np.inf], "nw"),
+    "TuneGrid-inf-bandwidth": lambda X, y, Q: TuneGrid((np.inf,)),
+    "fit-J-2.5": lambda X, y, Q: fit(X, y, SPEC, 6, J=2.5),
+    "fit_ssl-J-2.5": lambda X, y, Q: fit_ssl(X, y, Q, SPEC, 6, J=2.5),
+    "SeriesModel-J-2.5": lambda X, y, Q: SeriesModel(_MODEL.basis, _MODEL.coefficients, 2.5),
+    "with_truncation-2.5": lambda X, y, Q: _MODEL.with_truncation(2.5),
+    "extend-J-2.5": lambda X, y, Q: extend(_MODEL.basis, Q, 2.5),
+    "eigenmap-J-2.5": lambda X, y, Q: eigenmap(_MODEL.basis, Q, 2.5),
+    "fit_basis-j_max-2.5": lambda X, y, Q: fit_basis(X, SPEC, 2.5),
+    "gen_spiral-n-2.5": lambda X, y, Q: gen_spiral(2.5),
+    "gen_spiral-seed-negative": lambda X, y, Q: gen_spiral(10, seed=-1),
+    "gen_circle-n-2.5": lambda X, y, Q: gen_circle(2.5),
+    "gen_circle-d-2.5": lambda X, y, Q: gen_circle(10, d=2.5),
+    "gen_circle-seed-negative": lambda X, y, Q: gen_circle(10, seed=-1),
+    "gen_uniform_interval-n-2.5": lambda X, y, Q: gen_uniform_interval(2.5),
+    "gen_uniform_interval-seed-2.5": lambda X, y, Q: gen_uniform_interval(10, seed=2.5),
+    "bandwidth_grid-n_grid-2.5": lambda X, y, Q: bandwidth_grid(X, 2.5),
+}
+
+
+@pytest.mark.parametrize("fault", list(ARGUMENT_FAULTS))
+def test_bad_argument_raises_input_error(fault):
+    with pytest.raises(InputError):
+        ARGUMENT_FAULTS[fault](*_valid())
+
+
+def test_integral_arguments_accepted():
+    # 2.0 counts as 2 and numpy integers pass; no penalty is an empty grid
+    X, y, Q = _valid()
+    assert fit(X, y, SPEC, 6, J=np.int64(4)).J == 4
+    assert type(_MODEL.with_truncation(3.0).J) is int
+    assert np.array_equal(extend(_MODEL.basis, Q, 3.0), extend(_MODEL.basis, Q, 3))
+    assert np.array_equal(gen_spiral(10.0, seed=np.int64(2)).features,
+                          gen_spiral(10, seed=2).features)
+    assert krr_penalty_grid(y, 0).shape == (0,)
 
 
 @pytest.mark.parametrize("k", [2.5, 0.5, np.nan])

@@ -486,17 +486,26 @@ class TestTuneBaseline:
         ("knn", [1, 1000], r"k must be an integer in 1\.\.\d+, got 1000"),
         ("nw", [0.5, 0.0], "bandwidth must be > 0"),
         ("nw", [0.5, np.nan], "bandwidth must be > 0"),
+        # an infinite bandwidth used to be chosen as the constant mean(y), an
+        # infinite penalty as the zero predictor, and "a" to raise ValueError
+        ("nw", [0.5, np.inf], "bandwidth must be > 0 and finite, got inf"),
+        ("krr", [1e-2, np.inf], "penalty must be > 0 and finite, got inf"),
+        ("krr", [1e-2, 0.0], "penalty must be > 0"),
+        ("krr", ["a"], "penalty must be > 0 and finite, got a"),
     ])
     def test_bad_candidate_raises_before_scoring(self, kind, candidates, match,
                                                  monkeypatch):
-        # k = 2.5 used to be scored as k = 2 and reported as ("knn", 2.5, -1)
+        # k = 2.5 used to be scored as k = 2 and reported as ("knn", 2.5, -1);
+        # a bad krr penalty is refused before K is built and reduced
         train, val, _ = spiral_splits()
-        scored = []
+        scored, built = [], []
         monkeypatch.setattr(model_selection, "empirical_loss",
                             lambda *args: scored.append(args) or 0.0)
+        monkeypatch.setattr(model_selection, "gram_matrix",
+                            lambda *args: built.append(args) or np.eye(2))
         with pytest.raises(InputError, match=match):
-            tune_baseline(train, val, candidates, kind)
-        assert scored == []
+            tune_baseline(train, val, candidates, kind, KernelSpec.gaussian(0.5))
+        assert scored == [] and built == []
 
     @pytest.mark.parametrize("kind, candidates", [
         ("nw", [0.3, 0.7, 1.5, 4.0]),
