@@ -38,10 +38,11 @@ def nw_predict(
     Each prediction is a convex combination of training labels, so it lies in
     [min(y), max(y)]. It is nystrom's Stochastic extension of y: one product
     of each cross Gram block with [y | 1] gives the weighted sums and their
-    normaliser. Queries whose weights all underflow get their nearest
-    neighbor's label (logged by spectral_series.nystrom). Training points,
-    labels and queries follow the input contract (README, "Input contract");
-    a fault, or a bandwidth that is not finite and > 0, raises InputError.
+    normaliser. Queries whose weights all lie below 2^-1021, and so are 0
+    (the Gram's floor), get their nearest neighbor's label (logged by
+    spectral_series.nystrom). Training points, labels and queries follow the
+    input contract (README, "Input contract"); a fault, or a bandwidth that
+    is not finite and > 0, raises InputError.
     """
     X_train, y = _checked_training(X_train, y)
     bandwidth = _checked_positive(bandwidth, "bandwidth")

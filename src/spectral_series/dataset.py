@@ -112,7 +112,10 @@ class Standardizer:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Train/validation/test fractions plus the permutation seed."""
+    """Train/validation/test fractions plus the permutation seed.
+
+    seed must be an integer >= 0 (2.0 counts as 2), else InputError.
+    """
 
     train_frac: float = 0.5
     val_frac: float = 0.25
@@ -126,8 +129,7 @@ class SplitSpec:
                 raise InputError(f"split fractions must lie in (0,1), got {fracs}")
         if abs(sum(fracs) - 1.0) > 1e-12:
             raise InputError(f"split fractions must sum to 1, got {sum(fracs)!r}")
-        if self.seed < 0:
-            raise InputError("seed must be a nonnegative integer")
+        object.__setattr__(self, "seed", _checked_int(self.seed, "seed", 0))
 
 
 def load_csv(path, has_header: bool = True, response_column=None) -> Dataset:

@@ -59,10 +59,9 @@ EIGENVALUE_FLOOR_REL = 1e-10
 LANCZOS_MIN_N = 400
 SYMMETRY_RTOL = 1e-10
 SYMMETRY_TILE = 256
-# The fit's in-place passes over K (scaling, subnormal flush) take their
-# temporaries this many bytes of rows at a time: 1 MiB blocks stay in a
-# core's L2 (see the kernels module notes), and the fit's heap beyond K
-# stays below one 8 MiB block.
+# The fit's in-place scaling passes over K take their temporaries this many
+# bytes of rows at a time: 1 MiB blocks stay in a core's L2 (see the kernels
+# module notes), and the fit's heap beyond K stays below one 8 MiB block.
 _FIT_BLOCK_BYTES = 2**20
 
 
@@ -78,7 +77,7 @@ class Mode(str, Enum):
     def parse(cls, name: str) -> "Mode":
         try:
             return cls(name.strip().lower().replace("-", "_"))
-        except ValueError:
+        except (AttributeError, ValueError):  # AttributeError: name is not a str
             raise InputError(
                 f"unknown mode {name!r}; expected one of "
                 f"{[m.value for m in cls]}"
@@ -351,20 +350,6 @@ def _orthonormal_basis(Y: np.ndarray) -> np.ndarray:
     return dgemqrt(V, T, np.eye(Y.shape[0], k, order="F"), overwrite_c=1)[0]
 
 
-def _flush_subnormals(A: np.ndarray) -> np.ndarray:
-    """Set A's subnormal entries to 0 in place, one row block at a time.
-
-    A product with subnormal operands runs about 5x slower; zeroing them moves
-    no eigenvalue by more than n * 2.3e-308. The masks take 3/8 of a
-    _FIT_BLOCK_BYTES block.
-    """
-    tiny = np.finfo(float).tiny
-    for rows in row_blocks(*A.shape, _FIT_BLOCK_BYTES):
-        block = A[rows]
-        np.copyto(block, 0.0, where=(block < tiny) & (block > -tiny))
-    return A
-
-
 def _solve_lanczos(A: np.ndarray, k: int, method: EigenMethod,
                    start: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """ARPACK's restarted Lanczos on the k largest pairs, from a fixed start.
@@ -379,7 +364,6 @@ def _solve_lanczos(A: np.ndarray, k: int, method: EigenMethod,
     # imported here: it adds about 15 ms to the package import
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-    A = _flush_subnormals(A)
     # dsymv on the Fortran view A.T reads A in place, on scipy's BLAS pool,
     # the one eigh uses
     AT = A.T
@@ -414,12 +398,16 @@ def eigendecompose(
     solves with LAPACK ("full") below LANCZOS_MIN_N = 400 rows and when
     2(j_max+1) + 1 >= n; see EigenMethod. Every method is deterministic, on
     tied spectra too; the randomized one given its seed. A is left
-    unchanged: every method works in one copy of A (the Lanczos method
-    zeroes its subnormal entries there). A that is not square raises
-    InputError, and one that is not symmetric within SYMMETRY_RTOL, or holds
-    NaN or Inf, raises NumericalError; so does a solver that fails or
-    returns fewer than j_max+1 pairs.
+    unchanged: every method works in one copy of A. No subnormal entry is
+    zeroed; a Gaussian Gram holds none (see the kernels module notes). j_max
+    is an integer in 0..n-1, checked before A is copied. A j_max outside
+    that range or an A that is not square raises InputError, and an A that
+    is not symmetric within SYMMETRY_RTOL, or holds NaN or Inf, raises
+    NumericalError; so does a solver that fails or returns fewer than
+    j_max+1 pairs.
     """
+    n = np.shape(A)[0] if np.ndim(A) else 0
+    j_max = _checked_int(j_max, "j_max", 0, n - 1)
     return _eigendecompose(_check_symmetric(_own(A)), j_max, method)
 
 
@@ -429,13 +417,12 @@ def _eigendecompose(
 ) -> tuple[np.ndarray, np.ndarray]:
     """eigendecompose of a finite, exactly symmetric, C-ordered float64 A.
 
-    A is not scanned, and the solver may overwrite it. start, a vector near
-    the top eigenvector, is the Lanczos start vector.
+    j_max is an int in 0..n-1. A is not scanned, and the solver may
+    overwrite it. start, a vector near the top eigenvector, is the Lanczos
+    start vector.
     """
     n = A.shape[0]
     k = j_max + 1
-    if k > n:
-        raise InputError(f"j_max+1 = {k} exceeds matrix size {n}")
     if method is None:
         method = EigenMethod()
     vals, vecs = _SOLVERS[method.name](A, k, method, start)

@@ -67,13 +67,16 @@ training points took 0.28 s against 0.22 s in order. Which thread runs a
 block changes no bit of it: ``row_blocks`` keeps blocks whole groups of 64
 rows.
 
-Gaussian entries come from ``np.exp``, whose vectorized loop leaves for a
-slow path on arguments below -1021 ln 2 = -707.70: there a 0 or a tiny
-normal result costs about 13x a normal entry and a subnormal one about 100x,
-and at a narrow bandwidth over half of a Gram lands there. ``_exp`` keeps
-those arguments out of the vectorized call and computes only the band whose
-result is not exactly 0 with ``np.exp`` itself, so every entry keeps
-``np.exp``'s bits.
+Gaussian entries have one floor, self and cross Grams alike: an argument
+below ``EXP_SLOW_BELOW`` = -707.7 gives exactly 0, and every other entry
+keeps ``np.exp``'s bits. So an entry is 0 or at least 2^-1021, and no Gram
+holds a subnormal, whose products run outside the floating-point fast path.
+``np.exp``'s vectorized loop leaves for a slow path on arguments below
+-1021 ln 2 = -707.70, where a 0 or a tiny normal result costs about 13x a
+normal entry and a subnormal one about 100x; at a narrow bandwidth over half
+of a Gram lands there. ``_exp`` takes the plain call when no argument is
+that low, and otherwise raises the low ones into the vectorized range and
+multiplies their results by 0.
 
 A self Gram is built in an n x n array (``_self_gram_into``), a new one or a
 buffer the caller reuses, in two passes and with no n x n temporary. The first fills the upper
@@ -141,23 +144,13 @@ DISTANCE_TILE_ROWS = 256
 _ROW_TILE = 64
 _STRICT_LOWER = np.tri(_ROW_TILE, k=-1, dtype=bool)
 
-# np.exp's vectorized loop takes arguments down to -1021 ln 2 = -707.7033
-# (results down to 2**-1021); below that each entry takes a slow path, about
-# 20 ns for a small normal result or a 0 and 120-200 ns for a subnormal one,
-# against 1.5 ns. Below EXP_ZERO_BELOW every result is exactly 0: the last
-# subnormal, 2**-1074, is exp(-744.44), and exp(x) rounds to 0 once x is
-# under -745.1332.
+# The Gaussian floor (see the module notes): an argument below EXP_SLOW_BELOW
+# gives exactly 0. exp(-707.7) is 2**-1020.995, and np.exp's vectorized loop
+# takes arguments down to -1021 ln 2 = -707.7033; below that each entry takes
+# a slow path, about 20 ns for a small normal result or a 0 and 120-200 ns
+# for a subnormal one, against 1.5 ns.
 EXP_SLOW_BELOW = -707.7
-EXP_ZERO_BELOW = -745.2
-# _exp samples every EXP_SAMPLE_STRIDE-th argument (a full pass would cost a
-# fifth of the exponential) and takes the detour when at least
-# EXP_DETOUR_FRAC of the sample lies below EXP_SLOW_BELOW: measured on 2**17
-# arguments, the detour costs 3.2 ns an entry with none there, 4.4 ns with
-# 3 % there (plain call 5.4 ns) and 14 ns with 30 % (plain call 27 ns). A
-# missed entry keeps the plain call's bits, at its cost.
-EXP_SAMPLE_STRIDE = 64
-EXP_DETOUR_FRAC = 0.02
-# Entries per detour pass, so that its masks stay in cache.
+# Entries per pass of _exp's floored loop, so that its masks stay in cache.
 EXP_CHUNK = 1 << 17
 
 
@@ -178,9 +171,8 @@ class KernelSpec:
             object.__setattr__(self, "bandwidth",
                                _checked_positive(self.bandwidth, "gaussian kernel bandwidth"))
         elif self.family == "poly":
-            if self.degree is None or int(self.degree) != self.degree or self.degree < 1:
-                raise InputError(f"poly kernel needs integer degree >= 1, got {self.degree}")
-            object.__setattr__(self, "degree", int(self.degree))
+            object.__setattr__(self, "degree",
+                               _checked_int(self.degree, "poly kernel degree", 1))
         else:
             raise InputError(f"unknown kernel family {self.family!r}")
 
@@ -530,45 +522,30 @@ def kernel_value(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _exp(x: np.ndarray) -> np.ndarray:
-    """np.exp(x, out=x), with np.exp's bits, without its slow path where it matters.
+    """np.exp(x, out=x) for a 1-D or 2-D x, except that x < EXP_SLOW_BELOW gives 0.
 
-    When at least EXP_DETOUR_FRAC of a strided sample of x lies below
-    EXP_SLOW_BELOW, x goes through _exp_detour one EXP_CHUNK at a time;
-    otherwise, and for an x that is not C-contiguous, it is the plain call.
+    Every other entry keeps np.exp's bits, NaN stays NaN and -inf gives 0.
+    When x's minimum is at least EXP_SLOW_BELOW this is the plain call. Else,
+    including when the minimum is NaN, each EXP_CHUNK-entry block of rows is
+    raised to EXP_SLOW_BELOW, exponentiated and multiplied by the mask of the
+    entries that were not below it; NaN fails that test, and NaN * 0 is NaN.
+    So no entry ever takes np.exp's slow path.
     """
-    if not x.flags.c_contiguous:
+    if not x.size or x.min() >= EXP_SLOW_BELOW:
         return np.exp(x, out=x)
-    flat = x.reshape(-1)
-    sample = flat[::EXP_SAMPLE_STRIDE]
-    if np.count_nonzero(sample < EXP_SLOW_BELOW) < max(1.0, EXP_DETOUR_FRAC * sample.size):
-        return np.exp(x, out=x)
-    for i in range(0, flat.size, EXP_CHUNK):
-        _exp_detour(flat[i:i + EXP_CHUNK])
-    return x
-
-
-def _exp_detour(x: np.ndarray) -> np.ndarray:
-    """np.exp(x, out=x) for a 1-D x, keeping arguments below EXP_SLOW_BELOW out of it.
-
-    Those are raised to EXP_SLOW_BELOW for the vectorized call and their
-    results then multiplied by 0; the few in the band above EXP_ZERO_BELOW
-    get np.exp of their own argument. NaN fails the keep test, so its
-    result stays NaN.
-    """
-    keep = x >= EXP_SLOW_BELOW
-    band = np.flatnonzero((x >= EXP_ZERO_BELOW) & ~keep)
-    exact = np.exp(x[band])
-    np.maximum(x, EXP_SLOW_BELOW, out=x)
-    np.exp(x, out=x)
-    np.multiply(x, keep, out=x)
-    x[band] = exact
+    for rows in row_blocks(x.shape[0], x.size // x.shape[0], 8 * EXP_CHUNK):
+        chunk = x[rows]
+        keep = chunk >= EXP_SLOW_BELOW
+        np.maximum(chunk, EXP_SLOW_BELOW, out=chunk)
+        np.exp(chunk, out=chunk)
+        np.multiply(chunk, keep, out=chunk)
     return x
 
 
 def gaussian_from_sqdist(
     sq: np.ndarray, bandwidth: float, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Gaussian kernel values exp(-sq / (4 * bandwidth)) from squared distances.
+    """Gaussian kernel values exp(-sq / (4 * bandwidth)), floored by _exp, from sq.
 
     Written into ``out``, which defaults to ``sq`` itself, so no temporary of
     the input's size is made. Dividing by the negated scale gives the same

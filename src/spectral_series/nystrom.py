@@ -120,6 +120,8 @@ def _extend(
     query rows at a time (kernels.map_blocks), each block on one thread, so
     memory beyond the output is one block per thread; a caller that already
     holds the whole cross Gram passes it as Kx, which is left unchanged.
+    A Gaussian query whose every weight lies below 2^-1021 has only 0
+    weights (the kernels module's floor), and so takes the fallback.
     """
     out = np.empty((Xq.shape[0],) + T.shape[1:])
     if Kx is not None:
@@ -145,11 +147,12 @@ def extend(basis: EigenBasis, Xnew: np.ndarray, J: int) -> np.ndarray:
 
     Entry (i, j) = (1/lambda_j) * sum_l w(x_i, X_l) * Psi[l, j] with the
     mode-matched weights w. Queries so far from the training set that every
-    kernel value underflows fall back to the nearest training point's basis
-    row (logged). Queries follow the input contract (README, "Input
-    contract"): a 1-D Xnew is one row, and a column count other than the
-    training one or a row holding NaN or Inf raises InputError. Memory beyond
-    the output is bounded by one block of query rows, whatever m is.
+    kernel value lies below 2^-1021, and so is 0 (the Gram's floor), fall
+    back to the nearest training point's basis row (logged). Queries follow
+    the input contract (README, "Input contract"): a 1-D Xnew is one row,
+    and a column count other than the training one or a row holding NaN or
+    Inf raises InputError. Memory beyond the output is bounded by one block
+    of query rows, whatever m is.
     """
     Xnew, J = _check_query(basis, Xnew, J)
     return _extend(basis.kernel, basis.training_points, Xnew, *_operands(basis, J, None))

@@ -117,8 +117,9 @@ def test_bad_input_raises_input_error(entry, fault):
 # argument fault -> call(X, y, Q). Before the integer and positive-scale
 # checks were shared, each returned a silently finite answer (inf scales: a
 # constant or zero predictor; J = 2.5 in a model or in with_truncation) or
-# raised another exception (TypeError, ValueError, or NumericalError for
-# fit_basis' j_max)
+# raised another exception (TypeError, ValueError, OverflowError,
+# AttributeError, or NumericalError for fit_basis' and eigendecompose's
+# j_max); SplitSpec took any seed and numpy raised TypeError inside split
 ARGUMENT_FAULTS = {
     "krr_fit-inf-penalty": lambda X, y, Q: krr_fit(X, y, SPEC, np.inf),
     "tune_baseline_krr-inf-penalty": lambda X, y, Q: tune_baseline(
@@ -147,6 +148,15 @@ ARGUMENT_FAULTS = {
     "gen_uniform_interval-n-2.5": lambda X, y, Q: gen_uniform_interval(2.5),
     "gen_uniform_interval-seed-2.5": lambda X, y, Q: gen_uniform_interval(10, seed=2.5),
     "bandwidth_grid-n_grid-2.5": lambda X, y, Q: bandwidth_grid(X, 2.5),
+    "eigendecompose-j_max-negative": lambda X, y, Q: diffusion.eigendecompose(np.eye(5), -1),
+    "eigendecompose-j_max-nan": lambda X, y, Q: diffusion.eigendecompose(np.eye(5), np.nan),
+    "eigendecompose-j_max-2.5": lambda X, y, Q: diffusion.eigendecompose(np.eye(5), 2.5),
+    "KernelSpec-poly-nan-degree": lambda X, y, Q: KernelSpec.polynomial(np.nan),
+    "KernelSpec-poly-inf-degree": lambda X, y, Q: KernelSpec.polynomial(np.inf),
+    "Mode.parse-2.5": lambda X, y, Q: Mode.parse(2.5),
+    "SplitSpec-seed-2.5": lambda X, y, Q: SplitSpec(seed=2.5),
+    "SplitSpec-seed-nan": lambda X, y, Q: SplitSpec(seed=np.nan),
+    "SplitSpec-seed-inf": lambda X, y, Q: SplitSpec(seed=np.inf),
 }
 
 
@@ -165,6 +175,12 @@ def test_integral_arguments_accepted():
     assert np.array_equal(gen_spiral(10.0, seed=np.int64(2)).features,
                           gen_spiral(10, seed=2).features)
     assert krr_penalty_grid(y, 0).shape == (0,)
+    assert type(SplitSpec(seed=2.0).seed) is int
+    data = gen_spiral(20, seed=1)
+    assert np.array_equal(split(data, SplitSpec(seed=2.0))[0].features,
+                          split(data, SplitSpec(seed=2))[0].features)
+    assert KernelSpec.polynomial(3.0).degree == 3
+    assert diffusion.eigendecompose(np.diag([3.0, 2.0, 1.0]), 1.0)[0].shape == (2,)
 
 
 @pytest.mark.parametrize("k", [2.5, 0.5, np.nan])

@@ -13,7 +13,7 @@ from spectral_series import (
     InputError, KernelSpec, bandwidth_grid, gen_circle, gram_matrix, kernel_value,
 )
 from spectral_series.kernels import (
-    BLAS_DISTANCE_MIN_D, DISTANCE_TILE_ROWS, EXP_CHUNK, EXP_SLOW_BELOW, EXP_ZERO_BELOW,
+    BLAS_DISTANCE_MIN_D, DISTANCE_TILE_ROWS, EXP_CHUNK, EXP_SLOW_BELOW,
     _exp, _self_gram_into, gaussian_from_sqdist, matmul, sq_distances,
 )
 
@@ -266,16 +266,26 @@ def _bits(x):
 
 
 class TestExpFastPath:
-    """_exp skips np.exp's slow path for underflowing arguments, bit for bit."""
+    """_exp has one floor: np.exp's bits from EXP_SLOW_BELOW up, exactly 0 below.
+
+    So no Gaussian entry is subnormal, and none takes np.exp's slow path.
+    NaN stays NaN and -inf gives 0.
+    """
 
     EDGES = [
         -745.1332191019411, -745.1332191019412, float(np.log(np.finfo(float).tiny)),
-        EXP_SLOW_BELOW, EXP_ZERO_BELOW, -1021 * np.log(2.0), -1074 * np.log(2.0),
+        EXP_SLOW_BELOW, -745.2, -1021 * np.log(2.0), -1074 * np.log(2.0),
         -744.44, -708.4, -0.0, 0.0, -1e300, -1e308,
     ]
 
-    def _check(self, x):
+    @staticmethod
+    def _floored(x):
         want = np.exp(x)
+        want[x < EXP_SLOW_BELOW] = 0.0
+        return want
+
+    def _check(self, x):
+        want = self._floored(x)
         got = _exp(x.copy())
         assert np.array_equal(_bits(got), _bits(want))
 
@@ -288,9 +298,12 @@ class TestExpFastPath:
 
     @pytest.mark.parametrize("special", [np.nan, -np.inf])
     def test_nan_and_minus_inf_keep_np_exp(self, special):
+        # a NaN minimum must not let the band (-745.13, -707.7) keep np.exp's values
         x = np.linspace(-800.0, 0.0, 1001)
         x[[3, 500]] = special
         self._check(x)
+        got = _exp(np.full(5, special))
+        assert np.array_equal(_bits(got), _bits(np.exp(np.full(5, special))))
 
     def test_adversarial_vectors(self):
         rng = np.random.default_rng(3)
@@ -301,25 +314,44 @@ class TestExpFastPath:
                                 rng.choice(self.EDGES, size)])
             rng.shuffle(x)
             self._check(x.reshape(3, size))
+            # a strided view is written in place, as a contiguous array is
+            wide = np.repeat(x.reshape(3, size), 2, axis=1)
+            view = wide[:, ::2]
+            assert _exp(view) is view
+            assert np.array_equal(_bits(wide[:, ::2]), _bits(self._floored(x.reshape(3, size))))
 
     @pytest.mark.parametrize("bw", [0.0002, 0.0005, 0.0185, 58.9])
     def test_gaussian_grams_keep_the_plain_formula_bits(self, bw):
         # the two narrow bandwidths send 75 % and 59 % of the self Gram below
-        # EXP_SLOW_BELOW, with 0.7 % and 1.3 % in the band above
-        # EXP_ZERO_BELOW; the cross Gram spans several EXP_CHUNK chunks
+        # EXP_SLOW_BELOW, with 0.7 % and 1.3 % above -745.2, where np.exp is
+        # not 0; the cross Gram spans several EXP_CHUNK chunks
         X = gen_circle(700, d=2, noise_var=0.5, seed=4).features
         Q = X[:EXP_CHUNK // 700 + 200]
         cond = pdist(X, "sqeuclidean")
-        direct = np.exp(squareform(cond) / (-4.0 * bw))
+        direct = self._floored(squareform(cond) / (-4.0 * bw))
         np.fill_diagonal(direct, 1.0)
         K = _self_gram_into(KernelSpec.gaussian(bw), X, np.empty((700, 700)), cond)
         assert np.array_equal(_bits(K), _bits(direct))
         sq = cdist(Q, X, "sqeuclidean")
-        want = np.exp(sq / (-4.0 * bw))
+        want = self._floored(sq / (-4.0 * bw))
         assert np.array_equal(_bits(gaussian_from_sqdist(sq.copy(), bw)), _bits(want))
         assert np.array_equal(_bits(gaussian_from_sqdist(sq[:, ::2], bw,
                                                          out=np.empty((Q.shape[0], 350)))),
                               _bits(want[:, ::2]))
+
+    @pytest.mark.parametrize("d", [2, BLAS_DISTANCE_MIN_D])
+    def test_no_gram_entry_below_the_floor(self, d):
+        X = gen_circle(300, d=d, noise_var=0.5, seed=6).features
+        Q = X[:97] + 0.01
+        bw = float(np.median(sq_distances(X))) / 2400.0
+        floor = 2.0 ** -1021
+        spec = KernelSpec.gaussian(bw)
+        for K, sq in ((gram_matrix(spec, X), squareform(sq_distances(X))),
+                      (gram_matrix(spec, Q, X), sq_distances(Q, X))):
+            # at this bandwidth np.exp leaves entries in (0, 2**-1021)
+            plain = np.exp(sq / (-4.0 * bw))
+            assert np.any((plain > 0.0) & (plain < floor))
+            assert not np.any((K > 0.0) & (K < floor))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 129, 1030])
     def test_self_gram_sizes(self, n):

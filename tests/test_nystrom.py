@@ -23,6 +23,7 @@ from spectral_series import (
     gen_circle,
     gen_spiral,
     gram_matrix,
+    nw_predict,
     predict,
 )
 from spectral_series import kernels
@@ -32,6 +33,26 @@ from spectral_series.kernels import READ_BLOCK_BYTES, bandwidth_grid, row_blocks
 def spiral_basis(mode=Mode.STOCHASTIC, n=50, j_max=8, bw=1.0, seed=0):
     X = gen_spiral(n, noise_sd=0.05, seed=seed).features
     return X, fit_basis(X, KernelSpec.gaussian(bw), j_max, mode)
+
+
+def below_floor_query(X, bandwidth):
+    """A query row whose every Gaussian weight lies in (2**-1074, 2**-1021).
+
+    Bisection on a ray out of the data puts its nearest training point at
+    exponent -725: below the floor EXP_SLOW_BELOW = -707.7, where the kernel
+    writes 0, and above -744.4, where np.exp's value is still not 0.
+    """
+    direction = np.ones(X.shape[1]) / np.sqrt(X.shape[1])
+    target = 725.0 * 4.0 * bandwidth
+    lo, hi = 0.0, 1e3
+    for _ in range(100):
+        t = 0.5 * (lo + hi)
+        q = X.mean(axis=0) + t * direction
+        if ((X - q) ** 2).sum(axis=1).min() < target:
+            lo = t
+        else:
+            hi = t
+    return q[None, :]
 
 
 class TestExtend:
@@ -100,6 +121,34 @@ class TestExtend:
         assert any("underflow" in rec.message for rec in caplog.records)
         nearest = np.argmin(((X - far) ** 2).sum(axis=1))
         assert np.array_equal(out[0], basis.eigenvectors[nearest, :5])
+
+    @pytest.mark.parametrize("reader", ["extend", "predict", "nw_predict"])
+    def test_query_below_the_floor_falls_back_alone_and_in_a_batch(self, reader, caplog):
+        # np.exp gives this query subnormal weights; the Gram's floor makes
+        # them 0, so it takes the nearest-training-point fallback, as a query
+        # whose weights all underflow to exactly 0 does
+        data = gen_spiral(50, noise_sd=0.05, seed=0)
+        X, y = data.features, data.responses
+        q = below_floor_query(X, 0.01)
+        sq = ((X - q) ** 2).sum(axis=1)
+        plain = np.exp(sq / -0.04)
+        assert 0.0 < plain.max() < 2.0 ** -1021
+        nearest = int(np.argmin(sq))
+        if reader == "extend":
+            basis = fit_basis(X, KernelSpec.gaussian(0.01), 8)
+            read, want = (lambda Q: extend(basis, Q, 4)), basis.eigenvectors[nearest, :5]
+        elif reader == "predict":
+            model = fit(X, y, KernelSpec.gaussian(0.01), 8, J=4)
+            read = lambda Q: predict(model, Q)
+            want = model.basis.eigenvectors[nearest, :5] @ model.coefficients[:5]
+        else:
+            read, want = (lambda Q: nw_predict(X, y, 0.01, Q)), y[nearest]
+        batch = np.vstack([X[:5] + 0.01, q, X[5:9] + 0.01])
+        with caplog.at_level(logging.WARNING, logger="spectral_series.nystrom"):
+            alone, inside = read(q)[0], read(batch)[5]
+        assert sum("underflowed" in rec.message for rec in caplog.records) == 2
+        assert np.array_equal(alone, inside)
+        assert np.allclose(alone, want, rtol=1e-12, atol=0.0)
 
     def test_mix_of_live_and_dead_queries(self):
         X, basis = spiral_basis(bw=0.01)
