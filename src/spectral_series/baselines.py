@@ -11,8 +11,8 @@ from scipy.spatial.distance import cdist
 
 from .errors import NumericalError
 from .kernels import (
-    KernelSpec, _checked_int, _checked_positive, _checked_queries, _checked_training, cross_gram,
-    gram_matrix, map_blocks, matmul,
+    KernelSpec, _checked_int, _checked_positive, _checked_queries, _checked_training,
+    _self_gram_into, cross_gram, map_blocks, matmul,
 )
 from .nystrom import _extend
 
@@ -136,14 +136,29 @@ def krr_fit(X: np.ndarray, y: np.ndarray, spec: KernelSpec, penalty: float) -> K
     """
     X, y = _checked_training(X, y)
     penalty = _checked_positive(penalty, "penalty")
-    K = gram_matrix(spec, X)
-    alpha = _ridge_solver(K, y, max_abs_row_sum(K))(penalty)
+    K, row_bound = _gram_and_row_bound(spec, X)
+    alpha = _ridge_solver(K, y, row_bound)(penalty)
     return KRRModel(spec, X, alpha, penalty)
 
 
 def max_abs_row_sum(K: np.ndarray) -> float:
     """Largest absolute row sum of K: the Gershgorin radius krr_solve needs."""
     return float(np.abs(K).sum(axis=1).max())
+
+
+def _gram_and_row_bound(spec: KernelSpec, X: np.ndarray) -> tuple[np.ndarray, float]:
+    """The self Gram of checked points X and its max_abs_row_sum, from one build.
+
+    Every Gaussian entry is >= 0, so the largest of the row sums the build
+    takes is max_abs_row_sum(K) bit for bit, with no pass of its own; a
+    polynomial Gram may hold negative entries and pays that pass.
+    """
+    if spec.family != "gaussian":
+        K = _self_gram_into(spec, X)
+        return K, max_abs_row_sum(K)
+    sums = np.empty(X.shape[0])
+    K = _self_gram_into(spec, X, sums=sums)
+    return K, float(sums.max())
 
 
 def krr_solve(K: np.ndarray, y: np.ndarray, penalty: float, row_bound: float) -> np.ndarray:

@@ -466,13 +466,17 @@ def fit_basis(
     rescale pipeline; Symmetric keeps the conjugate eigenvectors unrescaled;
     Uniform eigendecomposes K/n directly with flat weights (the route for
     kernels whose entries may be negative). The n x n Gram is built here
-    with its row sums, symmetric by construction, and the normalization and
-    the solver work inside it. Beyond K, the fit's heap is one 1 MiB block
-    plus a few n x (j_max+1) arrays. Row sums that are not finite raise
-    NumericalError in every mode, and in the degree-weighted modes so do
-    row sums that are not > 0. X follows the input contract (README, "Input
-    contract") with at least 2 points, and j_max is an integer in 0..n-1; a
-    fault raises InputError before any kernel is built.
+    with its row sums, symmetric by construction, in a memory map of its own
+    (kernels._self_gram_into), and the normalization and the solver work
+    inside it. A Gaussian Gram below 32 columns is built from the points one
+    1 MiB block of rows per pool worker at a time, with no stored distances;
+    at or above 32 columns from its condensed BLAS distances. Beyond K, the
+    fit's heap is one 1 MiB block plus a few n x (j_max+1) arrays. Row sums
+    that are not finite raise NumericalError in every mode, and in the
+    degree-weighted modes so do row sums that are not > 0. X follows the
+    input contract (README, "Input contract") with at least 2 points, and
+    j_max is an integer in 0..n-1; a fault raises InputError before any
+    kernel is built.
     """
     X, _ = _checked_training(X, min_rows=2)
     n = X.shape[0]

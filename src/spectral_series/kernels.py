@@ -47,20 +47,21 @@ call in the package outside its allowlist:
 - ``kernel_value``'s 1-D dot, one pair at a time, no BLAS call;
 - row norms from ``np.linalg.norm``, a reduction, no BLAS call.
 
-One worker pool for the read paths. Below ``BLAS_DISTANCE_MIN_D`` a query
-block's cross Gram comes from ``cdist`` and ``np.exp``, both single-threaded
-loops, and BLAS runs only the final matrix-vector product (about 4 % of a
-block on predict-spiral). So ``map_blocks`` spreads a read's blocks over
-``READ_WORKERS`` threads (``SPECTRAL_SERIES_THREADS`` if set, else the CPUs
-the process may run on), one whole block per task, the calling thread
-included; the pool is made on the first call with more than one block, and
-at one worker there is none. A block is ``READ_BLOCK_BYTES`` = 1 MiB so that
-it stays in its core's L2 through the distance, exponential, row-sum and
-product passes. On a 2-core Xeon with 2 MiB of L2 per core, a 20 000-row
-predict on 2000 training points (medians of 9) took 0.144 s on one worker
-and 0.156 s on two with 8 MiB blocks (4 MiB: 0.142 and 0.157 s), but 0.138
-and 0.076 s with 1 MiB blocks (2 MiB: 0.073 s on two, 0.5 MiB: 0.089 s).
-At or above ``BLAS_DISTANCE_MIN_D`` the distances are already a
+One worker pool for the read paths and the narrow Gaussian Grams. Below
+``BLAS_DISTANCE_MIN_D`` a query block's cross Gram comes from ``cdist`` and
+``np.exp``, both single-threaded loops, and BLAS runs only the final
+matrix-vector product (about 4 % of a block on predict-spiral); a self Gram
+there is the same two loops (see below). So ``map_blocks`` spreads the
+blocks over ``READ_WORKERS`` threads (``SPECTRAL_SERIES_THREADS`` if set,
+else the CPUs the process may run on), one whole block per task, the calling
+thread included; the pool is made on the first call with more than one
+block, and at one worker there is none. A block is ``READ_BLOCK_BYTES``
+= 1 MiB so that it stays in its core's L2 through the distance, exponential,
+row-sum and product passes. On a 2-core Xeon with 2 MiB of L2 per core, a
+20 000-row predict on 2000 training points (medians of 9) took 0.144 s on
+one worker and 0.156 s on two with 8 MiB blocks (4 MiB: 0.142 and 0.157 s),
+but 0.138 and 0.076 s with 1 MiB blocks (2 MiB: 0.073 s on two, 0.5 MiB:
+0.089 s). At or above ``BLAS_DISTANCE_MIN_D`` the distances are already a
 multi-threaded BLAS product, and the blocks run in order on the caller in
 ``BLOCK_BYTES`` blocks: on the pool, 8000 queries at d = 1000 against 800
 training points took 0.28 s against 0.22 s in order. Which thread runs a
@@ -79,20 +80,41 @@ that low, and otherwise raises the low ones into the vectorized range and
 multiplies their results by 0.
 
 A self Gram is built in an n x n array (``_self_gram_into``), a new one or a
-buffer the caller reuses, in two passes and with no n x n temporary. The first fills the upper
-triangle: the Gaussian exponentials of the condensed distances, run by run,
-or one BLAS ``syrk``. The second (``_complete_rows``) walks 64-row tiles in
-order. It copies each tile's lower part from the rows above it, sets the
-Gaussian diagonal to 1 or raises the polynomial tile to its degree, and takes
-the tile's row sums while the tile is still in L2; they have the bits of
-``K.sum(axis=1)``. The array's old contents are never read, so
-``tune_series`` builds every candidate in one buffer, and ``fit_basis`` takes
-its row sums from the build instead of from a pass of its own.
+buffer the caller reuses, with no n x n temporary; the array's old contents
+are never read, so ``tune_series`` builds every candidate in one buffer, and
+``fit_basis`` takes its row sums from the build instead of from a pass of its
+own. The build follows the distance split:
+
+- A Gaussian Gram below ``BLAS_DISTANCE_MIN_D`` columns is built from its
+  points, one ``READ_BLOCK_BYTES`` block of rows at a time on the read pool
+  (``_gaussian_into``): ``cdist`` writes the block's squared distances into
+  its rows of K, which are divided by -4 bandwidth and exponentiated in
+  place, and the block's row sums are taken while it is in L2. ``cdist(X,
+  X)`` is exactly symmetric, has a zero diagonal (so a diagonal of 1) and
+  equals ``pdist``'s condensed entries bit for bit. Its loop costs no more
+  than the exponentials it feeds, so no distances are stored. On 2000
+  spiral points (medians of 15 on a 2-core box) a build took 14-19 ms on
+  one worker and 7.5-10 ms on two, against 21-24 ms for ``pdist`` and the
+  two-pass build below.
+- Otherwise it takes two passes. The first fills the upper triangle: the
+  Gaussian exponentials of the condensed distances, run by run, or one
+  BLAS ``syrk``. The second (``_complete_rows``) walks 64-row tiles in
+  order. It copies each tile's lower part from the rows above it, sets the
+  Gaussian diagonal to 1 or raises the polynomial tile to its degree, and
+  takes the tile's row sums while the tile is still in L2. At or above
+  ``BLAS_DISTANCE_MIN_D`` the distances are BLAS products, worth computing
+  once for a whole tuning sweep.
+
+Either way the row sums have the bits of ``K.sum(axis=1)``. A Gram the
+build allocates itself lies in an anonymous memory map of its own
+(``_own_square``), so freeing it returns its pages whatever the heap
+holds around it.
 """
 
 from __future__ import annotations
 
 import contextvars
+import mmap
 import os
 import threading
 from collections.abc import Callable, Iterator
@@ -247,10 +269,14 @@ def _checked_queries(Q, d: int, what: str = "query") -> np.ndarray:
     return Q
 
 
+# a bool is an int to Python, but as a count or a scale it is a mistake
+_BOOLS = (bool, np.bool_)
+
+
 def _checked_int(value, what: str, low: int, high: float = np.inf) -> int:
-    """value as an int in low..high, else InputError: 2.0 passes as 2, 2.5 fails."""
+    """value as an int in low..high, else InputError: 2.0 passes as 2, 2.5 and True fail."""
     try:
-        ok = low <= value <= high and value == int(value)
+        ok = not isinstance(value, _BOOLS) and low <= value <= high and value == int(value)
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
@@ -260,9 +286,9 @@ def _checked_int(value, what: str, low: int, high: float = np.inf) -> int:
 
 
 def _checked_positive(value, what: str) -> float:
-    """value as a float that is finite and > 0, else InputError."""
+    """value as a float that is finite and > 0, else InputError; True fails."""
     try:
-        ok = 0 < value < np.inf
+        ok = not isinstance(value, _BOOLS) and 0 < value < np.inf
     except (TypeError, ValueError):
         ok = False
     if not ok:
@@ -607,31 +633,68 @@ def _complete_rows(K: np.ndarray, degree: int | None, sums: np.ndarray | None) -
             K[rows].sum(axis=1, out=sums[rows])
 
 
+def _own_square(n: int) -> np.ndarray:
+    """A new n x n float64 array in an anonymous memory map of its own.
+
+    A Gram the build allocates outlives the arrays a fit makes after it, and
+    from the heap it would leave a hole that the fitted basis pins: the
+    allocator serves a second Gram of a size it freed before from the heap,
+    not from a fresh map. Three 2000-point fits in one process peaked 10 MB
+    higher that way. The map is unmapped when the last view of it is freed.
+    tracemalloc does not see it.
+    """
+    buf = mmap.mmap(-1, max(8 * n * n, 8))
+    return np.frombuffer(buf, dtype=float, count=n * n).reshape(n, n)
+
+
+def _gaussian_into(bandwidth: float, A: np.ndarray, B: np.ndarray, out: np.ndarray,
+                   sums: np.ndarray | None = None) -> None:
+    """out = the Gaussian Gram k(A, B), built from the points in out itself.
+
+    One READ_BLOCK_BYTES block of out's rows at a time on the read pool
+    (map_blocks): cdist writes the block's squared distances into its rows,
+    gaussian_from_sqdist exponentiates them in place, and the block's row
+    sums go into sums if given. out is C-ordered; its old contents are not
+    read. The bits are those of gaussian_from_sqdist(cdist(A, B)) and of its
+    sum(axis=1). Beyond out the heap is a floor mask per worker (and a
+    C-ordered copy of an A or B that is not).
+    """
+    A, B = np.ascontiguousarray(A), np.ascontiguousarray(B)
+
+    def block(rows: slice) -> None:
+        K = out[rows]
+        gaussian_from_sqdist(cdist(A[rows], B, "sqeuclidean", out=K), bandwidth)
+        if sums is not None:
+            K.sum(axis=1, out=sums[rows])
+
+    map_blocks(block, *out.shape)
+
+
 def _self_gram_into(spec: KernelSpec, A: np.ndarray, K: np.ndarray | None = None,
                     condensed: np.ndarray | None = None,
                     sums: np.ndarray | None = None) -> np.ndarray:
     """Build the self Gram of the rows of A in the n x n C-ordered K; returns K.
 
-    K's old contents are ignored, so one buffer serves a whole tuning sweep.
-    With K None a new array is made after the distances, so that their heap
-    block, freed on return, lies below K and takes the caller's later
-    arrays, while K, freed last, rejoins the top of the heap. Made first, K
-    left a hole that the fitted basis pinned, and three 2000-point fits in
-    one process peaked 10 MB higher. Two passes over K and no n x n
-    temporary: the upper triangle, then _complete_rows, which also writes
-    K's row sums into sums if given. condensed, A's condensed squared
-    distances, saves a Gaussian build from recomputing them. The bits are
+    K's old contents are ignored, so one buffer serves a whole tuning sweep;
+    with K None a new one is made (_own_square). The row sums go into sums
+    if given. A Gaussian Gram below BLAS_DISTANCE_MIN_D columns is built from
+    the points (_gaussian_into) unless the caller passes A's condensed
+    squared distances; otherwise from those, computed if not given, upper
+    triangle first, then _complete_rows. A polynomial Gram is one BLAS syrk
+    triangle, then _complete_rows. Whichever route builds it, the bits are
     those of ``gram_matrix(spec, A)`` and of its ``sum(axis=1)``.
     """
     n = A.shape[0]
+    K = _own_square(n) if K is None else K
     if spec.family == "gaussian":
+        if condensed is None and A.shape[1] < BLAS_DISTANCE_MIN_D:
+            _gaussian_into(spec.bandwidth, A, A, K, sums)
+            return K
         if condensed is None:
             condensed = sq_distances(A)
-        K = np.empty((n, n)) if K is None else K
         _gaussian_upper(condensed, spec.bandwidth, K)
         _complete_rows(K, None, sums)
         return K
-    K = np.empty((n, n)) if K is None else K
     # BLAS syrk writes one triangle of A A^T, the lower one of the
     # Fortran-ordered product and so the upper one of K, without reading K
     dsyrk(1.0, np.ascontiguousarray(A).T, c=K.T, trans=1, lower=1, overwrite_c=1)

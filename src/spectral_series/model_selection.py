@@ -14,13 +14,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import KNNModel, KRRModel, NWModel, _knn, _nw, _ridge_solver, max_abs_row_sum
+from .baselines import (
+    KNNModel, KRRModel, NWModel, _gram_and_row_bound, _knn, _nw, _ridge_solver,
+)
 from .dataset import Dataset
 from .diffusion import EigenMethod, Mode, _fit, _n_usable
 from .errors import InputError, NumericalError
 from .kernels import (
-    KernelSpec, _checked_int, _checked_positive, _cross_sq_distances, _polynomial_from_inner,
-    _self_gram_into, gaussian_from_sqdist, gram_matrix, matmul, sq_distances,
+    BLAS_DISTANCE_MIN_D, KernelSpec, _checked_int, _checked_positive, _cross_sq_distances,
+    _gaussian_into, _polynomial_from_inner, _self_gram_into, gaussian_from_sqdist, gram_matrix,
+    matmul, sq_distances,
 )
 from .nystrom import _extend, _operands
 from .series import SeriesModel, _coefficients, pool_unlabeled
@@ -183,13 +186,18 @@ def tune_series(
 
     Per candidate, one basis fit and one coefficient pass at the cutoff; all
     truncations are scored from a single extension of the validation points.
-    Gaussian candidates share one computation of the training and validation
-    squared distances; each bandwidth only exponentiates them. Every
-    candidate's operator is built, normalized and solved in one n x n buffer
-    for the whole sweep, and once its fit is done, its validation cross Gram
-    is built whole in the same buffer (in an array of its own only when the
-    validation set has more rows than the training pool) and extended in one
-    call. Polynomial candidates run in Uniform mode (their Gram entries may be
+    Every candidate's operator is built, normalized and solved in one n x n
+    buffer for the whole sweep, and once its fit is done, its validation
+    cross Gram is built whole in the same buffer (in an array of its own only
+    when the validation set has more rows than the training pool) and
+    extended in one call. Below kernels.BLAS_DISTANCE_MIN_D (32) columns each
+    Gaussian Gram, self and validation, is built from the points one block of
+    rows per pool worker at a time (kernels._gaussian_into), and the sweep
+    stores no distances: their cdist loop costs no more than the
+    exponentials it feeds. At or above it Gaussian candidates share one
+    computation of the training and validation squared distances, BLAS
+    products worth keeping, and each bandwidth only exponentiates them.
+    Polynomial candidates run in Uniform mode (their Gram entries may be
     negative, which the degree-weighted modes cannot accept). Unlabeled rows,
     when given, enter every candidate basis; coefficients use training rows
     only. Ties prefer smaller J, then the smoother kernel. train and val are
@@ -212,9 +220,9 @@ def tune_series(
     best = None  # (loss, J, spec, basis, coef)
 
     sq_pooled = sq_val = None
-    if grid.bandwidths:
-        # Gaussian candidates differ only in the exponent's scale, so the
-        # squared distances are computed once for the whole sweep
+    if grid.bandwidths and train.d >= BLAS_DISTANCE_MIN_D:
+        # Gaussian candidates differ only in the exponent's scale, so BLAS
+        # distances are computed once for the whole sweep
         t0 = time.perf_counter()
         sq_pooled = sq_distances(pooled)
         t1 = time.perf_counter()
@@ -248,11 +256,13 @@ def tune_series(
             t4 = time.perf_counter()
             usable = _n_usable(basis.eigenvalues)
             if usable:
-                if gaussian:
-                    gaussian_from_sqdist(sq_val, spec.bandwidth, out=Kv)
-                else:
+                if not gaussian:
                     _polynomial_from_inner(matmul(val.features, pooled.T, out=Kv),
                                            spec.degree)
+                elif sq_val is None:
+                    _gaussian_into(spec.bandwidth, val.features, pooled, Kv)
+                else:
+                    gaussian_from_sqdist(sq_val, spec.bandwidth, out=Kv)
                 Psi_val = _extend(spec, pooled, val.features,
                                   *_operands(basis, usable - 1, None), Kx=Kv)
                 cum = np.cumsum(Psi_val * coef[:usable][None, :], axis=1)
@@ -329,8 +339,8 @@ def tune_baseline(
     if kind == "krr":
         # every penalty shares one K, reduced in place, and one validation cross Gram
         t0 = time.perf_counter()
-        K = gram_matrix(kernel, train.features)
-        solve = _ridge_solver(K, train.responses, max_abs_row_sum(K))
+        K, row_bound = _gram_and_row_bound(kernel, train.features)
+        solve = _ridge_solver(K, train.responses, row_bound)
         t1 = time.perf_counter()
         Kv = gram_matrix(kernel, val.features, train.features)
         timings["fit"] += t1 - t0

@@ -166,6 +166,29 @@ def test_bad_argument_raises_input_error(fault):
         ARGUMENT_FAULTS[fault](*_valid())
 
 
+# A bool is an int to Python, so each of these calls returned a result for
+# True, read as 1 or 1.0. As a count, a seed or a scale a bool is a slip, and
+# the shared integer and scale helpers refuse it.
+BOOL_ARGUMENTS = {
+    "fit-j_max": lambda X, y, Q, b: fit(X, y, SPEC, b),
+    "gen_spiral-n": lambda X, y, Q, b: gen_spiral(b),
+    "bandwidth_grid-n_grid": lambda X, y, Q, b: bandwidth_grid(X, b),
+    "TuneGrid-j_max": lambda X, y, Q, b: TuneGrid((1.0,), j_max=b),
+    "SplitSpec-seed": lambda X, y, Q, b: SplitSpec(seed=b),
+    "KernelSpec.polynomial": lambda X, y, Q, b: KernelSpec.polynomial(b),
+    "KernelSpec.gaussian": lambda X, y, Q, b: KernelSpec.gaussian(b),
+    "knn_predict-k": lambda X, y, Q, b: knn_predict(X, y, b, Q),
+    "eigendecompose-j_max": lambda X, y, Q, b: diffusion.eigendecompose(np.eye(5), b),
+}
+
+
+@pytest.mark.parametrize("value", [True, np.True_], ids=["bool", "np.bool_"])
+@pytest.mark.parametrize("call", list(BOOL_ARGUMENTS))
+def test_bool_argument_raises_input_error(call, value):
+    with pytest.raises(InputError):
+        BOOL_ARGUMENTS[call](*_valid(), value)
+
+
 def test_integral_arguments_accepted():
     # 2.0 counts as 2 and numpy integers pass; no penalty is an empty grid
     X, y, Q = _valid()

@@ -12,8 +12,9 @@ from scipy.spatial.distance import cdist, pdist, squareform
 from spectral_series import (
     InputError, KernelSpec, bandwidth_grid, gen_circle, gram_matrix, kernel_value,
 )
+from spectral_series import kernels
 from spectral_series.kernels import (
-    BLAS_DISTANCE_MIN_D, DISTANCE_TILE_ROWS, EXP_CHUNK, EXP_SLOW_BELOW,
+    BLAS_DISTANCE_MIN_D, DISTANCE_TILE_ROWS, EXP_CHUNK, EXP_SLOW_BELOW, READ_BLOCK_BYTES,
     _exp, _self_gram_into, gaussian_from_sqdist, matmul, sq_distances,
 )
 
@@ -96,16 +97,27 @@ class TestGramMatrix:
                                              np.ascontiguousarray(A)))
 
     @pytest.mark.parametrize("spec", [KernelSpec.gaussian(0.3), KernelSpec.polynomial(1),
-                                      KernelSpec.polynomial(3)],
-                             ids=["gaussian", "poly1", "poly3"])
+                                      KernelSpec.polynomial(3), KernelSpec.gaussian(1e-3)],
+                             ids=["gaussian", "poly1", "poly3", "gaussian-narrow"])
     @pytest.mark.parametrize("n, d", [(1, 3), (2, 3), (63, 3), (64, 3), (65, 3),
-                                      (300, 3), (129, BLAS_DISTANCE_MIN_D)])
-    def test_build_in_a_used_buffer(self, spec, n, d):
+                                      (300, 3), (129, BLAS_DISTANCE_MIN_D),
+                                      *[(n, d) for d in (1, 2, BLAS_DISTANCE_MIN_D - 1)
+                                        for n in (1, 2, 63, 65, 130)]])
+    def test_build_in_a_used_buffer(self, spec, n, d, monkeypatch):
         # one buffer serves a whole tuning sweep, so whatever it held (NaN
-        # here) must not reach the Gram; the row sums come with the build
+        # here) must not reach the Gram; the row sums come with the build.
+        # Below BLAS_DISTANCE_MIN_D a Gaussian Gram is built from the points
+        # in row blocks on the read pool, and must give the bits of the
+        # condensed build on one worker and on two, with 17-row blocks, with
+        # a third of the rows repeated, and at a bandwidth narrow enough
+        # that the floor zeroes entries
         X = np.random.default_rng(n + d).normal(size=(n, d))
+        X[n - n // 3:] = X[:n // 3]
         if spec.family == "gaussian":
-            want = np.exp(squareform(sq_distances(X)) / (-4.0 * spec.bandwidth))
+            cond = pdist(X, "sqeuclidean") if d < BLAS_DISTANCE_MIN_D else sq_distances(X)
+            arg = squareform(cond) / (-4.0 * spec.bandwidth)
+            want = np.exp(arg)
+            want[arg < EXP_SLOW_BELOW] = 0.0
             np.fill_diagonal(want, 1.0)
         else:
             # a zeroed syrk triangle, mirrored whole, then the power
@@ -114,11 +126,33 @@ class TestGramMatrix:
             base = want.copy()
             for _ in range(spec.degree - 1):
                 want *= base
-        K, sums = np.full((n, n), np.nan), np.full(n, np.nan)
-        assert _self_gram_into(spec, X, K, sums=sums) is K
-        assert np.array_equal(K, want)
-        assert np.array_equal(sums, want.sum(axis=1))
-        assert np.array_equal(gram_matrix(spec, X), want)
+        monkeypatch.setattr(kernels, "READ_BLOCK_BYTES", 8 * 17 * n)
+        for workers in (1, 2):
+            monkeypatch.setattr(kernels, "READ_WORKERS", workers)
+            K, sums = np.full((n, n), np.nan), np.full(n, np.nan)
+            assert _self_gram_into(spec, X, K, sums=sums) is K
+            assert np.array_equal(K, want)
+            assert np.array_equal(sums, want.sum(axis=1))
+            assert np.array_equal(gram_matrix(spec, X), want)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("bw", [0.5, 1e-4], ids=["wide", "narrow"])
+    def test_block_build_holds_one_block_per_worker(self, workers, bw, monkeypatch):
+        # below BLAS_DISTANCE_MIN_D a Gaussian self Gram stores no distances
+        # (16 MB of condensed ones here): beyond K and its row sums it
+        # allocates at most one READ_BLOCK_BYTES block per worker, also
+        # where the floor's masks are made (the narrow bandwidth)
+        n = 2000
+        X = gen_circle(n, d=2, noise_var=0.5, seed=3).features
+        monkeypatch.setattr(kernels, "READ_WORKERS", workers)
+        K, sums = np.empty((n, n)), np.empty(n)
+        tracemalloc.start()
+        try:
+            _self_gram_into(KernelSpec.gaussian(bw), X, K, sums=sums)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= workers * READ_BLOCK_BYTES
 
     def test_two_point_closed_form(self):
         # distance 2 at bandwidth 1: off-diagonal is exactly e^-1

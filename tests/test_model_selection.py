@@ -34,7 +34,7 @@ from spectral_series import (
     tune_baseline,
     tune_series,
 )
-from spectral_series import baselines, model_selection
+from spectral_series import baselines, kernels, model_selection
 from spectral_series.model_selection import _is_smoother
 from spectral_series.nystrom import EIGENVALUE_FLOOR_REL
 from spectral_series.series import SeriesModel
@@ -323,14 +323,9 @@ class TestSharedSweep:
         ref_model = SeriesModel(basis, coef, chosen[2], ssl=True)
         assert np.array_equal(predict(model, val.features), predict(ref_model, val.features))
 
-    def test_sweep_holds_one_n_by_n_buffer(self):
-        # beyond the shared distances, a Gaussian sweep holds one n x n
-        # buffer: each candidate's operator is built, normalized and solved
-        # in it, and its validation cross Gram reuses it. A K per candidate
-        # (32 MB here) or a validation Gram of its own (16 MB) breaks the
-        # bound, which leaves half a validation Gram for everything else
-        n, m = 2000, 1000
-        data = gen_spiral(n + m, noise_sd=0.1, seed=3)
+    @staticmethod
+    def _sweep_peak(data, n):
+        """tune_series' traced heap peak on 2 grid bandwidths, n training rows, j_max 20."""
         X, y = data.features, data.responses
         train, val = Dataset(X[:n], y[:n], None), Dataset(X[n:], y[n:], None)
         grid = TuneGrid(bandwidths=tuple(bandwidth_grid(train.features, 2)), j_max=20)
@@ -338,9 +333,32 @@ class TestSharedSweep:
         try:
             before = tracemalloc.get_traced_memory()[0]
             tune_series(train, val, grid)
-            peak = tracemalloc.get_traced_memory()[1] - before
+            return tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
+
+    def test_sweep_holds_one_n_by_n_buffer(self):
+        # below BLAS_DISTANCE_MIN_D columns a Gaussian sweep stores no
+        # distances and holds one n x n buffer: each candidate's Gram is
+        # built from the points in it, one block per worker at a time, then
+        # normalized and solved in it, and its validation cross Gram reuses
+        # it. Beyond that: ten n x (j_max+1) arrays, the fit's six (see
+        # test_heap_beyond_gram_is_one_block), the winner's basis and the
+        # validation extension's m x (j_max+1) arrays. Shared distances
+        # (32 MB here), a K per candidate or a validation Gram of its own
+        # (16 MB) break the bound
+        n, m, j_max = 2000, 1000, 20
+        peak = self._sweep_peak(gen_spiral(n + m, noise_sd=0.1, seed=3), n)
+        blocks = max(1, kernels.READ_WORKERS) * kernels.READ_BLOCK_BYTES
+        assert peak <= n * n * 8 + blocks + 10 * n * (j_max + 1) * 8
+
+    def test_high_d_sweep_shares_its_distances(self):
+        # at or above BLAS_DISTANCE_MIN_D the distances are BLAS products,
+        # computed once for the sweep: beyond them the sweep holds one n x n
+        # buffer, which leaves half a validation Gram for everything else
+        n, m = 2000, 1000
+        data = gen_circle(n + m, d=kernels.BLAS_DISTANCE_MIN_D, noise_var=0.5, seed=3)
+        peak = self._sweep_peak(data, n)
         shared = (n * (n - 1) // 2 + m * n) * 8
         assert peak <= shared + n * n * 8 + m * n * 8 // 2
 

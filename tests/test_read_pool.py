@@ -132,13 +132,16 @@ def run_script(script, threads):
 
 
 def pool_state(threads):
-    """(pool made, threads started) after a one-block and a multi-block predict."""
+    """(pool made, threads started) after a one-block and a multi-block predict.
+
+    The fit's 300 x 300 Gram is one block too, so it makes no pool either.
+    """
     script = (
         "import threading\n"
         "import spectral_series as ss\n"
         "from spectral_series import kernels\n"
         "base = threading.active_count()\n"
-        "data = ss.gen_spiral(500, noise_sd=0.1, seed=0)\n"
+        "data = ss.gen_spiral(300, noise_sd=0.1, seed=0)\n"
         "model = ss.fit(data.features, data.responses, ss.KernelSpec.gaussian(0.5), 8)\n"
         "Q = ss.gen_spiral(5000, noise_sd=0.1, seed=1).features\n"
         "ss.predict(model, Q[:100])\n"
