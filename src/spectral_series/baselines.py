@@ -11,8 +11,8 @@ from scipy.spatial.distance import cdist
 
 from .errors import NumericalError
 from .kernels import (
-    KernelSpec, _checked_int, _checked_positive, _checked_queries, _checked_training,
-    _self_gram_into, cross_gram, map_blocks, matmul,
+    KernelSpec, _checked_int, _checked_positive, _checked_queries, _checked_training, cross_gram,
+    gram_matrix, map_blocks, matmul,
 )
 from .nystrom import _extend
 
@@ -154,10 +154,10 @@ def _gram_and_row_bound(spec: KernelSpec, X: np.ndarray) -> tuple[np.ndarray, fl
     polynomial Gram may hold negative entries and pays that pass.
     """
     if spec.family != "gaussian":
-        K = _self_gram_into(spec, X)
+        K = gram_matrix(spec, X)
         return K, max_abs_row_sum(K)
     sums = np.empty(X.shape[0])
-    K = _self_gram_into(spec, X, sums=sums)
+    K = gram_matrix(spec, X, sums=sums)
     return K, float(sums.max())
 
 

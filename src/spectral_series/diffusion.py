@@ -468,9 +468,10 @@ def fit_basis(
     kernels whose entries may be negative). The n x n Gram is built here
     with its row sums, symmetric by construction, in a memory map of its own
     (kernels._self_gram_into), and the normalization and the solver work
-    inside it. A Gaussian Gram below 32 columns is built from the points one
-    1 MiB block of rows per pool worker at a time, with no stored distances;
-    at or above 32 columns from its condensed BLAS distances. Beyond K, the
+    inside it. A Gaussian Gram of at most kernels.BLOCK_GRAM_MAX_D (8)
+    columns is built from the points one 1 MiB block of rows per pool worker
+    at a time, with no stored distances; a wider one from its condensed
+    squared distances, freed once K is built. Beyond K, the
     fit's heap is one 1 MiB block plus a few n x (j_max+1) arrays. Row sums
     that are not finite raise NumericalError in every mode, and in the
     degree-weighted modes so do row sums that are not > 0. X follows the

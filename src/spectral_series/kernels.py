@@ -50,8 +50,9 @@ call in the package outside its allowlist:
 One worker pool for the read paths and the narrow Gaussian Grams. Below
 ``BLAS_DISTANCE_MIN_D`` a query block's cross Gram comes from ``cdist`` and
 ``np.exp``, both single-threaded loops, and BLAS runs only the final
-matrix-vector product (about 4 % of a block on predict-spiral); a self Gram
-there is the same two loops (see below). So ``map_blocks`` spreads the
+matrix-vector product (about 4 % of a block on predict-spiral); a Gaussian
+self Gram of at most ``BLOCK_GRAM_MAX_D`` columns is the same two loops (see
+below). So ``map_blocks`` spreads the
 blocks over ``READ_WORKERS`` threads (``SPECTRAL_SERIES_THREADS`` if set,
 else the CPUs the process may run on), one whole block per task, the calling
 thread included; the pool is made on the first call with more than one
@@ -83,30 +84,32 @@ A self Gram is built in an n x n array (``_self_gram_into``), a new one or a
 buffer the caller reuses, with no n x n temporary; the array's old contents
 are never read, so ``tune_series`` builds every candidate in one buffer, and
 ``fit_basis`` takes its row sums from the build instead of from a pass of its
-own. The build follows the distance split:
+own. The build depends on the width of the rows:
 
-- A Gaussian Gram below ``BLAS_DISTANCE_MIN_D`` columns is built from its
-  points, one ``READ_BLOCK_BYTES`` block of rows at a time on the read pool
-  (``_gaussian_into``): ``cdist`` writes the block's squared distances into
-  its rows of K, which are divided by -4 bandwidth and exponentiated in
-  place, and the block's row sums are taken while it is in L2. ``cdist(X,
-  X)`` is exactly symmetric, has a zero diagonal (so a diagonal of 1) and
-  equals ``pdist``'s condensed entries bit for bit. Its loop costs no more
-  than the exponentials it feeds, so no distances are stored. On 2000
-  spiral points (medians of 15 on a 2-core box) a build took 14-19 ms on
-  one worker and 7.5-10 ms on two, against 21-24 ms for ``pdist`` and the
-  two-pass build below.
+- A Gaussian Gram of at most ``BLOCK_GRAM_MAX_D`` (8) columns is built
+  from its points, one ``READ_BLOCK_BYTES`` block of rows at a time on the
+  read pool (``_gaussian_into``): ``cdist`` writes the block's squared
+  distances into its rows of K, which are divided by -4 bandwidth and
+  exponentiated in place, and the block's row sums are taken while it is
+  in L2. ``cdist(X, X)`` is exactly symmetric, has a zero diagonal (so a
+  diagonal of 1) and equals ``pdist``'s condensed entries bit for bit. At
+  that width its loop costs no more than the exponentials it feeds, so no
+  distances are stored, not even for a tuning sweep. On 2000 spiral points
+  (medians of 15 on a 2-core box) a build took 14-19 ms on one worker and
+  7.5-10 ms on two, against 21-24 ms for ``pdist`` and the two-pass build
+  below. Wider rows make the distances the larger cost, and a sweep then
+  gains more from computing them once than from the pool (see the
+  constant's comment).
 - Otherwise it takes two passes. The first fills the upper triangle: the
   Gaussian exponentials of the condensed distances, run by run, or one
   BLAS ``syrk``. The second (``_complete_rows``) walks 64-row tiles in
   order. It copies each tile's lower part from the rows above it, sets the
   Gaussian diagonal to 1 or raises the polynomial tile to its degree, and
-  takes the tile's row sums while the tile is still in L2. At or above
-  ``BLAS_DISTANCE_MIN_D`` the distances are BLAS products, worth computing
-  once for a whole tuning sweep.
+  takes the tile's row sums while the tile is still in L2. A tuning sweep
+  computes the condensed distances once for all its bandwidths.
 
 Either way the row sums have the bits of ``K.sum(axis=1)``. A Gram the
-build allocates itself lies in an anonymous memory map of its own
+build allocates itself lies in a private anonymous memory map of its own
 (``_own_square``), so freeing it returns its pages whatever the heap
 holds around it.
 """
@@ -158,6 +161,17 @@ READ_WORKERS = _read_workers()
 # Squared distances of rows with at least this many columns come from BLAS
 # products; narrower rows keep the exact pdist/cdist loops.
 BLAS_DISTANCE_MIN_D = 32
+# Gaussian self Grams of rows with at most this many columns are built from
+# the points block by block (_gaussian_into), and a tuning sweep stores no
+# distances for them; wider rows keep condensed distances, which a sweep
+# computes once. A block build computes all n^2 distances, twice the pairs
+# pdist does, and a sweep repeats them per bandwidth, so the split follows
+# the sweep's cost on one worker. The Gram work of a 5-bandwidth sweep on
+# 2000 points and 1000 validation rows (2-core Xeon, medians of 15) took
+# 196 ms built from the points against 220 ms from stored distances at
+# d = 8, and 211 against 205 ms at d = 9 (d = 12: 340 against 249 ms). On
+# two workers the block route still won at d = 16 and lost at 31.
+BLOCK_GRAM_MAX_D = 8
 # Rows per tile of the BLAS route, whose heap beyond the output is a few
 # tiles.
 DISTANCE_TILE_ROWS = 256
@@ -640,10 +654,12 @@ def _own_square(n: int) -> np.ndarray:
     from the heap it would leave a hole that the fitted basis pins: the
     allocator serves a second Gram of a size it freed before from the heap,
     not from a fresh map. Three 2000-point fits in one process peaked 10 MB
-    higher that way. The map is unmapped when the last view of it is freed.
-    tracemalloc does not see it.
+    higher that way. The map is private, as the allocator's own large blocks
+    are: after a fork, a write on either side copies the page, not shares it.
+    It is unmapped when the last view of it is freed. tracemalloc does not
+    see it.
     """
-    buf = mmap.mmap(-1, max(8 * n * n, 8))
+    buf = mmap.mmap(-1, max(8 * n * n, 8), flags=mmap.MAP_PRIVATE)
     return np.frombuffer(buf, dtype=float, count=n * n).reshape(n, n)
 
 
@@ -677,17 +693,18 @@ def _self_gram_into(spec: KernelSpec, A: np.ndarray, K: np.ndarray | None = None
 
     K's old contents are ignored, so one buffer serves a whole tuning sweep;
     with K None a new one is made (_own_square). The row sums go into sums
-    if given. A Gaussian Gram below BLAS_DISTANCE_MIN_D columns is built from
-    the points (_gaussian_into) unless the caller passes A's condensed
-    squared distances; otherwise from those, computed if not given, upper
-    triangle first, then _complete_rows. A polynomial Gram is one BLAS syrk
-    triangle, then _complete_rows. Whichever route builds it, the bits are
-    those of ``gram_matrix(spec, A)`` and of its ``sum(axis=1)``.
+    if given. A Gaussian Gram of at most BLOCK_GRAM_MAX_D columns is built
+    from the points (_gaussian_into). A wider one is built from A's condensed
+    squared distances, upper triangle first, then _complete_rows; condensed
+    passes them in (a tuning sweep shares them), else they are computed
+    here. A polynomial Gram is one BLAS syrk triangle, then _complete_rows.
+    Whichever route builds it, the bits are those of ``gram_matrix(spec,
+    A)`` and of its ``sum(axis=1)``.
     """
     n = A.shape[0]
     K = _own_square(n) if K is None else K
     if spec.family == "gaussian":
-        if condensed is None and A.shape[1] < BLAS_DISTANCE_MIN_D:
+        if A.shape[1] <= BLOCK_GRAM_MAX_D:
             _gaussian_into(spec.bandwidth, A, A, K, sums)
             return K
         if condensed is None:
@@ -702,17 +719,22 @@ def _self_gram_into(spec: KernelSpec, A: np.ndarray, K: np.ndarray | None = None
     return K
 
 
-def gram_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
+def gram_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray | None = None, *,
+                sums: np.ndarray | None = None) -> np.ndarray:
     """Kernel matrix K with K[i, j] = k(A_i, B_j).
 
     With B omitted (or identical to A) the self Gram matrix is computed. It is
     exactly symmetric, and for the Gaussian family its diagonal is exactly 1.
-    A 1-D A or B is one row. With B given, A is checked as query rows are
-    (_checked_queries): a column count other than B's, or a row holding NaN
-    or Inf, raises InputError.
+    A self Gram's row sums, with the bits of ``K.sum(axis=1)``, are written
+    into sums if given, from the build and with no pass of their own; a cross
+    Gram takes no sums. A 1-D A or B is one row. With B given, A is checked
+    as query rows are (_checked_queries): a column count other than B's, or
+    a row holding NaN or Inf, raises InputError.
     """
     if B is None or B is A:
-        return _self_gram_into(spec, np.atleast_2d(np.asarray(A, dtype=float)))
+        return _self_gram_into(spec, np.atleast_2d(np.asarray(A, dtype=float)), sums=sums)
+    if sums is not None:
+        raise InputError("row sums are taken only for a self Gram")
     return cross_gram(spec, B)(_checked_queries(A, np.shape(B)[-1]))
 
 

@@ -21,7 +21,7 @@ from .dataset import Dataset
 from .diffusion import EigenMethod, Mode, _fit, _n_usable
 from .errors import InputError, NumericalError
 from .kernels import (
-    BLAS_DISTANCE_MIN_D, KernelSpec, _checked_int, _checked_positive, _cross_sq_distances,
+    BLOCK_GRAM_MAX_D, KernelSpec, _checked_int, _checked_positive, _cross_sq_distances,
     _gaussian_into, _polynomial_from_inner, _self_gram_into, gaussian_from_sqdist, gram_matrix,
     matmul, sq_distances,
 )
@@ -190,13 +190,13 @@ def tune_series(
     buffer for the whole sweep, and once its fit is done, its validation
     cross Gram is built whole in the same buffer (in an array of its own only
     when the validation set has more rows than the training pool) and
-    extended in one call. Below kernels.BLAS_DISTANCE_MIN_D (32) columns each
-    Gaussian Gram, self and validation, is built from the points one block of
-    rows per pool worker at a time (kernels._gaussian_into), and the sweep
-    stores no distances: their cdist loop costs no more than the
-    exponentials it feeds. At or above it Gaussian candidates share one
-    computation of the training and validation squared distances, BLAS
-    products worth keeping, and each bandwidth only exponentiates them.
+    extended in one call. At most kernels.BLOCK_GRAM_MAX_D (8) columns wide,
+    each Gaussian Gram, self and validation, is built from the points one
+    block of rows per pool worker at a time (kernels._gaussian_into), and
+    the sweep stores no distances: at that width their cdist loop costs no
+    more than the exponentials it feeds. Wider, Gaussian candidates share
+    one computation of the training and validation squared distances, and
+    each bandwidth only exponentiates them.
     Polynomial candidates run in Uniform mode (their Gram entries may be
     negative, which the degree-weighted modes cannot accept). Unlabeled rows,
     when given, enter every candidate basis; coefficients use training rows
@@ -220,9 +220,9 @@ def tune_series(
     best = None  # (loss, J, spec, basis, coef)
 
     sq_pooled = sq_val = None
-    if grid.bandwidths and train.d >= BLAS_DISTANCE_MIN_D:
-        # Gaussian candidates differ only in the exponent's scale, so BLAS
-        # distances are computed once for the whole sweep
+    if grid.bandwidths and train.d > BLOCK_GRAM_MAX_D:
+        # Gaussian candidates differ only in the exponent's scale, so wide
+        # rows' distances are computed once for the whole sweep
         t0 = time.perf_counter()
         sq_pooled = sq_distances(pooled)
         t1 = time.perf_counter()

@@ -1,5 +1,6 @@
 """Kernel evaluation, Gram construction, and the bandwidth grid."""
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,7 @@ from spectral_series import (
 )
 from spectral_series import kernels
 from spectral_series.kernels import (
-    BLAS_DISTANCE_MIN_D, DISTANCE_TILE_ROWS, EXP_CHUNK, EXP_SLOW_BELOW, READ_BLOCK_BYTES,
+    BLAS_DISTANCE_MIN_D, BLOCK_GRAM_MAX_D, DISTANCE_TILE_ROWS, EXP_CHUNK, EXP_SLOW_BELOW, READ_BLOCK_BYTES,
     _exp, _self_gram_into, gaussian_from_sqdist, matmul, sq_distances,
 )
 
@@ -101,16 +102,18 @@ class TestGramMatrix:
                              ids=["gaussian", "poly1", "poly3", "gaussian-narrow"])
     @pytest.mark.parametrize("n, d", [(1, 3), (2, 3), (63, 3), (64, 3), (65, 3),
                                       (300, 3), (129, BLAS_DISTANCE_MIN_D),
-                                      *[(n, d) for d in (1, 2, BLAS_DISTANCE_MIN_D - 1)
+                                      *[(n, d) for d in (1, 2, BLOCK_GRAM_MAX_D,
+                                                         BLOCK_GRAM_MAX_D + 1,
+                                                         BLAS_DISTANCE_MIN_D - 1)
                                         for n in (1, 2, 63, 65, 130)]])
     def test_build_in_a_used_buffer(self, spec, n, d, monkeypatch):
         # one buffer serves a whole tuning sweep, so whatever it held (NaN
         # here) must not reach the Gram; the row sums come with the build.
-        # Below BLAS_DISTANCE_MIN_D a Gaussian Gram is built from the points
-        # in row blocks on the read pool, and must give the bits of the
-        # condensed build on one worker and on two, with 17-row blocks, with
-        # a third of the rows repeated, and at a bandwidth narrow enough
-        # that the floor zeroes entries
+        # Up to BLOCK_GRAM_MAX_D columns a Gaussian Gram is built from the
+        # points in row blocks on the read pool, and must give the bits of
+        # the condensed build on one worker and on two, with 17-row blocks,
+        # with a third of the rows repeated, and at a bandwidth narrow
+        # enough that the floor zeroes entries
         X = np.random.default_rng(n + d).normal(size=(n, d))
         X[n - n // 3:] = X[:n // 3]
         if spec.family == "gaussian":
@@ -133,17 +136,49 @@ class TestGramMatrix:
             assert _self_gram_into(spec, X, K, sums=sums) is K
             assert np.array_equal(K, want)
             assert np.array_equal(sums, want.sum(axis=1))
-            assert np.array_equal(gram_matrix(spec, X), want)
 
+    @pytest.mark.parametrize("spec", [KernelSpec.gaussian(0.3), KernelSpec.polynomial(3)],
+                             ids=["gaussian", "poly3"])
+    @pytest.mark.parametrize("d", [2, BLOCK_GRAM_MAX_D + 1])
+    def test_self_gram_row_sums_from_the_build(self, spec, d):
+        # the self form writes K's row sums, with the bits of K.sum(axis=1);
+        # a cross Gram takes none
+        X = np.random.default_rng(d).normal(size=(70, d))
+        sums = np.full(70, np.nan)
+        K = gram_matrix(spec, X, sums=sums)
+        assert np.array_equal(K, gram_matrix(spec, X))
+        assert np.array_equal(sums, K.sum(axis=1))
+        with pytest.raises(InputError, match="only for a self Gram"):
+            gram_matrix(spec, X[:2], X, sums=np.empty(2))
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_own_gram_stays_private_after_fork(self):
+        # a Gram the build allocates lies in a memory map of its own; like a
+        # heap array it must be private, so that a forked child's write does
+        # not reach the parent's array
+        K = gram_matrix(KernelSpec.gaussian(0.5), np.arange(6.0).reshape(3, 2))
+        before = K.copy()
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                K[:] = -1.0
+                code = 0
+            finally:
+                os._exit(code)
+        assert os.waitpid(pid, 0)[1] == 0
+        assert np.array_equal(K, before)
+
+    @pytest.mark.parametrize("d", [2, BLOCK_GRAM_MAX_D])
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("bw", [0.5, 1e-4], ids=["wide", "narrow"])
-    def test_block_build_holds_one_block_per_worker(self, workers, bw, monkeypatch):
-        # below BLAS_DISTANCE_MIN_D a Gaussian self Gram stores no distances
-        # (16 MB of condensed ones here): beyond K and its row sums it
-        # allocates at most one READ_BLOCK_BYTES block per worker, also
-        # where the floor's masks are made (the narrow bandwidth)
+    def test_block_build_holds_one_block_per_worker(self, d, workers, bw, monkeypatch):
+        # up to BLOCK_GRAM_MAX_D columns a Gaussian self Gram stores no
+        # distances (16 MB of condensed ones here): beyond K and its row
+        # sums it allocates at most one READ_BLOCK_BYTES block per worker,
+        # also where the floor's masks are made (the narrow bandwidth)
         n = 2000
-        X = gen_circle(n, d=2, noise_var=0.5, seed=3).features
+        X = gen_circle(n, d=d, noise_var=0.5, seed=3).features
         monkeypatch.setattr(kernels, "READ_WORKERS", workers)
         K, sums = np.empty((n, n)), np.empty(n)
         tracemalloc.start()

@@ -337,8 +337,14 @@ class TestSharedSweep:
         finally:
             tracemalloc.stop()
 
+    @staticmethod
+    def _one_buffer_bound(n, j_max):
+        """One n x n buffer, one block per worker and ten n x (j_max+1) arrays."""
+        blocks = max(1, kernels.READ_WORKERS) * kernels.READ_BLOCK_BYTES
+        return n * n * 8 + blocks + 10 * n * (j_max + 1) * 8
+
     def test_sweep_holds_one_n_by_n_buffer(self):
-        # below BLAS_DISTANCE_MIN_D columns a Gaussian sweep stores no
+        # up to BLOCK_GRAM_MAX_D columns a Gaussian sweep stores no
         # distances and holds one n x n buffer: each candidate's Gram is
         # built from the points in it, one block per worker at a time, then
         # normalized and solved in it, and its validation cross Gram reuses
@@ -349,18 +355,40 @@ class TestSharedSweep:
         # (16 MB) break the bound
         n, m, j_max = 2000, 1000, 20
         peak = self._sweep_peak(gen_spiral(n + m, noise_sd=0.1, seed=3), n)
-        blocks = max(1, kernels.READ_WORKERS) * kernels.READ_BLOCK_BYTES
-        assert peak <= n * n * 8 + blocks + 10 * n * (j_max + 1) * 8
+        assert peak <= self._one_buffer_bound(n, j_max)
 
-    def test_high_d_sweep_shares_its_distances(self):
-        # at or above BLAS_DISTANCE_MIN_D the distances are BLAS products,
-        # computed once for the sweep: beyond them the sweep holds one n x n
-        # buffer, which leaves half a validation Gram for everything else
+    def test_sweep_at_the_block_width_holds_one_n_by_n_buffer(self):
+        # the widest rows whose Grams are built from the points
+        n, m, j_max = 2000, 1000, 20
+        data = gen_circle(n + m, d=kernels.BLOCK_GRAM_MAX_D, noise_var=0.5, seed=3)
+        assert self._sweep_peak(data, n) <= self._one_buffer_bound(n, j_max)
+
+    @pytest.mark.parametrize("d", [kernels.BLOCK_GRAM_MAX_D + 1, kernels.BLAS_DISTANCE_MIN_D])
+    def test_high_d_sweep_shares_its_distances(self, d):
+        # above BLOCK_GRAM_MAX_D the distances are computed once for the
+        # sweep (pdist/cdist, then BLAS products from BLAS_DISTANCE_MIN_D):
+        # beyond them the sweep holds one n x n buffer, which leaves half a
+        # validation Gram for everything else
         n, m = 2000, 1000
-        data = gen_circle(n + m, d=kernels.BLAS_DISTANCE_MIN_D, noise_var=0.5, seed=3)
+        data = gen_circle(n + m, d=d, noise_var=0.5, seed=3)
         peak = self._sweep_peak(data, n)
         shared = (n * (n - 1) // 2 + m * n) * 8
         assert peak <= shared + n * n * 8 + m * n * 8 // 2
+
+    @pytest.mark.parametrize("d, shared", [(kernels.BLOCK_GRAM_MAX_D, 0),
+                                           (kernels.BLOCK_GRAM_MAX_D + 1, 1)])
+    def test_distances_shared_only_above_the_block_width(self, d, shared, monkeypatch):
+        # recomputing wide rows' distances per bandwidth would cost a sweep
+        # more than storing them once; narrow rows' distances are not stored
+        calls = []
+        monkeypatch.setattr(model_selection, "sq_distances",
+                            lambda A, real=model_selection.sq_distances:
+                            calls.append(A.shape) or real(A))
+        data = gen_circle(90, d=d, noise_var=0.5, seed=4)
+        train, val, _ = split(data, SplitSpec(seed=4))
+        tune_series(train, val, TuneGrid(bandwidths=tuple(bandwidth_grid(train.features, 3)),
+                                         j_max=10))
+        assert len(calls) == shared
 
     def test_krr_bit_identical_to_per_penalty_fits(self):
         # 1e-18 trips the condition bound and must be refused the same way
