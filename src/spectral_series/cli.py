@@ -32,7 +32,7 @@ from .dataset import (
 )
 from .diffusion import EigenMethod, Mode, fit_basis
 from .errors import ArchiveError, InputError, NumericalError
-from .kernels import KernelSpec, bandwidth_grid, sq_distances
+from .kernels import KernelSpec, _positive_sq_distances, bandwidth_grid
 from .model_selection import TuneGrid, evaluate_on, tune_series
 from .nystrom import eigenmap
 from .series import predict
@@ -158,11 +158,7 @@ def _local_bandwidth(X: np.ndarray) -> float:
     Embeddings need a bandwidth at the local-neighborhood scale; the global
     median rule merges distant manifold branches.
     """
-    sq = sq_distances(X)
-    sq = sq[sq > 0.0]
-    if sq.size == 0:
-        raise InputError("all points identical; no distance scale available")
-    return float(np.percentile(sq, 2.0)) / 4.0
+    return float(np.percentile(_positive_sq_distances(X), 2.0, overwrite_input=True)) / 4.0
 
 
 _RENAMED_FLAGS = {"n_seeds": "--seeds", "j_max": "--jmax"}

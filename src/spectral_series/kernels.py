@@ -108,10 +108,18 @@ own. The build depends on the width of the rows:
   takes the tile's row sums while the tile is still in L2. A tuning sweep
   computes the condensed distances once for all its bandwidths.
 
-Either way the row sums have the bits of ``K.sum(axis=1)``. A Gram the
-build allocates itself lies in a private anonymous memory map of its own
-(``_own_square``), so freeing it returns its pages whatever the heap
-holds around it.
+Either way the row sums have the bits of ``K.sum(axis=1)``.
+
+The package's two n^2-scale outputs, a Gram the build allocates itself and
+the condensed self distances (``sq_distances``, which ``bandwidth_grid``
+and a tuning sweep read), each lie in a private anonymous memory map of
+their own (``_own_array``), so freeing one returns its pages whatever the
+heap holds around it. From the heap they would stay resident: glibc raises
+its map threshold to the size of each map it frees, so the second array of
+a size comes from the heap, and the arrays made after it pin it there,
+since the heap shrinks only from its top. Three 2000-point fits in one
+process peaked 10 MB higher that way, and a second bandwidth grid on 2000
+points left its 16 MB of freed distances resident under the fits after it.
 """
 
 from __future__ import annotations
@@ -287,26 +295,32 @@ def _checked_queries(Q, d: int, what: str = "query") -> np.ndarray:
 _BOOLS = (bool, np.bool_)
 
 
+def _shown(value) -> str:
+    """A refused value as a message shows it: a str quoted, so that "3" does not
+    read as the number 3, and a number as str() prints it, not as np.float64(3.0)."""
+    return repr(value) if isinstance(value, str) else str(value)
+
+
 def _checked_int(value, what: str, low: int, high: float = np.inf) -> int:
-    """value as an int in low..high, else InputError: 2.0 passes as 2, 2.5 and True fail."""
+    """value as an int in low..high, else InputError: 2.0 passes as 2; 2.5, True and "2" fail."""
     try:
         ok = not isinstance(value, _BOOLS) and low <= value <= high and value == int(value)
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
         bounds = f">= {low}" if high == np.inf else f"in {low}..{high}"
-        raise InputError(f"{what} must be an integer {bounds}, got {value}")
+        raise InputError(f"{what} must be an integer {bounds}, got {_shown(value)}")
     return int(value)
 
 
 def _checked_positive(value, what: str) -> float:
-    """value as a float that is finite and > 0, else InputError; True fails."""
+    """value as a float that is finite and > 0, else InputError; True and "1.0" fail."""
     try:
         ok = not isinstance(value, _BOOLS) and 0 < value < np.inf
     except (TypeError, ValueError):
         ok = False
     if not ok:
-        raise InputError(f"{what} must be > 0 and finite, got {value}")
+        raise InputError(f"{what} must be > 0 and finite, got {_shown(value)}")
     return float(value)
 
 
@@ -463,6 +477,20 @@ def _products(A: np.ndarray, ta: slice, B: np.ndarray, tb: slice,
     return dgemm(-2.0, (B[tb] - mu).T, (A[ta] - mu).T, trans_a=1).T
 
 
+def _own_array(*shape: int) -> np.ndarray:
+    """A new float64 array of this shape in a private anonymous memory map of its own.
+
+    Every n^2-scale output the package allocates lies in one (see the module
+    notes), so freeing it unmaps its pages whatever the heap holds around it.
+    The map is private, as the allocator's own large blocks are: after a
+    fork, a write on either side copies the page, not shares it. tracemalloc
+    does not see it.
+    """
+    count = int(np.prod(shape))
+    buf = mmap.mmap(-1, max(8 * count, 8), flags=mmap.MAP_PRIVATE)
+    return np.frombuffer(buf, dtype=float, count=count).reshape(shape)
+
+
 def sq_distances(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
     """Squared Euclidean distances between the rows of A and of B.
 
@@ -471,13 +499,16 @@ def sq_distances(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
     BLAS_DISTANCE_MIN_D columns these are ``pdist``/``cdist`` themselves; at
     or above it they come from tiled BLAS products (see the module notes),
     every entry >= 0. A 1-D A or B is one row. With B given, A and B are
-    checked as query rows are (_checked_queries).
+    checked as query rows are (_checked_queries). The condensed self form
+    lies in a memory map of its own (_own_array).
     """
     if B is None:
         A = np.atleast_2d(np.asarray(A, dtype=float))
+        n = A.shape[0]
+        out = _own_array(n * (n - 1) // 2)
         if A.shape[1] < BLAS_DISTANCE_MIN_D:
-            return pdist(A, "sqeuclidean")
-        return _self_sq_distances(A)
+            return pdist(A, "sqeuclidean", out=out)
+        return _self_sq_distances(A, out)
     B = _checked_queries(B, np.shape(B)[-1], "reference")
     return _cross_sq_distances(B)(_checked_queries(A, B.shape[1]))
 
@@ -519,17 +550,16 @@ def _cross_sq_distances(B: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return distances
 
 
-def _self_sq_distances(A: np.ndarray) -> np.ndarray:
-    """The condensed self distances of the BLAS route, tile pair by tile pair.
+def _self_sq_distances(A: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The condensed self distances of the BLAS route, written into out and returned.
 
-    Only tile pairs on or above the diagonal are formed. Row i of a block
-    holds distances to a run of columns j > i, which is one contiguous run of
-    the condensed output starting at n*i - i*(i+1)/2 + j - i - 1.
+    Formed tile pair by tile pair, only on or above the diagonal. Row i of a
+    block holds distances to a run of columns j > i, which is one contiguous
+    run of the condensed output starting at n*i - i*(i+1)/2 + j - i - 1.
     """
     n = A.shape[0]
     mu = A.mean(axis=0)
     norms = _centered_norms(A, mu)
-    out = np.empty(n * (n - 1) // 2)
     tiles = _tiles(n)
     for k, ti in enumerate(tiles):
         for tj in tiles[k:]:
@@ -647,22 +677,6 @@ def _complete_rows(K: np.ndarray, degree: int | None, sums: np.ndarray | None) -
             K[rows].sum(axis=1, out=sums[rows])
 
 
-def _own_square(n: int) -> np.ndarray:
-    """A new n x n float64 array in an anonymous memory map of its own.
-
-    A Gram the build allocates outlives the arrays a fit makes after it, and
-    from the heap it would leave a hole that the fitted basis pins: the
-    allocator serves a second Gram of a size it freed before from the heap,
-    not from a fresh map. Three 2000-point fits in one process peaked 10 MB
-    higher that way. The map is private, as the allocator's own large blocks
-    are: after a fork, a write on either side copies the page, not shares it.
-    It is unmapped when the last view of it is freed. tracemalloc does not
-    see it.
-    """
-    buf = mmap.mmap(-1, max(8 * n * n, 8), flags=mmap.MAP_PRIVATE)
-    return np.frombuffer(buf, dtype=float, count=n * n).reshape(n, n)
-
-
 def _gaussian_into(bandwidth: float, A: np.ndarray, B: np.ndarray, out: np.ndarray,
                    sums: np.ndarray | None = None) -> None:
     """out = the Gaussian Gram k(A, B), built from the points in out itself.
@@ -692,7 +706,7 @@ def _self_gram_into(spec: KernelSpec, A: np.ndarray, K: np.ndarray | None = None
     """Build the self Gram of the rows of A in the n x n C-ordered K; returns K.
 
     K's old contents are ignored, so one buffer serves a whole tuning sweep;
-    with K None a new one is made (_own_square). The row sums go into sums
+    with K None a new one is made (_own_array). The row sums go into sums
     if given. A Gaussian Gram of at most BLOCK_GRAM_MAX_D columns is built
     from the points (_gaussian_into). A wider one is built from A's condensed
     squared distances, upper triangle first, then _complete_rows; condensed
@@ -702,7 +716,7 @@ def _self_gram_into(spec: KernelSpec, A: np.ndarray, K: np.ndarray | None = None
     A)`` and of its ``sum(axis=1)``.
     """
     n = A.shape[0]
-    K = _own_square(n) if K is None else K
+    K = _own_array(n, n) if K is None else K
     if spec.family == "gaussian":
         if A.shape[1] <= BLOCK_GRAM_MAX_D:
             _gaussian_into(spec.bandwidth, A, A, K, sums)
@@ -727,12 +741,18 @@ def gram_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray | None = None, *,
     exactly symmetric, and for the Gaussian family its diagonal is exactly 1.
     A self Gram's row sums, with the bits of ``K.sum(axis=1)``, are written
     into sums if given, from the build and with no pass of their own; a cross
-    Gram takes no sums. A 1-D A or B is one row. With B given, A is checked
-    as query rows are (_checked_queries): a column count other than B's, or
-    a row holding NaN or Inf, raises InputError.
+    Gram takes no sums. A 1-D A or B is one row. A is checked as query rows
+    are (_checked_queries): more than two dimensions, a row holding NaN or
+    Inf or, with B given, a column count other than B's raises InputError,
+    and so does a self Gram of no rows or no columns.
     """
     if B is None or B is A:
-        return _self_gram_into(spec, np.atleast_2d(np.asarray(A, dtype=float)), sums=sums)
+        A = np.atleast_2d(np.asarray(A, dtype=float))
+        A = _checked_queries(A, A.shape[-1], "point")
+        if not A.size:
+            raise InputError(f"a self Gram needs at least one point and one column, "
+                             f"got shape {A.shape}")
+        return _self_gram_into(spec, A, sums=sums)
     if sums is not None:
         raise InputError("row sums are taken only for a self Gram")
     return cross_gram(spec, B)(_checked_queries(A, np.shape(B)[-1]))
@@ -770,6 +790,22 @@ def _polynomial_from_inner(G: np.ndarray, degree: int) -> np.ndarray:
     return G
 
 
+def _positive_sq_distances(X: np.ndarray) -> np.ndarray:
+    """X's condensed squared distances with the zeros (duplicate points) dropped.
+
+    The array is the caller's own, so a quantile may reorder it, and like
+    sq_distances' it lies in a memory map of its own (_own_array), the copy
+    without zeros too. No positive distance raises InputError.
+    """
+    sq = sq_distances(X)
+    if sq.size and not sq.min() > 0.0:
+        keep = sq > 0.0
+        sq = np.compress(keep, sq, out=_own_array(int(np.count_nonzero(keep))))
+    if sq.size == 0:
+        raise InputError("all points identical; no distance scale")
+    return sq
+
+
 def bandwidth_grid(X: np.ndarray, n_grid: int = 1) -> np.ndarray:
     """Candidate Gaussian bandwidths from the pairwise-distance distribution.
 
@@ -780,12 +816,7 @@ def bandwidth_grid(X: np.ndarray, n_grid: int = 1) -> np.ndarray:
     """
     X, _ = _checked_training(X, min_rows=2)
     n_grid = _checked_int(n_grid, "n_grid", 1)
-    sq = sq_distances(X)
-    if not sq.min() > 0.0:
-        sq = sq[sq > 0.0]
-    if sq.size == 0:
-        raise InputError("all points identical; no distance scale to build a grid from")
-    # sq is this function's own array, so the selection may reorder it
+    sq = _positive_sq_distances(X)
     if n_grid == 1:
         return np.array([float(np.median(sq, overwrite_input=True)) / 4.0])
     lo, hi = np.percentile(sq, [1.0, 99.0], overwrite_input=True) / 4.0

@@ -2,6 +2,8 @@
 queries the same way, raises InputError on a fault, and hands valid inputs to
 its arithmetic unchanged."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,39 @@ BOOL_ARGUMENTS = {
 def test_bool_argument_raises_input_error(call, value):
     with pytest.raises(InputError):
         BOOL_ARGUMENTS[call](*_valid(), value)
+
+
+# A string that parses as a number is not one: each helper refuses it, and
+# the message quotes it, so that "3" does not read as the valid value 3.
+STRING_ARGUMENTS = {
+    "fit-j_max": ("3", lambda X, y, Q, v: fit(X, y, SPEC, v)),
+    "fit-J": ("2", lambda X, y, Q, v: fit(X, y, SPEC, 6, J=v)),
+    "gen_spiral-n": ("10", lambda X, y, Q, v: gen_spiral(v)),
+    "bandwidth_grid-n_grid": ("3", lambda X, y, Q, v: bandwidth_grid(X, v)),
+    "TuneGrid-j_max": ("4", lambda X, y, Q, v: TuneGrid((1.0,), j_max=v)),
+    "TuneGrid-bandwidth": ("1.0", lambda X, y, Q, v: TuneGrid((v,))),
+    "SplitSpec-seed": ("1", lambda X, y, Q, v: SplitSpec(seed=v)),
+    "KernelSpec.polynomial": ("2", lambda X, y, Q, v: KernelSpec.polynomial(v)),
+    "KernelSpec.gaussian": ("1.0", lambda X, y, Q, v: KernelSpec.gaussian(v)),
+    "krr_fit-penalty": ("0.1", lambda X, y, Q, v: krr_fit(X, y, SPEC, v)),
+    "nw_predict-bandwidth": ("1.0", lambda X, y, Q, v: nw_predict(X, y, v, Q)),
+    "knn_predict-k": ("5", lambda X, y, Q, v: knn_predict(X, y, v, Q)),
+}
+
+
+@pytest.mark.parametrize("call", list(STRING_ARGUMENTS))
+def test_numeric_string_refused_and_quoted(call):
+    value, run = STRING_ARGUMENTS[call]
+    with pytest.raises(InputError, match=f"got '{re.escape(value)}'$"):
+        run(*_valid(), value)
+
+
+def test_refused_numbers_print_as_numbers():
+    # numpy scalars print as str() shows them, not as np.float64(...)
+    with pytest.raises(InputError, match=r"got -1\.0$"):
+        KernelSpec.gaussian(np.float64(-1.0))
+    with pytest.raises(InputError, match=r"got 2\.5$"):
+        SplitSpec(seed=np.float64(2.5))
 
 
 def test_integral_arguments_accepted():

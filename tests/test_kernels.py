@@ -1,6 +1,8 @@
 """Kernel evaluation, Gram construction, and the bandwidth grid."""
 
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -151,23 +153,42 @@ class TestGramMatrix:
         with pytest.raises(InputError, match="only for a self Gram"):
             gram_matrix(spec, X[:2], X, sums=np.empty(2))
 
+    @pytest.mark.parametrize("spec, A", [
+        (KernelSpec.gaussian(1.0), np.empty((0, 2))),
+        (KernelSpec.polynomial(2), np.empty((0, 2))),
+        (KernelSpec.gaussian(1.0), np.empty((3, 0))),
+        (KernelSpec.gaussian(1.0), np.ones((3, 2, 2))),
+        (KernelSpec.gaussian(1.0), np.array([[0.0, 1.0], [np.nan, 2.0]])),
+        (KernelSpec.polynomial(2), np.array([[0.0, 1.0], [np.inf, 2.0]])),
+    ], ids=["no-rows", "poly-no-rows", "no-columns", "3-d", "nan-row", "poly-inf-row"])
+    def test_self_form_checks_its_points(self, spec, A):
+        # each used to end in ZeroDivisionError, a BLAS or scipy ValueError,
+        # a NaN Gram or an all-ones Gram of zero columns
+        with pytest.raises(InputError):
+            gram_matrix(spec, A)
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_own_gram_stays_private_after_fork(self):
-        # a Gram the build allocates lies in a memory map of its own; like a
-        # heap array it must be private, so that a forked child's write does
-        # not reach the parent's array
-        K = gram_matrix(KernelSpec.gaussian(0.5), np.arange(6.0).reshape(3, 2))
-        before = K.copy()
+        # a Gram the build allocates, and the condensed self distances of
+        # either route, lie in a memory map of their own; like a heap array
+        # each must be private, so that a forked child's write does not
+        # reach the parent's array
+        X = np.arange(6.0).reshape(3, 2)
+        outputs = [gram_matrix(KernelSpec.gaussian(0.5), X), sq_distances(X),
+                   sq_distances(np.repeat(X, BLAS_DISTANCE_MIN_D // 2, axis=1))]
+        before = [out.copy() for out in outputs]
         pid = os.fork()
         if pid == 0:
             code = 1
             try:
-                K[:] = -1.0
+                for out in outputs:
+                    out[:] = -1.0
                 code = 0
             finally:
                 os._exit(code)
         assert os.waitpid(pid, 0)[1] == 0
-        assert np.array_equal(K, before)
+        for out, want in zip(outputs, before):
+            assert np.array_equal(out, want)
 
     @pytest.mark.parametrize("d", [2, BLOCK_GRAM_MAX_D])
     @pytest.mark.parametrize("workers", [1, 2])
@@ -277,17 +298,19 @@ class TestSquaredDistances:
             assert np.abs(Kx - np.exp(-ref_cross / (4.0 * bw))).max() <= 1e-11
 
     def test_high_d_self_heap_is_output_plus_a_few_tiles(self):
-        # an n x d centered copy (9.6 MB) or an n x n temporary (32 MB) would
-        # each exceed the allowance of four tiles (4.9 MB)
+        # the output lies in a memory map of its own, which tracemalloc does
+        # not see; an n x d centered copy (9.6 MB), an n x n temporary
+        # (32 MB) or the output itself from the heap (16 MB) would each
+        # exceed the allowance of four tiles (4.9 MB)
         n, d = 2000, 600
         X = np.random.default_rng(0).normal(size=(n, d))
         tracemalloc.start()
         try:
-            out = sq_distances(X)
+            sq_distances(X)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= out.nbytes + 4 * DISTANCE_TILE_ROWS * d * 8
+        assert peak <= 4 * DISTANCE_TILE_ROWS * d * 8
 
 
 class TestBandwidthGrid:
@@ -328,6 +351,31 @@ class TestBandwidthGrid:
             lo = float(np.percentile(sq, 1.0)) / 4.0
             hi = float(np.percentile(sq, 99.0)) / 4.0
             assert np.array_equal(bandwidth_grid(X, 5), np.geomspace(lo, hi, 5))
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
+    def test_grids_leave_no_distances_resident(self):
+        # the condensed distances (16 MB here) lie in a memory map of their
+        # own: from the heap, a second grid's would stay resident in a hole
+        # that the arrays made after them pin. A fresh interpreter, so that
+        # no hole left by an earlier test can take them in
+        script = (
+            "import os\n"
+            "from spectral_series import bandwidth_grid, gen_spiral\n"
+            "def resident():\n"
+            "    with open('/proc/self/statm') as fh:\n"
+            "        return int(fh.read().split()[1]) * os.sysconf('SC_PAGE_SIZE')\n"
+            "X = gen_spiral(2000, noise_sd=0.1, seed=1).features\n"
+            "before = resident()\n"
+            "grids = [bandwidth_grid(X, 5) for _ in range(2)]\n"
+            "print(resident() - before)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.dirname(os.path.dirname(kernels.__file__)),
+                        env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, check=True)
+        assert int(proc.stdout) < 4 * 2**20
 
 
 def _bits(x):
