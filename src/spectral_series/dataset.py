@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .kernels import _checked_int, _checked_training
+from .kernels import _checked_int, _checked_positive, _checked_real, _checked_training
 
 __all__ = [
     "Dataset",
@@ -114,7 +114,8 @@ class Standardizer:
 class SplitSpec:
     """Train/validation/test fractions plus the permutation seed.
 
-    seed must be an integer >= 0 (2.0 counts as 2), else InputError.
+    The fractions must be finite reals in (0, 1) that sum to 1, and seed an
+    integer >= 0 (2.0 counts as 2), else InputError.
     """
 
     train_frac: float = 0.5
@@ -123,7 +124,8 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        fracs = (self.train_frac, self.val_frac, self.test_frac)
+        fracs = tuple(_checked_real(f, "split fractions")
+                      for f in (self.train_frac, self.val_frac, self.test_frac))
         for f in fracs:
             if not (0.0 < f < 1.0):
                 raise InputError(f"split fractions must lie in (0,1), got {fracs}")
@@ -254,13 +256,12 @@ def gen_spiral(
     """Noisy planar spiral (sqrt(u) cos sqrt(u), sqrt(u) sin sqrt(u)).
 
     u is uniform on (0, u_max) and the response is the arc parameter
-    sqrt(u), which serves as the regression target.
+    sqrt(u), which serves as the regression target. noise_sd is a finite
+    real >= 0 and u_max a finite real > 0, else InputError.
     """
     n, seed = _checked_int(n, "n", 1), _checked_int(seed, "seed", 0)
-    if noise_sd < 0:
-        raise InputError("noise_sd must be >= 0")
-    if u_max <= 0:
-        raise InputError("u_max must be > 0")
+    noise_sd = _checked_real(noise_sd, "noise_sd", 0.0)
+    u_max = _checked_positive(u_max, "u_max")
     rng = np.random.default_rng(seed)
     t = np.sqrt(rng.uniform(0.0, u_max, size=n))
     eps = rng.normal(0.0, noise_sd, size=(n, 2)) if noise_sd > 0 else np.zeros((n, 2))
@@ -280,11 +281,10 @@ def gen_circle(
     The circle lives in the first two coordinates; with ``rotate`` a seeded
     random orthogonal matrix mixes it into all d coordinates. Only the
     matrix's first two columns touch the circle, so only they are formed,
-    at O(nd) cost.
+    at O(nd) cost. noise_var is a finite real >= 0, else InputError.
     """
     n, d, seed = _checked_int(n, "n", 1), _checked_int(d, "d", 2), _checked_int(seed, "seed", 0)
-    if noise_var < 0:
-        raise InputError("noise_var must be >= 0")
+    noise_var = _checked_real(noise_var, "noise_var", 0.0)
     rng = np.random.default_rng(seed)
     theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
     if rotate:
@@ -303,8 +303,9 @@ def gen_circle(
 
 
 def gen_uniform_interval(n: int, lo: float = 0.0, hi: float = 1.0, seed: int = 0) -> Dataset:
-    """1-D features uniform on (lo, hi); no responses."""
+    """1-D features uniform on (lo, hi), finite reals; no responses."""
     n, seed = _checked_int(n, "n", 1), _checked_int(seed, "seed", 0)
+    lo, hi = _checked_real(lo, "lo"), _checked_real(hi, "hi")
     if lo >= hi:
         raise InputError(f"need lo < hi, got ({lo}, {hi})")
     rng = np.random.default_rng(seed)

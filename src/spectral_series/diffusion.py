@@ -9,8 +9,10 @@ fit_basis carries one n x n array from Gram to eigenvectors. It builds the
 Gram with its row sums (kernels._self_gram_into), symmetric by construction.
 The row sums give the degrees, the stationary weights and the symmetric
 scaling, and every normalization is applied to K in place, one
-_FIT_BLOCK_BYTES block of rows at a time. Finite row sums stand in for a scan
-of K's entries, so no operator with a NaN or Inf entry reaches the solver.
+kernels.READ_BLOCK_BYTES (1 MiB) block of rows at a time, which stays in a
+core's L2, so the fit's heap beyond K stays below one 8 MiB block. Finite
+row sums stand in for a scan of K's entries, so no operator with a NaN or
+Inf entry reaches the solver.
 tune_series builds each candidate's Gram in one buffer for the whole sweep and
 hands it to _fit, the fit behind fit_basis. So every operator a solver sees is
 exactly symmetric, C-ordered and owned by the solve; eigendecompose makes one
@@ -30,7 +32,8 @@ from scipy.linalg.lapack import dgemqrt, dgeqrt
 
 from .errors import InputError, NumericalError
 from .kernels import (
-    KernelSpec, _checked_int, _checked_training, _self_gram_into, matmul, row_blocks,
+    READ_BLOCK_BYTES, KernelSpec, _checked_int, _checked_training, _self_gram_into, matmul,
+    row_blocks,
 )
 
 __all__ = [
@@ -59,10 +62,6 @@ EIGENVALUE_FLOOR_REL = 1e-10
 LANCZOS_MIN_N = 400
 SYMMETRY_RTOL = 1e-10
 SYMMETRY_TILE = 256
-# The fit's in-place scaling passes over K take their temporaries this many
-# bytes of rows at a time: 1 MiB blocks stay in a core's L2 (see the kernels
-# module notes), and the fit's heap beyond K stays below one 8 MiB block.
-_FIT_BLOCK_BYTES = 2**20
 
 
 class Mode(str, Enum):
@@ -183,11 +182,11 @@ def _scale_pairs(K: np.ndarray, v: np.ndarray, op,
 
     Each entry meets the single product v_i v_j, as with a full np.outer, so a
     symmetric K stays exactly symmetric and the bits do not depend on the
-    blocking; the heap beyond K is one _FIT_BLOCK_BYTES block. With sums
+    blocking; the heap beyond K is one READ_BLOCK_BYTES block. With sums
     given, the scaled rows' sums are written into it while each block is in
     cache, with the bits of K.sum(axis=1).
     """
-    for rows in row_blocks(K.shape[0], K.shape[1], _FIT_BLOCK_BYTES):
+    for rows in row_blocks(K.shape[0], K.shape[1], READ_BLOCK_BYTES):
         block = K[rows]
         op(block, np.outer(v[rows], v), out=block)
         if sums is not None:

@@ -58,13 +58,15 @@ else the CPUs the process may run on), one whole block per task, the calling
 thread included; the pool is made on the first call with more than one
 block, and at one worker there is none. A block is ``READ_BLOCK_BYTES``
 = 1 MiB so that it stays in its core's L2 through the distance, exponential,
-row-sum and product passes. On a 2-core Xeon with 2 MiB of L2 per core, a
-20 000-row predict on 2000 training points (medians of 9) took 0.144 s on
-one worker and 0.156 s on two with 8 MiB blocks (4 MiB: 0.142 and 0.157 s),
-but 0.138 and 0.076 s with 1 MiB blocks (2 MiB: 0.073 s on two, 0.5 MiB:
-0.089 s). At or above ``BLAS_DISTANCE_MIN_D`` the distances are already a
-multi-threaded BLAS product, and the blocks run in order on the caller in
-``BLOCK_BYTES`` blocks: on the pool, 8000 queries at d = 1000 against 800
+row-sum and product passes; it is the one block size of every other pass
+over an n^2-scale array too (``_exp``'s floor, the fit's scaling). On a
+2-core Xeon with 2 MiB of L2 per core, a 20 000-row predict on 2000
+training points (medians of 9) took 0.144 s on one worker and 0.156 s on
+two with 8 MiB blocks (4 MiB: 0.142 and 0.157 s), but 0.138 and 0.076 s
+with 1 MiB blocks (2 MiB: 0.073 s on two, 0.5 MiB: 0.089 s). At or above
+``BLAS_DISTANCE_MIN_D`` the distances are already a multi-threaded BLAS
+product, and the blocks run in order on the caller in ``BLOCK_BYTES``
+blocks: on the pool, 8000 queries at d = 1000 against 800
 training points took 0.28 s against 0.22 s in order. Which thread runs a
 block changes no bit of it: ``row_blocks`` keeps blocks whole groups of 64
 rows.
@@ -88,13 +90,14 @@ own. The build depends on the width of the rows:
 
 - A Gaussian Gram of at most ``BLOCK_GRAM_MAX_D`` (8) columns is built
   from its points, one ``READ_BLOCK_BYTES`` block of rows at a time on the
-  read pool (``_gaussian_into``): ``cdist`` writes the block's squared
-  distances into its rows of K, which are divided by -4 bandwidth and
-  exponentiated in place, and the block's row sums are taken while it is
-  in L2. ``cdist(X, X)`` is exactly symmetric, has a zero diagonal (so a
-  diagonal of 1) and equals ``pdist``'s condensed entries bit for bit. At
-  that width its loop costs no more than the exponentials it feeds, so no
-  distances are stored, not even for a tuning sweep. On 2000 spiral points
+  read pool (``_gram_into``), by the function ``cross_gram`` gives every
+  read path: ``cdist`` writes the block's squared distances into its rows
+  of K, which are divided by -4 bandwidth and exponentiated in place, and
+  the block's row sums are taken while it is in L2. ``cdist(X, X)`` is
+  exactly symmetric, has a zero diagonal (so a diagonal of 1) and equals
+  ``pdist``'s condensed entries bit for bit. At that width its loop costs
+  no more than the exponentials it feeds, so no distances are stored, not
+  even for a tuning sweep. On 2000 spiral points
   (medians of 15 on a 2-core box) a build took 14-19 ms on one worker and
   7.5-10 ms on two, against 21-24 ms for ``pdist`` and the two-pass build
   below. Wider rows make the distances the larger cost, and a sweep then
@@ -108,7 +111,11 @@ own. The build depends on the width of the rows:
   takes the tile's row sums while the tile is still in L2. A tuning sweep
   computes the condensed distances once for all its bandwidths.
 
-Either way the row sums have the bits of ``K.sum(axis=1)``.
+Either way the row sums have the bits of ``K.sum(axis=1)``. Which route
+builds a Gram is decided here alone: a tuning sweep asks
+``_sweep_distances`` for the distances it may share, which are None up to
+``BLOCK_GRAM_MAX_D`` columns, and hands whatever it got to
+``_self_gram_into`` and, for its validation Gram, to ``_gram_into``.
 
 The package's two n^2-scale outputs, a Gram the build allocates itself and
 the condensed self distances (``sq_distances``, which ``bandwidth_grid``
@@ -147,7 +154,8 @@ BLOCK_BYTES = 8 * 2**20
 # Read paths on the worker pool build their query-by-training matrices this
 # many bytes at a time, so their heap is bounded by one block per worker, not
 # by the query count. 1 MiB keeps a block in its core's L2 (see the module
-# notes).
+# notes), so the package's other passes over n^2-scale arrays (_exp's floor,
+# _gaussian_upper's runs, the fit's scaling) take blocks of this size too.
 READ_BLOCK_BYTES = 2**20
 
 
@@ -170,8 +178,9 @@ READ_WORKERS = _read_workers()
 # products; narrower rows keep the exact pdist/cdist loops.
 BLAS_DISTANCE_MIN_D = 32
 # Gaussian self Grams of rows with at most this many columns are built from
-# the points block by block (_gaussian_into), and a tuning sweep stores no
-# distances for them; wider rows keep condensed distances, which a sweep
+# the points one READ_BLOCK_BYTES (1 MiB) block of rows at a time
+# (_gram_into), and a tuning sweep stores no distances for them
+# (_sweep_distances); wider rows keep condensed distances, which a sweep
 # computes once. A block build computes all n^2 distances, twice the pairs
 # pdist does, and a sweep repeats them per bandwidth, so the split follows
 # the sweep's cost on one worker. The Gram work of a 5-bandwidth sweep on
@@ -185,6 +194,9 @@ BLOCK_GRAM_MAX_D = 8
 DISTANCE_TILE_ROWS = 256
 # Rows per tile of a self Gram's completing pass (_complete_rows): at
 # n = 2000 a tile is 1 MiB, so it is still in L2 when its row sums are taken.
+# It stays a row count, not a byte size: a 1 MiB tile is 13 rows at
+# n = 10 000, and the lower triangle's column-tile copies would grow from
+# about 12 000 to about 296 000.
 _ROW_TILE = 64
 _STRICT_LOWER = np.tri(_ROW_TILE, k=-1, dtype=bool)
 
@@ -194,8 +206,6 @@ _STRICT_LOWER = np.tri(_ROW_TILE, k=-1, dtype=bool)
 # a slow path, about 20 ns for a small normal result or a 0 and 120-200 ns
 # for a subnormal one, against 1.5 ns.
 EXP_SLOW_BELOW = -707.7
-# Entries per pass of _exp's floored loop, so that its masks stay in cache.
-EXP_CHUNK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -313,15 +323,23 @@ def _checked_int(value, what: str, low: int, high: float = np.inf) -> int:
     return int(value)
 
 
-def _checked_positive(value, what: str) -> float:
-    """value as a float that is finite and > 0, else InputError; True and "1.0" fail."""
+def _checked_real(value, what: str, low: float = -np.inf, strict: bool = False) -> float:
+    """value as a finite float >= low (> low if strict), else InputError; True and "1.0" fail."""
     try:
-        ok = not isinstance(value, _BOOLS) and 0 < value < np.inf
+        # np.isfinite raises TypeError for a str and for an int too large for a float
+        ok = (not isinstance(value, _BOOLS) and np.isfinite(value)
+              and (value > low if strict else value >= low))
     except (TypeError, ValueError):
         ok = False
     if not ok:
-        raise InputError(f"{what} must be > 0 and finite, got {_shown(value)}")
+        bound = "" if low == -np.inf else f"{'>' if strict else '>='} {low:g} and "
+        raise InputError(f"{what} must be {bound}finite, got {_shown(value)}")
     return float(value)
+
+
+def _checked_positive(value, what: str) -> float:
+    """value as a float that is finite and > 0, else InputError; True and "1.0" fail."""
+    return _checked_real(value, what, 0.0, strict=True)
 
 
 def row_blocks(m: int, n: int, nbytes: int = BLOCK_BYTES) -> Iterator[slice]:
@@ -467,14 +485,19 @@ def _centered_norms(X: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return out
 
 
-def _products(A: np.ndarray, ta: slice, B: np.ndarray, tb: slice,
-              mu: np.ndarray) -> np.ndarray:
-    """-2 <a - mu, b - mu> for a in A[ta], b in B[tb], as a C-ordered block.
+def _tile_distances(Ac: np.ndarray, Bc: np.ndarray, na: np.ndarray, nb: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """max(-2 <a, b> + na + nb, 0) for the rows a of Ac and b of Bc, into out.
 
-    dgemm takes the transposed tiles as Fortran arrays without a copy and
-    returns the transposed block in Fortran order, whose .T is C-ordered.
+    Ac and Bc are centered tiles and na, nb their rows' squared norms; out
+    defaults to the product's own C-ordered block. dgemm takes the
+    transposed tiles as Fortran arrays without a copy and returns the
+    transposed product in Fortran order, whose .T is C-ordered.
     """
-    return dgemm(-2.0, (B[tb] - mu).T, (A[ta] - mu).T, trans_a=1).T
+    product = dgemm(-2.0, Bc.T, Ac.T, trans_a=1).T
+    out = np.add(product, na[:, None], out=product if out is None else out)
+    out += nb
+    return np.maximum(out, 0.0, out=out)
 
 
 def _own_array(*shape: int) -> np.ndarray:
@@ -513,38 +536,37 @@ def sq_distances(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
     return _cross_sq_distances(B)(_checked_queries(A, B.shape[1]))
 
 
-def _cross_sq_distances(B: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+def _cross_sq_distances(B: np.ndarray) -> Callable[..., np.ndarray]:
     """Squared distances from query rows to the rows of B, as a function of the queries.
 
-    B's column mean and centered norms are computed here, once, and B's
-    centered rows are kept from the second call on: a read path calls this
-    once per block of query rows, while a one-shot distance pays no n x d
-    copy. Each call forms the same tile-pair products whether or not B's
-    centered rows are kept, so its bits do not depend on the call count.
+    The function takes the query rows A and an optional C-ordered out of
+    A's row count by B's, which it fills and returns. B's column mean and
+    centered norms are computed here, once, and B's centered rows are kept
+    from the second call on: a read path calls this once per block of query
+    rows, while a one-shot distance pays no n x d copy. Each call forms the
+    same tile-pair products whether or not B's centered rows are kept, so
+    its bits do not depend on the call count.
     """
     if B.shape[1] < BLAS_DISTANCE_MIN_D:
-        return lambda A: cdist(A, B, "sqeuclidean")
+        return lambda A, out=None: cdist(A, B, "sqeuclidean", out=out)
     mu = B.mean(axis=0)
     nb = _centered_norms(B, mu)
     tiles = _tiles(B.shape[0])
     centered: list[np.ndarray] = []
     calls = 0
 
-    def distances(A: np.ndarray) -> np.ndarray:
+    def distances(A: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         nonlocal calls
         calls += 1
         if calls == 2:
             centered.append(B - mu)
-        out = np.empty((A.shape[0], B.shape[0]))
+        out = np.empty((A.shape[0], B.shape[0])) if out is None else out
         for ta in _tiles(A.shape[0]):
             Ac = A[ta] - mu
-            na = np.einsum("ij,ij->i", Ac, Ac)[:, None]
+            na = np.einsum("ij,ij->i", Ac, Ac)
             for tb in tiles:
                 Bc = centered[0][tb] if centered else B[tb] - mu
-                block = out[ta, tb]
-                np.add(dgemm(-2.0, Bc.T, Ac.T, trans_a=1).T, na, out=block)
-                block += nb[None, tb]
-                np.maximum(block, 0.0, out=block)
+                _tile_distances(Ac, Bc, na, nb[tb], out[ta, tb])
         return out
 
     return distances
@@ -554,8 +576,9 @@ def _self_sq_distances(A: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The condensed self distances of the BLAS route, written into out and returned.
 
     Formed tile pair by tile pair, only on or above the diagonal. Row i of a
-    block holds distances to a run of columns j > i, which is one contiguous
-    run of the condensed output starting at n*i - i*(i+1)/2 + j - i - 1.
+    block holds distances to the columns j > i from j0 = max(i + 1, the
+    tile's first column) on, which are one contiguous run of the condensed
+    output starting at n*i - i*(i+1)/2 + j0 - i - 1.
     """
     n = A.shape[0]
     mu = A.mean(axis=0)
@@ -563,19 +586,11 @@ def _self_sq_distances(A: np.ndarray, out: np.ndarray) -> np.ndarray:
     tiles = _tiles(n)
     for k, ti in enumerate(tiles):
         for tj in tiles[k:]:
-            block = _products(A, ti, A, tj, mu)
-            block += norms[ti, None]
-            block += norms[None, tj]
-            np.maximum(block, 0.0, out=block)
-            if tj is ti:
-                for r, i in enumerate(range(ti.start, ti.stop - 1)):
-                    start = n * i - i * (i + 1) // 2
-                    out[start:start + ti.stop - i - 1] = block[r, r + 1:]
-            else:
-                width = tj.stop - tj.start
-                for r, i in enumerate(range(ti.start, ti.stop)):
-                    start = n * i - i * (i + 1) // 2 + tj.start - i - 1
-                    out[start:start + width] = block[r]
+            block = _tile_distances(A[ti] - mu, A[tj] - mu, norms[ti], norms[tj])
+            for r, i in enumerate(range(ti.start, ti.stop)):
+                j0 = max(i + 1, tj.start)
+                start = n * i - i * (i + 1) // 2 + j0 - i - 1
+                out[start:start + tj.stop - j0] = block[r, j0 - tj.start:]
     return out
 
 
@@ -596,14 +611,15 @@ def _exp(x: np.ndarray) -> np.ndarray:
 
     Every other entry keeps np.exp's bits, NaN stays NaN and -inf gives 0.
     When x's minimum is at least EXP_SLOW_BELOW this is the plain call. Else,
-    including when the minimum is NaN, each EXP_CHUNK-entry block of rows is
-    raised to EXP_SLOW_BELOW, exponentiated and multiplied by the mask of the
-    entries that were not below it; NaN fails that test, and NaN * 0 is NaN.
-    So no entry ever takes np.exp's slow path.
+    including when the minimum is NaN, each READ_BLOCK_BYTES block of rows,
+    whose masks stay in cache, is raised to EXP_SLOW_BELOW, exponentiated
+    and multiplied by the mask of the entries that were not below it; NaN
+    fails that test, and NaN * 0 is NaN. So no entry ever takes np.exp's
+    slow path.
     """
     if not x.size or x.min() >= EXP_SLOW_BELOW:
         return np.exp(x, out=x)
-    for rows in row_blocks(x.shape[0], x.size // x.shape[0], 8 * EXP_CHUNK):
+    for rows in row_blocks(x.shape[0], x.size // x.shape[0], READ_BLOCK_BYTES):
         chunk = x[rows]
         keep = chunk >= EXP_SLOW_BELOW
         np.maximum(chunk, EXP_SLOW_BELOW, out=chunk)
@@ -629,12 +645,13 @@ def _gaussian_upper(condensed: np.ndarray, bandwidth: float, K: np.ndarray) -> N
     """Write exp(-condensed / (4 bandwidth)) into K's strict upper triangle.
 
     Each run of rows of the condensed vector is exponentiated once, in one
-    EXP_CHUNK buffer, and copied into its rows. The rest of K is not written.
+    READ_BLOCK_BYTES buffer, and copied into its rows. The rest of K is not
+    written.
     """
     n = K.shape[0]
     m = condensed.shape[0]
-    # rows per run, so that a run fits one EXP_CHUNK buffer
-    step = max(1, EXP_CHUNK // n)
+    # rows per run, so that a run fits one READ_BLOCK_BYTES buffer
+    step = max(1, READ_BLOCK_BYTES // (8 * n))
     buf = np.empty(min(m, step * n))
     for i0 in range(0, n - 1, step):
         i1 = min(i0 + step, n - 1)
@@ -677,27 +694,45 @@ def _complete_rows(K: np.ndarray, degree: int | None, sums: np.ndarray | None) -
             K[rows].sum(axis=1, out=sums[rows])
 
 
-def _gaussian_into(bandwidth: float, A: np.ndarray, B: np.ndarray, out: np.ndarray,
-                   sums: np.ndarray | None = None) -> None:
-    """out = the Gaussian Gram k(A, B), built from the points in out itself.
+def _gram_into(spec: KernelSpec, A: np.ndarray, B: np.ndarray, out: np.ndarray,
+               sq: np.ndarray | None = None, sums: np.ndarray | None = None) -> np.ndarray:
+    """out = k(A, B), with the bits of ``gram_matrix(spec, A, B)``; returns out.
 
-    One READ_BLOCK_BYTES block of out's rows at a time on the read pool
-    (map_blocks): cdist writes the block's squared distances into its rows,
-    gaussian_from_sqdist exponentiates them in place, and the block's row
-    sums go into sums if given. out is C-ordered; its old contents are not
-    read. The bits are those of gaussian_from_sqdist(cdist(A, B)) and of its
-    sum(axis=1). Beyond out the heap is a floor mask per worker (and a
-    C-ordered copy of an A or B that is not).
+    out is a C-ordered m x n array whose old contents are not read. A
+    Gaussian Gram whose squared distances sq are stored (_sweep_distances)
+    only exponentiates them into out. Otherwise cross_gram's function runs
+    over out's rows one READ_BLOCK_BYTES block at a time on the read pool
+    (map_blocks): it writes the block's squared distances into its rows and
+    exponentiates them in place while they are in L2, and the block's row
+    sums, with the bits of out.sum(axis=1), go into sums if given. A
+    polynomial Gram, which ignores sq and sums, is one whole product.
     """
-    A, B = np.ascontiguousarray(A), np.ascontiguousarray(B)
+    if spec.family == "gaussian" and sq is not None:
+        return gaussian_from_sqdist(sq, spec.bandwidth, out=out)
+    gram = cross_gram(spec, B)
+    if spec.family == "poly":
+        return gram(A, out=out)
 
     def block(rows: slice) -> None:
-        K = out[rows]
-        gaussian_from_sqdist(cdist(A[rows], B, "sqeuclidean", out=K), bandwidth)
+        gram(A[rows], out=out[rows])
         if sums is not None:
-            K.sum(axis=1, out=sums[rows])
+            out[rows].sum(axis=1, out=sums[rows])
 
     map_blocks(block, *out.shape)
+    return out
+
+
+def _sweep_distances(A: np.ndarray, Q: np.ndarray | None = None) -> np.ndarray | None:
+    """Squared distances a tuning sweep computes once for all its Gaussian candidates.
+
+    A's condensed self distances (sq_distances(A)), or with Q given the
+    distances from Q's rows to A's, as _self_gram_into and _gram_into take
+    them. None at or below BLOCK_GRAM_MAX_D columns, where each Gram is
+    built from the points instead.
+    """
+    if A.shape[1] <= BLOCK_GRAM_MAX_D:
+        return None
+    return sq_distances(A) if Q is None else _cross_sq_distances(A)(Q)
 
 
 def _self_gram_into(spec: KernelSpec, A: np.ndarray, K: np.ndarray | None = None,
@@ -708,27 +743,26 @@ def _self_gram_into(spec: KernelSpec, A: np.ndarray, K: np.ndarray | None = None
     K's old contents are ignored, so one buffer serves a whole tuning sweep;
     with K None a new one is made (_own_array). The row sums go into sums
     if given. A Gaussian Gram of at most BLOCK_GRAM_MAX_D columns is built
-    from the points (_gaussian_into). A wider one is built from A's condensed
+    from the points, one READ_BLOCK_BYTES (1 MiB) block of rows at a time on
+    the read pool (_gram_into). A wider one is built from A's condensed
     squared distances, upper triangle first, then _complete_rows; condensed
-    passes them in (a tuning sweep shares them), else they are computed
-    here. A polynomial Gram is one BLAS syrk triangle, then _complete_rows.
-    Whichever route builds it, the bits are those of ``gram_matrix(spec,
-    A)`` and of its ``sum(axis=1)``.
+    passes them in (a tuning sweep shares them, _sweep_distances), else they
+    are computed here. A polynomial Gram, which ignores condensed, is one
+    BLAS syrk triangle, then _complete_rows. Whichever route builds it, the
+    bits are those of ``gram_matrix(spec, A)`` and of its ``sum(axis=1)``.
     """
     n = A.shape[0]
     K = _own_array(n, n) if K is None else K
-    if spec.family == "gaussian":
-        if A.shape[1] <= BLOCK_GRAM_MAX_D:
-            _gaussian_into(spec.bandwidth, A, A, K, sums)
-            return K
-        if condensed is None:
-            condensed = sq_distances(A)
-        _gaussian_upper(condensed, spec.bandwidth, K)
-        _complete_rows(K, None, sums)
-        return K
-    # BLAS syrk writes one triangle of A A^T, the lower one of the
-    # Fortran-ordered product and so the upper one of K, without reading K
-    dsyrk(1.0, np.ascontiguousarray(A).T, c=K.T, trans=1, lower=1, overwrite_c=1)
+    if spec.family == "poly":
+        # BLAS syrk writes one triangle of A A^T, the lower one of the
+        # Fortran-ordered product and so the upper one of K, without reading K
+        dsyrk(1.0, np.ascontiguousarray(A).T, c=K.T, trans=1, lower=1, overwrite_c=1)
+    elif A.shape[1] <= BLOCK_GRAM_MAX_D:
+        return _gram_into(spec, A, A, K, sums=sums)
+    else:
+        _gaussian_upper(sq_distances(A) if condensed is None else condensed,
+                        spec.bandwidth, K)
+    # a Gaussian spec's degree is None, which _complete_rows reads as Gaussian
     _complete_rows(K, spec.degree, sums)
     return K
 
@@ -758,19 +792,20 @@ def gram_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray | None = None, *,
     return cross_gram(spec, B)(_checked_queries(A, np.shape(B)[-1]))
 
 
-def cross_gram(spec: KernelSpec, B: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+def cross_gram(spec: KernelSpec, B: np.ndarray) -> Callable[..., np.ndarray]:
     """k(A, B) as a function of the query rows A, with B's side prepared once.
 
     A read path makes one per call and applies it to each block of query
     rows; each block's Gram has the bits of ``gram_matrix(spec, A, B)``. A
     block is a 2-D float array of B's column count, as _checked_queries
-    returns it.
+    returns it. The Gram is written into out if given, a C-ordered array of
+    the block's row count by B's, and returned.
     """
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if spec.family == "gaussian":
         distances = _cross_sq_distances(B)
-        return lambda A: gaussian_from_sqdist(distances(A), spec.bandwidth)
-    return lambda A: _polynomial_from_inner(matmul(A, B.T), spec.degree)
+        return lambda A, out=None: gaussian_from_sqdist(distances(A, out), spec.bandwidth)
+    return lambda A, out=None: _polynomial_from_inner(matmul(A, B.T, out=out), spec.degree)
 
 
 def _polynomial_from_inner(G: np.ndarray, degree: int) -> np.ndarray:

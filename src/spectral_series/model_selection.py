@@ -21,9 +21,8 @@ from .dataset import Dataset
 from .diffusion import EigenMethod, Mode, _fit, _n_usable
 from .errors import InputError, NumericalError
 from .kernels import (
-    BLOCK_GRAM_MAX_D, KernelSpec, _checked_int, _checked_positive, _cross_sq_distances,
-    _gaussian_into, _polynomial_from_inner, _self_gram_into, gaussian_from_sqdist, gram_matrix,
-    matmul, sq_distances,
+    KernelSpec, _checked_int, _checked_positive, _gram_into, _self_gram_into, _sweep_distances,
+    gram_matrix, matmul,
 )
 from .nystrom import _extend, _operands
 from .series import SeriesModel, _coefficients, pool_unlabeled
@@ -190,13 +189,14 @@ def tune_series(
     buffer for the whole sweep, and once its fit is done, its validation
     cross Gram is built whole in the same buffer (in an array of its own only
     when the validation set has more rows than the training pool) and
-    extended in one call. At most kernels.BLOCK_GRAM_MAX_D (8) columns wide,
-    each Gaussian Gram, self and validation, is built from the points one
-    block of rows per pool worker at a time (kernels._gaussian_into), and
-    the sweep stores no distances: at that width their cdist loop costs no
-    more than the exponentials it feeds. Wider, Gaussian candidates share
-    one computation of the training and validation squared distances, and
-    each bandwidth only exponentiates them.
+    extended in one call. How each Gram is built is the kernels module's
+    choice: at most kernels.BLOCK_GRAM_MAX_D (8) columns wide, each Gaussian
+    Gram, self and validation, is built from the points one 1 MiB block of
+    rows per pool worker at a time (kernels._gram_into), and the sweep
+    stores no distances, as their cdist loop costs no more than the
+    exponentials it feeds. Wider, Gaussian candidates share one computation
+    of the training and validation squared distances
+    (kernels._sweep_distances), and each bandwidth only exponentiates them.
     Polynomial candidates run in Uniform mode (their Gram entries may be
     negative, which the degree-weighted modes cannot accept). Unlabeled rows,
     when given, enter every candidate basis; coefficients use training rows
@@ -215,20 +215,16 @@ def tune_series(
         raise InputError(f"got {pooled.shape[0]} training points; need at least 2")
     j_cap = min(grid.j_max, pooled.shape[0] - 1)
     surface: dict[tuple[str, float, int], float] = {}
-    timings = {"kernel_build": 0.0, "eigendecomposition": 0.0,
-               "coefficient": 0.0, "validation": 0.0}
     best = None  # (loss, J, spec, basis, coef)
 
-    sq_pooled = sq_val = None
-    if grid.bandwidths and train.d > BLOCK_GRAM_MAX_D:
-        # Gaussian candidates differ only in the exponent's scale, so wide
-        # rows' distances are computed once for the whole sweep
-        t0 = time.perf_counter()
-        sq_pooled = sq_distances(pooled)
-        t1 = time.perf_counter()
-        sq_val = _cross_sq_distances(pooled)(val.features)
-        timings["kernel_build"] += t1 - t0
-        timings["validation"] += time.perf_counter() - t1
+    # Gaussian candidates differ only in the exponent's scale, so wide rows'
+    # distances are computed once for the whole sweep
+    t0 = time.perf_counter()
+    sq_pooled = _sweep_distances(pooled) if grid.bandwidths else None
+    t1 = time.perf_counter()
+    sq_val = _sweep_distances(pooled, val.features) if grid.bandwidths else None
+    timings = {"kernel_build": t1 - t0, "eigendecomposition": 0.0,
+               "coefficient": 0.0, "validation": time.perf_counter() - t1}
 
     n, m = pooled.shape[0], val.n
     K, sums = np.empty((n, n)), np.empty(n)
@@ -243,7 +239,7 @@ def tune_series(
         basis = coef = None
         try:
             t0 = time.perf_counter()
-            _self_gram_into(spec, pooled, K, sq_pooled if gaussian else None, sums)
+            _self_gram_into(spec, pooled, K, sq_pooled, sums)
             t1 = time.perf_counter()
             basis = _fit(pooled, spec, j_cap, cand_mode, method, K, sums)
             t2 = time.perf_counter()
@@ -253,22 +249,15 @@ def tune_series(
             timings["eigendecomposition"] += t2 - t1
             timings["coefficient"] += t3 - t2
 
-            t4 = time.perf_counter()
             usable = _n_usable(basis.eigenvalues)
             if usable:
-                if not gaussian:
-                    _polynomial_from_inner(matmul(val.features, pooled.T, out=Kv),
-                                           spec.degree)
-                elif sq_val is None:
-                    _gaussian_into(spec.bandwidth, val.features, pooled, Kv)
-                else:
-                    gaussian_from_sqdist(sq_val, spec.bandwidth, out=Kv)
+                _gram_into(spec, val.features, pooled, Kv, sq_val)
                 Psi_val = _extend(spec, pooled, val.features,
                                   *_operands(basis, usable - 1, None), Kx=Kv)
                 cum = np.cumsum(Psi_val * coef[:usable][None, :], axis=1)
                 err = val.responses[:, None] - cum
                 losses[:usable] = np.mean(err * err, axis=0)
-            timings["validation"] += time.perf_counter() - t4
+            timings["validation"] += time.perf_counter() - t3
         except NumericalError as exc:
             logger.warning("candidate %s failed: %s", spec.label(), exc)
             basis = coef = None

@@ -159,13 +159,12 @@ def fit(
 ) -> SeriesModel:
     """Supervised fit: basis on X, coefficients from all rows.
 
-    J defaults to j_max; pass a smaller value to truncate immediately. X
-    (checked by fit_basis) and y (by estimate_coefficients) follow the input
-    contract (README, "Input contract"); a fault raises InputError.
+    J defaults to j_max; pass a smaller value to truncate immediately. This
+    is fit_ssl with no unlabeled rows, so X and y follow the input contract
+    (README, "Input contract") and a fault in either raises InputError
+    before any kernel is built.
     """
-    basis = fit_basis(X, spec, j_max, mode, method)
-    coef = estimate_coefficients(basis, y)
-    return SeriesModel(basis, coef, j_max if J is None else J)
+    return fit_ssl(X, y, None, spec, j_max, mode, method, J)
 
 
 def pool_unlabeled(X_labeled: np.ndarray, X_unlabeled: np.ndarray | None) -> np.ndarray:

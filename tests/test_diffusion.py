@@ -40,7 +40,7 @@ from spectral_series import (
 from spectral_series import diffusion
 from spectral_series.cli import main
 from spectral_series.diffusion import EIGENVALUE_TIE_GAP, LANCZOS_MIN_N
-from spectral_series.kernels import _self_gram_into
+from spectral_series.kernels import READ_BLOCK_BYTES, _self_gram_into
 from spectral_series.nystrom import EIGENVALUE_FLOOR_REL
 
 E1 = np.exp(-1.0)
@@ -605,7 +605,7 @@ class TestFitBasis:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        bound = diffusion._FIT_BLOCK_BYTES + 6 * n * (j_max + 1) * 8
+        bound = READ_BLOCK_BYTES + 6 * n * (j_max + 1) * 8
         assert bound < 8 * 2**20
         assert peak <= bound
 

@@ -159,6 +159,20 @@ ARGUMENT_FAULTS = {
     "SplitSpec-seed-2.5": lambda X, y, Q: SplitSpec(seed=2.5),
     "SplitSpec-seed-nan": lambda X, y, Q: SplitSpec(seed=np.nan),
     "SplitSpec-seed-inf": lambda X, y, Q: SplitSpec(seed=np.inf),
+    # NaN noise gave the noiseless spiral and True a noise of 1; a string
+    # raised TypeError and an infinite or NaN bound numpy's OverflowError
+    "gen_spiral-noise_sd-nan": lambda X, y, Q: gen_spiral(10, noise_sd=np.nan),
+    "gen_spiral-noise_sd-bool": lambda X, y, Q: gen_spiral(10, noise_sd=True),
+    "gen_spiral-noise_sd-string": lambda X, y, Q: gen_spiral(10, noise_sd="1"),
+    "gen_spiral-u_max-inf": lambda X, y, Q: gen_spiral(10, u_max=np.inf),
+    "gen_spiral-u_max-nan": lambda X, y, Q: gen_spiral(10, u_max=np.nan),
+    "gen_circle-noise_var-string": lambda X, y, Q: gen_circle(10, noise_var="1"),
+    "gen_uniform_interval-lo-nan": lambda X, y, Q: gen_uniform_interval(10, lo=np.nan),
+    "gen_uniform_interval-hi-inf": lambda X, y, Q: gen_uniform_interval(10, hi=np.inf),
+    "gen_uniform_interval-lo-neg-inf": lambda X, y, Q: gen_uniform_interval(10, lo=-np.inf),
+    "SplitSpec-string-fraction": lambda X, y, Q: SplitSpec("0.5", 0.25, 0.25),
+    # an int too large for a float passed the comparisons, then float() overflowed
+    "KernelSpec-huge-int-bandwidth": lambda X, y, Q: KernelSpec.gaussian(10 ** 400),
 }
 
 
@@ -206,6 +220,9 @@ STRING_ARGUMENTS = {
     "krr_fit-penalty": ("0.1", lambda X, y, Q, v: krr_fit(X, y, SPEC, v)),
     "nw_predict-bandwidth": ("1.0", lambda X, y, Q, v: nw_predict(X, y, v, Q)),
     "knn_predict-k": ("5", lambda X, y, Q, v: knn_predict(X, y, v, Q)),
+    "gen_spiral-noise_sd": ("0.1", lambda X, y, Q, v: gen_spiral(10, noise_sd=v)),
+    "gen_circle-noise_var": ("0.5", lambda X, y, Q, v: gen_circle(10, noise_var=v)),
+    "SplitSpec-train_frac": ("0.5", lambda X, y, Q, v: SplitSpec(v, 0.25, 0.25)),
 }
 
 
@@ -264,10 +281,27 @@ def test_messages_name_the_fault():
         krr_penalty_grid(_set(y, 4, np.nan))
     with pytest.raises(InputError, match=f"got {N - 1} responses for {N} training points"):
         nw_predict(X, y[:-1], 1.0, Q)
+    with pytest.raises(InputError, match=f"got {N - 1} responses for {N} training points"):
+        fit(X, y[:-1], SPEC, 3)
     with pytest.raises(InputError, match="no columns"):
         Dataset(np.empty((N, 0)))
     with pytest.raises(InputError, match="query row 2 contains NaN or Inf"):
         predict(_MODEL, _set(Q, (2, 1), np.inf))
+
+
+@pytest.mark.parametrize("fault", ["nan-responses", "inf-responses", "mismatched-lengths"])
+def test_fit_checks_responses_before_any_gram(fault, monkeypatch):
+    # fit used to build the Gram and solve for the basis before it read y
+    builds = []
+    real = diffusion._self_gram_into
+    monkeypatch.setattr(diffusion, "_self_gram_into",
+                        lambda *args, **kwargs: builds.append(1) or real(*args, **kwargs))
+    X, y, Q = FAULTS[fault][1](*_valid())
+    with pytest.raises(InputError):
+        fit(X, y, SPEC, 6)
+    assert builds == []
+    fit(*_valid()[:2], SPEC, 6)
+    assert builds == [1]
 
 
 def test_one_query_row_may_be_1d():

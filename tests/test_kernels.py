@@ -17,7 +17,7 @@ from spectral_series import (
 )
 from spectral_series import kernels
 from spectral_series.kernels import (
-    BLAS_DISTANCE_MIN_D, BLOCK_GRAM_MAX_D, DISTANCE_TILE_ROWS, EXP_CHUNK, EXP_SLOW_BELOW, READ_BLOCK_BYTES,
+    BLAS_DISTANCE_MIN_D, BLOCK_GRAM_MAX_D, DISTANCE_TILE_ROWS, EXP_SLOW_BELOW, READ_BLOCK_BYTES,
     _exp, _self_gram_into, gaussian_from_sqdist, matmul, sq_distances,
 )
 
@@ -441,9 +441,9 @@ class TestExpFastPath:
     def test_gaussian_grams_keep_the_plain_formula_bits(self, bw):
         # the two narrow bandwidths send 75 % and 59 % of the self Gram below
         # EXP_SLOW_BELOW, with 0.7 % and 1.3 % above -745.2, where np.exp is
-        # not 0; the cross Gram spans several EXP_CHUNK chunks
+        # not 0; the cross Gram spans several of _exp's READ_BLOCK_BYTES blocks
         X = gen_circle(700, d=2, noise_var=0.5, seed=4).features
-        Q = X[:EXP_CHUNK // 700 + 200]
+        Q = X[:READ_BLOCK_BYTES // (8 * 700) + 200]
         cond = pdist(X, "sqeuclidean")
         direct = self._floored(squareform(cond) / (-4.0 * bw))
         np.fill_diagonal(direct, 1.0)

@@ -287,9 +287,11 @@ class TestSharedSweep:
         assert np.array_equal(predict(model, test.features),
                               predict(ref_model, test.features))
 
-    def test_high_d_bit_identical_to_per_candidate_path(self):
-        # d = 1000 takes the BLAS distance route in both paths
-        data = gen_circle(400, d=1000, noise_var=0.5, seed=5, rotate=True)
+    @pytest.mark.parametrize("d", [kernels.BLOCK_GRAM_MAX_D + 1, 1000])
+    def test_high_d_bit_identical_to_per_candidate_path(self, d):
+        # both widths share the sweep's distances: pdist/cdist just above
+        # BLOCK_GRAM_MAX_D, the BLAS distance route at d = 1000
+        data = gen_circle(400, d=d, noise_var=0.5, seed=5, rotate=True)
         train, val, test = split(data, SplitSpec(seed=5))
         grid = TuneGrid(bandwidths=tuple(bandwidth_grid(train.features, 3)), j_max=20)
         method = EigenMethod("randomized", seed=5)
@@ -382,14 +384,14 @@ class TestSharedSweep:
     def test_distances_shared_only_above_the_block_width(self, d, shared, monkeypatch):
         # recomputing wide rows' distances per bandwidth would cost a sweep
         # more than storing them once; narrow rows' distances are not stored
-        calls = []
-        monkeypatch.setattr(model_selection, "sq_distances",
-                            lambda A, real=model_selection.sq_distances:
-                            calls.append(A.shape) or real(A))
         data = gen_circle(90, d=d, noise_var=0.5, seed=4)
         train, val, _ = split(data, SplitSpec(seed=4))
-        tune_series(train, val, TuneGrid(bandwidths=tuple(bandwidth_grid(train.features, 3)),
-                                         j_max=10))
+        grid = TuneGrid(bandwidths=tuple(bandwidth_grid(train.features, 3)), j_max=10)
+        calls = []
+        monkeypatch.setattr(kernels, "sq_distances",
+                            lambda A, real=kernels.sq_distances:
+                            calls.append(A.shape) or real(A))
+        tune_series(train, val, grid)
         assert len(calls) == shared
 
     def test_krr_bit_identical_to_per_penalty_fits(self):
