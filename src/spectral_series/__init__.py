@@ -8,12 +8,23 @@ baselines (Nadaraya-Watson, k-nearest neighbors, kernel ridge).
 
 import os as _os
 
-# cap numerical thread pools before any BLAS-backed import sees them
-_threads = _os.environ.get("SPECTRAL_SERIES_THREADS")
-if _threads:
+
+def _thread_count() -> int | None:
+    """SPECTRAL_SERIES_THREADS as a positive integer, or None if unset or not one."""
+    try:
+        count = int(_os.environ.get("SPECTRAL_SERIES_THREADS", ""))
+    except ValueError:
+        return None
+    return count if count > 0 else None
+
+
+# the one parse of SPECTRAL_SERIES_THREADS, which kernels.READ_WORKERS reads
+# too; it caps numerical thread pools before any BLAS-backed import sees them
+_THREADS = _thread_count()
+if _THREADS is not None:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                  "NUMEXPR_NUM_THREADS"):
-        _os.environ.setdefault(_var, _threads)
+        _os.environ.setdefault(_var, str(_THREADS))
 
 from .archive import Preprocessing, load_model, save_model
 from .baselines import (

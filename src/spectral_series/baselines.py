@@ -141,37 +141,20 @@ def krr_fit(X: np.ndarray, y: np.ndarray, spec: KernelSpec, penalty: float) -> K
     return KRRModel(spec, X, alpha, penalty)
 
 
-def max_abs_row_sum(K: np.ndarray) -> float:
-    """Largest absolute row sum of K: the Gershgorin radius krr_solve needs."""
-    return float(np.abs(K).sum(axis=1).max())
-
-
 def _gram_and_row_bound(spec: KernelSpec, X: np.ndarray) -> tuple[np.ndarray, float]:
-    """The self Gram of checked points X and its max_abs_row_sum, from one build.
+    """The self Gram K of checked points X and its largest absolute row sum, from one build.
 
-    Every Gaussian entry is >= 0, so the largest of the row sums the build
-    takes is max_abs_row_sum(K) bit for bit, with no pass of its own; a
-    polynomial Gram may hold negative entries and pays that pass.
+    That row sum is the Gershgorin radius of krr_fit's condition bound.
+    Every Gaussian entry is >= 0, so it is the largest of the row sums the
+    build takes, bit for bit, with no pass of its own; a polynomial Gram may
+    hold negative entries and pays that pass.
     """
     if spec.family != "gaussian":
         K = gram_matrix(spec, X)
-        return K, max_abs_row_sum(K)
+        return K, float(np.abs(K).sum(axis=1).max())
     sums = np.empty(X.shape[0])
     K = gram_matrix(spec, X, sums=sums)
     return K, float(sums.max())
-
-
-def krr_solve(K: np.ndarray, y: np.ndarray, penalty: float, row_bound: float) -> np.ndarray:
-    """Dual coefficients solving (K + n*penalty*I) alpha = y; K and y are not modified.
-
-    row_bound is max_abs_row_sum(K). The solve works in one copy of K, by
-    the route of _ridge_solver. A penalty that is not finite and > 0 raises
-    InputError; a visibly ill-conditioned system (see krr_fit), a
-    K + n*penalty*I that is not positive definite, or a non-finite solution
-    raises NumericalError.
-    """
-    penalty = _checked_positive(penalty, "penalty")
-    return _ridge_solver(np.array(K, dtype=float, order="C"), y, row_bound)(penalty)
 
 
 def _ridge_solver(K: np.ndarray, y: np.ndarray, row_bound: float) -> Callable[[float], np.ndarray]:
@@ -182,11 +165,10 @@ def _ridge_solver(K: np.ndarray, y: np.ndarray, row_bound: float) -> Callable[[f
     place: K is consumed) and one Q^T y. Every penalty meets the condition
     bound (see krr_fit) first, so the reduction is made when the first
     penalty passes it. Each penalty then costs O(n^2): (T + n*penalty*I) z =
-    Q^T y by dptsv, O(n), and alpha = Q z by dormqr. K must be C-ordered and
-    exactly symmetric, as every self Gram is: the reduction reads the lower
-    triangle of its Fortran view, which is its upper triangle. A
-    T + n*penalty*I that is not positive definite, or a non-finite alpha,
-    raises NumericalError.
+    Q^T y by dptsv, O(n), and alpha = Q z by dormqr. K is a self Gram the
+    package built, which meets the symmetry contract (diffusion module
+    notes); the reduction reads its upper triangle. A T + n*penalty*I that
+    is not positive definite, or a non-finite alpha, raises NumericalError.
     """
     n = K.shape[0]
     reduction = []  # [reflectors, tau, d, e, Q^T y] once made

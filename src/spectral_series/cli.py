@@ -254,8 +254,6 @@ def cmd_tune(args) -> int:
     _check_solver_flags(args, seed_read=True)
     seed = _resolve_seed(args)
     data = load_csv(args.data, response_column=args.response)
-    if data.responses is None:
-        raise InputError(f"response column {args.response!r} not found in {args.data}")
     fracs = _parse_floats(args.split)
     if len(fracs) != 3:
         raise InputError(f"--split needs three fractions, got {args.split!r}")

@@ -14,9 +14,21 @@ core's L2, so the fit's heap beyond K stays below one 8 MiB block. Finite
 row sums stand in for a scan of K's entries, so no operator with a NaN or
 Inf entry reaches the solver.
 tune_series builds each candidate's Gram in one buffer for the whole sweep and
-hands it to _fit, the fit behind fit_basis. So every operator a solver sees is
-exactly symmetric, C-ordered and owned by the solve; eigendecompose makes one
-copy of its argument to the same end, after scanning it for symmetry.
+hands it to _fit, the fit behind fit_basis.
+
+The symmetry contract, stated here once: every operator a solver sees
+(_SOLVERS) is finite, exactly symmetric, C-ordered float64 and the solve's
+own, so a solver may read either triangle and overwrite it. LAPACK's eigh
+and the ridge reduction (baselines._ridge_solver) read the upper triangle,
+the Lanczos dsymv the lower one and the randomized range finder both, and
+all of them then solve one operator. A Gram the package builds is exactly
+symmetric by construction (the kernels module notes), and every
+normalization keeps it so, since each entry meets the single product
+v_i v_j (_scale_pairs). A caller's matrix enters through one door, _own:
+it must be 2-D and real, and square where the formula pairs rows with
+columns, else InputError. eigendecompose then scans its copy once for
+NaN, Inf and asymmetry beyond SYMMETRY_RTOL (NumericalError) and, in the
+same tile loop, overwrites the lower triangle with the upper one.
 """
 
 from __future__ import annotations
@@ -171,11 +183,6 @@ def _check_row_sums(sums: np.ndarray, positive: bool = True) -> np.ndarray:
     return sums
 
 
-def _row_sums(K: np.ndarray) -> np.ndarray:
-    """K's row sums in one pass; NumericalError unless each is finite and > 0."""
-    return _check_row_sums(K.sum(axis=1))
-
-
 def _scale_pairs(K: np.ndarray, v: np.ndarray, op,
                  sums: np.ndarray | None = None) -> np.ndarray:
     """K_ij = op(K_ij, v_i v_j) in place, one row block at a time.
@@ -194,15 +201,32 @@ def _scale_pairs(K: np.ndarray, v: np.ndarray, op,
     return K
 
 
-def _own(K: np.ndarray) -> np.ndarray:
-    """A C-ordered float64 copy of K, for the helpers that leave K unchanged."""
-    return np.array(K, dtype=float, order="C")
+def _own(K, square: bool = True, copy: bool = True) -> np.ndarray:
+    """A caller's matrix K as C-ordered float64, a copy of its own unless copy is False.
+
+    The one door of a caller's matrix (see the module notes): K must be 2-D
+    and real, and square where square is True, else InputError; a complex K
+    is refused, not cast to its real part. A float64 C-ordered K passes with
+    copy False as it is, so no output bit depends on the check.
+    """
+    try:
+        if np.iscomplexobj(K):
+            raise InputError("expected a real matrix, got complex entries")
+        A = (np.array if copy else np.asarray)(K, dtype=float, order="C")
+    except (TypeError, ValueError):
+        raise InputError(f"expected a numeric matrix, got {type(K).__name__}") from None
+    if A.ndim != 2 or (square and A.shape[0] != A.shape[1]):
+        raise InputError(f"expected a {'square' if square else '2-D'} matrix, got shape {A.shape}")
+    return A
 
 
 def row_stochastic(K: np.ndarray) -> np.ndarray:
-    """Markov transition matrix: each row of K divided by its row sum."""
-    K = _own(K)
-    K /= _row_sums(K)[:, None]
+    """Markov transition matrix: each row of K divided by its row sum.
+
+    K is 2-D and real, else InputError.
+    """
+    K = _own(K, square=False)
+    K /= _check_row_sums(K.sum(axis=1))[:, None]
     return K
 
 
@@ -212,19 +236,19 @@ def symmetric_normalize(K: np.ndarray) -> np.ndarray:
     Shares its eigenvalues with row_stochastic(K) (similarity transform by
     diag(rowsums)^(1/2)). For symmetric K it is exactly symmetric, because
     each entry is K_ij times the single product r_i r_j, so the symmetric
-    eigensolver applies.
+    eigensolver applies. K is square and real, else InputError.
     """
     K = _own(K)
-    return _scale_pairs(K, 1.0 / np.sqrt(_row_sums(K)), np.multiply)
+    return _scale_pairs(K, 1.0 / np.sqrt(_check_row_sums(K.sum(axis=1))), np.multiply)
 
 
 def stationary_weights(K: np.ndarray) -> np.ndarray:
     """Stationary distribution of the row-normalized random walk.
 
     Proportional to the row sums (equivalently to the degree estimates),
-    normalized to sum to 1.
+    normalized to sum to 1. K is 2-D and real, else InputError.
     """
-    sums = _row_sums(np.ascontiguousarray(K, dtype=float))
+    sums = _check_row_sums(_own(K, square=False, copy=False).sum(axis=1))
     return sums / sums.sum()
 
 
@@ -233,30 +257,35 @@ def bias_correct(K: np.ndarray) -> np.ndarray:
 
     Removes the leading sampling-density bias; the corrected matrix is fed
     back through the stochastic pipeline. Exactly symmetric for symmetric K.
-    The degrees p(X_i) are the row means of K.
+    The degrees p(X_i) are the row means of K. K is square and real, else
+    InputError.
     """
     K = _own(K)
-    return _scale_pairs(K, _row_sums(K) / K.shape[0], np.divide)
+    return _scale_pairs(K, _check_row_sums(K.sum(axis=1)) / K.shape[0], np.divide)
 
 
 def _check_symmetric(A: np.ndarray) -> np.ndarray:
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise InputError(f"expected a square matrix, got shape {A.shape}")
+    """Square A, scanned and made exactly symmetric from its upper triangle in place.
+
+    NumericalError if A holds NaN or Inf or is not symmetric within
+    SYMMETRY_RTOL relative to max |A|.
+    """
     scale = max(float(A.max()), -float(A.min()), 1e-300)
+    # NaN compares False against the tolerance, so test finiteness first
+    if not np.isfinite(scale):
+        raise NumericalError("matrix holds NaN or Inf entries (kernel overflow?)")
     # max |A - A^T| over the upper-triangle tiles: |a - b| == |b - a|, so this
     # equals the full-matrix maximum, while each tile and its mirror stay in
-    # cache instead of the strided full transpose
-    n = A.shape[0]
-    tile_max = [
-        np.abs(A[i:i + SYMMETRY_TILE, j:j + SYMMETRY_TILE]
-               - A[j:j + SYMMETRY_TILE, i:i + SYMMETRY_TILE].T).max()
-        for i in range(0, n, SYMMETRY_TILE)
-        for j in range(i, n, SYMMETRY_TILE)
-    ]
-    asym = float(np.max(tile_max))
-    # NaN compares False against the tolerance, so test finiteness first
-    if not (np.isfinite(scale) and np.isfinite(asym)):
-        raise NumericalError("matrix holds NaN or Inf entries (kernel overflow?)")
+    # cache instead of the strided full transpose; each lower tile is then
+    # overwritten by its mirror while both are still there
+    n, asym = A.shape[0], 0.0
+    for i in range(0, n, SYMMETRY_TILE):
+        for j in range(i, n, SYMMETRY_TILE):
+            upper = A[i:i + SYMMETRY_TILE, j:j + SYMMETRY_TILE]
+            lower = A[j:j + SYMMETRY_TILE, i:i + SYMMETRY_TILE]
+            asym = max(asym, float(np.abs(upper - lower.T).max()))
+            np.copyto(lower, upper.T,
+                      where=np.tri(*lower.shape, k=-1, dtype=bool) if i == j else True)
     if asym > SYMMETRY_RTOL * scale:
         raise NumericalError(
             f"matrix asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL:.0e} relative tolerance"
@@ -307,7 +336,7 @@ def _solve_lapack(A: np.ndarray, k: int, method: EigenMethod,
     n = A.shape[0]
     # LAPACK wants Fortran order and copies a C-ordered A. A.T is the Fortran
     # view of the same memory; with lower=True it reads A's upper triangle,
-    # which equals the lower one for an exactly symmetric A, so the result is
+    # which is A by the symmetry contract (module notes), so the result is
     # bit-identical to eigh(A)
     vals, vecs = scipy.linalg.eigh(A.T, subset_by_index=(n - k, n - 1),
                                    overwrite_a=True, check_finite=False)
@@ -377,9 +406,8 @@ def _solve_lanczos(A: np.ndarray, k: int, method: EigenMethod,
 
 
 # EigenMethod.name -> solver(A, k, method, start) returning the k largest
-# pairs, largest first. A is finite, exactly symmetric, C-ordered float64 and
-# the solve's own, so a solver may overwrite it; start is a vector near the
-# top eigenvector, or None.
+# pairs, largest first. A meets the symmetry contract (module notes); start
+# is a vector near the top eigenvector, or None.
 _SOLVERS = {
     "lanczos": _solve_lanczos,
     "full": _solve_lapack,
@@ -397,17 +425,18 @@ def eigendecompose(
     solves with LAPACK ("full") below LANCZOS_MIN_N = 400 rows and when
     2(j_max+1) + 1 >= n; see EigenMethod. Every method is deterministic, on
     tied spectra too; the randomized one given its seed. A is left
-    unchanged: every method works in one copy of A. No subnormal entry is
-    zeroed; a Gaussian Gram holds none (see the kernels module notes). j_max
-    is an integer in 0..n-1, checked before A is copied. A j_max outside
-    that range or an A that is not square raises InputError, and an A that
-    is not symmetric within SYMMETRY_RTOL, or holds NaN or Inf, raises
-    NumericalError; so does a solver that fails or returns fewer than
-    j_max+1 pairs.
+    unchanged: every method works in one copy of A, made exactly symmetric
+    from A's upper triangle (the symmetry contract, module notes), so every
+    method solves the same operator. No subnormal entry is zeroed; a
+    Gaussian Gram holds none (see the kernels module notes). An A that is
+    not a square real matrix, or a j_max that is not an integer in
+    0..n-1, raises InputError, and an A that is not symmetric within
+    SYMMETRY_RTOL, or holds NaN or Inf, raises NumericalError; so does a
+    solver that fails or returns fewer than j_max+1 pairs.
     """
-    n = np.shape(A)[0] if np.ndim(A) else 0
-    j_max = _checked_int(j_max, "j_max", 0, n - 1)
-    return _eigendecompose(_check_symmetric(_own(A)), j_max, method)
+    A = _own(A)
+    j_max = _checked_int(j_max, "j_max", 0, A.shape[0] - 1)
+    return _eigendecompose(_check_symmetric(A), j_max, method)
 
 
 def _eigendecompose(

@@ -2,8 +2,8 @@
 
 Two families are supported: the Gaussian kernel
 ``exp(-||x - y||^2 / (4 * bandwidth))`` and the polynomial kernel
-``(<x, y> + 1)^degree``. Self Gram matrices are exactly symmetric, so the
-downstream symmetric eigensolver never sees floating-point asymmetry.
+``(<x, y> + 1)^degree``. Self Gram matrices are exactly symmetric by
+construction, which the symmetry contract (diffusion module notes) rests on.
 
 Squared distances (``sq_distances``) take one of two routes, chosen by the
 column count d:
@@ -52,10 +52,10 @@ One worker pool for the read paths and the narrow Gaussian Grams. Below
 ``np.exp``, both single-threaded loops, and BLAS runs only the final
 matrix-vector product (about 4 % of a block on predict-spiral); a Gaussian
 self Gram of at most ``BLOCK_GRAM_MAX_D`` columns is the same two loops (see
-below). So ``map_blocks`` spreads the
-blocks over ``READ_WORKERS`` threads (``SPECTRAL_SERIES_THREADS`` if set,
-else the CPUs the process may run on), one whole block per task, the calling
-thread included; the pool is made on the first call with more than one
+below). So ``map_blocks`` spreads the blocks over ``READ_WORKERS`` threads
+(``SPECTRAL_SERIES_THREADS`` if it is a positive integer, else the CPUs the
+process may run on), one whole block per task, the calling thread
+included; the pool is made on the first call with more than one
 block, and at one worker there is none. A block is ``READ_BLOCK_BYTES``
 = 1 MiB so that it stays in its core's L2 through the distance, exponential,
 row-sum and product passes; it is the one block size of every other pass
@@ -143,6 +143,7 @@ import numpy as np
 from scipy.linalg.blas import dgemm, dgemv, dsyrk
 from scipy.spatial.distance import cdist, pdist
 
+from . import _THREADS  # SPECTRAL_SERIES_THREADS, parsed once in the package's __init__
 from .errors import InputError
 
 __all__ = ["KernelSpec", "kernel_value", "gram_matrix", "bandwidth_grid", "sq_distances"]
@@ -159,20 +160,17 @@ BLOCK_BYTES = 8 * 2**20
 READ_BLOCK_BYTES = 2**20
 
 
-def _read_workers() -> int:
-    """SPECTRAL_SERIES_THREADS if it is a positive integer, else the usable CPUs."""
-    try:
-        return max(1, int(os.environ.get("SPECTRAL_SERIES_THREADS", "")))
-    except ValueError:
-        pass
+def _usable_cpus() -> int:
+    """The number of CPUs the process may run on."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
 
 
-# Threads that run a read path's query blocks, the calling thread included.
-READ_WORKERS = _read_workers()
+# Threads that run a read path's query blocks, the calling thread included:
+# SPECTRAL_SERIES_THREADS if it is a positive integer, else the usable CPUs.
+READ_WORKERS = _THREADS or _usable_cpus()
 
 # Squared distances of rows with at least this many columns come from BLAS
 # products; narrower rows keep the exact pdist/cdist loops.

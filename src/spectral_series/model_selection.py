@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,6 +174,16 @@ def _is_smoother(a: KernelSpec, b: KernelSpec) -> bool:
     return a.degree < b.degree
 
 
+@contextmanager
+def _timed(timings: dict[str, float], stage: str):
+    """Add the seconds of the block to timings[stage] as it ends, also when it raises."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[stage] += time.perf_counter() - start
+
+
 def tune_series(
     train: Dataset,
     val: Dataset,
@@ -217,14 +228,14 @@ def tune_series(
     surface: dict[tuple[str, float, int], float] = {}
     best = None  # (loss, J, spec, basis, coef)
 
+    timings = dict.fromkeys(("kernel_build", "eigendecomposition", "coefficient",
+                             "validation"), 0.0)
     # Gaussian candidates differ only in the exponent's scale, so wide rows'
     # distances are computed once for the whole sweep
-    t0 = time.perf_counter()
-    sq_pooled = _sweep_distances(pooled) if grid.bandwidths else None
-    t1 = time.perf_counter()
-    sq_val = _sweep_distances(pooled, val.features) if grid.bandwidths else None
-    timings = {"kernel_build": t1 - t0, "eigendecomposition": 0.0,
-               "coefficient": 0.0, "validation": time.perf_counter() - t1}
+    with _timed(timings, "kernel_build"):
+        sq_pooled = _sweep_distances(pooled) if grid.bandwidths else None
+    with _timed(timings, "validation"):
+        sq_val = _sweep_distances(pooled, val.features) if grid.bandwidths else None
 
     n, m = pooled.shape[0], val.n
     K, sums = np.empty((n, n)), np.empty(n)
@@ -236,36 +247,30 @@ def tune_series(
         cand_mode = mode if gaussian else Mode.UNIFORM
         param = spec.bandwidth if gaussian else float(spec.degree)
         losses = np.full(grid.j_max + 1, np.inf)
+        # free the last candidate's basis before this one's is made
         basis = coef = None
         try:
-            t0 = time.perf_counter()
-            _self_gram_into(spec, pooled, K, sq_pooled, sums)
-            t1 = time.perf_counter()
-            basis = _fit(pooled, spec, j_cap, cand_mode, method, K, sums)
-            t2 = time.perf_counter()
-            coef = _coefficients(basis, train.responses, labeled)
-            t3 = time.perf_counter()
-            timings["kernel_build"] += t1 - t0
-            timings["eigendecomposition"] += t2 - t1
-            timings["coefficient"] += t3 - t2
-
-            usable = _n_usable(basis.eigenvalues)
-            if usable:
-                _gram_into(spec, val.features, pooled, Kv, sq_val)
-                Psi_val = _extend(spec, pooled, val.features,
-                                  *_operands(basis, usable - 1, None), Kx=Kv)
-                cum = np.cumsum(Psi_val * coef[:usable][None, :], axis=1)
-                err = val.responses[:, None] - cum
-                losses[:usable] = np.mean(err * err, axis=0)
-            timings["validation"] += time.perf_counter() - t3
+            with _timed(timings, "kernel_build"):
+                _self_gram_into(spec, pooled, K, sq_pooled, sums)
+            with _timed(timings, "eigendecomposition"):
+                basis = _fit(pooled, spec, j_cap, cand_mode, method, K, sums)
+            with _timed(timings, "coefficient"):
+                coef = _coefficients(basis, train.responses, labeled)
+            with _timed(timings, "validation"):
+                usable = _n_usable(basis.eigenvalues)
+                if usable:
+                    _gram_into(spec, val.features, pooled, Kv, sq_val)
+                    Psi_val = _extend(spec, pooled, val.features,
+                                      *_operands(basis, usable - 1, None), Kx=Kv)
+                    cum = np.cumsum(Psi_val * coef[:usable][None, :], axis=1)
+                    err = val.responses[:, None] - cum
+                    losses[:usable] = np.mean(err * err, axis=0)
         except NumericalError as exc:
             logger.warning("candidate %s failed: %s", spec.label(), exc)
-            basis = coef = None
         for J in range(grid.j_max + 1):
             surface[(spec.family, param, J)] = float(losses[J])
-        if basis is None:
-            continue
 
+        # a failed candidate, or one with no usable pair, has no finite loss
         finite = np.isfinite(losses)
         if not finite.any():
             continue
@@ -327,34 +332,30 @@ def tune_baseline(
     timings = {"fit": 0.0, "validation": 0.0}
     if kind == "krr":
         # every penalty shares one K, reduced in place, and one validation cross Gram
-        t0 = time.perf_counter()
-        K, row_bound = _gram_and_row_bound(kernel, train.features)
-        solve = _ridge_solver(K, train.responses, row_bound)
-        t1 = time.perf_counter()
-        Kv = gram_matrix(kernel, val.features, train.features)
-        timings["fit"] += t1 - t0
-        timings["validation"] += time.perf_counter() - t1
+        with _timed(timings, "fit"):
+            K, row_bound = _gram_and_row_bound(kernel, train.features)
+            solve = _ridge_solver(K, train.responses, row_bound)
+        with _timed(timings, "validation"):
+            Kv = gram_matrix(kernel, val.features, train.features)
     best = None  # (loss, param, model)
     for param in candidates:
-        t0 = time.perf_counter()
         try:
-            if kind == "nw":
-                model = NWModel(train.features, train.responses, param)
-            elif kind == "knn":
-                model = KNNModel(train.features, train.responses, param)
-            else:
-                alpha = solve(param)
-                model = KRRModel(kernel, train.features, alpha, param)
+            with _timed(timings, "fit"):
+                if kind == "nw":
+                    model = NWModel(train.features, train.responses, param)
+                elif kind == "knn":
+                    model = KNNModel(train.features, train.responses, param)
+                else:
+                    alpha = solve(param)
+                    model = KRRModel(kernel, train.features, alpha, param)
         except NumericalError as exc:
             logger.warning("%s candidate %s failed: %s", kind, param, exc)
             surface[(kind, float(param), -1)] = float("inf")
             continue
-        t1 = time.perf_counter()
-        preds = (matmul(Kv, alpha) if kind == "krr"
-                 else score(train.features, train.responses, param, val.features))
-        loss = empirical_loss(preds, val.responses)
-        timings["fit"] += t1 - t0
-        timings["validation"] += time.perf_counter() - t1
+        with _timed(timings, "validation"):
+            preds = (matmul(Kv, alpha) if kind == "krr"
+                     else score(train.features, train.responses, param, val.features))
+            loss = empirical_loss(preds, val.responses)
         surface[(kind, float(param), -1)] = loss
         if best is None or loss <= best[0]:
             best = (loss, float(param), model)

@@ -26,8 +26,7 @@ from spectral_series import (
     nw_predict,
     tune_baseline,
 )
-from spectral_series.baselines import krr_solve, max_abs_row_sum
-from spectral_series import kernels
+from spectral_series import baselines, kernels
 from spectral_series.kernels import READ_BLOCK_BYTES, row_blocks
 
 
@@ -151,6 +150,25 @@ class TestKrr:
         with pytest.raises(NumericalError, match="condition"):
             krr_fit(X, np.ones(50), KernelSpec.gaussian(1e12), 1e-15)
 
+    def test_polynomial_kernel_matches_dense_solve(self):
+        # a polynomial Gram's condition bound takes a pass of its own over |K|
+        # instead of the build's row sums; fit and sweep both go that way
+        data = gen_spiral(200, noise_sd=0.1, seed=14)
+        train = Dataset(data.features[:120], data.responses[:120])
+        val = Dataset(data.features[120:], data.responses[120:])
+        spec, n, penalties = KernelSpec.polynomial(2), 120, [1e-3, 1e-2, 1e-1]
+        K = gram_matrix(spec, train.features)
+        Kv = gram_matrix(spec, val.features, train.features)
+        dense = {p: np.linalg.solve(K + n * p * np.eye(n), train.responses) for p in penalties}
+        model, report = tune_baseline(train, val, penalties, "krr", spec)
+        for p in penalties:
+            alpha = krr_fit(train.features, train.responses, spec, p).dual_coefficients
+            assert np.max(np.abs(alpha - dense[p])) <= 1e-8 * np.max(np.abs(dense[p]))
+            loss = np.mean((val.responses - Kv @ dense[p]) ** 2)
+            assert np.isclose(report.loss_surface[("krr", p, -1)], loss, rtol=1e-8, atol=0.0)
+        assert np.max(np.abs(model.dual_coefficients - dense[model.penalty])) <= (
+            1e-8 * np.max(np.abs(dense[model.penalty])))
+
     def test_penalty_must_be_positive(self):
         with pytest.raises(InputError):
             krr_fit(np.ones((2, 1)), np.ones(2), KernelSpec.gaussian(1.0), 0.0)
@@ -168,7 +186,20 @@ class TestKrr:
         assert np.all(grid > 0.0)
 
 
+def max_abs_row_sum(K):
+    """The Gershgorin radius of the ridge solve's condition bound."""
+    return float(np.abs(K).sum(axis=1).max())
+
+
+def ridge_solve(K, y, penalty):
+    """(K + n*penalty*I)^-1 y by the ridge route of krr_fit and tune_baseline, in a copy of K."""
+    K = np.array(K, dtype=float, order="C")
+    return baselines._ridge_solver(K, y, max_abs_row_sum(K))(penalty)
+
+
 class TestKrrSolve:
+    """The ridge solve behind krr_fit and tune_baseline, on a given K."""
+
     @pytest.mark.parametrize("spec", [KernelSpec.gaussian(0.05), KernelSpec.polynomial(2)],
                              ids=["gaussian", "poly"])
     def test_backward_stable_and_close_to_dense_solve(self, spec):
@@ -182,7 +213,7 @@ class TestKrrSolve:
         solved = 0
         for penalty in krr_penalty_grid(y, 11):
             try:
-                alpha = krr_solve(K, y, penalty, row_bound)
+                alpha = ridge_solve(K, y, penalty)
             except NumericalError as exc:
                 assert "condition" in str(exc)
                 continue
@@ -203,7 +234,7 @@ class TestKrrSolve:
         X = np.array([[0.0], [0.7]])[:n]
         y = np.array([3.0, -1.0])[:n]
         K = gram_matrix(KernelSpec.gaussian(0.5), X)
-        alpha = krr_solve(K, y, 0.25, max_abs_row_sum(K))
+        alpha = ridge_solve(K, y, 0.25)
         assert np.allclose(alpha, np.linalg.solve(K + 0.25 * n * np.eye(n), y),
                            rtol=1e-14, atol=0.0)
         model = krr_fit(X, y, KernelSpec.gaussian(0.5), 0.25)
@@ -229,12 +260,13 @@ class TestKrrSolve:
         assert calls == {"dsytrd": 1, "dposv": 0}
 
     def test_inputs_left_unchanged(self):
+        # the solve consumes the K that the fit builds; the caller's points
+        # and responses stay as they were
         data = gen_spiral(200, noise_sd=0.1, seed=12)
-        K = gram_matrix(KernelSpec.gaussian(0.1), data.features)
-        y = data.responses
-        K0, y0 = K.copy(), y.copy()
-        krr_solve(K, y, 1e-3, max_abs_row_sum(K))
-        assert np.array_equal(K, K0) and np.array_equal(y, y0)
+        X, y = data.features, data.responses
+        X0, y0 = X.copy(), y.copy()
+        krr_fit(X, y, KernelSpec.gaussian(0.1), 1e-3)
+        assert np.array_equal(X, X0) and np.array_equal(y, y0)
 
     @pytest.mark.parametrize("case", ["not_positive_definite", "nan_in_y", "nan_in_K"])
     def test_failed_solve_is_numerical_error(self, case):
@@ -247,7 +279,7 @@ class TestKrrSolve:
         else:
             K[3, 5] = K[5, 3] = np.nan
         with pytest.raises(NumericalError, match="ridge solve failed"):
-            krr_solve(K, y, 1e-3, max_abs_row_sum(K))
+            ridge_solve(K, y, 1e-3)
 
 
 def spiral_predictors(n=200):

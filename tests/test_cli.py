@@ -98,11 +98,13 @@ class TestTune:
         assert "grid edge: J at the cap (1)\n" in (tmp_path / "run_summary.txt").read_text()
 
     def test_missing_response_column_exits_2(self, tmp_path, spiral_csv, capsys):
+        # load_csv refuses the column by name before anything is fitted or written
         code, _, err = run(capsys, "tune", "--data", spiral_csv,
-                           "--response", "target", "--seed", 0,
+                           "--response", "zzz", "--seed", 0,
                            "--out", tmp_path / "r")
         assert code == 2
-        assert "target" in err
+        assert "response column 'zzz' not found" in err
+        assert sorted(tmp_path.iterdir()) == [spiral_csv]
 
     def test_missing_data_file_exits_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "tune", "--data", tmp_path / "absent.csv",

@@ -228,6 +228,26 @@ class TestEigendecompose:
             eigendecompose(over, 2)
         eigendecompose(under, 2)
 
+    @pytest.mark.parametrize("method", ["full", "lanczos", "randomized"])
+    def test_every_method_solves_the_upper_triangle(self, method):
+        # an upper triangle perturbed within the tolerance passes the scan;
+        # LAPACK reads A's upper triangle, the Lanczos dsymv its lower one and
+        # the range finder both, so each must see the upper one mirrored
+        A = spiral_operator(600, 2)
+        noise = np.random.default_rng(17).uniform(-0.9e-10, 0.9e-10, A.shape)
+        perturbed = A + np.triu(noise, 1) * np.abs(A).max()
+        mirrored = np.triu(perturbed) + np.triu(perturbed, 1).T
+        assert not np.array_equal(perturbed, mirrored)
+        vals, vecs = eigendecompose(perturbed, 10, EigenMethod(method))
+        ref_vals, ref_vecs = eigendecompose(mirrored, 10, EigenMethod(method))
+        assert np.array_equal(vals, ref_vals) and np.array_equal(vecs, ref_vecs)
+
+    def test_non_finite_entry_rejected(self):
+        A = np.eye(5)
+        A[1, 3] = A[3, 1] = np.nan
+        with pytest.raises(NumericalError, match="NaN or Inf"):
+            eigendecompose(A, 2)
+
     def test_j_max_bounds(self):
         with pytest.raises(InputError):
             eigendecompose(K2, 2)

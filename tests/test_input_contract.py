@@ -173,6 +173,16 @@ ARGUMENT_FAULTS = {
     "SplitSpec-string-fraction": lambda X, y, Q: SplitSpec("0.5", 0.25, 0.25),
     # an int too large for a float passed the comparisons, then float() overflowed
     "KernelSpec-huge-int-bandwidth": lambda X, y, Q: KernelSpec.gaussian(10 ** 400),
+    # a caller's matrix: numpy's AxisError (1-D) or ValueError (the rest)
+    "symmetric_normalize-1-d": lambda X, y, Q: diffusion.symmetric_normalize(np.ones(3)),
+    "symmetric_normalize-non-square": lambda X, y, Q: diffusion.symmetric_normalize(
+        np.ones((2, 3))),
+    "bias_correct-non-square": lambda X, y, Q: diffusion.bias_correct(np.ones((2, 3))),
+    "bias_correct-3-d": lambda X, y, Q: diffusion.bias_correct(np.ones((2, 2, 2))),
+    "stationary_weights-string": lambda X, y, Q: diffusion.stationary_weights("abc"),
+    # cast to its real part, with numpy's ComplexWarning
+    "eigendecompose-complex": lambda X, y, Q: diffusion.eigendecompose(np.eye(3) + 1j, 1),
+    "eigendecompose-non-square": lambda X, y, Q: diffusion.eigendecompose(np.ones((2, 3)), 1),
 }
 
 

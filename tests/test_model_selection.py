@@ -1,7 +1,9 @@
 """Grid tuning for the series estimator and the baselines."""
 
+import itertools
 import logging
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -164,6 +166,41 @@ class TestTuneSeries:
                 direct = empirical_loss(predict(refit, val.features), val.responses)
                 assert np.isclose(report.loss_surface[("gaussian", bw, J)],
                                   direct, atol=1e-10)
+
+    @staticmethod
+    def overflowing_splits():
+        """Spiral splits scaled by 1e80: every cubic Gram entry overflows to inf,
+        while a Gaussian bandwidth of 1e160 is the scale of the data."""
+        train, val, _ = spiral_splits()
+        return (Dataset(train.features * 1e80, train.responses),
+                Dataset(val.features * 1e80, val.responses))
+
+    def test_failed_candidate_scored_inf_logged_and_timed(self, caplog, monkeypatch):
+        # a clock that advances 1 s per reading: each stage adds 1 s per run,
+        # the poly candidate's kernel build and failed fit included
+        ticks = itertools.count()
+        monkeypatch.setattr(model_selection, "time",
+                            types.SimpleNamespace(perf_counter=lambda: float(next(ticks))))
+        train, val = self.overflowing_splits()
+        grid = TuneGrid(bandwidths=(1e160,), degrees=(3,), j_max=10)
+        with np.errstate(over="ignore", invalid="ignore"), caplog.at_level(
+                logging.WARNING, logger="spectral_series.model_selection"):
+            model, report = tune_series(train, val, grid)
+        assert report.chosen[:2] == ("gaussian", 1e160) and model.basis.kernel == grid.kernels[0]
+        poly = [loss for key, loss in report.loss_surface.items() if key[0] == "poly"]
+        assert len(poly) == 11 and all(loss == np.inf for loss in poly)
+        logged = [rec.getMessage() for rec in caplog.records
+                  if rec.name == "spectral_series.model_selection"]
+        assert len(logged) == 1 and logged[0].startswith("candidate poly(q=3) failed")
+        # the shared distances count once as kernel build and once as validation
+        assert report.timings == {"kernel_build": 3.0, "eigendecomposition": 2.0,
+                                  "coefficient": 1.0, "validation": 2.0}
+
+    def test_no_usable_candidate_raises(self):
+        train, val = self.overflowing_splits()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="no kernel candidate produced a usable fit"):
+                tune_series(train, val, TuneGrid(degrees=(3,), j_max=10))
 
     def test_single_candidate_j0(self):
         train, val, _ = spiral_splits()

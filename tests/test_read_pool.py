@@ -152,6 +152,34 @@ def pool_state(threads):
     return [line.split() for line in run_script(script, threads)]
 
 
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "NUMEXPR_NUM_THREADS")
+
+
+@pytest.mark.parametrize("value, count", [
+    ("3", 3),
+    # each used to reach the BLAS variables as written, with 1 worker for 0
+    # and -2 and the CPU count for the others
+    ("0", None), ("-2", None), ("2.5", None), ("abc", None),
+])
+def test_thread_count_is_one_parse(value, count):
+    # a positive integer sets the BLAS thread variables and the worker count;
+    # any other value sets neither, and the pool takes the usable CPUs
+    script = (
+        "import os\n"
+        f"for var in {THREAD_VARS!r}:\n"
+        "    os.environ.pop(var, None)\n"
+        "from spectral_series import kernels\n"
+        "cpus = (len(os.sched_getaffinity(0)) if hasattr(os, 'sched_getaffinity')\n"
+        "        else os.cpu_count())\n"
+        f"print([os.environ.get(var) for var in {THREAD_VARS!r}], kernels.READ_WORKERS, cpus)\n"
+    )
+    line = run_script(script, value)[-1]
+    variables, workers, cpus = line.rsplit(" ", 2)
+    assert variables == repr([None if count is None else str(count)] * len(THREAD_VARS))
+    assert int(workers) == (int(cpus) if count is None else count)
+
+
 def test_pool_made_on_the_first_multi_block_call():
     assert pool_state(2) == [["False", "0"], ["True", "1"]]
 
