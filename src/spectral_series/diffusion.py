@@ -283,7 +283,10 @@ def _check_symmetric(A: np.ndarray) -> np.ndarray:
         for j in range(i, n, SYMMETRY_TILE):
             upper = A[i:i + SYMMETRY_TILE, j:j + SYMMETRY_TILE]
             lower = A[j:j + SYMMETRY_TILE, i:i + SYMMETRY_TILE]
-            asym = max(asym, float(np.abs(upper - lower.T).max()))
+            # entries near the float limit with opposite signs overflow to
+            # inf, which the tolerance test below reports
+            with np.errstate(over="ignore"):
+                asym = max(asym, float(np.abs(upper - lower.T).max()))
             np.copyto(lower, upper.T,
                       where=np.tri(*lower.shape, k=-1, dtype=bool) if i == j else True)
     if asym > SYMMETRY_RTOL * scale:

@@ -44,7 +44,6 @@ output, so no operand is copied. A tier-1 test fails on any ``@``,
 call in the package outside its allowlist:
 
 - ``dataset.gen_circle``'s QR, whose bits fix the benchmark data;
-- ``kernel_value``'s 1-D dot, one pair at a time, no BLAS call;
 - row norms from ``np.linalg.norm``, a reduction, no BLAS call.
 
 One worker pool for the read paths and the narrow Gaussian Grams. Below
@@ -69,7 +68,20 @@ product, and the blocks run in order on the caller in ``BLOCK_BYTES``
 blocks: on the pool, 8000 queries at d = 1000 against 800
 training points took 0.28 s against 0.22 s in order. Which thread runs a
 block changes no bit of it: ``row_blocks`` keeps blocks whole groups of 64
-rows.
+rows. So below ``BLAS_DISTANCE_MIN_D`` a saved model predicts the same bits
+at every thread count (README); fits, tunes and wider predictions do not
+promise that, as their BLAS products may round differently at another BLAS
+thread count.
+
+Every Gaussian entry, self and cross Grams and ``kernel_value`` alike, is
+formed in one function, ``gaussian_from_sqdist``: the squared distance
+times -0.25 / bandwidth, the scale computed once per call, then ``_exp``.
+A multiply costs less than a divide: over one 1 MiB block of 64 queries by
+2000 training points (one thread, medians of 300 on a 2-core Xeon) it took
+50-53 us against 88-97 us, where ``cdist`` took about 145 us and
+``np.exp`` about 105 us. The scale and then each product are rounded, so
+an argument may sit about one ulp from -sq / (4 bandwidth), and an entry
+within about |arg| * 2^-52 relative of that formula's value.
 
 Gaussian entries have one floor, self and cross Grams alike: an argument
 below ``EXP_SLOW_BELOW`` = -707.7 gives exactly 0, and every other entry
@@ -92,12 +104,12 @@ own. The build depends on the width of the rows:
   from its points, one ``READ_BLOCK_BYTES`` block of rows at a time on the
   read pool (``_gram_into``), by the function ``cross_gram`` gives every
   read path: ``cdist`` writes the block's squared distances into its rows
-  of K, which are divided by -4 bandwidth and exponentiated in place, and
-  the block's row sums are taken while it is in L2. ``cdist(X, X)`` is
-  exactly symmetric, has a zero diagonal (so a diagonal of 1) and equals
-  ``pdist``'s condensed entries bit for bit. At that width its loop costs
-  no more than the exponentials it feeds, so no distances are stored, not
-  even for a tuning sweep. On 2000 spiral points
+  of K, which are scaled by -0.25 / bandwidth and exponentiated in place
+  (``gaussian_from_sqdist``), and the block's row sums are taken while it
+  is in L2. ``cdist(X, X)`` is exactly symmetric, has a zero diagonal (so
+  a diagonal of 1) and equals ``pdist``'s condensed entries bit for bit.
+  At that width its loop costs no more than the exponentials it feeds, so
+  no distances are stored, not even for a tuning sweep. On 2000 spiral points
   (medians of 15 on a 2-core box) a build took 14-19 ms on one worker and
   7.5-10 ms on two, against 21-24 ms for ``pdist`` and the two-pass build
   below. Wider rows make the distances the larger cost, and a sweep then
@@ -204,6 +216,7 @@ _STRICT_LOWER = np.tri(_ROW_TILE, k=-1, dtype=bool)
 # a slow path, about 20 ns for a small normal result or a 0 and 120-200 ns
 # for a subnormal one, against 1.5 ns.
 EXP_SLOW_BELOW = -707.7
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -593,15 +606,16 @@ def _self_sq_distances(A: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def kernel_value(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
-    """Evaluate the kernel on a single pair of d-vectors."""
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.shape != y.shape:
-        raise InputError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    if spec.family == "gaussian":
-        sq = float(np.dot(x - y, x - y))
-        return float(np.exp(-sq / (4.0 * spec.bandwidth)))
-    return float((np.dot(x, y) + 1.0) ** spec.degree)
+    """k(x, y) for one pair of d-vectors: the 1 x 1 Gram, with its bits.
+
+    Each vector is raveled and checked as a query row is (_checked_queries),
+    so a length mismatch or a NaN or Inf coordinate raises InputError. The
+    value is ``gram_matrix(spec, x, y)[0, 0]``, so below BLAS_DISTANCE_MIN_D
+    columns a Gaussian value has the bits of the matching entry of any Gram
+    holding the pair.
+    """
+    y = _checked_queries(np.ravel(y), np.size(y), "point")
+    return float(gram_matrix(spec, np.ravel(x), y)[0, 0])
 
 
 def _exp(x: np.ndarray) -> np.ndarray:
@@ -613,7 +627,8 @@ def _exp(x: np.ndarray) -> np.ndarray:
     whose masks stay in cache, is raised to EXP_SLOW_BELOW, exponentiated
     and multiplied by the mask of the entries that were not below it; NaN
     fails that test, and NaN * 0 is NaN. So no entry ever takes np.exp's
-    slow path.
+    slow path. Its one caller is gaussian_from_sqdist, so x holds Gaussian
+    exponents, sq * (-0.25 / bandwidth).
     """
     if not x.size or x.min() >= EXP_SLOW_BELOW:
         return np.exp(x, out=x)
@@ -629,22 +644,25 @@ def _exp(x: np.ndarray) -> np.ndarray:
 def gaussian_from_sqdist(
     sq: np.ndarray, bandwidth: float, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Gaussian kernel values exp(-sq / (4 * bandwidth)), floored by _exp, from sq.
+    """Gaussian kernel values exp(sq * (-0.25 / bandwidth)), floored by _exp, from sq.
 
+    The one place a Gaussian exponent is formed (see the module notes).
     Written into ``out``, which defaults to ``sq`` itself, so no temporary of
-    the input's size is made. Dividing by the negated scale gives the same
-    bits as negating first, because IEEE division is sign-symmetric.
+    the input's size is made. The scale is clamped at the most negative
+    finite float: below a bandwidth of about 1.4e-309 it would be -inf, and
+    a zero distance times -inf is NaN, not the 0 exponent of exp(0) = 1.
     """
     out = sq if out is None else out
-    return _exp(np.divide(sq, -4.0 * bandwidth, out=out))
+    scale = max(-0.25 / bandwidth, -_FLOAT_MAX)
+    return _exp(np.multiply(sq, scale, out=out))
 
 
 def _gaussian_upper(condensed: np.ndarray, bandwidth: float, K: np.ndarray) -> None:
-    """Write exp(-condensed / (4 bandwidth)) into K's strict upper triangle.
+    """Write the Gaussian values of condensed into K's strict upper triangle.
 
-    Each run of rows of the condensed vector is exponentiated once, in one
-    READ_BLOCK_BYTES buffer, and copied into its rows. The rest of K is not
-    written.
+    Each run of rows of the condensed vector goes through
+    gaussian_from_sqdist once, in one READ_BLOCK_BYTES buffer, and is
+    copied into its rows. The rest of K is not written.
     """
     n = K.shape[0]
     m = condensed.shape[0]
@@ -655,8 +673,7 @@ def _gaussian_upper(condensed: np.ndarray, bandwidth: float, K: np.ndarray) -> N
         i1 = min(i0 + step, n - 1)
         first = n * i0 - i0 * (i0 + 1) // 2
         stop = n * i1 - i1 * (i1 + 1) // 2
-        run = _exp(np.divide(condensed[first:stop], -4.0 * bandwidth,
-                             out=buf[:stop - first]))
+        run = gaussian_from_sqdist(condensed[first:stop], bandwidth, out=buf[:stop - first])
         for i in range(i0, i1):
             start = n * i - i * (i + 1) // 2 - first
             K[i, i + 1:] = run[start:start + n - i - 1]

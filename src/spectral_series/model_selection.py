@@ -159,8 +159,8 @@ def loss_se(predictions: np.ndarray, actuals: np.ndarray) -> float:
 
 def evaluate_on(predict_fn, data: Dataset) -> tuple[float, float]:
     """Loss and its standard error for a predictor on a labeled split."""
-    if data.responses is None:
-        raise InputError("evaluation split has no responses")
+    if data is None or data.responses is None:
+        raise InputError("evaluation split is missing or has no responses")
     preds = predict_fn(data.features)
     return empirical_loss(preds, data.responses), loss_se(preds, data.responses)
 

@@ -248,6 +248,13 @@ class TestEigendecompose:
         with pytest.raises(NumericalError, match="NaN or Inf"):
             eigendecompose(A, 2)
 
+    def test_asymmetry_overflow_is_the_documented_error(self):
+        # |1e308 - (-1e308)| overflows; numpy's RuntimeWarning used to escape
+        # before the NumericalError, and tier-1 turns it into the error
+        A = np.array([[0.0, 1e308], [-1e308, 0.0]])
+        with pytest.raises(NumericalError, match="asymmetry inf"):
+            eigendecompose(A, 0)
+
     def test_j_max_bounds(self):
         with pytest.raises(InputError):
             eigendecompose(K2, 2)

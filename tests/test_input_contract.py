@@ -18,6 +18,7 @@ from spectral_series import (
     bandwidth_grid,
     eigenmap,
     estimate_coefficients,
+    evaluate_on,
     extend,
     fit,
     fit_basis,
@@ -25,6 +26,7 @@ from spectral_series import (
     gen_circle,
     gen_spiral,
     gen_uniform_interval,
+    kernel_value,
     knn_predict,
     krr_fit,
     krr_penalty_grid,
@@ -183,6 +185,10 @@ ARGUMENT_FAULTS = {
     # cast to its real part, with numpy's ComplexWarning
     "eigendecompose-complex": lambda X, y, Q: diffusion.eigendecompose(np.eye(3) + 1j, 1),
     "eigendecompose-non-square": lambda X, y, Q: diffusion.eigendecompose(np.ones((2, 3)), 1),
+    # NaN came back as the kernel's value
+    "kernel_value-nan-coordinate": lambda X, y, Q: kernel_value(SPEC, [np.nan, 0.0], Q[0]),
+    # AttributeError from the missing split's responses
+    "evaluate_on-no-split": lambda X, y, Q: evaluate_on(lambda A: np.zeros(len(A)), None),
 }
 
 

@@ -63,6 +63,18 @@ class TestKernelValue:
         with pytest.raises(InputError):
             kernel_value(KernelSpec.gaussian(1.0), np.array([1.0]), np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("d", [1, 2, BLOCK_GRAM_MAX_D + 1, BLAS_DISTANCE_MIN_D - 1])
+    @pytest.mark.parametrize("bw", [1e-3, 0.3, 50.0])
+    def test_equals_the_gram_entry_bitwise(self, d, bw):
+        # kernel_value is the 1 x 1 Gram: below BLAS_DISTANCE_MIN_D columns it
+        # has the bits of the entry of any Gram holding the pair, floor included
+        rng = np.random.default_rng(d)
+        A, B = rng.normal(size=(7, d)), rng.normal(size=(5, d))
+        spec = KernelSpec.gaussian(bw)
+        K = gram_matrix(spec, A, B)
+        got = np.array([[kernel_value(spec, a, b) for b in B] for a in A])
+        assert np.array_equal(_bits(got), _bits(K))
+
 
 class TestGramMatrix:
     def test_self_gram_diagonal_and_symmetry(self):
@@ -74,7 +86,7 @@ class TestGramMatrix:
     def test_gaussian_self_gram_matches_direct_formula_bitwise(self):
         X = np.random.default_rng(5).normal(size=(300, 3))
         bw = 0.7
-        direct = np.exp(-squareform(pdist(X, "sqeuclidean")) / (4.0 * bw))
+        direct = np.exp(squareform(pdist(X, "sqeuclidean")) * (-0.25 / bw))
         np.fill_diagonal(direct, 1.0)
         assert np.array_equal(gram_matrix(KernelSpec.gaussian(bw), X), direct)
 
@@ -120,7 +132,7 @@ class TestGramMatrix:
         X[n - n // 3:] = X[:n // 3]
         if spec.family == "gaussian":
             cond = pdist(X, "sqeuclidean") if d < BLAS_DISTANCE_MIN_D else sq_distances(X)
-            arg = squareform(cond) / (-4.0 * spec.bandwidth)
+            arg = squareform(cond) * (-0.25 / spec.bandwidth)
             want = np.exp(arg)
             want[arg < EXP_SLOW_BELOW] = 0.0
             np.fill_diagonal(want, 1.0)
@@ -259,11 +271,11 @@ class TestSquaredDistances:
         assert np.array_equal(sq_distances(A), pdist(A, "sqeuclidean"))
         assert np.array_equal(sq_distances(B, A), cdist(B, A, "sqeuclidean"))
         spec = KernelSpec.gaussian(0.9)
-        direct = np.exp(-squareform(pdist(A, "sqeuclidean")) / (4.0 * 0.9))
+        direct = np.exp(squareform(pdist(A, "sqeuclidean")) * (-0.25 / 0.9))
         np.fill_diagonal(direct, 1.0)
         assert np.array_equal(gram_matrix(spec, A), direct)
         assert np.array_equal(gram_matrix(spec, B, A),
-                              np.exp(-cdist(B, A, "sqeuclidean") / (4.0 * 0.9)))
+                              np.exp(cdist(B, A, "sqeuclidean") * (-0.25 / 0.9)))
 
     @pytest.mark.parametrize("n", [1, 2, 3, DISTANCE_TILE_ROWS, DISTANCE_TILE_ROWS + 1,
                                    2 * DISTANCE_TILE_ROWS + 5])
@@ -445,16 +457,61 @@ class TestExpFastPath:
         X = gen_circle(700, d=2, noise_var=0.5, seed=4).features
         Q = X[:READ_BLOCK_BYTES // (8 * 700) + 200]
         cond = pdist(X, "sqeuclidean")
-        direct = self._floored(squareform(cond) / (-4.0 * bw))
+        direct = self._floored(squareform(cond) * (-0.25 / bw))
         np.fill_diagonal(direct, 1.0)
         K = _self_gram_into(KernelSpec.gaussian(bw), X, np.empty((700, 700)), cond)
         assert np.array_equal(_bits(K), _bits(direct))
         sq = cdist(Q, X, "sqeuclidean")
-        want = self._floored(sq / (-4.0 * bw))
+        want = self._floored(sq * (-0.25 / bw))
         assert np.array_equal(_bits(gaussian_from_sqdist(sq.copy(), bw)), _bits(want))
         assert np.array_equal(_bits(gaussian_from_sqdist(sq[:, ::2], bw,
                                                          out=np.empty((Q.shape[0], 350)))),
                               _bits(want[:, ::2]))
+
+    @pytest.mark.parametrize("d", [2, BLOCK_GRAM_MAX_D + 1])
+    def test_subnormal_bandwidth_keeps_the_unit_diagonal(self, d):
+        # -0.25 / 1e-310 is -inf, and a zero distance times -inf is NaN; the
+        # clamped scale gives exp(-0) = 1 there, as sq / (-4 bw) did, and 0
+        # at every positive distance. A squared distance above 1 overflows
+        # the product, so numpy's overflow warning is silenced here
+        X = np.zeros((3, d))
+        X[1:, 0] = 1.0
+        X[0, 0] = -0.5
+        X[2, 1] = 1.0
+        want = np.eye(3)
+        spec = KernelSpec.gaussian(1e-310)
+        with np.errstate(over="ignore"):
+            assert np.array_equal(gram_matrix(spec, X), want)
+            assert np.array_equal(gram_matrix(spec, X[:2], X), want[:2])
+            assert kernel_value(spec, X[1], X[1]) == 1.0
+
+    @pytest.mark.parametrize("d", [2, BLOCK_GRAM_MAX_D + 1, BLAS_DISTANCE_MIN_D])
+    def test_within_a_few_ulp_of_the_divided_formula(self, d):
+        # each exponent is sq * (-0.25 / bw), rounded twice, where the
+        # definition's sq / (-4 bw) is rounded once: every argument stays
+        # within 2 ulp of it, and every entry within about |arg| * 2^-52
+        # relative (plus np.exp's own rounding at two nearby arguments). An
+        # entry may change sides of the floor only within 2 ulp of it
+        X = gen_circle(400, d=d, noise_var=0.5, seed=d).features
+        Q = X[:150] + 0.05
+        cond = sq_distances(X)
+        scale = float(np.median(cond)) / 4.0
+        eps = np.finfo(float).eps
+        for bw in scale * np.geomspace(1e-3, 1e3, 9):
+            for K, sq in ((gram_matrix(KernelSpec.gaussian(bw), X), squareform(cond)),
+                          (gram_matrix(KernelSpec.gaussian(bw), Q, X), sq_distances(Q, X))):
+                arg = sq / (-4.0 * bw)
+                new = sq * (-0.25 / bw)
+                assert np.all(np.abs(new - arg) <= 2.0 * np.spacing(np.abs(arg)))
+                old = self._floored(arg)
+                if K.shape[0] == K.shape[1]:
+                    np.fill_diagonal(old, 1.0)
+                both = (K > 0.0) & (old > 0.0)
+                bound = (2.0 * np.abs(arg[both]) + 4.0) * eps * old[both]
+                assert np.all(np.abs(K[both] - old[both]) <= bound)
+                flipped = (K > 0.0) != (old > 0.0)
+                assert np.all(np.abs(arg[flipped] - EXP_SLOW_BELOW)
+                              <= 2.0 * np.spacing(-EXP_SLOW_BELOW))
 
     @pytest.mark.parametrize("d", [2, BLAS_DISTANCE_MIN_D])
     def test_no_gram_entry_below_the_floor(self, d):
@@ -474,7 +531,7 @@ class TestExpFastPath:
     def test_self_gram_sizes(self, n):
         X = np.random.default_rng(n).normal(size=(n, 3))
         cond = pdist(X, "sqeuclidean")
-        want = np.exp(squareform(cond) / (-4.0 * 0.3))
+        want = np.exp(squareform(cond) * (-0.25 / 0.3))
         np.fill_diagonal(want, 1.0)
         assert np.array_equal(gram_matrix(KernelSpec.gaussian(0.3), X), want)
 

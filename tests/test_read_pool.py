@@ -24,6 +24,7 @@ from spectral_series import (
     krr_fit,
     nw_predict,
     predict,
+    save_model,
 )
 from spectral_series import kernels, nystrom
 from spectral_series.cli import main
@@ -186,6 +187,27 @@ def test_pool_made_on_the_first_multi_block_call():
 
 def test_one_worker_starts_no_thread():
     assert pool_state(1) == [["False", "0"], ["False", "0"]]
+
+
+def test_saved_model_predicts_the_same_bytes_at_every_thread_count(tmp_path):
+    # the README's thread-count contract: below BLAS_DISTANCE_MIN_D columns a
+    # saved model's predictions are bit-identical at every thread count, the
+    # block pool's worker count and the BLAS threads alike. 4000 queries on
+    # 1000 training points are several blocks, and some fall back to their
+    # nearest training point
+    data = gen_spiral(1000, noise_sd=0.1, seed=8)
+    model = fit(data.features, data.responses, KernelSpec.gaussian(0.3), 30)
+    path = tmp_path / "model.npz"
+    save_model(path, model)
+    script = (
+        "import hashlib\n"
+        "import spectral_series as ss\n"
+        f"model, _ = ss.load_model({str(path)!r})\n"
+        "Q = ss.gen_spiral(4000, noise_sd=0.1, seed=9).features\n"
+        "Q[1000:1003] += 500.0\n"
+        "print(hashlib.sha256(ss.predict(model, Q).tobytes()).hexdigest())\n"
+    )
+    assert run_script(script, 1) == run_script(script, 2)
 
 
 def spiral_case(mode):
