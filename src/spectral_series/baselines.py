@@ -226,13 +226,21 @@ def _apply_q(V: np.ndarray, tau: np.ndarray, x: np.ndarray, trans: str) -> np.nd
 
 
 def krr_predict(model: KRRModel, Xnew: np.ndarray) -> np.ndarray:
-    """Dual-form prediction at query points, checked as in the input contract."""
+    """Dual-form prediction at query points, checked as in the input contract.
+
+    A prediction that is not finite (a polynomial kernel value overflowed at
+    its query) raises NumericalError.
+    """
     Xnew = _checked_queries(Xnew, model.training_points.shape[1])
     alpha = model.dual_coefficients
     gram = cross_gram(model.kernel, model.training_points)
     out = np.empty(Xnew.shape[0])
     map_blocks(lambda rows: matmul(gram(Xnew[rows]), alpha, out=out[rows]),
                Xnew.shape[0], model.training_points.shape[0], Xnew.shape[1])
+    bad = ~np.isfinite(out)
+    if bad.any():
+        raise NumericalError(f"{model.kernel.label()} predictions are not finite at "
+                             f"{int(bad.sum())} query point(s): the kernel overflowed")
     return out
 
 

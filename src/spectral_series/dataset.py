@@ -76,7 +76,9 @@ class Standardizer:
     """Per-column affine transform fitted on a training sample.
 
     Constant columns (sd below ``1e-12 * max(1, |mean|)``) are flagged and
-    mapped to exactly 0; the inverse maps them back to their mean.
+    mapped to exactly 0; the inverse maps them back to their mean. means,
+    sds and constant are 1-D and of one length, means and sds finite, and
+    each sd > 0 on a column not flagged constant; else InputError.
     """
 
     means: np.ndarray
@@ -84,12 +86,20 @@ class Standardizer:
     constant: np.ndarray = field(default=None)  # bool mask of constant columns
 
     def __post_init__(self):
-        object.__setattr__(self, "means", np.asarray(self.means, dtype=float))
-        object.__setattr__(self, "sds", np.asarray(self.sds, dtype=float))
-        if self.constant is None:
-            object.__setattr__(self, "constant", np.zeros(self.means.shape, dtype=bool))
-        else:
-            object.__setattr__(self, "constant", np.asarray(self.constant, dtype=bool))
+        means = np.asarray(self.means, dtype=float)
+        sds = np.asarray(self.sds, dtype=float)
+        constant = (np.zeros(means.shape, dtype=bool) if self.constant is None
+                    else np.asarray(self.constant, dtype=bool))
+        if means.ndim != 1 or sds.shape != means.shape or constant.shape != means.shape:
+            raise InputError(f"standardizer means, sds and constant must be 1-D of one length, "
+                             f"got shapes {means.shape}, {sds.shape} and {constant.shape}")
+        if not (np.isfinite(means).all() and np.isfinite(sds).all()):
+            raise InputError("standardizer means and sds must be finite")
+        if not (sds[~constant] > 0.0).all():
+            raise InputError("standardizer sds must be > 0 on every column not flagged constant")
+        object.__setattr__(self, "means", means)
+        object.__setattr__(self, "sds", sds)
+        object.__setattr__(self, "constant", constant)
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)

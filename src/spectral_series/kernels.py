@@ -156,7 +156,7 @@ from scipy.linalg.blas import dgemm, dgemv, dsyrk
 from scipy.spatial.distance import cdist, pdist
 
 from . import _THREADS  # SPECTRAL_SERIES_THREADS, parsed once in the package's __init__
-from .errors import InputError
+from .errors import InputError, NumericalError
 
 __all__ = ["KernelSpec", "kernel_value", "gram_matrix", "bandwidth_grid", "sq_distances"]
 
@@ -651,10 +651,15 @@ def gaussian_from_sqdist(
     the input's size is made. The scale is clamped at the most negative
     finite float: below a bandwidth of about 1.4e-309 it would be -inf, and
     a zero distance times -inf is NaN, not the 0 exponent of exp(0) = 1.
+    Only on that clamped scale is the product's overflow to -inf (exp gives
+    the intended 0) silenced, so the ordinary path sets no error state.
     """
     out = sq if out is None else out
-    scale = max(-0.25 / bandwidth, -_FLOAT_MAX)
-    return _exp(np.multiply(sq, scale, out=out))
+    scale = -0.25 / bandwidth
+    if scale >= -_FLOAT_MAX:
+        return _exp(np.multiply(sq, scale, out=out))
+    with np.errstate(over="ignore"):
+        return _exp(np.multiply(sq, -_FLOAT_MAX, out=out))
 
 
 def _gaussian_upper(condensed: np.ndarray, bandwidth: float, K: np.ndarray) -> None:
@@ -793,7 +798,8 @@ def gram_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray | None = None, *,
     Gram takes no sums. A 1-D A or B is one row. A is checked as query rows
     are (_checked_queries): more than two dimensions, a row holding NaN or
     Inf or, with B given, a column count other than B's raises InputError,
-    and so does a self Gram of no rows or no columns.
+    and so does a self Gram of no rows or no columns. A polynomial entry that
+    overflows raises NumericalError.
     """
     if B is None or B is A:
         A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -801,10 +807,15 @@ def gram_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray | None = None, *,
         if not A.size:
             raise InputError(f"a self Gram needs at least one point and one column, "
                              f"got shape {A.shape}")
-        return _self_gram_into(spec, A, sums=sums)
-    if sums is not None:
+        K = _self_gram_into(spec, A, sums=sums)
+    elif sums is not None:
         raise InputError("row sums are taken only for a self Gram")
-    return cross_gram(spec, B)(_checked_queries(A, np.shape(B)[-1]))
+    else:
+        K = cross_gram(spec, B)(_checked_queries(A, np.shape(B)[-1]))
+    # a Gaussian entry lies in [0, 1]; a polynomial one may overflow
+    if spec.family == "poly" and not np.isfinite(K).all():
+        raise NumericalError(f"{spec.label()} Gram overflowed: an entry is not finite")
+    return K
 
 
 def cross_gram(spec: KernelSpec, B: np.ndarray) -> Callable[..., np.ndarray]:
@@ -829,14 +840,17 @@ def _polynomial_from_inner(G: np.ndarray, degree: int) -> np.ndarray:
     ``**`` goes through ``pow``, which is about 7x slower at degree 3 once
     some bases are negative. Degree 2 gives the same bits as ``**``; higher
     degrees can differ from it in the last bit. The base is copied one
-    READ_BLOCK_BYTES block of rows at a time.
+    READ_BLOCK_BYTES block of rows at a time. An entry that overflows
+    becomes +-inf without a warning; gram_matrix and krr_predict refuse it,
+    and the Nystrom extension sends its row to the nearest-row fallback.
     """
-    for rows in row_blocks(*G.shape, READ_BLOCK_BYTES):
-        g = G[rows]
-        g += 1.0
-        base = g.copy() if degree > 1 else None
-        for _ in range(degree - 1):
-            g *= base
+    with np.errstate(over="ignore"):
+        for rows in row_blocks(*G.shape, READ_BLOCK_BYTES):
+            g = G[rows]
+            g += 1.0
+            base = g.copy() if degree > 1 else None
+            for _ in range(degree - 1):
+                g *= base
     return G
 
 

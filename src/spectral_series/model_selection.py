@@ -22,8 +22,8 @@ from .dataset import Dataset
 from .diffusion import EigenMethod, Mode, _fit, _n_usable
 from .errors import InputError, NumericalError
 from .kernels import (
-    KernelSpec, _checked_int, _checked_positive, _gram_into, _self_gram_into, _sweep_distances,
-    gram_matrix, matmul,
+    KernelSpec, _checked_int, _checked_positive, _checked_queries, _gram_into, _self_gram_into,
+    _sweep_distances, gram_matrix, matmul,
 )
 from .nystrom import _extend, _operands
 from .series import SeriesModel, _coefficients, pool_unlabeled
@@ -81,8 +81,10 @@ class FitReport:
 
     loss_surface maps (kernel family, parameter, J) to validation loss;
     baseline reports use J = -1. Unusable truncations (eigenvalue at the
-    extension floor, or J beyond the basis size) are recorded as inf so the
-    surface always enumerates the full grid.
+    extension floor, J beyond the basis size, or a loss that is not finite)
+    are recorded as inf so the surface always enumerates the full grid.
+    chosen must be the surface's first entry in _rank's order, which holds
+    the tie rule; any other raises InputError.
     """
 
     loss_surface: dict[tuple[str, float, int], float]
@@ -95,9 +97,9 @@ class FitReport:
     def __post_init__(self):
         if self.chosen not in self.loss_surface:
             raise InputError(f"chosen key {self.chosen} missing from the loss surface")
-        best = min(self.loss_surface.values())
-        if self.loss_surface[self.chosen] != best:
-            raise InputError("chosen entry does not achieve the loss-surface minimum")
+        best = min(self.loss_surface, key=lambda key: _rank(key, self.loss_surface[key]))
+        if self.chosen != best:
+            raise InputError(f"chosen entry {self.chosen} is not the tie rule's pick {best}")
 
     @property
     def grid_edges(self) -> tuple[str, ...]:
@@ -130,31 +132,35 @@ class FitReport:
         return [(k[0], k[1], k[2], v) for k, v in sorted(self.loss_surface.items())]
 
 
-def empirical_loss(predictions: np.ndarray, actuals: np.ndarray) -> float:
-    """Mean squared error."""
-    predictions = np.asarray(predictions, dtype=float).ravel()
-    actuals = np.asarray(actuals, dtype=float).ravel()
+def _residuals(predictions, actuals, min_n: int) -> np.ndarray:
+    """actuals - predictions, for two raveled finite vectors of one length >= min_n.
+
+    Each vector is checked as one-column query rows are
+    (kernels._checked_queries); NaN or Inf, a length mismatch or fewer than
+    min_n points raises InputError.
+    """
+    predictions, actuals = (_checked_queries(np.reshape(v, (-1, 1)), 1, what)
+                            for v, what in ((predictions, "prediction"), (actuals, "actual")))
     if predictions.shape != actuals.shape:
-        raise InputError(
-            f"length mismatch: {predictions.shape[0]} predictions, "
-            f"{actuals.shape[0]} actuals"
-        )
-    if predictions.size == 0:
-        raise InputError("empirical_loss needs at least one point")
-    return float(np.mean((actuals - predictions) ** 2))
+        raise InputError(f"length mismatch: {len(predictions)} predictions, "
+                         f"{len(actuals)} actuals")
+    if predictions.shape[0] < min_n:
+        raise InputError(f"need at least {min_n} point(s), got {predictions.shape[0]}")
+    return (actuals - predictions).ravel()
+
+
+def empirical_loss(predictions: np.ndarray, actuals: np.ndarray) -> float:
+    """Mean squared error of finite predictions against finite actuals (see _residuals)."""
+    return float(np.mean(_residuals(predictions, actuals, 1) ** 2))
 
 
 def loss_se(predictions: np.ndarray, actuals: np.ndarray) -> float:
-    """Standard error of the loss estimate: sd of squared residuals over sqrt(n)."""
-    predictions = np.asarray(predictions, dtype=float).ravel()
-    actuals = np.asarray(actuals, dtype=float).ravel()
-    if predictions.shape != actuals.shape:
-        raise InputError("length mismatch between predictions and actuals")
-    n = predictions.size
-    if n < 2:
-        raise InputError("loss_se needs at least 2 points")
-    sq = (actuals - predictions) ** 2
-    return float(np.std(sq, ddof=1) / np.sqrt(n))
+    """Standard error of the loss estimate: sd of squared residuals over sqrt(n).
+
+    Inputs are checked as empirical_loss's are, with at least 2 points.
+    """
+    sq = _residuals(predictions, actuals, 2) ** 2
+    return float(np.std(sq, ddof=1) / np.sqrt(sq.size))
 
 
 def evaluate_on(predict_fn, data: Dataset) -> tuple[float, float]:
@@ -165,13 +171,28 @@ def evaluate_on(predict_fn, data: Dataset) -> tuple[float, float]:
     return empirical_loss(preds, data.responses), loss_se(preds, data.responses)
 
 
-def _is_smoother(a: KernelSpec, b: KernelSpec) -> bool:
-    # tie-break preference: gaussian over poly, then wider bandwidth / lower degree
-    if a.family != b.family:
-        return a.family == "gaussian"
-    if a.family == "gaussian":
-        return a.bandwidth > b.bandwidth
-    return a.degree < b.degree
+def _rank(key: tuple[str, float, int], loss: float) -> tuple:
+    """The sort key of a loss-surface entry: tuning picks the entry it ranks first.
+
+    This is the one tie rule, read by both tuners and by FitReport. The lower
+    loss wins. At equal loss the smaller J wins, then a Gaussian kernel over a
+    polynomial one, then the smoother kernel: the wider bandwidth or the lower
+    degree. Baseline entries (J = -1) at equal loss go to the larger
+    parameter, the smoother model: the wider bandwidth, the more neighbours
+    or the larger penalty.
+    """
+    family, param, J = key
+    poly = family == "poly"
+    return loss, J, poly, param if poly else -param
+
+
+def _checked_splits(train: Dataset, val: Dataset) -> None:
+    """Refuse, with InputError, a missing split, a split without responses, or
+    a validation split of another width than the training split."""
+    if any(s is None or s.responses is None for s in (train, val)):
+        raise InputError("tuning needs responses on both the train and validation splits")
+    if train.d != val.d:
+        raise InputError(f"train has d={train.d} but validation has d={val.d}")
 
 
 @contextmanager
@@ -211,14 +232,12 @@ def tune_series(
     Polynomial candidates run in Uniform mode (their Gram entries may be
     negative, which the degree-weighted modes cannot accept). Unlabeled rows,
     when given, enter every candidate basis; coefficients use training rows
-    only. Ties prefer smaller J, then the smoother kernel. train and val are
-    Datasets, checked when they were made, and unlabeled rows are checked as
-    queries are (README, "Input contract"), so the sweep scans no input again.
+    only. Ties go as _rank orders them. train and val are Datasets, checked
+    when they were made (a missing split raises InputError), and unlabeled
+    rows are checked as queries are (README, "Input contract"), so the sweep
+    scans no input again.
     """
-    if train.responses is None or val.responses is None:
-        raise InputError("tuning needs responses on both the train and validation splits")
-    if train.d != val.d:
-        raise InputError(f"train has d={train.d} but validation has d={val.d}")
+    _checked_splits(train, val)
     pooled = pool_unlabeled(train.features, unlabeled)
     labeled = np.arange(train.n) if pooled.shape[0] > train.n else None
 
@@ -226,7 +245,7 @@ def tune_series(
         raise InputError(f"got {pooled.shape[0]} training points; need at least 2")
     j_cap = min(grid.j_max, pooled.shape[0] - 1)
     surface: dict[tuple[str, float, int], float] = {}
-    best = None  # (loss, J, spec, basis, coef)
+    best = None  # (key, loss, basis, coef)
 
     timings = dict.fromkeys(("kernel_build", "eigendecomposition", "coefficient",
                              "validation"), 0.0)
@@ -267,31 +286,22 @@ def tune_series(
                     losses[:usable] = np.mean(err * err, axis=0)
         except NumericalError as exc:
             logger.warning("candidate %s failed: %s", spec.label(), exc)
+        losses[np.isnan(losses)] = np.inf
         for J in range(grid.j_max + 1):
             surface[(spec.family, param, J)] = float(losses[J])
 
         # a failed candidate, or one with no usable pair, has no finite loss
-        finite = np.isfinite(losses)
-        if not finite.any():
-            continue
-        cand_loss = float(losses[finite].min())
-        cand_J = int(np.nonzero(losses == cand_loss)[0][0])  # smallest J at the min
-        if (
-            best is None
-            or cand_loss < best[0]
-            or (cand_loss == best[0]
-                and (cand_J < best[1]
-                     or (cand_J == best[1] and _is_smoother(spec, best[2]))))
-        ):
-            best = (cand_loss, cand_J, spec, basis, coef)
+        J = int(np.argmin(losses))  # the smallest J at the minimum
+        key, loss = (spec.family, param, J), float(losses[J])
+        if np.isfinite(loss) and (best is None or _rank(key, loss) < _rank(*best[:2])):
+            best = (key, loss, basis, coef)
 
     if best is None:
         raise NumericalError("no kernel candidate produced a usable fit")
 
-    loss, J, spec, basis, coef = best
-    param = spec.bandwidth if spec.family == "gaussian" else float(spec.degree)
-    model = SeriesModel(basis, coef, J, ssl=labeled is not None)
-    report = FitReport(surface, (spec.family, param, J), loss, timings=timings)
+    key, loss, basis, coef = best
+    model = SeriesModel(basis, coef, key[2], ssl=labeled is not None)
+    report = FitReport(surface, key, loss, timings=timings)
     return model, report
 
 
@@ -308,14 +318,12 @@ def tune_baseline(
     "krr" (penalties; needs the kernel, whose Gram and validation cross Gram
     are built once for all penalties, and whose Gram is reduced to
     tridiagonal form once, so that each penalty costs O(n^2) more; see
-    krr_fit). Exact ties go to the larger parameter, i.e. the smoother model.
-    Candidates are checked as the predictors check them, all before the
-    first is scored and before any kernel is built.
+    krr_fit). Ties go as _rank orders them: to the larger parameter.
+    A missing split raises InputError. Candidates are checked as the
+    predictors check them, all before the first is scored and before any
+    kernel is built.
     """
-    if train.responses is None or val.responses is None:
-        raise InputError("tuning needs responses on both the train and validation splits")
-    if train.d != val.d:
-        raise InputError(f"train has d={train.d} but validation has d={val.d}")
+    _checked_splits(train, val)
     checked = {"nw": lambda bw: _checked_positive(bw, "bandwidth"),
                "knn": lambda k: _checked_int(k, "k", 1, train.n),
                "krr": lambda penalty: _checked_positive(penalty, "penalty")}
@@ -337,8 +345,9 @@ def tune_baseline(
             solve = _ridge_solver(K, train.responses, row_bound)
         with _timed(timings, "validation"):
             Kv = gram_matrix(kernel, val.features, train.features)
-    best = None  # (loss, param, model)
+    best = None  # (key, loss, model)
     for param in candidates:
+        key = (kind, float(param), -1)
         try:
             with _timed(timings, "fit"):
                 if kind == "nw":
@@ -350,18 +359,18 @@ def tune_baseline(
                     model = KRRModel(kernel, train.features, alpha, param)
         except NumericalError as exc:
             logger.warning("%s candidate %s failed: %s", kind, param, exc)
-            surface[(kind, float(param), -1)] = float("inf")
+            surface[key] = float("inf")
             continue
         with _timed(timings, "validation"):
             preds = (matmul(Kv, alpha) if kind == "krr"
                      else score(train.features, train.responses, param, val.features))
             loss = empirical_loss(preds, val.responses)
-        surface[(kind, float(param), -1)] = loss
-        if best is None or loss <= best[0]:
-            best = (loss, float(param), model)
+        surface[key] = loss
+        if best is None or _rank(key, loss) < _rank(*best[:2]):
+            best = (key, loss, model)
 
     if best is None:
         raise NumericalError(f"every {kind} candidate failed to fit")
-    loss, param, model = best
-    report = FitReport(surface, (kind, param, -1), loss, timings=timings)
+    key, loss, model = best
+    report = FitReport(surface, key, loss, timings=timings)
     return model, report

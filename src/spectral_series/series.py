@@ -65,6 +65,30 @@ class SeriesModel:
         return nystrom._operands(self.basis, self.J, self.coefficients[: self.J + 1])
 
 
+def _labeled_rows(labeled, n: int) -> np.ndarray:
+    """labeled as a 1-D int array of distinct row indices in 0..n-1, else InputError.
+
+    An integral float such as 2.0 counts as that integer; 0.5, NaN, a bool
+    or a string does not. The weights and the rows are read with this one
+    array.
+    """
+    rows = np.asarray(labeled)
+    if rows.ndim != 1 or rows.dtype.kind not in "iuf":
+        raise InputError(f"labeled indices must be a 1-D array of integers, got dtype "
+                         f"{rows.dtype} and shape {rows.shape}")
+    if rows.size == 0:
+        raise InputError("labeled set is empty")
+    integral = rows == np.trunc(rows)
+    if not integral.all():
+        raise InputError(f"labeled indices must be integers, got {rows[~integral][0]}")
+    if rows.min() < 0 or rows.max() >= n:
+        raise InputError(f"labeled indices out of range 0..{n - 1}")
+    rows = rows.astype(int, copy=False)
+    if np.unique(rows).size != rows.size:
+        raise InputError("labeled indices contain duplicates")
+    return rows
+
+
 def _coefficient_weights(basis: EigenBasis, labeled: np.ndarray | None) -> np.ndarray:
     """Per-row projection weights c so that beta_j = sum_i c_i y_i psi_j(X_i).
 
@@ -77,13 +101,6 @@ def _coefficient_weights(basis: EigenBasis, labeled: np.ndarray | None) -> np.nd
     n = basis.n
     if labeled is None:
         return basis.ortho_weights
-    labeled = np.asarray(labeled, dtype=int)
-    if labeled.size == 0:
-        raise InputError("labeled set is empty")
-    if labeled.min() < 0 or labeled.max() >= n:
-        raise InputError(f"labeled indices out of range 0..{n - 1}")
-    if np.unique(labeled).size != labeled.size:
-        raise InputError("labeled indices contain duplicates")
     if basis.mode in (Mode.STOCHASTIC, Mode.BIAS_CORRECTED):
         s_lab = basis.stationary[labeled]
         return s_lab / (n * s_lab.sum())
@@ -97,7 +114,8 @@ def estimate_coefficients(
 
     y is aligned with the labeled rows (all training rows when labeled is
     None). Returns the full coefficient vector beta_0..beta_Jmax. y of
-    another length, or holding NaN or Inf, raises InputError.
+    another length, or holding NaN or Inf, raises InputError, and so do
+    labeled indices that are not distinct integers in range (_labeled_rows).
     """
     _, y = _checked_training(None, y)
     return _coefficients(basis, y, labeled)
@@ -105,6 +123,7 @@ def estimate_coefficients(
 
 def _coefficients(basis: EigenBasis, y: np.ndarray, labeled: np.ndarray | None) -> np.ndarray:
     """estimate_coefficients for 1-D finite responses y, which are not scanned again."""
+    labeled = None if labeled is None else _labeled_rows(labeled, basis.n)
     c = _coefficient_weights(basis, labeled)
     if y.shape[0] != c.shape[0]:
         raise InputError(f"got {y.shape[0]} responses for {c.shape[0]} labeled rows")

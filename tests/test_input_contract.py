@@ -3,6 +3,7 @@ queries the same way, raises InputError on a fault, and hands valid inputs to
 its arithmetic unchanged."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -12,11 +13,14 @@ from spectral_series import (
     InputError,
     KernelSpec,
     Mode,
+    NumericalError,
     SeriesModel,
     SplitSpec,
+    Standardizer,
     TuneGrid,
     bandwidth_grid,
     eigenmap,
+    empirical_loss,
     estimate_coefficients,
     evaluate_on,
     extend,
@@ -26,11 +30,13 @@ from spectral_series import (
     gen_circle,
     gen_spiral,
     gen_uniform_interval,
+    gram_matrix,
     kernel_value,
     knn_predict,
     krr_fit,
     krr_penalty_grid,
     krr_predict,
+    loss_se,
     nw_predict,
     predict,
     split,
@@ -189,6 +195,18 @@ ARGUMENT_FAULTS = {
     "kernel_value-nan-coordinate": lambda X, y, Q: kernel_value(SPEC, [np.nan, 0.0], Q[0]),
     # AttributeError from the missing split's responses
     "evaluate_on-no-split": lambda X, y, Q: evaluate_on(lambda A: np.zeros(len(A)), None),
+    "tune_series-no-split": lambda X, y, Q: tune_series(
+        Dataset(X, y), None, TuneGrid((1.0,), j_max=4)),
+    "tune_baseline-no-split": lambda X, y, Q: tune_baseline(Dataset(X, y), None, [1.0], "nw"),
+    # NaN came back as the loss, the second with numpy's RuntimeWarning
+    "empirical_loss-nan-prediction": lambda X, y, Q: empirical_loss([np.nan], [1.0]),
+    "loss_se-inf-prediction": lambda X, y, Q: loss_se([np.inf, 1.0], [1.0, 2.0]),
+    # accepted; the zero sd gave Inf from transform, with a divide warning
+    "Standardizer-nan-mean": lambda X, y, Q: Standardizer([np.nan, 0.0], [1.0, 1.0]),
+    "Standardizer-zero-sd": lambda X, y, Q: Standardizer([0.0, 0.0], [0.0, 1.0]),
+    # the weights read row 0 and the rows numpy's IndexError
+    "estimate_coefficients-labeled-0.5": lambda X, y, Q: estimate_coefficients(
+        _MODEL.basis, y[:1], labeled=[0.5]),
 }
 
 
@@ -196,6 +214,34 @@ ARGUMENT_FAULTS = {
 def test_bad_argument_raises_input_error(fault):
     with pytest.raises(InputError):
         ARGUMENT_FAULTS[fault](*_valid())
+
+
+_POLY_KRR = krr_fit(_X, _Y, KernelSpec.polynomial(3), 1e-2)
+
+# call -> (the exception it raises, or None when it returns, and call(X, y, Q)).
+# A polynomial Gram holding Inf came back with numpy's overflow warning, and
+# krr_predict's NaN answers with it; a subnormal bandwidth gave the right
+# Gram, the identity, but leaked numpy's overflow warning.
+NUMERIC_EDGES = {
+    "gram_matrix-poly-overflow": (NumericalError, lambda X, y, Q: gram_matrix(
+        KernelSpec.polynomial(3), X * 1e110)),
+    "krr_predict-poly-overflow": (NumericalError, lambda X, y, Q: krr_predict(
+        _POLY_KRR, Q * 1e110)),
+    "gram_matrix-bandwidth-1e-310": (None, lambda X, y, Q: np.testing.assert_array_equal(
+        gram_matrix(KernelSpec.gaussian(1e-310), X), np.eye(len(X)))),
+}
+
+
+@pytest.mark.parametrize("case", list(NUMERIC_EDGES))
+def test_numeric_edge_leaks_no_warning(case):
+    error, call = NUMERIC_EDGES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if error is None:
+            call(*_valid())
+        else:
+            with pytest.raises(error):
+                call(*_valid())
 
 
 # A bool is an int to Python, so each of these calls returned a result for
@@ -272,6 +318,8 @@ def test_integral_arguments_accepted():
                           split(data, SplitSpec(seed=2))[0].features)
     assert KernelSpec.polynomial(3.0).degree == 3
     assert diffusion.eigendecompose(np.diag([3.0, 2.0, 1.0]), 1.0)[0].shape == (2,)
+    assert np.array_equal(estimate_coefficients(_MODEL.basis, y[:2], labeled=[2.0, 5.0]),
+                          estimate_coefficients(_MODEL.basis, y[:2], labeled=[2, 5]))
 
 
 @pytest.mark.parametrize("k", [2.5, 0.5, np.nan])

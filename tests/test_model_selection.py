@@ -37,7 +37,7 @@ from spectral_series import (
     tune_series,
 )
 from spectral_series import baselines, kernels, model_selection
-from spectral_series.model_selection import _is_smoother
+from spectral_series.model_selection import _rank
 from spectral_series.nystrom import EIGENVALUE_FLOOR_REL
 from spectral_series.series import SeriesModel
 
@@ -139,6 +139,19 @@ class TestFitReport:
         report = FitReport(surface, ("gaussian", 1.0, 1), 0.5)
         rows = report.surface_rows()
         assert rows[0] == ("gaussian", 1.0, 0, 1.0)
+
+    @pytest.mark.parametrize("surface, tied, pick", [
+        ({("gaussian", 1.0, 2): 0.5, ("gaussian", 2.0, 2): 0.5},
+         ("gaussian", 1.0, 2), ("gaussian", 2.0, 2)),
+        ({("gaussian", 1.0, 1): 0.5, ("gaussian", 2.0, 2): 0.5},
+         ("gaussian", 2.0, 2), ("gaussian", 1.0, 1)),
+        ({("knn", 1.0, -1): 1.0, ("knn", 5.0, -1): 1.0}, ("knn", 1.0, -1), ("knn", 5.0, -1)),
+    ])
+    def test_chosen_must_be_the_tie_rules_pick(self, surface, tied, pick):
+        # a minimal loss alone used to pass; the tie rule (_rank) must pick it too
+        with pytest.raises(InputError, match="tie rule"):
+            FitReport(surface, tied, 0.5)
+        assert FitReport(surface, pick, 0.5).chosen == pick
 
 
 class TestTuneSeries:
@@ -261,10 +274,21 @@ class TestTuneSeries:
             tune_series(bare, val, TuneGrid(bandwidths=(1.0,)))
 
     def test_tie_breaks_prefer_smaller_j_then_smoother_kernel(self):
-        assert _is_smoother(KernelSpec.gaussian(2.0), KernelSpec.gaussian(1.0))
-        assert not _is_smoother(KernelSpec.gaussian(1.0), KernelSpec.gaussian(2.0))
-        assert _is_smoother(KernelSpec.gaussian(1.0), KernelSpec.polynomial(1))
-        assert _is_smoother(KernelSpec.polynomial(1), KernelSpec.polynomial(2))
+        def first(a, b, loss_a=1.0, loss_b=1.0):
+            return _rank(a, loss_a) < _rank(b, loss_b)
+
+        # at equal loss and J: the wider bandwidth, Gaussian over polynomial,
+        # the lower degree
+        assert first(("gaussian", 2.0, 3), ("gaussian", 1.0, 3))
+        assert not first(("gaussian", 1.0, 3), ("gaussian", 2.0, 3))
+        assert first(("gaussian", 1.0, 3), ("poly", 1.0, 3))
+        assert first(("poly", 1.0, 3), ("poly", 2.0, 3))
+        # the smaller J before any kernel preference, the lower loss before J
+        assert first(("poly", 3.0, 2), ("gaussian", 9.0, 3))
+        assert first(("poly", 3.0, 9), ("gaussian", 9.0, 0), loss_a=0.5)
+        # a baseline tie goes to the larger parameter, the smoother model
+        for kind in ("nw", "knn", "krr"):
+            assert first((kind, 5.0, -1), (kind, 1.0, -1))
 
     def test_exact_ties_break_to_small_j_and_smooth_kernel(self):
         # zero training responses give exactly-zero coefficients for every

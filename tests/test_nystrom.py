@@ -322,14 +322,18 @@ class TestBlockedReadPath:
         Q, far = self.queries(basis.n)
         Q[far[0]] = [1e6, 1e6]
         Q[far[1]] = data.features[0] * 1e120
+        live = np.setdiff1d(np.arange(Q.shape[0]), far[1])
         with np.errstate(over="ignore", invalid="ignore"):
             ext = extend(basis, Q, J)
             pred = predict(model, Q)
-            ref = entrywise_reference(basis, Q, J)
-        live = np.setdiff1d(np.arange(Q.shape[0]), far[1])
-        scale = np.abs(ref[live]).max(axis=0)
-        assert np.all(np.abs(ext[live] - ref[live]) <= 1e-11 * scale)
-        ref_pred = ref[live] @ model.coefficients[: J + 1]
+            # the public Gram refuses the overflowing row, so the reference
+            # takes the live rows alone
+            ref = entrywise_reference(basis, Q[live], J)
+        with pytest.raises(NumericalError, match="overflowed"):
+            gram_matrix(basis.kernel, Q, basis.training_points)
+        scale = np.abs(ref).max(axis=0)
+        assert np.all(np.abs(ext[live] - ref) <= 1e-11 * scale)
+        ref_pred = ref @ model.coefficients[: J + 1]
         assert np.all(np.abs(pred[live] - ref_pred) <= 1e-11 * np.abs(ref_pred).max())
         nearest = nearest_rows(data.features, Q[far[1:2]])
         Psi = basis.eigenvectors[:, : J + 1]
