@@ -5,7 +5,13 @@ version, kernel, mode, truncation, preprocessing record, block list,
 checksum), then one length-prefixed block per array: two uint64 for
 (rows, cols) followed by row-major float64 little-endian payload. Raw float64
 bytes round-trip without any decimal conversion, which is what makes
-reloaded predictions bit-identical.
+reloaded predictions bit-identical. The basis blocks, their order and the
+header fields each one's shape must equal are declared once, in
+``_BASIS_BLOCKS``, which the writer, the reader's shape check and the
+basis rebuild all read; the standardizer's three blocks follow them. The
+kernel and eigensolver headers are their dataclasses' fields, and the header
+is written with sorted keys, so one model and preprocessing give one file,
+byte for byte.
 
 The checksum is the SHA-256 of the header's other fields (as canonical JSON)
 followed by every byte after the header, so an edit anywhere in the file is
@@ -17,11 +23,10 @@ other, so reading them would let any edit through.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -36,6 +41,17 @@ __all__ = ["FORMAT_VERSION", "Preprocessing", "save_model", "load_model"]
 FORMAT_VERSION = 2
 _LEN = struct.Struct("<Q")
 _SHAPE = struct.Struct("<QQ")
+# The basis blocks in file order, each with the header fields its shape must
+# equal; a block of one field is written as one row and read back raveled.
+# The standardizer's blocks, if any, follow them.
+_BASIS_BLOCKS = {
+    "training_points": ("n", "d"),
+    "eigenvalues": ("n_components",),
+    "eigenvectors": ("n", "n_components"),
+    "stationary": ("n",),
+    "degrees": ("n",),
+    "coefficients": ("n_components",),
+}
 
 
 @dataclass(frozen=True)
@@ -54,11 +70,20 @@ class Preprocessing:
         return X
 
 
-def _write_block(fh, name: str, arr: np.ndarray, blocks: list) -> None:
-    arr = np.ascontiguousarray(np.atleast_2d(np.asarray(arr, dtype="<f8")))
-    blocks.append(name)
-    fh.write(_SHAPE.pack(arr.shape[0], arr.shape[1]))
-    fh.write(arr.tobytes(order="C"))
+def write_atomic(path, data: bytes) -> None:
+    """Write data to path atomically: a temp file, then os.replace.
+
+    A reader sees the old file or the whole new one, and the temp file never
+    outlives the call.
+    """
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def _read_exact(fh, size: int) -> bytes:
@@ -91,25 +116,21 @@ def _header_digest(header: dict):
 
 
 def save_model(path, model: SeriesModel, preprocessing: Preprocessing | None = None) -> None:
-    """Write the fitted model atomically (temp file, then rename)."""
+    """Write the fitted model atomically (write_atomic)."""
     if preprocessing is None:
         preprocessing = Preprocessing()
     basis = model.basis
-    kernel = basis.kernel
+    arrays = {name: getattr(model if name == "coefficients" else basis, name)
+              for name in _BASIS_BLOCKS}
+    std = preprocessing.standardizer
+    if std is not None:
+        arrays.update(std_means=std.means, std_sds=std.sds,
+                      std_constant=std.constant.astype(float))
     header = {
         "format_version": FORMAT_VERSION,
-        "kernel": {
-            "family": kernel.family,
-            "bandwidth": kernel.bandwidth,
-            "degree": kernel.degree,
-        },
+        "kernel": asdict(basis.kernel),
         "mode": basis.mode.value,
-        "method": {
-            "name": basis.method.name,
-            "oversample": basis.method.oversample,
-            "power_iters": basis.method.power_iters,
-            "seed": basis.method.seed,
-        },
+        "method": asdict(basis.method),
         "J": int(model.J),
         "ssl": bool(model.ssl),
         "n": int(basis.n),
@@ -117,61 +138,23 @@ def save_model(path, model: SeriesModel, preprocessing: Preprocessing | None = N
         "n_components": int(basis.n_components),
         "preprocessing": {
             "unit_norm": bool(preprocessing.unit_norm),
-            "standardize": preprocessing.standardizer is not None,
+            "standardize": std is not None,
         },
-        "blocks": [],
+        "blocks": list(arrays),
     }
-
-    body = io.BytesIO()
-    blocks = header["blocks"]
-    _write_block(body, "training_points", basis.training_points, blocks)
-    _write_block(body, "eigenvalues", basis.eigenvalues, blocks)
-    _write_block(body, "eigenvectors", basis.eigenvectors, blocks)
-    _write_block(body, "stationary", basis.stationary, blocks)
-    _write_block(body, "degrees", basis.degrees, blocks)
-    _write_block(body, "coefficients", model.coefficients, blocks)
-    std = preprocessing.standardizer
-    if std is not None:
-        _write_block(body, "std_means", std.means, blocks)
-        _write_block(body, "std_sds", std.sds, blocks)
-        _write_block(body, "std_constant", std.constant.astype(float), blocks)
-
-    body = body.getvalue()
+    chunks = []
+    for arr in arrays.values():
+        arr = np.atleast_2d(np.asarray(arr, dtype="<f8"))
+        chunks += [_SHAPE.pack(*arr.shape), arr.tobytes()]
+    body = b"".join(chunks)
     digest = _header_digest(header)
     digest.update(body)
     header["checksum"] = digest.hexdigest()
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    tmp = f"{path}.tmp.{os.getpid()}"
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(_LEN.pack(len(header_bytes)))
-            fh.write(header_bytes)
-            fh.write(body)
-        os.replace(tmp, path)
+        write_atomic(path, _LEN.pack(len(header_bytes)) + header_bytes + body)
     except OSError as exc:
         raise ArchiveError(f"cannot write model archive {path}: {exc}") from exc
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
-def _check_shapes(arrays: dict, n: int, d: int, k: int) -> None:
-    """Blocks must agree with each other and with the header's n, d, k."""
-    expected = {
-        "training_points": (n, d),
-        "eigenvectors": (n, k),
-        "eigenvalues": (k,),
-        "stationary": (n,),
-        "degrees": (n,),
-        "coefficients": (k,),
-    }
-    for name, want in expected.items():
-        got = arrays[name].shape if len(want) == 2 else (arrays[name].size,)
-        if got != want:
-            raise ArchiveError(
-                f"inconsistent archive: block {name} has shape {got}, expected "
-                f"{want} from header n={n}, d={d}, n_components={k}"
-            )
 
 
 def load_model(path) -> tuple[SeriesModel, Preprocessing]:
@@ -206,26 +189,23 @@ def load_model(path) -> tuple[SeriesModel, Preprocessing]:
             arrays = {name: _read_block(fh, digest) for name in header["blocks"]}
             digest.update(fh.read())  # trailing bytes count too
 
-        _check_shapes(arrays, header["n"], header["d"], header["n_components"])
+        # each basis block against its header fields, a one-field block by its size
+        fields = {}
+        for name, dims in _BASIS_BLOCKS.items():
+            want = tuple(header[dim] for dim in dims)
+            got = arrays[name].shape if len(dims) == 2 else (arrays[name].size,)
+            if got != want:
+                fields_shown = ", ".join(f"{dim}={header[dim]}" for dim in dims)
+                raise ArchiveError(f"inconsistent archive: block {name} has shape {got}, "
+                                   f"expected {want} from header {fields_shown}")
+            fields[name] = arrays[name] if len(dims) == 2 else arrays[name].ravel()
         if header["checksum"] != digest.hexdigest():
             raise ArchiveError(f"archive {path} fails its checksum; the file is corrupt")
-        kern = header["kernel"]
-        spec = KernelSpec(kern["family"], kern.get("bandwidth"), kern.get("degree"))
-        meth = header["method"]
-        method = EigenMethod(meth["name"], meth["oversample"],
-                             meth["power_iters"], meth["seed"])
-        basis = EigenBasis(
-            kernel=spec,
-            training_points=arrays["training_points"],
-            eigenvalues=arrays["eigenvalues"].ravel(),
-            eigenvectors=arrays["eigenvectors"],
-            stationary=arrays["stationary"].ravel(),
-            degrees=arrays["degrees"].ravel(),
-            mode=Mode.parse(header["mode"]),
-            method=method,
-        )
-        model = SeriesModel(basis, arrays["coefficients"].ravel(),
-                            int(header["J"]), ssl=bool(header.get("ssl", False)))
+        coefficients = fields.pop("coefficients")
+        basis = EigenBasis(kernel=KernelSpec(**header["kernel"]), mode=Mode.parse(header["mode"]),
+                           method=EigenMethod(**header["method"]), **fields)
+        model = SeriesModel(basis, coefficients, int(header["J"]),
+                            ssl=bool(header.get("ssl", False)))
         std = None
         if header["preprocessing"]["standardize"]:
             std = Standardizer(

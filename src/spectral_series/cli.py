@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import os
 import sys
 
 import numpy as np
 
+from . import archive
 from .archive import Preprocessing, load_model, save_model
 from .benchmarks import LOSS_FIELDS, SUITES, TIME_FIELDS
 from .dataset import (
@@ -50,17 +50,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _atomic_write_text(path: str, text: str) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
 def _write_csv(path: str, header: list[str], rows, comment: str | None = None) -> None:
     lines = []
     if comment:
@@ -68,7 +57,7 @@ def _write_csv(path: str, header: list[str], rows, comment: str | None = None) -
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    archive.write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _resolve_seed(args) -> int:
@@ -298,7 +287,7 @@ def cmd_tune(args) -> int:
         "stage seconds: " + ", ".join(
             f"{k}={v:.4f}" for k, v in report.timings.items()),
     ]
-    _atomic_write_text(f"{args.out}_summary.txt", "\n".join(lines) + "\n")
+    archive.write_atomic(f"{args.out}_summary.txt", ("\n".join(lines) + "\n").encode("utf-8"))
     print("\n".join(lines))
     print(f"artifacts: {args.out}.model {args.out}_loss_surface.csv "
           f"{args.out}_summary.txt")

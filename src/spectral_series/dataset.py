@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .kernels import _checked_int, _checked_positive, _checked_real, _checked_training
 
 __all__ = [
@@ -208,11 +208,19 @@ def load_csv(path, has_header: bool = True, response_column=None) -> Dataset:
 
 
 def standardize(data: Dataset) -> tuple[Dataset, Standardizer]:
-    """Center each column to mean 0 and scale to sample sd 1 (n-1 convention)."""
+    """Center each column to mean 0 and scale to sample sd 1 (n-1 convention).
+
+    A column whose mean or sd overflows raises NumericalError.
+    """
     if data.n < 2:
         raise InputError("standardize needs at least 2 rows")
-    means = data.features.mean(axis=0)
-    sds = data.features.std(axis=0, ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = data.features.mean(axis=0)
+        sds = data.features.std(axis=0, ddof=1)
+    finite = np.isfinite(means) & np.isfinite(sds)
+    if not finite.all():
+        raise NumericalError(f"column {int(np.argmin(finite))}'s mean or sd overflows; "
+                             f"cannot standardize")
     constant = sds <= 1e-12 * np.maximum(1.0, np.abs(means))
     std = Standardizer(means, sds, constant)
     return Dataset(std.transform(data.features), data.responses, data.column_names), std

@@ -81,7 +81,9 @@ A multiply costs less than a divide: over one 1 MiB block of 64 queries by
 50-53 us against 88-97 us, where ``cdist`` took about 145 us and
 ``np.exp`` about 105 us. The scale and then each product are rounded, so
 an argument may sit about one ulp from -sq / (4 bandwidth), and an entry
-within about |arg| * 2^-52 relative of that formula's value.
+within about |arg| * 2^-52 relative of that formula's value. The product
+is formed under ``np.errstate(over="ignore")`` on every call, as a product
+that overflows to -inf gives the intended 0; that costs about 1 us a call.
 
 Gaussian entries have one floor, self and cross Grams alike: an argument
 below ``EXP_SLOW_BELOW`` = -707.7 gives exactly 0, and every other entry
@@ -650,16 +652,13 @@ def gaussian_from_sqdist(
     Written into ``out``, which defaults to ``sq`` itself, so no temporary of
     the input's size is made. The scale is clamped at the most negative
     finite float: below a bandwidth of about 1.4e-309 it would be -inf, and
-    a zero distance times -inf is NaN, not the 0 exponent of exp(0) = 1.
-    Only on that clamped scale is the product's overflow to -inf (exp gives
-    the intended 0) silenced, so the ordinary path sets no error state.
+    a zero distance times -inf is NaN, not the 0 exponent of exp(0) = 1. A
+    product that overflows to -inf, at a tiny bandwidth or a huge distance,
+    gives exp's intended 0, so that overflow is not reported.
     """
     out = sq if out is None else out
-    scale = -0.25 / bandwidth
-    if scale >= -_FLOAT_MAX:
-        return _exp(np.multiply(sq, scale, out=out))
     with np.errstate(over="ignore"):
-        return _exp(np.multiply(sq, -_FLOAT_MAX, out=out))
+        return _exp(np.multiply(sq, max(-0.25 / bandwidth, -_FLOAT_MAX), out=out))
 
 
 def _gaussian_upper(condensed: np.ndarray, bandwidth: float, K: np.ndarray) -> None:

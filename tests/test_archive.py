@@ -1,5 +1,6 @@
 """Model persistence: bit-exact round-trips and corruption rejection."""
 
+import hashlib
 import json
 import struct
 
@@ -11,11 +12,14 @@ from hypothesis import strategies as st
 from spectral_series import (
     ArchiveError,
     Dataset,
+    EigenBasis,
     EigenMethod,
     InputError,
     KernelSpec,
     Mode,
     Preprocessing,
+    SeriesModel,
+    Standardizer,
     fit,
     gen_spiral,
     load_model,
@@ -151,6 +155,14 @@ def test_garbage_header_rejected(tmp_path):
 def test_unwritable_destination(fitted, tmp_path):
     with pytest.raises(ArchiveError, match="cannot write"):
         save_model(tmp_path / "no" / "such" / "dir" / "m.ssm", fitted)
+
+
+def test_failed_write_leaves_no_temp_file(fitted, tmp_path):
+    path = tmp_path / "taken"
+    path.mkdir()  # the rename onto a directory fails
+    with pytest.raises(ArchiveError, match="cannot write"):
+        save_model(path, fitted)
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 
 def test_missing_file(tmp_path):
@@ -328,3 +340,42 @@ def test_corrupted_archive_is_rejected_or_bit_exact(archived, corrupt, data):
     assert np.array_equal(prep.standardizer.means, std.means)
     assert np.array_equal(prep.standardizer.sds, std.sds)
     assert np.array_equal(prep.standardizer.constant, std.constant)
+
+
+def _fixed_model(kernel, mode):
+    """A SeriesModel from fixed arrays, with no fit, so no BLAS thread count enters."""
+    n, d, k = 5, 3, 4
+    basis = EigenBasis(
+        kernel=kernel,
+        training_points=np.arange(n * d, dtype=float).reshape(n, d) / 7.0 - 1.0,
+        eigenvalues=1.0 / np.arange(1.0, k + 1.0),
+        eigenvectors=np.arange(n * k, dtype=float).reshape(n, k) / 3.0 - 2.5,
+        stationary=np.arange(1.0, n + 1.0) / 3.0,
+        degrees=np.arange(2.0, n + 2.0) / 11.0,
+        mode=mode,
+        method=EigenMethod("randomized", oversample=7, power_iters=3, seed=11),
+    )
+    return SeriesModel(basis, np.array([0.75, -1.0 / 3.0, 1e-300, 2.5e10]), 2, ssl=True)
+
+
+# SHA-256 of the archive file; a layout change, a reordered header key or a
+# new field moves them
+PINNED_ARCHIVES = {
+    "plain": (lambda: _fixed_model(KernelSpec.gaussian(0.37), Mode.BIAS_CORRECTED), None,
+              "8a264606bdf39b2c8e9aadd1bc0a8721349eccdcadc2090dd281b241211f5ee5"),
+    "standardized-unit-norm": (
+        lambda: _fixed_model(KernelSpec.polynomial(3), Mode.SYMMETRIC),
+        Preprocessing(Standardizer(np.array([0.5, -1.25, 2.0]), np.array([1.5, 0.0, 0.25]),
+                                   np.array([False, True, False])), unit_norm=True),
+        "68823d955d6a22da2aca6c8e5a0e9b56ac87d621c72dfd0aefcd772bca4d30be"),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_ARCHIVES))
+def test_archive_bytes_are_pinned(case, tmp_path):
+    build, prep, digest = PINNED_ARCHIVES[case]
+    model, path = build(), tmp_path / "model.ssm"
+    save_model(path, model, prep)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    loaded, _ = load_model(path)
+    assert _same_model(loaded, model)

@@ -72,6 +72,14 @@ class TestGen:
         assert np.array_equal(reloaded.features, direct.features)
         assert np.array_equal(reloaded.responses, direct.responses)
 
+    def test_unwritable_output_exits_4_and_leaves_no_temp_file(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.mkdir()  # the rename onto a directory fails
+        code, _, err = run(capsys, "gen", "spiral", "--n", 10, "--seed", 1, "--out", out)
+        assert code == 4
+        assert "taken" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
 
 class TestTune:
     def test_writes_three_artifacts(self, tmp_path, spiral_csv, capsys):

@@ -40,6 +40,7 @@ from spectral_series import (
     nw_predict,
     predict,
     split,
+    standardize,
     tune_baseline,
     tune_series,
     wls_coefficients,
@@ -220,8 +221,10 @@ _POLY_KRR = krr_fit(_X, _Y, KernelSpec.polynomial(3), 1e-2)
 
 # call -> (the exception it raises, or None when it returns, and call(X, y, Q)).
 # A polynomial Gram holding Inf came back with numpy's overflow warning, and
-# krr_predict's NaN answers with it; a subnormal bandwidth gave the right
-# Gram, the identity, but leaked numpy's overflow warning.
+# krr_predict's NaN answers with it; a subnormal bandwidth, or a tiny one
+# over far-apart points, gave the right Gram, the identity, but leaked
+# numpy's overflow warning; standardize leaked np.std's overflow warning,
+# then refused its own sds as an input fault.
 NUMERIC_EDGES = {
     "gram_matrix-poly-overflow": (NumericalError, lambda X, y, Q: gram_matrix(
         KernelSpec.polynomial(3), X * 1e110)),
@@ -229,6 +232,11 @@ NUMERIC_EDGES = {
         _POLY_KRR, Q * 1e110)),
     "gram_matrix-bandwidth-1e-310": (None, lambda X, y, Q: np.testing.assert_array_equal(
         gram_matrix(KernelSpec.gaussian(1e-310), X), np.eye(len(X)))),
+    "gram_matrix-bandwidth-1e-300-far-points": (None, lambda X, y, Q: (
+        np.testing.assert_array_equal(gram_matrix(KernelSpec.gaussian(1e-300), X * 1e5),
+                                      np.eye(len(X))))),
+    "standardize-sd-overflow": (NumericalError, lambda X, y, Q: standardize(
+        Dataset([[1e200, 1.0], [-1e200, 2.0], [3e199, 0.5]], [1.0, 1.0, 1.0]))),
 }
 
 
