@@ -5,6 +5,8 @@ predict (archived model on query CSV), embed (eigenmap coordinates),
 benchmark (experiment suites), verify (generator and embedding self-checks).
 
 Exit codes: 0 success, 2 bad input, 3 numerical failure, 4 file/archive I/O.
+A flag that the chosen variant does not read, or a randomized-solver flag
+given with another --method, is reported before any file is read.
 All numeric CSV output uses 17-significant-digit decimals, which round-trip
 float64 exactly.
 """
@@ -41,8 +43,6 @@ __all__ = ["main"]
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
@@ -68,23 +68,18 @@ def _resolve_seed(args) -> int:
     return seed
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
+def _parse_list(text: str, kind=float) -> tuple:
+    """A comma list of kind (float or int) values."""
     try:
-        return tuple(float(t) for t in text.split(",") if t.strip())
+        return tuple(kind(t) for t in text.split(",") if t.strip())
     except ValueError:
-        raise InputError(f"cannot parse float list {text!r}") from None
+        name = "float" if kind is float else "integer"
+        raise InputError(f"cannot parse {name} list {text!r}") from None
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(t) for t in text.split(",") if t.strip())
-    except ValueError:
-        raise InputError(f"cannot parse integer list {text!r}") from None
-
-
-def _one_value(args, dest: str, parse):
+def _one_value(args, dest: str, kind):
     """The single value a flag takes where one kernel is fitted, not a grid."""
-    values = parse(getattr(args, dest))
+    values = _parse_list(getattr(args, dest), kind)
     if len(values) != 1:
         raise InputError(f"{_flag(dest)} takes one value here, got "
                          f"{getattr(args, dest)!r}")
@@ -102,20 +97,17 @@ def _load_table(path: str) -> Dataset:
     return Dataset(data.features[:, keep], data.features[:, j], [names[k] for k in keep])
 
 
-def _method_from_args(args, seed: int | None) -> EigenMethod:
-    """EigenMethod from the solver flags; a flag left out keeps its field default."""
+def _method_from_args(args, seed: int | None = None) -> EigenMethod:
+    """EigenMethod from the solver flags; a flag left out keeps its field default.
+
+    seed, if given, stands in for --seed (tune's resolved seed, or a fresh
+    fit's drawn one).
+    """
     fields = {"name": getattr(args, "method", None),
               "oversample": getattr(args, "oversample", None),
               "power_iters": getattr(args, "power_iters", None),
-              "seed": seed}
+              "seed": getattr(args, "seed", None) if seed is None else seed}
     return EigenMethod(**{k: v for k, v in fields.items() if v is not None})
-
-
-def _fit_method(args) -> EigenMethod:
-    """EigenMethod for one basis fit; only the randomized solver draws a seed."""
-    if getattr(args, "method", None) == "randomized":
-        return _method_from_args(args, _resolve_seed(args))
-    return _method_from_args(args, None)
 
 
 def _mode_kwargs(args) -> dict:
@@ -128,14 +120,15 @@ def _fresh_basis(args, X: np.ndarray, j_max: int):
 
     Without --bandwidth a Gaussian kernel takes _local_bandwidth(X); a
     polynomial one (--kernel poly, default degree 2) runs in uniform mode.
+    Only the randomized solver draws a seed.
     """
-    _check_solver_flags(args)
-    method = _fit_method(args)
+    randomized = getattr(args, "method", None) == "randomized"
+    method = _method_from_args(args, _resolve_seed(args) if randomized else None)
     if getattr(args, "kernel", None) == "poly":
-        degree = _one_value(args, "degree", _parse_ints) if "degree" in args else 2
+        degree = _one_value(args, "degree", int) if "degree" in args else 2
         spec, mode = KernelSpec.polynomial(degree), {"mode": Mode.UNIFORM}
     else:
-        bw = (_one_value(args, "bandwidth", _parse_floats) if "bandwidth" in args
+        bw = (_one_value(args, "bandwidth", float) if "bandwidth" in args
               else _local_bandwidth(X))
         spec, mode = KernelSpec.gaussian(bw), _mode_kwargs(args)
     return fit_basis(X, spec, j_max, method=method, **mode)
@@ -157,30 +150,24 @@ def _flag(dest: str) -> str:
     return _RENAMED_FLAGS.get(dest, "--" + dest.replace("_", "-"))
 
 
-def _check_flags(args, variant: str, reads) -> None:
-    """Raise InputError naming a flag given that the chosen variant does not read.
-
-    The parsers suppress the default of every flag whose use depends on the
-    variant, so args holds such a flag only when the user gave it.
-    """
-    for dest in vars(args):
-        if dest not in reads and dest not in ("command", "func"):
-            raise InputError(f"{_flag(dest)} is not read with {variant}")
-
-
 # the flags that only the randomized eigensolver reads
 _RANDOMIZED_FLAGS = ("oversample", "power_iters", "seed")
 
 
-def _check_solver_flags(args, seed_read: bool = False) -> None:
-    """Raise InputError naming a randomized-solver flag given with another method.
+def _check_flags(args, variant: str, reads, seed_read: bool = False) -> None:
+    """Raise InputError naming a flag given that the chosen variant does not read.
 
-    seed_read: --seed also seeds something besides the solver, so it stays.
+    The parsers suppress the default of every flag whose use depends on the
+    variant, so args holds such a flag only when the user gave it. Only
+    --method randomized reads _RANDOMIZED_FLAGS; with seed_read, --seed also
+    seeds something besides the solver, so it stays. Every command whose
+    flags depend on a variant calls this once, before it reads any file.
     """
+    for dest in vars(args):
+        if dest not in reads and dest not in ("command", "func"):
+            raise InputError(f"{_flag(dest)} is not read with {variant}")
     method = getattr(args, "method", EigenMethod().name)
-    if method == "randomized":
-        return
-    for dest in _RANDOMIZED_FLAGS:
+    for dest in () if method == "randomized" else _RANDOMIZED_FLAGS:
         if dest in args and not (seed_read and dest == "seed"):
             raise InputError(f"{_flag(dest)} is not read with --method {method}; "
                              "only --method randomized reads it")
@@ -239,11 +226,10 @@ _TUNE_READS = {"data", "response", "split", "jmax", "unlabeled", "standardize",
 
 def cmd_tune(args) -> int:
     variant, kernel_reads = _kernel_variant(args)
-    _check_flags(args, variant, _TUNE_READS | kernel_reads)
-    _check_solver_flags(args, seed_read=True)
+    _check_flags(args, variant, _TUNE_READS | kernel_reads, seed_read=True)
     seed = _resolve_seed(args)
     data = load_csv(args.data, response_column=args.response)
-    fracs = _parse_floats(args.split)
+    fracs = _parse_list(args.split)
     if len(fracs) != 3:
         raise InputError(f"--split needs three fractions, got {args.split!r}")
     train, val, test = split(data, SplitSpec(*fracs, seed=seed))
@@ -257,10 +243,10 @@ def cmd_tune(args) -> int:
     n_basis = train.n + (0 if unlabeled is None else unlabeled.shape[0])
     j_max = args.jmax if "jmax" in args else min(n_basis - 1, 60)
     if getattr(args, "kernel", None) == "poly":
-        degrees = _parse_ints(args.degree) if "degree" in args else (1, 2, 3, 4, 5, 6)
+        degrees = _parse_list(args.degree, int) if "degree" in args else (1, 2, 3, 4, 5, 6)
         grid = TuneGrid(degrees=degrees, j_max=j_max)
     else:
-        bandwidths = (_parse_floats(args.bandwidth) if "bandwidth" in args
+        bandwidths = (_parse_list(args.bandwidth) if "bandwidth" in args
                       else tuple(bandwidth_grid(train.features,
                                                 getattr(args, "grid_size", 5))))
         grid = TuneGrid(bandwidths=tuple(sorted(bandwidths)), j_max=j_max)
@@ -357,13 +343,12 @@ def cmd_benchmark(args) -> int:
     if "method" in params:
         reads.update(_SOLVER_FLAGS)
     _check_flags(args, f"--suite {args.suite}", reads)
-    _check_solver_flags(args)
     kwargs = {k: v for k, v in vars(args).items() if k in params}
     if any(k in args for k in _SOLVER_FLAGS):
-        kwargs["method"] = _method_from_args(args, getattr(args, "seed", None))
+        kwargs["method"] = _method_from_args(args)
     for key in ("dims", "ns"):
         if key in kwargs:
-            kwargs[key] = _parse_ints(kwargs[key])
+            kwargs[key] = _parse_list(kwargs[key], int)
 
     loss_rows, time_rows = suite(**kwargs)
     _write_csv(f"{args.out}_loss.csv", LOSS_FIELDS,
@@ -376,6 +361,8 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # each check's parser declares only the flags it reads
+    _check_flags(args, f"verify {args.what}", vars(args))
     data = load_csv(args.data, response_column="y")
     X, t = data.features, data.responses
     if args.what == "spiral-identity":
@@ -386,26 +373,20 @@ def cmd_verify(args) -> int:
             float(np.abs(X[:, 1] - t * np.sin(t)).max()),
         )
         ok = dev <= args.tol
-        print(f"spiral identity max deviation: {_fmt(dev)} "
-              f"(tolerance {_fmt(args.tol)}) -> {'PASS' if ok else 'FAIL'}")
-        if not ok:
-            raise NumericalError(
-                f"spiral identity deviation {dev:.3e} exceeds {args.tol:.3e}"
-            )
-        return 0
-    # embedding check: first eigenmap coordinate tracks the response
-    from scipy.stats import spearmanr
+        shown = f"spiral identity max deviation: {_fmt(dev)} (tolerance {_fmt(args.tol)})"
+        failure = f"spiral identity deviation {dev:.3e} exceeds {args.tol:.3e}"
+    else:
+        # embedding check: first eigenmap coordinate tracks the response
+        from scipy.stats import spearmanr
 
-    basis = _fresh_basis(args, X, max(args.jdim, 1))
-    coords = eigenmap(basis, X, 1)
-    rho = float(spearmanr(coords[:, 0], t).statistic)
-    ok = abs(rho) >= args.threshold
-    print(f"embedding rank correlation |rho| = {abs(rho):.4f} "
-          f"(threshold {args.threshold}) -> {'PASS' if ok else 'FAIL'}")
+        basis = _fresh_basis(args, X, max(args.jdim, 1))
+        rho = abs(float(spearmanr(eigenmap(basis, X, 1)[:, 0], t).statistic))
+        ok = rho >= args.threshold
+        shown = f"embedding rank correlation |rho| = {rho:.4f} (threshold {args.threshold})"
+        failure = f"|rho| = {rho:.4f} below threshold {args.threshold}"
+    print(f"{shown} -> {'PASS' if ok else 'FAIL'}")
     if not ok:
-        raise NumericalError(
-            f"|rho| = {abs(rho):.4f} below threshold {args.threshold}"
-        )
+        raise NumericalError(failure)
     return 0
 
 
@@ -541,19 +522,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the documented exit code of each failure
+_EXIT_CODES = {InputError: 2, NumericalError: 3, ArchiveError: 4, OSError: 4}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ArchiveError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

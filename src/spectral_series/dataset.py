@@ -8,7 +8,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .kernels import _checked_int, _checked_positive, _checked_real, _checked_training
+from .kernels import (
+    _checked_int, _checked_positive, _checked_queries, _checked_real, _checked_training,
+)
 
 __all__ = [
     "Dataset",
@@ -79,6 +81,9 @@ class Standardizer:
     mapped to exactly 0; the inverse maps them back to their mean. means,
     sds and constant are 1-D and of one length, means and sds finite, and
     each sd > 0 on a column not flagged constant; else InputError.
+    transform and inverse take query rows of the fitted width
+    (kernels._checked_queries): a 1-D array is one row, and another width or
+    a row holding NaN or Inf raises InputError.
     """
 
     means: np.ndarray
@@ -102,18 +107,14 @@ class Standardizer:
         object.__setattr__(self, "constant", constant)
 
     def transform(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.shape[1] != self.means.shape[0]:
-            raise InputError(
-                f"standardizer fitted on {self.means.shape[0]} columns, got {X.shape[1]}"
-            )
+        X = _checked_queries(X, self.means.shape[0])
         safe_sds = np.where(self.constant, 1.0, self.sds)
         out = (X - self.means) / safe_sds
         out[:, self.constant] = 0.0
         return out
 
     def inverse(self, Z: np.ndarray) -> np.ndarray:
-        Z = np.asarray(Z, dtype=float)
+        Z = _checked_queries(Z, self.means.shape[0])
         safe_sds = np.where(self.constant, 1.0, self.sds)
         out = Z * safe_sds + self.means
         out[:, self.constant] = self.means[self.constant]

@@ -183,16 +183,25 @@ def _check_row_sums(sums: np.ndarray, positive: bool = True) -> np.ndarray:
     return sums
 
 
+# a product v_i v_j of positive floats stays finite and nonzero while every
+# v_i lies in [1 / _PAIR_MAX, _PAIR_MAX]
+_PAIR_MAX = np.sqrt(np.finfo(float).max)
+
+
 def _scale_pairs(K: np.ndarray, v: np.ndarray, op,
                  sums: np.ndarray | None = None) -> np.ndarray:
-    """K_ij = op(K_ij, v_i v_j) in place, one row block at a time.
+    """K_ij = op(K_ij, v_i v_j) in place, one row block at a time; op is multiply or divide.
 
     Each entry meets the single product v_i v_j, as with a full np.outer, so a
     symmetric K stays exactly symmetric and the bits do not depend on the
     blocking; the heap beyond K is one READ_BLOCK_BYTES block. With sums
     given, the scaled rows' sums are written into it while each block is in
-    cache, with the bits of K.sum(axis=1).
+    cache, with the bits of K.sum(axis=1). v comes from K's row sums: a
+    product that would overflow (multiply) or reach 0 (divide) means they
+    underflowed, and raises NumericalError before K is touched.
     """
+    if (v.max() > _PAIR_MAX) if op is np.multiply else (v.min() < 1.0 / _PAIR_MAX):
+        raise NumericalError("kernel row sums underflowed; rescale the features")
     for rows in row_blocks(K.shape[0], K.shape[1], READ_BLOCK_BYTES):
         block = K[rows]
         op(block, np.outer(v[rows], v), out=block)
@@ -543,12 +552,7 @@ def _fit(
             _check_row_sums(sums)
         stationary = sums / sums.sum()
         root = np.sqrt(sums)
-        scale = 1.0 / root
-        # K is finite, and so is each scaled entry K_ij * (s_i s_j) unless a
-        # product s_i s_j overflows, which takes row sums below 5.6e-309
-        if scale.max() > np.sqrt(np.finfo(float).max):
-            raise NumericalError("kernel row sums underflowed; rescale the features")
-        _scale_pairs(K, scale, np.multiply)
+        _scale_pairs(K, 1.0 / root, np.multiply)
         # the operator's top eigenvector is root, so Lanczos starts there
         start = root
     # K is now the normalized operator, which the solver may overwrite

@@ -610,14 +610,13 @@ def _self_sq_distances(A: np.ndarray, out: np.ndarray) -> np.ndarray:
 def kernel_value(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
     """k(x, y) for one pair of d-vectors: the 1 x 1 Gram, with its bits.
 
-    Each vector is raveled and checked as a query row is (_checked_queries),
-    so a length mismatch or a NaN or Inf coordinate raises InputError. The
-    value is ``gram_matrix(spec, x, y)[0, 0]``, so below BLAS_DISTANCE_MIN_D
+    Each vector is raveled, and gram_matrix checks both as query rows, so a
+    length mismatch or a NaN or Inf coordinate raises InputError. The value
+    is ``gram_matrix(spec, x, y)[0, 0]``, so below BLAS_DISTANCE_MIN_D
     columns a Gaussian value has the bits of the matching entry of any Gram
     holding the pair.
     """
-    y = _checked_queries(np.ravel(y), np.size(y), "point")
-    return float(gram_matrix(spec, np.ravel(x), y)[0, 0])
+    return float(gram_matrix(spec, np.ravel(x), np.ravel(y))[0, 0])
 
 
 def _exp(x: np.ndarray) -> np.ndarray:
@@ -794,11 +793,11 @@ def gram_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray | None = None, *,
     exactly symmetric, and for the Gaussian family its diagonal is exactly 1.
     A self Gram's row sums, with the bits of ``K.sum(axis=1)``, are written
     into sums if given, from the build and with no pass of their own; a cross
-    Gram takes no sums. A 1-D A or B is one row. A is checked as query rows
-    are (_checked_queries): more than two dimensions, a row holding NaN or
-    Inf or, with B given, a column count other than B's raises InputError,
-    and so does a self Gram of no rows or no columns. A polynomial entry that
-    overflows raises NumericalError.
+    Gram takes no sums. A 1-D A or B is one row. A and B are checked as
+    query rows are (_checked_queries), as in sq_distances: more than two
+    dimensions, a row holding NaN or Inf or, with B given, a column count
+    other than B's raises InputError, and so does a self Gram of no rows or
+    no columns. A polynomial entry that overflows raises NumericalError.
     """
     if B is None or B is A:
         A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -810,7 +809,8 @@ def gram_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray | None = None, *,
     elif sums is not None:
         raise InputError("row sums are taken only for a self Gram")
     else:
-        K = cross_gram(spec, B)(_checked_queries(A, np.shape(B)[-1]))
+        B = _checked_queries(B, np.shape(B)[-1], "reference")
+        K = cross_gram(spec, B)(_checked_queries(A, B.shape[1]))
     # a Gaussian entry lies in [0, 1]; a polynomial one may overflow
     if spec.family == "poly" and not np.isfinite(K).all():
         raise NumericalError(f"{spec.label()} Gram overflowed: an entry is not finite")

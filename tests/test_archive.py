@@ -27,6 +27,7 @@ from spectral_series import (
     save_model,
     standardize,
 )
+from spectral_series import archive
 from spectral_series.archive import FORMAT_VERSION
 from spectral_series.diffusion import LANCZOS_MIN_N
 
@@ -217,6 +218,27 @@ def test_edited_header_field_fails_checksum(fitted, tmp_path):
     header["J"] -= 1
     path.write_bytes(_join_header(header, body))
     with pytest.raises(ArchiveError, match="checksum"):
+        load_model(path)
+
+
+def test_header_that_is_not_an_object_rejected(tmp_path):
+    path = tmp_path / "model.ssm"
+    path.write_bytes(_join_header([1, 2], b""))
+    with pytest.raises(ArchiveError, match="not a JSON object"):
+        load_model(path)
+
+
+def test_header_field_of_the_wrong_type_rejected(fitted, tmp_path):
+    # under a valid checksum, so only the rebuild can refuse it
+    path = tmp_path / "model.ssm"
+    save_model(path, fitted)
+    header, body = _split_header(path.read_bytes())
+    header["kernel"] = 5
+    digest = archive._header_digest(header)
+    digest.update(body)
+    header["checksum"] = digest.hexdigest()
+    path.write_bytes(_join_header(header, body))
+    with pytest.raises(ArchiveError, match="corrupt archive header"):
         load_model(path)
 
 

@@ -419,7 +419,8 @@ def run_any(capsys, *argv):
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
-    """Two noisy and two noiseless spirals, and an archive tuned on each noisy one."""
+    """Two noisy and two noiseless spirals, a 3-column circle, and an archive
+    tuned on each noisy spiral."""
     root = tmp_path_factory.mktemp("flags")
     paths = {"tmp": root}
     for name, noise_sd, seed in (("data", 0.1, 1), ("data2", 0.1, 2),
@@ -427,6 +428,9 @@ def files(tmp_path_factory):
         paths[name] = root / f"{name}.csv"
         assert main(["gen", "spiral", "--n", "60", "--noise-sd", str(noise_sd),
                      "--seed", str(seed), "--out", str(paths[name])]) == 0
+    paths["wide"] = root / "wide.csv"
+    assert main(["gen", "circle", "--n", "30", "--d", "3", "--seed", "5",
+                 "--out", str(paths["wide"])]) == 0
     for name, data in (("model", "data"), ("model2", "data2")):
         assert main(["tune", "--data", str(paths[data]), "--seed", "0", "--jmax", "6",
                      "--grid-size", "2", "--out", str(root / name)]) == 0
@@ -492,6 +496,20 @@ _ONE_VALUE = [
     ("embed", "--bandwidth 0.5,9"),
     ("embed --kernel poly", "--degree 2,3"),
     ("verify embedding", "--bandwidth 0.5,9"),
+]
+
+# Flag values and data that a command refuses once it reads them: the
+# invocation, its exit code and the message it prints.
+_REFUSED = [
+    ("tune --data {data} --seed 0 --bandwidth 0.5,abc --out {out}", 2,
+     "cannot parse float list '0.5,abc'"),
+    ("tune --data {data} --seed 0 --kernel poly --degree 2.5 --out {out}", 2,
+     "cannot parse integer list '2.5'"),
+    ("tune --data {data} --seed 0 --split 0.5,0.5 --out {out}", 2,
+     "--split needs three fractions"),
+    ("verify spiral-identity --data {wide}", 2,
+     "spiral identity check needs 2 feature columns"),
+    ("verify embedding --data {data} --threshold 1.5", 3, "below threshold 1.5"),
 ]
 
 # Accepted invocations, each deterministic, that the reach test varies.
@@ -627,6 +645,28 @@ class TestFlagRule:
         code, _, err = run_any(capsys, *argv)
         assert code == 2
         assert f"{flag.split()[0]} takes one value" in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, flag", [
+        ("embed --data {missing} --method full --oversample 3 --out {out}", "--oversample"),
+        ("verify embedding --data {missing} --seed 1", "--seed"),
+    ], ids=["embed", "verify embedding"])
+    def test_flag_fault_is_reported_before_any_file_is_read(self, tmp_path, capsys,
+                                                            argv, flag):
+        # both used to report the missing data file instead
+        argv = argv.format(missing=tmp_path / "missing.csv", out=tmp_path / "out").split()
+        code, _, err = run_any(capsys, *argv)
+        assert code == 2
+        assert f"{flag} is not read with --method" in err
+
+    @pytest.mark.parametrize("argv, code, message", _REFUSED,
+                             ids=[m for _, _, m in _REFUSED])
+    def test_refused_value_exits_with_its_code(self, tmp_path, capsys, files,
+                                               argv, code, message):
+        argv = argv.format(**files, out=tmp_path / "out").split()
+        got, _, err = run_any(capsys, *argv)
+        assert got == code
+        assert message in err
         assert not any(tmp_path.iterdir())
 
     @pytest.fixture()

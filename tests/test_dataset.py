@@ -66,6 +66,11 @@ class TestLoadCsv:
         d = load_csv(p, has_header=False, response_column=2)
         assert d.d == 2 and np.array_equal(d.responses, [9.0, 8.0])
 
+    def test_response_index_out_of_range(self, tmp_path):
+        p = write(tmp_path, "1,2,9\n3,4,8\n", name="raw.csv")
+        with pytest.raises(InputError, match=r"response column index 3 out of range \(0\.\.2\)"):
+            load_csv(p, has_header=False, response_column=3)
+
     def test_comment_lines_skipped(self, tmp_path):
         p = write(tmp_path, "# seed=3\nx1,y\n1,2\n")
         d = load_csv(p, response_column="y")

@@ -2,6 +2,7 @@
 queries the same way, raises InputError on a fault, and hands valid inputs to
 its arithmetic unchanged."""
 
+import dataclasses
 import re
 import warnings
 
@@ -10,6 +11,7 @@ import pytest
 
 from spectral_series import (
     Dataset,
+    FitReport,
     InputError,
     KernelSpec,
     Mode,
@@ -60,6 +62,7 @@ def _valid():
 
 _X, _Y, _Q = _valid()
 _MODEL = fit(_X, _Y, SPEC, 6)
+_STD = Standardizer(_X.mean(axis=0), _X.std(axis=0))
 _KRR = krr_fit(_X, _Y, SPEC, 1e-2)
 _VAL = Dataset(*_valid()[:2])
 
@@ -86,6 +89,11 @@ ENTRIES = {
     "krr_predict": ("Q", lambda X, y, Q: krr_predict(_KRR, Q)),
     "predict": ("Q", lambda X, y, Q: predict(_MODEL, Q)),
     "extend": ("Q", lambda X, y, Q: extend(_MODEL.basis, Q, 3)),
+    # B used to go unchecked: a NaN row gave NaN Gaussian entries, and under
+    # a polynomial kernel NumericalError ("Gram overflowed")
+    "gram_matrix_cross": ("XQ", lambda X, y, Q: gram_matrix(SPEC, Q, X)),
+    "gram_matrix_cross_poly": ("XQ", lambda X, y, Q: gram_matrix(
+        KernelSpec.polynomial(2), Q, X)),
 }
 
 
@@ -208,6 +216,30 @@ ARGUMENT_FAULTS = {
     # the weights read row 0 and the rows numpy's IndexError
     "estimate_coefficients-labeled-0.5": lambda X, y, Q: estimate_coefficients(
         _MODEL.basis, y[:1], labeled=[0.5]),
+    # scipy's ValueError from cdist
+    "gram_matrix-3-d-reference": lambda X, y, Q: gram_matrix(SPEC, Q, X[:, None, :]),
+    # transform: numpy's IndexError; inverse: a one-column Z broadcast to every
+    # column, another width numpy's broadcast ValueError
+    "Standardizer.transform-1-d-other-width": lambda X, y, Q: _STD.transform(np.ones(3)),
+    "Standardizer.inverse-one-column": lambda X, y, Q: _STD.inverse(np.ones((4, 1))),
+    "Standardizer.inverse-other-width": lambda X, y, Q: _STD.inverse(np.ones((4, 3))),
+    # refusals that no other test reached
+    "Dataset-column-name-count": lambda X, y, Q: Dataset(X, y, ["x1"]),
+    "Standardizer-field-shapes": lambda X, y, Q: Standardizer([0.0, 0.0], [1.0]),
+    "split-2-rows": lambda X, y, Q: split(Dataset(X[:2], y[:2]), SplitSpec()),
+    "KernelSpec-unknown-family": lambda X, y, Q: KernelSpec("cosine", 1.0),
+    "bandwidth_grid-one-point": lambda X, y, Q: bandwidth_grid(X[:1], 3),
+    "fit_basis-one-point": lambda X, y, Q: fit_basis(X[:1], SPEC, 0),
+    "FitReport-chosen-missing": lambda X, y, Q: FitReport(
+        {("gaussian", 1.0, 2): 0.5}, ("gaussian", 1.0, 3), 0.5),
+    "tune_series-one-pooled-point": lambda X, y, Q: tune_series(
+        Dataset(X[:1], y[:1]), _VAL, TuneGrid((1.0,), j_max=4)),
+    "tune_baseline-no-candidates": lambda X, y, Q: tune_baseline(
+        Dataset(X, y), _VAL, [], "nw"),
+    "estimate_coefficients-labeled-2-d": lambda X, y, Q: estimate_coefficients(
+        _MODEL.basis, y[:2], labeled=[[0, 1]]),
+    "estimate_coefficients-labeled-strings": lambda X, y, Q: estimate_coefficients(
+        _MODEL.basis, y[:2], labeled=["0", "1"]),
 }
 
 
@@ -237,6 +269,18 @@ NUMERIC_EDGES = {
                                       np.eye(len(X))))),
     "standardize-sd-overflow": (NumericalError, lambda X, y, Q: standardize(
         Dataset([[1e200, 1.0], [-1e200, 2.0], [3e199, 0.5]], [1.0, 1.0, 1.0]))),
+    # finite, real, positive row sums whose pair products overflow (1 / sqrt)
+    # or reach 0 (degrees): numpy's overflow or divide warning, then
+    # [[inf, nan], [nan, inf]]
+    "symmetric_normalize-row-sums-underflow": (NumericalError, lambda X, y, Q: (
+        diffusion.symmetric_normalize(np.diag([1e-310, 1e-310])))),
+    "bias_correct-row-sums-underflow": (NumericalError, lambda X, y, Q: (
+        diffusion.bias_correct(np.diag([1e-310, 1e-310])))),
+    "SeriesModel-nan-coefficient": (NumericalError, lambda X, y, Q: SeriesModel(
+        _MODEL.basis, _set(_MODEL.coefficients, 1, np.nan), 3)),
+    "wls_coefficients-singular": (NumericalError, lambda X, y, Q: wls_coefficients(
+        dataclasses.replace(_MODEL.basis,
+                            eigenvectors=np.zeros_like(_MODEL.basis.eigenvectors)), y)),
 }
 
 
@@ -379,7 +423,8 @@ def test_fit_checks_responses_before_any_gram(fault, monkeypatch):
 def test_one_query_row_may_be_1d():
     X, y, Q = _valid()
     for call in (lambda q: predict(_MODEL, q), lambda q: nw_predict(X, y, 1.0, q),
-                 lambda q: knn_predict(X, y, 5, q), lambda q: krr_predict(_KRR, q)):
+                 lambda q: knn_predict(X, y, 5, q), lambda q: krr_predict(_KRR, q),
+                 _STD.transform, _STD.inverse):
         assert np.array_equal(call(Q[3]), call(Q[3:4]))
 
 

@@ -351,6 +351,10 @@ class TestBandwidthGrid:
         assert grid.shape[0] >= 1
         assert np.all(grid > 0.0)
 
+    def test_one_distinct_distance_gives_one_bandwidth(self):
+        # two points: the 1st and 99th percentiles coincide, so no grid spans them
+        assert np.array_equal(bandwidth_grid(np.array([[0.0], [2.0]]), 3), [1.0])
+
     def test_one_call_equals_the_two_call_formula(self):
         # duplicate rows give zero distances, which both formulas drop
         rng = np.random.default_rng(11)
