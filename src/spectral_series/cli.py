@@ -5,8 +5,9 @@ predict (archived model on query CSV), embed (eigenmap coordinates),
 benchmark (experiment suites), verify (generator and embedding self-checks).
 
 Exit codes: 0 success, 2 bad input, 3 numerical failure, 4 file/archive I/O.
-A flag that the chosen variant does not read, or a randomized-solver flag
-given with another --method, is reported before any file is read.
+A flag that the chosen variant does not read, a randomized-solver flag
+given with another --method, or a list value that does not parse is
+reported before any file is read or any seed is drawn.
 All numeric CSV output uses 17-significant-digit decimals, which round-trip
 float64 exactly.
 """
@@ -68,18 +69,19 @@ def _resolve_seed(args) -> int:
     return seed
 
 
-def _parse_list(text: str, kind=float) -> tuple:
-    """A comma list of kind (float or int) values."""
+def _parse_list(args, dest: str, kind=float) -> tuple:
+    """The comma list of kind (float or int) values a flag holds; a fault names the flag."""
+    text = getattr(args, dest)
     try:
         return tuple(kind(t) for t in text.split(",") if t.strip())
     except ValueError:
         name = "float" if kind is float else "integer"
-        raise InputError(f"cannot parse {name} list {text!r}") from None
+        raise InputError(f"{_flag(dest)}: cannot parse {name} list {text!r}") from None
 
 
 def _one_value(args, dest: str, kind):
     """The single value a flag takes where one kernel is fitted, not a grid."""
-    values = _parse_list(getattr(args, dest), kind)
+    values = _parse_list(args, dest, kind)
     if len(values) != 1:
         raise InputError(f"{_flag(dest)} takes one value here, got "
                          f"{getattr(args, dest)!r}")
@@ -115,21 +117,29 @@ def _mode_kwargs(args) -> dict:
     return {"mode": Mode.parse(args.mode)} if "mode" in args else {}
 
 
-def _fresh_basis(args, X: np.ndarray, j_max: int):
+def _fresh_kernel_value(args):
+    """The one kernel value a fresh fit of embed or verify reads, parsed before any file is.
+
+    --kernel poly reads --degree (default 2); a Gaussian kernel reads
+    --bandwidth, and None stands for _local_bandwidth of the data.
+    """
+    if getattr(args, "kernel", None) == "poly":
+        return _one_value(args, "degree", int) if "degree" in args else 2
+    return _one_value(args, "bandwidth", float) if "bandwidth" in args else None
+
+
+def _fresh_basis(args, X: np.ndarray, j_max: int, value):
     """fit_basis on X from the kernel, mode and solver flags of embed or verify.
 
-    Without --bandwidth a Gaussian kernel takes _local_bandwidth(X); a
-    polynomial one (--kernel poly, default degree 2) runs in uniform mode.
-    Only the randomized solver draws a seed.
+    value is _fresh_kernel_value(args). A polynomial kernel runs in uniform
+    mode. Only the randomized solver draws a seed.
     """
     randomized = getattr(args, "method", None) == "randomized"
     method = _method_from_args(args, _resolve_seed(args) if randomized else None)
     if getattr(args, "kernel", None) == "poly":
-        degree = _one_value(args, "degree", int) if "degree" in args else 2
-        spec, mode = KernelSpec.polynomial(degree), {"mode": Mode.UNIFORM}
+        spec, mode = KernelSpec.polynomial(value), {"mode": Mode.UNIFORM}
     else:
-        bw = (_one_value(args, "bandwidth", float) if "bandwidth" in args
-              else _local_bandwidth(X))
+        bw = _local_bandwidth(X) if value is None else value
         spec, mode = KernelSpec.gaussian(bw), _mode_kwargs(args)
     return fit_basis(X, spec, j_max, method=method, **mode)
 
@@ -227,11 +237,14 @@ _TUNE_READS = {"data", "response", "split", "jmax", "unlabeled", "standardize",
 def cmd_tune(args) -> int:
     variant, kernel_reads = _kernel_variant(args)
     _check_flags(args, variant, _TUNE_READS | kernel_reads, seed_read=True)
-    seed = _resolve_seed(args)
-    data = load_csv(args.data, response_column=args.response)
-    fracs = _parse_list(args.split)
+    # list values are refused before the seed is drawn and the data read
+    fracs = _parse_list(args, "split")
     if len(fracs) != 3:
         raise InputError(f"--split needs three fractions, got {args.split!r}")
+    degrees = _parse_list(args, "degree", int) if "degree" in args else (1, 2, 3, 4, 5, 6)
+    bandwidths = _parse_list(args, "bandwidth") if "bandwidth" in args else None
+    seed = _resolve_seed(args)
+    data = load_csv(args.data, response_column=args.response)
     train, val, test = split(data, SplitSpec(*fracs, seed=seed))
     train, val, test, prep = _preprocess_splits(args, train, val, test)
 
@@ -243,12 +256,10 @@ def cmd_tune(args) -> int:
     n_basis = train.n + (0 if unlabeled is None else unlabeled.shape[0])
     j_max = args.jmax if "jmax" in args else min(n_basis - 1, 60)
     if getattr(args, "kernel", None) == "poly":
-        degrees = _parse_list(args.degree, int) if "degree" in args else (1, 2, 3, 4, 5, 6)
         grid = TuneGrid(degrees=degrees, j_max=j_max)
     else:
-        bandwidths = (_parse_list(args.bandwidth) if "bandwidth" in args
-                      else tuple(bandwidth_grid(train.features,
-                                                getattr(args, "grid_size", 5))))
+        if bandwidths is None:
+            bandwidths = tuple(bandwidth_grid(train.features, getattr(args, "grid_size", 5)))
         grid = TuneGrid(bandwidths=tuple(sorted(bandwidths)), j_max=j_max)
 
     model, report = tune_series(
@@ -311,9 +322,10 @@ def cmd_embed(args) -> int:
     else:
         variant, kernel_reads = _kernel_variant(args)
         _check_flags(args, variant, _EMBED_FIT_READS | kernel_reads)
+        value = _fresh_kernel_value(args)
         data = _load_table(args.data)
         X = data.features
-        basis = _fresh_basis(args, X, getattr(args, "jmax", args.jdim))
+        basis = _fresh_basis(args, X, getattr(args, "jmax", args.jdim), value)
     if args.jdim > basis.n_components - 1:
         raise NumericalError(
             f"J={args.jdim} exceeds the {basis.n_components - 1} available "
@@ -348,7 +360,7 @@ def cmd_benchmark(args) -> int:
         kwargs["method"] = _method_from_args(args)
     for key in ("dims", "ns"):
         if key in kwargs:
-            kwargs[key] = _parse_list(kwargs[key], int)
+            kwargs[key] = _parse_list(args, key, int)
 
     loss_rows, time_rows = suite(**kwargs)
     _write_csv(f"{args.out}_loss.csv", LOSS_FIELDS,
@@ -363,6 +375,7 @@ def cmd_benchmark(args) -> int:
 def cmd_verify(args) -> int:
     # each check's parser declares only the flags it reads
     _check_flags(args, f"verify {args.what}", vars(args))
+    value = _fresh_kernel_value(args) if args.what == "embedding" else None
     data = load_csv(args.data, response_column="y")
     X, t = data.features, data.responses
     if args.what == "spiral-identity":
@@ -379,7 +392,7 @@ def cmd_verify(args) -> int:
         # embedding check: first eigenmap coordinate tracks the response
         from scipy.stats import spearmanr
 
-        basis = _fresh_basis(args, X, max(args.jdim, 1))
+        basis = _fresh_basis(args, X, max(args.jdim, 1), value)
         rho = abs(float(spearmanr(eigenmap(basis, X, 1)[:, 0], t).statistic))
         ok = rho >= args.threshold
         shown = f"embedding rank correlation |rho| = {rho:.4f} (threshold {args.threshold})"

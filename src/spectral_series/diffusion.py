@@ -510,9 +510,13 @@ def fit_basis(
     (kernels._self_gram_into), and the normalization and the solver work
     inside it. A Gaussian Gram of at most kernels.BLOCK_GRAM_MAX_D (8)
     columns is built from the points one 1 MiB block of rows per pool worker
-    at a time, with no stored distances; a wider one from its condensed
-    squared distances, freed once K is built. Beyond K, the
-    fit's heap is one 1 MiB block plus a few n x (j_max+1) arrays. Row sums
+    at a time, with no stored distances; a wider one from its squared
+    distances, written into K and exponentiated there in the same blocks
+    (below kernels.BLAS_DISTANCE_MIN_D columns they are pdist's, whose n^2/2
+    lie in a memory map of their own until K is filled; from it on no other
+    n^2-scale array is made). Beyond K and that map, the fit's heap is a few
+    1 MiB blocks, one column chunk of the distances and a few n x (j_max+1)
+    arrays. Row sums
     that are not finite raise NumericalError in every mode, and in the
     degree-weighted modes so do row sums that are not > 0. X follows the
     input contract (README, "Input contract") with at least 2 points, and

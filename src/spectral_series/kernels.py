@@ -10,26 +10,37 @@ column count d:
 
 - Below ``BLAS_DISTANCE_MIN_D`` they come from scipy's ``pdist``/``cdist``
   loops, bit for bit.
-- At or above it they come from BLAS products, in ``DISTANCE_TILE_ROWS``-row
-  tiles: ||a||^2 + ||b||^2 - 2<a, b>, clamped at 0 and written straight into
-  the output. The self form fills only the upper triangle (condensed
-  ``pdist`` order), so a self Gram built from it is exactly symmetric.
-  Measured on a 2-core box with 800 reference rows, over
-  repeated runs, the BLAS route broke even with ``pdist`` between d = 25 and
-  d = 50 and with ``cdist`` between d = 10 and d = 20, and a tuning sweep's
-  self plus cross pass gained from d = 32 on; at d = 1000 it is about 6x
-  faster.
+- At or above it they come from BLAS-3 products (``_distances_into``):
+  ||a||^2 + ||b||^2 - 2<a, b>, clamped at 0. Measured on a 2-core box with
+  800 reference rows, over repeated runs, the BLAS route broke even with
+  ``pdist`` between d = 25 and d = 50 and with ``cdist`` between d = 10 and
+  d = 20, and a tuning sweep's self plus cross pass gained from d = 32 on.
+
+Every distance of the BLAS route comes from one routine, ``_distances_into``,
+so each has one set of bits: the n x n self distances a tuning sweep stores
+and ``fit_basis`` writes into its Gram, the condensed ``sq_distances(A)``
+(the full matrix's upper triangle, moved to the front of its own map), and
+the cross distances of ``sq_distances(A, B)`` and of every read path
+(``cross_gram``). The self form is one ``syrk`` triangle per column chunk,
+mirrored, then completed by whole contiguous rows, so it is exactly
+symmetric with a zero diagonal; the cross form is one ``gemm`` per chunk. A
+chunk is as wide as fits n rows in one ``READ_BLOCK_BYTES`` buffer, but at
+least ``_MIN_CHUNK_COLUMNS`` (128), so no n x d centered copy is made and
+each BLAS call keeps a depth that does not shrink as n grows. Self Grams in
+d = 1000 (2-core Xeon, medians of up to 7 in one process) took 17-24
+against 38-39 ms at 800 points, 82-89 against 149 ms at 2000, 0.51-0.56
+against 0.94-1.16 s at 5000 and 1.18-1.24 against 2.32-2.68 s at 8000 for
+256-row tile pairs and a triangle walk.
 
 Both operands of the product are first centered on the reference rows'
 column mean (the rows themselves for the self form, the training rows for the
 cross form), which leaves distances unchanged but keeps the norms, and so the
 cancellation, at the data's spread instead of its offset from the origin.
-The absolute error of an entry is then a small multiple of
-d * eps * (||a - mu||^2 + ||b - mu||^2); on 800 points in d = 1000 with
-squared distances up to 4 it stayed within 1.6e-14, also with every coordinate
-shifted by 1e3. A read path prepares the training side once per call
-(``cross_gram``): the mean and centered norms up front, the centered rows
-from the second block on, so each later block centers only its own rows.
+The absolute error of an entry then stays below
+d * eps * (||a - mu||^2 + ||b - mu||^2): at most 0.22 of it at d = 32 and
+0.03 at d = 1000 on circle data of 300-2000 points, also with every
+coordinate shifted by 1e3; on 800 points in d = 1000 with squared distances
+up to 4 an entry stayed within 1.4e-14.
 
 One BLAS thread pool. numpy and scipy load separate OpenBLAS builds, each
 with its own thread pool, and a process that alternates between the two
@@ -100,47 +111,66 @@ A self Gram is built in an n x n array (``_self_gram_into``), a new one or a
 buffer the caller reuses, with no n x n temporary; the array's old contents
 are never read, so ``tune_series`` builds every candidate in one buffer, and
 ``fit_basis`` takes its row sums from the build instead of from a pass of its
-own. The build depends on the width of the rows:
+own. Every build ends in one blocked pass over whole rows of K, one
+``READ_BLOCK_BYTES`` block of rows at a time on the read pool
+(``_blocks_with_sums``), which forms the block's entries and takes its row
+sums while it is in L2. How the entries are formed depends on the width of
+the rows:
 
 - A Gaussian Gram of at most ``BLOCK_GRAM_MAX_D`` (8) columns is built
-  from its points, one ``READ_BLOCK_BYTES`` block of rows at a time on the
-  read pool (``_gram_into``), by the function ``cross_gram`` gives every
-  read path: ``cdist`` writes the block's squared distances into its rows
-  of K, which are scaled by -0.25 / bandwidth and exponentiated in place
-  (``gaussian_from_sqdist``), and the block's row sums are taken while it
-  is in L2. ``cdist(X, X)`` is exactly symmetric, has a zero diagonal (so
-  a diagonal of 1) and equals ``pdist``'s condensed entries bit for bit.
-  At that width its loop costs no more than the exponentials it feeds, so
-  no distances are stored, not even for a tuning sweep. On 2000 spiral points
-  (medians of 15 on a 2-core box) a build took 14-19 ms on one worker and
-  7.5-10 ms on two, against 21-24 ms for ``pdist`` and the two-pass build
-  below. Wider rows make the distances the larger cost, and a sweep then
-  gains more from computing them once than from the pool (see the
-  constant's comment).
-- Otherwise it takes two passes. The first fills the upper triangle: the
-  Gaussian exponentials of the condensed distances, run by run, or one
-  BLAS ``syrk``. The second (``_complete_rows``) walks 64-row tiles in
-  order. It copies each tile's lower part from the rows above it, sets the
-  Gaussian diagonal to 1 or raises the polynomial tile to its degree, and
-  takes the tile's row sums while the tile is still in L2. A tuning sweep
-  computes the condensed distances once for all its bandwidths.
+  from its points (``_gram_into``), by the function ``cross_gram`` gives
+  every read path: ``cdist`` writes the block's squared distances into its
+  rows of K, which are scaled by -0.25 / bandwidth and exponentiated in
+  place (``gaussian_from_sqdist``). ``cdist(X, X)`` is exactly symmetric,
+  has a zero diagonal (so a diagonal of 1) and equals ``pdist``'s condensed
+  entries bit for bit. At that width its loop costs no more than the
+  exponentials it feeds, so no distances are stored, not even for a tuning
+  sweep. On 2000 spiral points (medians of 15 on a 2-core box) a build took
+  14-19 ms on one worker and 7.5-10 ms on two, against 21-24 ms for
+  ``pdist`` and a two-pass build from the condensed distances. Wider rows
+  make the distances the larger cost, and a sweep then gains more from
+  computing them once than from the pool (see the constant's comment).
+- A wider Gaussian Gram exponentiates the n x n self distances
+  (``_distances_into``: ``pdist``'s, mirrored, below
+  ``BLAS_DISTANCE_MIN_D`` columns, the BLAS route from it on). A tuning
+  sweep computes them once for all its bandwidths (``_sweep_distances``),
+  and ``fit_basis`` writes them into K itself and exponentiates them in
+  place. Being exactly symmetric with a zero diagonal, they give a Gram
+  that is too, with a diagonal of 1. On 800 points in d = 1000 one
+  bandwidth's Gram took 1.3 ms against 3.1 ms for a triangle of
+  exponentials and a 64-row tile walk that mirrored it. On 2000 points
+  with 1000 validation rows (medians of 9, three processes a side) a
+  5-bandwidth sweep's Gram work took 82-110 against 154-170 ms at d = 9
+  and 130-142 against 187-202 ms at d = 31, and a fit's Gram 42-50
+  against 47-71 ms at d = 9 and 61-67 against 63-70 ms at d = 31.
+- A polynomial Gram is one BLAS ``syrk`` triangle of inner products,
+  mirrored (``_mirror_upper``, the self distances' mirror), then raised to
+  its degree by blocks. On 2000 points at 2 and 40 columns it kept the bits
+  of the tile walk it replaced and was no slower on two workers.
 
-Either way the row sums have the bits of ``K.sum(axis=1)``. Which route
-builds a Gram is decided here alone: a tuning sweep asks
-``_sweep_distances`` for the distances it may share, which are None up to
-``BLOCK_GRAM_MAX_D`` columns, and hands whatever it got to
-``_self_gram_into`` and, for its validation Gram, to ``_gram_into``.
+Either way the row sums have the bits of ``K.sum(axis=1)``, and the Gram
+has the same bits at every ``READ_WORKERS``. Which route builds a Gram is
+decided here alone: a tuning sweep asks ``_sweep_distances`` for the
+distances it may share, which are None up to ``BLOCK_GRAM_MAX_D`` columns,
+and hands whatever it got to ``_self_gram_into`` and, for its validation
+Gram, to ``_gram_into``.
 
-The package's two n^2-scale outputs, a Gram the build allocates itself and
-the condensed self distances (``sq_distances``, which ``bandwidth_grid``
-and a tuning sweep read), each lie in a private anonymous memory map of
-their own (``_own_array``), so freeing one returns its pages whatever the
-heap holds around it. From the heap they would stay resident: glibc raises
-its map threshold to the size of each map it frees, so the second array of
-a size comes from the heap, and the arrays made after it pin it there,
-since the heap shrinks only from its top. Three 2000-point fits in one
-process peaked 10 MB higher that way, and a second bandwidth grid on 2000
-points left its 16 MB of freed distances resident under the fits after it.
+The package's n^2-scale outputs, a Gram the build allocates itself, the
+self distances a sweep stores, the condensed self distances
+(``sq_distances``, which ``bandwidth_grid`` reads) and the ``pdist`` output
+that narrower self distances are filled from, each lie in a private
+anonymous memory map of their own (``_own_array``), so freeing one returns
+its pages whatever the heap holds around it. From the heap they would stay
+resident: glibc raises its
+map threshold to the size of each map it frees, so the second array of a
+size comes from the heap, and the arrays made after it pin it there, since
+the heap shrinks only from its top. Three 2000-point fits in one process
+peaked 10 MB higher that way, and a second bandwidth grid on 2000 points
+left its 16 MB of freed distances resident under the fits after it. A
+sweep's validation distances stay on the heap, where a later sweep finds
+their pages already faulted in: in a map of their own they cost an
+in-process d = 1000 sweep 1-4 ms of its kernel build (800 points, 400
+validation rows, medians of 30 sweeps in each of three processes a side).
 """
 
 from __future__ import annotations
@@ -170,7 +200,8 @@ BLOCK_BYTES = 8 * 2**20
 # many bytes at a time, so their heap is bounded by one block per worker, not
 # by the query count. 1 MiB keeps a block in its core's L2 (see the module
 # notes), so the package's other passes over n^2-scale arrays (_exp's floor,
-# _gaussian_upper's runs, the fit's scaling) take blocks of this size too.
+# the self Grams' and self distances' passes, the fit's scaling) take blocks
+# of this size too, and the BLAS route's column chunks fit it.
 READ_BLOCK_BYTES = 2**20
 
 
@@ -189,11 +220,22 @@ READ_WORKERS = _THREADS or _usable_cpus()
 # Squared distances of rows with at least this many columns come from BLAS
 # products; narrower rows keep the exact pdist/cdist loops.
 BLAS_DISTANCE_MIN_D = 32
+# The least width of the BLAS route's column chunks (_distances_into), which
+# are otherwise as wide as fits n rows in READ_BLOCK_BYTES. Each chunk's
+# syrk or gemm reads and writes the whole n^2 output, so a width that shrank
+# as 1 / n made large inputs memory bound: at 8000 points in d = 1000
+# (2-core Xeon) a self Gram took 2.28 s with 16-column chunks, 1.24 s with
+# 128 and 1.16 s with 256 (5000 points: 0.51 s with 128, 0.46-0.49 s with
+# 256). 128 leaves every n up to 1024 with the chunks it had (128 columns
+# at the benchmark's 800 points, where 256-column chunks made sweeps faster
+# still, but perfbench, which keeps every sweep's output, then read a peak
+# RSS 10.7 % above the tiled route's) and a chunk buffer of n KiB.
+_MIN_CHUNK_COLUMNS = 128
 # Gaussian self Grams of rows with at most this many columns are built from
 # the points one READ_BLOCK_BYTES (1 MiB) block of rows at a time
 # (_gram_into), and a tuning sweep stores no distances for them
-# (_sweep_distances); wider rows keep condensed distances, which a sweep
-# computes once. A block build computes all n^2 distances, twice the pairs
+# (_sweep_distances); wider rows' Grams come from stored distances, which a
+# sweep computes once. A block build computes all n^2 distances, twice the pairs
 # pdist does, and a sweep repeats them per bandwidth, so the split follows
 # the sweep's cost on one worker. The Gram work of a 5-bandwidth sweep on
 # 2000 points and 1000 validation rows (2-core Xeon, medians of 15) took
@@ -201,17 +243,6 @@ BLAS_DISTANCE_MIN_D = 32
 # d = 8, and 211 against 205 ms at d = 9 (d = 12: 340 against 249 ms). On
 # two workers the block route still won at d = 16 and lost at 31.
 BLOCK_GRAM_MAX_D = 8
-# Rows per tile of the BLAS route, whose heap beyond the output is a few
-# tiles.
-DISTANCE_TILE_ROWS = 256
-# Rows per tile of a self Gram's completing pass (_complete_rows): at
-# n = 2000 a tile is 1 MiB, so it is still in L2 when its row sums are taken.
-# It stays a row count, not a byte size: a 1 MiB tile is 13 rows at
-# n = 10 000, and the lower triangle's column-tile copies would grow from
-# about 12 000 to about 296 000.
-_ROW_TILE = 64
-_STRICT_LOWER = np.tri(_ROW_TILE, k=-1, dtype=bool)
-
 # The Gaussian floor (see the module notes): an argument below EXP_SLOW_BELOW
 # gives exactly 0. exp(-707.7) is 2**-1020.995, and np.exp's vectorized loop
 # takes arguments down to -1021 ln 2 = -707.7033; below that each entry takes
@@ -365,7 +396,7 @@ def row_blocks(m: int, n: int, nbytes: int = BLOCK_BYTES) -> Iterator[slice]:
     blocked product has the bits of one whole-array call whose shares are
     whole groups too (20 000 rows on 2 threads, say).
     """
-    step = nbytes // (8 * n)
+    step = nbytes // (8 * max(n, 1))
     if step >= 64:
         step -= step % 64
     step = max(1, step)
@@ -400,9 +431,8 @@ def map_blocks(fn: Callable[[slice], object], m: int, n: int,
     At or above BLAS_DISTANCE_MIN_D its distances are already a multi-threaded
     BLAS product, so the blocks run in order on the calling thread, in
     BLOCK_BYTES blocks: a smaller block made 8000 queries at d = 1000 against
-    800 training points no faster (0.228 s at 1 MiB, 0.224 s at 8 MiB) and
-    would cut the distance products into shallower tiles, whose rounding
-    OpenBLAS may change. Otherwise the blocks are READ_BLOCK_BYTES and the
+    800 training points no faster (0.228 s at 1 MiB, 0.224 s at 8 MiB).
+    Otherwise the blocks are READ_BLOCK_BYTES and the
     calling thread and the pool's helpers each take whole blocks, so fn must
     write only its own rows; with READ_WORKERS at 1 or a single block there
     is no pool. Each helper task runs in a copy of the caller's contextvars
@@ -410,7 +440,8 @@ def map_blocks(fn: Callable[[slice], object], m: int, n: int,
     raises is re-raised unchanged once every started task has ended, and no
     block starts after it. The caller never waits on a task that has not
     started (it cancels those), so nested and concurrent calls cannot
-    deadlock on a busy pool.
+    deadlock on a busy pool, and no cancelled task keeps fn alive once this
+    returns.
     """
     if d is not None and d >= BLAS_DISTANCE_MIN_D:
         return [fn(rows) for rows in row_blocks(m, n)]
@@ -445,6 +476,10 @@ def map_blocks(fn: Callable[[slice], object], m: int, n: int,
     for task in tasks:
         if not task.cancel():
             task.result()
+    # a cancelled task stays queued, holding drain and so fn and the arrays
+    # it writes, until a pool thread takes it; the caller's next buffers
+    # would then come from fresh memory
+    fn = None
     if errors:
         raise errors[0]
     return results
@@ -484,35 +519,6 @@ def matmul(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np.nd
     return out
 
 
-def _tiles(n: int) -> list[slice]:
-    return [slice(i, min(i + DISTANCE_TILE_ROWS, n))
-            for i in range(0, n, DISTANCE_TILE_ROWS)]
-
-
-def _centered_norms(X: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Squared norms of the rows of X - mu, one tile at a time."""
-    out = np.empty(X.shape[0])
-    for t in _tiles(X.shape[0]):
-        c = X[t] - mu
-        out[t] = np.einsum("ij,ij->i", c, c)
-    return out
-
-
-def _tile_distances(Ac: np.ndarray, Bc: np.ndarray, na: np.ndarray, nb: np.ndarray,
-                    out: np.ndarray | None = None) -> np.ndarray:
-    """max(-2 <a, b> + na + nb, 0) for the rows a of Ac and b of Bc, into out.
-
-    Ac and Bc are centered tiles and na, nb their rows' squared norms; out
-    defaults to the product's own C-ordered block. dgemm takes the
-    transposed tiles as Fortran arrays without a copy and returns the
-    transposed product in Fortran order, whose .T is C-ordered.
-    """
-    product = dgemm(-2.0, Bc.T, Ac.T, trans_a=1).T
-    out = np.add(product, na[:, None], out=product if out is None else out)
-    out += nb
-    return np.maximum(out, 0.0, out=out)
-
-
 def _own_array(*shape: int) -> np.ndarray:
     """A new float64 array of this shape in a private anonymous memory map of its own.
 
@@ -520,11 +526,17 @@ def _own_array(*shape: int) -> np.ndarray:
     notes), so freeing it unmaps its pages whatever the heap holds around it.
     The map is private, as the allocator's own large blocks are: after a
     fork, a write on either side copies the page, not shares it. tracemalloc
-    does not see it.
+    does not see it. The array's base is the map.
     """
-    count = int(np.prod(shape))
-    buf = mmap.mmap(-1, max(8 * count, 8), flags=mmap.MAP_PRIVATE)
-    return np.frombuffer(buf, dtype=float, count=count).reshape(shape)
+    buf = mmap.mmap(-1, max(8 * int(np.prod(shape)), 8), flags=mmap.MAP_PRIVATE)
+    return np.ndarray(shape, dtype=float, buffer=buf)
+
+
+def _upper_runs(n: int) -> Iterator[tuple[int, slice]]:
+    """(i, run) for each row i < n - 1 of an n x n matrix: the slice of its
+    condensed (``pdist``-order) form that holds row i's entries right of the diagonal."""
+    return ((i, slice(i * (2 * n - i - 1) // 2, (i + 1) * (2 * n - i - 2) // 2))
+            for i in range(n - 1))
 
 
 def sq_distances(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
@@ -533,78 +545,143 @@ def sq_distances(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
     With B omitted, the condensed upper triangle of A's self distances in
     ``pdist`` order; otherwise the m x n matrix ``cdist`` returns. Below
     BLAS_DISTANCE_MIN_D columns these are ``pdist``/``cdist`` themselves; at
-    or above it they come from tiled BLAS products (see the module notes),
-    every entry >= 0. A 1-D A or B is one row. With B given, A and B are
-    checked as query rows are (_checked_queries). The condensed self form
-    lies in a memory map of its own (_own_array).
+    or above it they are the entries of _distances_into (see the module
+    notes), every entry >= 0. A 1-D A or B is one row. With B given, A and B
+    are checked as query rows are (_checked_queries). The condensed self form
+    lies in a memory map of its own (_own_array). On the BLAS route that map
+    first holds the full n x n matrix, whose upper triangle is then moved,
+    row by row, to the front, and the pages past it are returned to the
+    system: the one n^2-scale array is the map, which peaks at n^2 entries.
     """
     if B is None:
         A = np.atleast_2d(np.asarray(A, dtype=float))
         n = A.shape[0]
-        out = _own_array(n * (n - 1) // 2)
-        if A.shape[1] < BLAS_DISTANCE_MIN_D:
-            return pdist(A, "sqeuclidean", out=out)
-        return _self_sq_distances(A, out)
+        size = n * (n - 1) // 2
+        if A.shape[1] < BLAS_DISTANCE_MIN_D or n < 2:
+            return pdist(A, "sqeuclidean", out=_own_array(size))
+        full = _own_array(n, n)
+        _distances_into(A, full)
+        flat = full.reshape(-1)
+        # row i moves to lower addresses, over its own entries at most
+        for i, run in _upper_runs(n):
+            flat[run] = full[i, i + 1:]
+        kept = -(-8 * size // mmap.PAGESIZE) * mmap.PAGESIZE
+        if kept < 8 * n * n:
+            full.base.madvise(mmap.MADV_DONTNEED, kept, 8 * n * n - kept)
+        return flat[:size]
     B = _checked_queries(B, np.shape(B)[-1], "reference")
-    return _cross_sq_distances(B)(_checked_queries(A, B.shape[1]))
+    return _cross_distances(B, _checked_queries(A, B.shape[1]))
 
 
-def _cross_sq_distances(B: np.ndarray) -> Callable[..., np.ndarray]:
-    """Squared distances from query rows to the rows of B, as a function of the queries.
-
-    The function takes the query rows A and an optional C-ordered out of
-    A's row count by B's, which it fills and returns. B's column mean and
-    centered norms are computed here, once, and B's centered rows are kept
-    from the second call on: a read path calls this once per block of query
-    rows, while a one-shot distance pays no n x d copy. Each call forms the
-    same tile-pair products whether or not B's centered rows are kept, so
-    its bits do not depend on the call count.
-    """
-    if B.shape[1] < BLAS_DISTANCE_MIN_D:
-        return lambda A, out=None: cdist(A, B, "sqeuclidean", out=out)
-    mu = B.mean(axis=0)
-    nb = _centered_norms(B, mu)
-    tiles = _tiles(B.shape[0])
-    centered: list[np.ndarray] = []
-    calls = 0
-
-    def distances(A: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        nonlocal calls
-        calls += 1
-        if calls == 2:
-            centered.append(B - mu)
-        out = np.empty((A.shape[0], B.shape[0])) if out is None else out
-        for ta in _tiles(A.shape[0]):
-            Ac = A[ta] - mu
-            na = np.einsum("ij,ij->i", Ac, Ac)
-            for tb in tiles:
-                Bc = centered[0][tb] if centered else B[tb] - mu
-                _tile_distances(Ac, Bc, na, nb[tb], out[ta, tb])
-        return out
-
-    return distances
-
-
-def _self_sq_distances(A: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The condensed self distances of the BLAS route, written into out and returned.
-
-    Formed tile pair by tile pair, only on or above the diagonal. Row i of a
-    block holds distances to the columns j > i from j0 = max(i + 1, the
-    tile's first column) on, which are one contiguous run of the condensed
-    output starting at n*i - i*(i+1)/2 + j0 - i - 1.
-    """
-    n = A.shape[0]
-    mu = A.mean(axis=0)
-    norms = _centered_norms(A, mu)
-    tiles = _tiles(n)
-    for k, ti in enumerate(tiles):
-        for tj in tiles[k:]:
-            block = _tile_distances(A[ti] - mu, A[tj] - mu, norms[ti], norms[tj])
-            for r, i in enumerate(range(ti.start, ti.stop)):
-                j0 = max(i + 1, tj.start)
-                start = n * i - i * (i + 1) // 2 + j0 - i - 1
-                out[start:start + tj.stop - j0] = block[r, j0 - tj.start:]
+def _cross_distances(B: np.ndarray, A: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The squared distances from A's rows to B's (_distances_into), into out if given."""
+    out = np.empty((A.shape[0], B.shape[0])) if out is None else out
+    _distances_into(B, Q=A, cross=out)
     return out
+
+
+def _centered(X: np.ndarray, rows: slice, cols: slice, mu: np.ndarray, buf: np.ndarray,
+              norms: np.ndarray, height: int = 0) -> np.ndarray:
+    """X[rows, cols] - mu[cols] in buf, C-ordered, with zero rows below it up to height rows.
+
+    The squared norms of its rows are added to norms[rows].
+    """
+    h, w = rows.stop - rows.start, cols.stop - cols.start
+    c = buf[:max(h, height) * w].reshape(-1, w)
+    c[h:] = 0.0
+    np.subtract(X[rows, cols], mu[cols], out=c[:h])
+    norms[rows] += np.einsum("ij,ij->i", c[:h], c[:h])
+    return c
+
+
+def _distances_into(B: np.ndarray, full: np.ndarray | None = None,
+                    Q: np.ndarray | None = None, cross: np.ndarray | None = None) -> None:
+    """B's squared self distances into the n x n full, and Q's rows' to B's into the m x n cross.
+
+    Either output may be None. Each is C-ordered, and its old contents are
+    not read. Below BLAS_DISTANCE_MIN_D columns they are scipy's loops:
+    cross is cdist's, and full's upper triangle is pdist's condensed
+    distances (in a map of their own, freed on return), mirrored
+    (_mirror_upper) and given a zero diagonal, so it is exactly symmetric
+    and holds cdist(B, B)'s bits at half its pairs. At or above it,
+    both operands are centered on B's column mean mu, one column chunk at a
+    time, and -2 <a - mu, b - mu> accumulates over the chunks in one BLAS-3
+    call per chunk and output: syrk's upper triangle for full, gemm for
+    cross. A chunk is as wide as row_blocks makes a block of n-wide rows in
+    READ_BLOCK_BYTES, but at least _MIN_CHUNK_COLUMNS: each chunk's call
+    reads and writes the whole output, so its depth must not shrink as n
+    grows. Each operand's chunk is centered into one buffer of n (or a query
+    block's) rows by the chunk's width, and B's serves both products.
+    Then the squared norms of the centered rows are added, by whole
+    contiguous rows, and the sums clamped at 0. full's triangle is mirrored
+    first (_mirror_upper) and each entry gets g + (||a - mu||^2 +
+    ||b - mu||^2), whose norm sum is the same either way round, so full is
+    exactly symmetric; its diagonal is set to 0. For cross, B's chunk is
+    padded with zero rows to a multiple of 32: OpenBLAS splits gemm's rows
+    over its threads, and an entry's bits change when a split falls off a
+    multiple of 8 rows, which it then does not on up to 4 threads. So a
+    query row's entries do not depend on the rows beside it, unless its
+    batch is so small that BLAS takes another kernel (on a 2-core Xeon,
+    below 19 rows against 64 training rows, 10 against 100, 4 against 300
+    and 2 against 600).
+    """
+    n, d = B.shape
+    if d < BLAS_DISTANCE_MIN_D or not n:
+        if full is not None:
+            condensed = pdist(B, "sqeuclidean", out=_own_array(n * (n - 1) // 2))
+            for i, run in _upper_runs(n):
+                full[i, i + 1:] = condensed[run]
+            _mirror_upper(full)
+            np.fill_diagonal(full, 0.0)
+        if cross is not None:
+            cdist(Q, B, "sqeuclidean", out=cross)
+        return
+    height = n if cross is None else -(-n // 32) * 32
+    width = min(max(next(row_blocks(d, n, READ_BLOCK_BYTES)).stop, _MIN_CHUNK_COLUMNS), d)
+    chunks = [slice(c, min(c + width, d)) for c in range(0, d, width)]
+    buf, nb, mu = np.empty(height * width), np.zeros(n), B.mean(axis=0)
+    queries = [] if cross is None else list(row_blocks(Q.shape[0], width, READ_BLOCK_BYTES))
+    if queries:
+        qbuf, nq = np.empty(queries[0].stop * width), np.zeros(Q.shape[0])
+        product = cross if height == n else np.empty((Q.shape[0], height))
+    for k, cols in enumerate(chunks):
+        Bc = _centered(B, slice(0, n), cols, mu, buf, nb, height)
+        # C-ordered operands are the Fortran transposes BLAS reads without a copy
+        if full is not None:
+            dsyrk(-2.0, Bc[:n].T, beta=float(k > 0), c=full.T, trans=1, lower=1, overwrite_c=1)
+        for rows in queries:
+            Qc = _centered(Q, rows, cols, mu, qbuf, nq)
+            dgemm(-2.0, Bc.T, Qc.T, beta=float(k > 0), c=product[rows].T, trans_a=1,
+                  overwrite_c=1)
+    if full is not None:
+        _mirror_upper(full)
+
+        def finish(rows: slice) -> None:
+            block = full[rows]
+            block += np.add(nb[rows, None], nb)
+            np.maximum(block, 0.0, out=block)
+
+        map_blocks(finish, n, n)
+        np.fill_diagonal(full, 0.0)
+    for rows in row_blocks(*cross.shape, READ_BLOCK_BYTES) if queries else ():
+        block = np.add(product[rows, :n], nq[rows, None], out=cross[rows])
+        block += nb
+        np.maximum(block, 0.0, out=block)
+
+
+def _mirror_upper(K: np.ndarray) -> None:
+    """Copy K's upper triangle onto its strict lower one, block by block on the read pool.
+
+    Each READ_BLOCK_BYTES block of rows takes its part below the diagonal
+    from the transposed columns above it, which no block writes, and
+    completes its diagonal square under a mask of its own size.
+    """
+    def block(rows: slice) -> None:
+        square = K[rows, rows]
+        np.copyto(square, square.T, where=np.tri(rows.stop - rows.start, k=-1, dtype=bool))
+        K[rows, :rows.start] = K[:rows.start, rows].T
+
+    map_blocks(block, *K.shape)
 
 
 def kernel_value(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
@@ -660,79 +737,15 @@ def gaussian_from_sqdist(
         return _exp(np.multiply(sq, max(-0.25 / bandwidth, -_FLOAT_MAX), out=out))
 
 
-def _gaussian_upper(condensed: np.ndarray, bandwidth: float, K: np.ndarray) -> None:
-    """Write the Gaussian values of condensed into K's strict upper triangle.
+def _blocks_with_sums(form: Callable[[slice], object], out: np.ndarray,
+                      sums: np.ndarray | None) -> np.ndarray:
+    """Run form over out's rows one READ_BLOCK_BYTES block at a time on the read pool; returns out.
 
-    Each run of rows of the condensed vector goes through
-    gaussian_from_sqdist once, in one READ_BLOCK_BYTES buffer, and is
-    copied into its rows. The rest of K is not written.
+    form(rows) writes out[rows]; the block's row sums, with the bits of
+    ``out.sum(axis=1)``, go into sums if given while the block is in L2.
     """
-    n = K.shape[0]
-    m = condensed.shape[0]
-    # rows per run, so that a run fits one READ_BLOCK_BYTES buffer
-    step = max(1, READ_BLOCK_BYTES // (8 * n))
-    buf = np.empty(min(m, step * n))
-    for i0 in range(0, n - 1, step):
-        i1 = min(i0 + step, n - 1)
-        first = n * i0 - i0 * (i0 + 1) // 2
-        stop = n * i1 - i1 * (i1 + 1) // 2
-        run = gaussian_from_sqdist(condensed[first:stop], bandwidth, out=buf[:stop - first])
-        for i in range(i0, i1):
-            start = n * i - i * (i + 1) // 2 - first
-            K[i, i + 1:] = run[start:start + n - i - 1]
-
-
-def _complete_rows(K: np.ndarray, degree: int | None, sums: np.ndarray | None) -> None:
-    """Complete a self Gram from its upper triangle, _ROW_TILE rows at a time.
-
-    Entries below the diagonal are ignored on entry. With degree None the
-    upper triangle holds Gaussian values and the diagonal becomes 1; with a
-    degree it holds inner products, diagonal included, and each tile's rows
-    from the diagonal on become (G + 1) ** degree. Tiles are walked in
-    order, and each tile's lower part is copied from the rows above it (and,
-    inside the diagonal tile, from that tile's upper part), so K comes out
-    exactly symmetric. With sums given, each tile's row sums are written
-    into it while the tile is in cache; they have the bits of
-    ``K.sum(axis=1)``.
-    """
-    n = K.shape[0]
-    for r in range(0, n, _ROW_TILE):
-        rows = slice(r, min(r + _ROW_TILE, n))
-        h = rows.stop - r
-        d = K[rows, rows]
-        np.copyto(d, d.T, where=_STRICT_LOWER[:h, :h])
-        if degree is None:
-            np.fill_diagonal(d, 1.0)
-        else:
-            _polynomial_from_inner(K[rows, r:], degree)
-        # column tiles keep the transposed copy's temporary small
-        for c in range(0, r, _ROW_TILE):
-            K[rows, c:c + _ROW_TILE] = K[c:c + _ROW_TILE, rows].T
-        if sums is not None:
-            K[rows].sum(axis=1, out=sums[rows])
-
-
-def _gram_into(spec: KernelSpec, A: np.ndarray, B: np.ndarray, out: np.ndarray,
-               sq: np.ndarray | None = None, sums: np.ndarray | None = None) -> np.ndarray:
-    """out = k(A, B), with the bits of ``gram_matrix(spec, A, B)``; returns out.
-
-    out is a C-ordered m x n array whose old contents are not read. A
-    Gaussian Gram whose squared distances sq are stored (_sweep_distances)
-    only exponentiates them into out. Otherwise cross_gram's function runs
-    over out's rows one READ_BLOCK_BYTES block at a time on the read pool
-    (map_blocks): it writes the block's squared distances into its rows and
-    exponentiates them in place while they are in L2, and the block's row
-    sums, with the bits of out.sum(axis=1), go into sums if given. A
-    polynomial Gram, which ignores sq and sums, is one whole product.
-    """
-    if spec.family == "gaussian" and sq is not None:
-        return gaussian_from_sqdist(sq, spec.bandwidth, out=out)
-    gram = cross_gram(spec, B)
-    if spec.family == "poly":
-        return gram(A, out=out)
-
     def block(rows: slice) -> None:
-        gram(A[rows], out=out[rows])
+        form(rows)
         if sums is not None:
             out[rows].sum(axis=1, out=sums[rows])
 
@@ -740,21 +753,47 @@ def _gram_into(spec: KernelSpec, A: np.ndarray, B: np.ndarray, out: np.ndarray,
     return out
 
 
-def _sweep_distances(A: np.ndarray, Q: np.ndarray | None = None) -> np.ndarray | None:
+def _gram_into(spec: KernelSpec, A: np.ndarray, B: np.ndarray, out: np.ndarray,
+               sq: np.ndarray | None = None, sums: np.ndarray | None = None) -> np.ndarray:
+    """out = k(A, B), with the bits of ``gram_matrix(spec, A, B)``; returns out.
+
+    out is a C-ordered m x n array whose old contents are not read. A
+    Gaussian Gram runs over out's rows one READ_BLOCK_BYTES block at a time
+    on the read pool (_blocks_with_sums), and the block's row sums go into
+    sums if given. With its squared distances sq stored (_sweep_distances,
+    or out itself), a block exponentiates its rows of sq into out; else
+    cross_gram's function writes the block's distances into its rows and
+    exponentiates them in place while they are in L2. A polynomial Gram,
+    which ignores sq and sums, is one whole product.
+    """
+    if spec.family == "poly":
+        return cross_gram(spec, B)(A, out=out)
+    if sq is not None:
+        return _blocks_with_sums(
+            lambda rows: gaussian_from_sqdist(sq[rows], spec.bandwidth, out=out[rows]), out, sums)
+    gram = cross_gram(spec, B)
+    return _blocks_with_sums(lambda rows: gram(A[rows], out=out[rows]), out, sums)
+
+
+def _sweep_distances(A: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Squared distances a tuning sweep computes once for all its Gaussian candidates.
 
-    A's condensed self distances (sq_distances(A)), or with Q given the
-    distances from Q's rows to A's, as _self_gram_into and _gram_into take
-    them. None at or below BLOCK_GRAM_MAX_D columns, where each Gram is
-    built from the points instead.
+    (A's n x n self distances, the m x n distances from Q's rows to A's), as
+    _self_gram_into and _gram_into take them, from one call of
+    _distances_into, so each chunk of A's columns is centered once for both.
+    The self distances lie in a memory map of their own (_own_array), the
+    cross ones on the heap. (None, None) at or below BLOCK_GRAM_MAX_D
+    columns, where each Gram is built from the points instead.
     """
     if A.shape[1] <= BLOCK_GRAM_MAX_D:
-        return None
-    return sq_distances(A) if Q is None else _cross_sq_distances(A)(Q)
+        return None, None
+    full, cross = _own_array(A.shape[0], A.shape[0]), np.empty((Q.shape[0], A.shape[0]))
+    _distances_into(A, full, Q, cross)
+    return full, cross
 
 
 def _self_gram_into(spec: KernelSpec, A: np.ndarray, K: np.ndarray | None = None,
-                    condensed: np.ndarray | None = None,
+                    sq: np.ndarray | None = None,
                     sums: np.ndarray | None = None) -> np.ndarray:
     """Build the self Gram of the rows of A in the n x n C-ordered K; returns K.
 
@@ -762,12 +801,13 @@ def _self_gram_into(spec: KernelSpec, A: np.ndarray, K: np.ndarray | None = None
     with K None a new one is made (_own_array). The row sums go into sums
     if given. A Gaussian Gram of at most BLOCK_GRAM_MAX_D columns is built
     from the points, one READ_BLOCK_BYTES (1 MiB) block of rows at a time on
-    the read pool (_gram_into). A wider one is built from A's condensed
-    squared distances, upper triangle first, then _complete_rows; condensed
-    passes them in (a tuning sweep shares them, _sweep_distances), else they
-    are computed here. A polynomial Gram, which ignores condensed, is one
-    BLAS syrk triangle, then _complete_rows. Whichever route builds it, the
-    bits are those of ``gram_matrix(spec, A)`` and of its ``sum(axis=1)``.
+    the read pool (_gram_into). A wider one is exponentiated from A's n x n
+    squared distances in the same blocks: sq passes them in (a tuning sweep
+    shares them, _sweep_distances), else _distances_into writes them into K
+    and they are exponentiated in place. A polynomial Gram, which ignores
+    sq, is one BLAS syrk triangle, mirrored (_mirror_upper), then raised to
+    its degree in the same blocks. Whichever route builds it, the bits are
+    those of ``gram_matrix(spec, A)`` and of its ``sum(axis=1)``.
     """
     n = A.shape[0]
     K = _own_array(n, n) if K is None else K
@@ -775,14 +815,13 @@ def _self_gram_into(spec: KernelSpec, A: np.ndarray, K: np.ndarray | None = None
         # BLAS syrk writes one triangle of A A^T, the lower one of the
         # Fortran-ordered product and so the upper one of K, without reading K
         dsyrk(1.0, np.ascontiguousarray(A).T, c=K.T, trans=1, lower=1, overwrite_c=1)
-    elif A.shape[1] <= BLOCK_GRAM_MAX_D:
-        return _gram_into(spec, A, A, K, sums=sums)
-    else:
-        _gaussian_upper(sq_distances(A) if condensed is None else condensed,
-                        spec.bandwidth, K)
-    # a Gaussian spec's degree is None, which _complete_rows reads as Gaussian
-    _complete_rows(K, spec.degree, sums)
-    return K
+        _mirror_upper(K)
+        return _blocks_with_sums(lambda rows: _polynomial_from_inner(K[rows], spec.degree),
+                                 K, sums)
+    if sq is None and A.shape[1] > BLOCK_GRAM_MAX_D:
+        _distances_into(A, K)
+        sq = K
+    return _gram_into(spec, A, A, K, sq, sums)
 
 
 def gram_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray | None = None, *,
@@ -828,8 +867,8 @@ def cross_gram(spec: KernelSpec, B: np.ndarray) -> Callable[..., np.ndarray]:
     """
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if spec.family == "gaussian":
-        distances = _cross_sq_distances(B)
-        return lambda A, out=None: gaussian_from_sqdist(distances(A, out), spec.bandwidth)
+        return lambda A, out=None: gaussian_from_sqdist(_cross_distances(B, A, out),
+                                                        spec.bandwidth)
     return lambda A, out=None: _polynomial_from_inner(matmul(A, B.T, out=out), spec.degree)
 
 

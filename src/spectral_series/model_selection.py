@@ -84,7 +84,12 @@ class FitReport:
     extension floor, J beyond the basis size, or a loss that is not finite)
     are recorded as inf so the surface always enumerates the full grid.
     chosen must be the surface's first entry in _rank's order, which holds
-    the tie rule; any other raises InputError.
+    the tie rule; any other raises InputError. timings maps a stage to its
+    seconds summed over the sweep. tune_series' stages are kernel_build (the
+    candidates' self Grams and, for Gaussian candidates wider than
+    kernels.BLOCK_GRAM_MAX_D columns, the one computation of the training
+    and validation distances they share), eigendecomposition, coefficient
+    and validation (each validation Gram, its extension and scoring).
     """
 
     loss_surface: dict[tuple[str, float, int], float]
@@ -227,8 +232,10 @@ def tune_series(
     rows per pool worker at a time (kernels._gram_into), and the sweep
     stores no distances, as their cdist loop costs no more than the
     exponentials it feeds. Wider, Gaussian candidates share one computation
-    of the training and validation squared distances
-    (kernels._sweep_distances), and each bandwidth only exponentiates them.
+    of the training and validation squared distances, timed as kernel build
+    (kernels._sweep_distances: the n x n training distances in a memory map
+    of their own, the validation ones on the heap), and each bandwidth only
+    exponentiates them, one 1 MiB block of rows per pool worker at a time.
     Polynomial candidates run in Uniform mode (their Gram entries may be
     negative, which the degree-weighted modes cannot accept). Unlabeled rows,
     when given, enter every candidate basis; coefficients use training rows
@@ -252,9 +259,8 @@ def tune_series(
     # Gaussian candidates differ only in the exponent's scale, so wide rows'
     # distances are computed once for the whole sweep
     with _timed(timings, "kernel_build"):
-        sq_pooled = _sweep_distances(pooled) if grid.bandwidths else None
-    with _timed(timings, "validation"):
-        sq_val = _sweep_distances(pooled, val.features) if grid.bandwidths else None
+        sq_pooled, sq_val = (_sweep_distances(pooled, val.features) if grid.bandwidths
+                             else (None, None))
 
     n, m = pooled.shape[0], val.n
     K, sums = np.empty((n, n)), np.empty(n)

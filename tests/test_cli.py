@@ -659,6 +659,31 @@ class TestFlagRule:
         assert code == 2
         assert f"{flag} is not read with --method" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        ("tune --data {missing} --bandwidth abc --out {out}",
+         "--bandwidth: cannot parse float list 'abc'"),
+        ("tune --data {missing} --kernel poly --degree 2.5 --out {out}",
+         "--degree: cannot parse integer list '2.5'"),
+        ("tune --data {missing} --split 0.5,x,0.25 --out {out}",
+         "--split: cannot parse float list '0.5,x,0.25'"),
+        ("tune --data {missing} --split 0.5,0.5 --out {out}", "--split needs three fractions"),
+        ("embed --data {missing} --method randomized --bandwidth 0.5,9 --out {out}",
+         "--bandwidth takes one value"),
+        ("embed --data {missing} --kernel poly --degree two --out {out}",
+         "--degree: cannot parse integer list 'two'"),
+        ("verify embedding --data {missing} --method randomized --bandwidth abc",
+         "--bandwidth: cannot parse float list 'abc'"),
+    ], ids=["tune-bandwidth", "tune-degree", "tune-split-value", "tune-split-count",
+            "embed-one-value", "embed-degree", "verify-embedding-bandwidth"])
+    def test_list_value_is_refused_before_a_file_is_read_or_a_seed_drawn(
+            self, tmp_path, capsys, argv, message):
+        # each used to draw and print a seed, then report the missing data file
+        argv = argv.format(missing=tmp_path / "missing.csv", out=tmp_path / "out").split()
+        code, out, err = run_any(capsys, *argv)
+        assert code == 2
+        assert message in err
+        assert "seed:" not in out
+
     @pytest.mark.parametrize("argv, code, message", _REFUSED,
                              ids=[m for _, _, m in _REFUSED])
     def test_refused_value_exits_with_its_code(self, tmp_path, capsys, files,

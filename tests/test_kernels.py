@@ -18,8 +18,9 @@ from spectral_series import (
 )
 from spectral_series import kernels
 from spectral_series.kernels import (
-    BLAS_DISTANCE_MIN_D, BLOCK_GRAM_MAX_D, DISTANCE_TILE_ROWS, EXP_SLOW_BELOW, READ_BLOCK_BYTES,
-    _exp, _self_gram_into, gaussian_from_sqdist, matmul, sq_distances,
+    BLAS_DISTANCE_MIN_D, BLOCK_GRAM_MAX_D, EXP_SLOW_BELOW, READ_BLOCK_BYTES,
+    _exp, _gram_into, _self_gram_into, _sweep_distances, gaussian_from_sqdist, matmul,
+    sq_distances,
 )
 
 
@@ -119,18 +120,20 @@ class TestGramMatrix:
                                       (300, 3), (129, BLAS_DISTANCE_MIN_D),
                                       *[(n, d) for d in (1, 2, BLOCK_GRAM_MAX_D,
                                                          BLOCK_GRAM_MAX_D + 1,
-                                                         BLAS_DISTANCE_MIN_D - 1)
+                                                         BLAS_DISTANCE_MIN_D - 1, 1000)
                                         for n in (1, 2, 63, 65, 130)]])
     def test_build_in_a_used_buffer(self, spec, n, d, monkeypatch):
         # one buffer serves a whole tuning sweep, so whatever it held (NaN
         # here) must not reach the Gram; the row sums come with the build.
         # Up to BLOCK_GRAM_MAX_D columns a Gaussian Gram is built from the
-        # points in row blocks on the read pool, and must give the bits of
-        # the condensed build on one worker and on two, with 17-row blocks,
-        # with a third of the rows repeated, and at a bandwidth narrow
-        # enough that the floor zeroes entries
+        # points in row blocks on the read pool, and above it from distances
+        # stored in K, each with the bits of the condensed distances'
+        # formula, on one worker and on two, with 17-row blocks (d = 1000
+        # spans eight column chunks), with a third of the rows repeated, and
+        # at a bandwidth narrow enough that the floor zeroes entries
         X = np.random.default_rng(n + d).normal(size=(n, d))
         X[n - n // 3:] = X[:n // 3]
+        monkeypatch.setattr(kernels, "READ_BLOCK_BYTES", 8 * 17 * n)
         if spec.family == "gaussian":
             cond = pdist(X, "sqeuclidean") if d < BLAS_DISTANCE_MIN_D else sq_distances(X)
             arg = squareform(cond) * (-0.25 / spec.bandwidth)
@@ -144,7 +147,6 @@ class TestGramMatrix:
             base = want.copy()
             for _ in range(spec.degree - 1):
                 want *= base
-        monkeypatch.setattr(kernels, "READ_BLOCK_BYTES", 8 * 17 * n)
         for workers in (1, 2):
             monkeypatch.setattr(kernels, "READ_WORKERS", workers)
             K, sums = np.full((n, n), np.nan), np.full(n, np.nan)
@@ -278,12 +280,11 @@ class TestSquaredDistances:
         assert np.array_equal(gram_matrix(spec, B, A),
                               np.exp(cdist(B, A, "sqeuclidean") * (-0.25 / 0.9)))
 
-    @pytest.mark.parametrize("n", [1, 2, 3, DISTANCE_TILE_ROWS, DISTANCE_TILE_ROWS + 1,
-                                   2 * DISTANCE_TILE_ROWS + 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 256, 257, 517])
     def test_condensed_layout_at_ragged_tile_counts(self, n):
         rng = np.random.default_rng(n)
         A = rng.normal(size=(n, BLAS_DISTANCE_MIN_D))
-        B = rng.normal(size=(DISTANCE_TILE_ROWS + 3, BLAS_DISTANCE_MIN_D))
+        B = rng.normal(size=(259, BLAS_DISTANCE_MIN_D))
         ref = pdist(A, "sqeuclidean")
         got = sq_distances(A)
         assert got.shape == ref.shape
@@ -310,20 +311,121 @@ class TestSquaredDistances:
             Kx = gram_matrix(spec, Q, X)
             assert np.abs(Kx - np.exp(-ref_cross / (4.0 * bw))).max() <= 1e-11
 
-    def test_high_d_self_heap_is_output_plus_a_few_tiles(self):
+    def test_high_d_self_heap_is_output_plus_a_few_tiles(self, monkeypatch):
         # the output lies in a memory map of its own, which tracemalloc does
-        # not see; an n x d centered copy (9.6 MB), an n x n temporary
-        # (32 MB) or the output itself from the heap (16 MB) would each
-        # exceed the allowance of four tiles (4.9 MB)
+        # not see: the full matrix, compacted into its upper triangle in
+        # place, so the one map asked for holds n^2 entries and no second
+        # n^2-scale array is made. Beyond it the heap holds one centered
+        # column chunk and one finishing block per worker; an n x d centered
+        # copy (9.6 MB), an n x n temporary (32 MB) or the output itself
+        # from the heap (16 MB) would each exceed that allowance
         n, d = 2000, 600
         X = np.random.default_rng(0).normal(size=(n, d))
+        maps = []
+        monkeypatch.setattr(kernels, "_own_array",
+                            lambda *shape, real=kernels._own_array:
+                            maps.append(shape) or real(*shape))
         tracemalloc.start()
         try:
-            sq_distances(X)
+            out = sq_distances(X)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * DISTANCE_TILE_ROWS * d * 8
+        assert maps == [(n, n)] and out.shape == (n * (n - 1) // 2,)
+        chunk = n * kernels._MIN_CHUNK_COLUMNS * 8
+        assert peak <= chunk + (1 + kernels.READ_WORKERS) * READ_BLOCK_BYTES
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+    def test_high_d_self_map_peaks_at_one_full_matrix(self):
+        # the mapped peak, which tracemalloc does not see: the process's
+        # high-water mark grows by the one n x n map (32 MB) plus the chunk
+        # and a few blocks, not by a second, condensed array (16 MB more),
+        # and once the pages past the triangle are returned the condensed
+        # output (16 MB) stays resident, not the whole map. A fresh
+        # interpreter, so that the high-water mark starts near the resident
+        # size, warmed on 500 rows, so that BLAS's buffers are in place
+        script = (
+            "import numpy as np\n"
+            "from spectral_series.kernels import sq_distances\n"
+            "def status(key):\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        line = next(l for l in fh if l.startswith(key + ':'))\n"
+            "    return int(line.split()[1]) * 1024\n"
+            "X = np.random.default_rng(0).normal(size=(2000, 600))\n"
+            "sq_distances(X[:500])\n"
+            "before = status('VmRSS')\n"
+            "out = sq_distances(X)\n"
+            "print(status('VmHWM') - before, status('VmRSS') - before)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.dirname(os.path.dirname(kernels.__file__)),
+                        env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, check=True)
+        peak, kept = (int(v) for v in proc.stdout.split())
+        n = 2000
+        chunk = n * kernels._MIN_CHUNK_COLUMNS * 8
+        assert peak <= 8 * n * n + chunk + 8 * 2**20
+        assert kept <= 8 * n * (n - 1) // 2 + chunk + 4 * 2**20
+
+    @pytest.mark.parametrize("n, d, shift", [
+        (300, BLAS_DISTANCE_MIN_D, 0.0), (300, BLAS_DISTANCE_MIN_D, 1e3),
+        (2000, 300, 0.0), (2000, 300, 1e3), (600, 1000, 0.0), (600, 1000, 1e3),
+    ])
+    def test_within_the_stated_error_bound(self, n, d, shift):
+        # the module notes bound an entry's absolute error by
+        # d * eps * (||a - mu||^2 + ||b - mu||^2), mu the reference rows'
+        # column mean; from 1024 rows on a chunk is 128 columns, so d = 300
+        # is two whole chunks and part of a third, and 600 rows split
+        # d = 1000 into 192-column chunks with a ragged last one
+        data = gen_circle(n + 150, d=d, noise_var=0.5, seed=d, rotate=True)
+        X, Q = data.features[:n] + shift, data.features[n:] + shift
+        centered = X - X.mean(axis=0)
+        norms = np.einsum("ij,ij->i", centered, centered)
+        qnorms = np.einsum("ij,ij->i", Q - X.mean(axis=0), Q - X.mean(axis=0))
+        eps = np.finfo(float).eps
+        i, j = np.triu_indices(n, 1)
+        err = np.abs(sq_distances(X) - pdist(X, "sqeuclidean"))
+        assert np.all(err <= d * eps * (norms[i] + norms[j]))
+        err = np.abs(sq_distances(Q, X) - cdist(Q, X, "sqeuclidean"))
+        assert np.all(err <= d * eps * (qnorms[:, None] + norms))
+
+    @pytest.mark.parametrize("d", [BLOCK_GRAM_MAX_D + 1, BLAS_DISTANCE_MIN_D - 1,
+                                   BLAS_DISTANCE_MIN_D, 100, 1000])
+    @pytest.mark.parametrize("shift", [0.0, 1e3])
+    def test_stored_self_distances_are_symmetric_with_a_zero_diagonal(self, d, shift):
+        # the n x n self distances a sweep stores, and fit_basis writes into
+        # its Gram, whatever the buffer held (NaN here); their strict upper
+        # triangle is the condensed form, bit for bit
+        X = gen_circle(333, d=d, noise_var=0.5, seed=d, rotate=True).features + shift
+        full = np.full((333, 333), np.nan)
+        kernels._distances_into(X, full)
+        assert np.array_equal(full, full.T)
+        assert np.all(np.diag(full) == 0.0) and full.min() >= 0.0
+        assert np.array_equal(full[np.triu_indices(333, 1)], sq_distances(X))
+        stored, _ = _sweep_distances(X, X[:5])
+        assert np.array_equal(stored, full)
+
+    @pytest.mark.parametrize("d", [BLOCK_GRAM_MAX_D + 1, BLAS_DISTANCE_MIN_D, 1000])
+    def test_grams_from_stored_distances_keep_their_bits_on_every_worker_count(
+            self, d, monkeypatch):
+        # a sweep's self and validation Grams exponentiate stored distances
+        # in row blocks on the read pool: on one worker and on two, with
+        # 17-row blocks, they have the bits of gram_matrix's
+        data = gen_circle(400, d=d, noise_var=0.5, seed=d, rotate=True).features
+        X, Q = data[:300], data[300:]
+        spec = KernelSpec.gaussian(float(np.median(sq_distances(X))) / 4.0)
+        want, want_cross = gram_matrix(spec, X), gram_matrix(spec, Q, X)
+        full, cross = _sweep_distances(X, Q)
+        monkeypatch.setattr(kernels, "READ_BLOCK_BYTES", 8 * 17 * 300)
+        for workers in (1, 2):
+            monkeypatch.setattr(kernels, "READ_WORKERS", workers)
+            K, Kv, sums = np.full((300, 300), np.nan), np.full((100, 300), np.nan), np.empty(300)
+            assert _self_gram_into(spec, X, K, full, sums) is K
+            assert _gram_into(spec, Q, X, Kv, cross) is Kv
+            assert np.array_equal(K, want) and np.array_equal(sums, want.sum(axis=1))
+            assert np.array_equal(Kv, want_cross)
 
 
 class TestBandwidthGrid:
@@ -464,7 +566,8 @@ class TestExpFastPath:
         cond = pdist(X, "sqeuclidean")
         direct = self._floored(squareform(cond) * (-0.25 / bw))
         np.fill_diagonal(direct, 1.0)
-        K = _self_gram_into(KernelSpec.gaussian(bw), X, np.empty((700, 700)), cond)
+        K = _self_gram_into(KernelSpec.gaussian(bw), X, np.empty((700, 700)),
+                            squareform(cond))
         assert np.array_equal(_bits(K), _bits(direct))
         sq = cdist(Q, X, "sqeuclidean")
         want = self._floored(sq * (-0.25 / bw))

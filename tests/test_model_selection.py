@@ -205,9 +205,10 @@ class TestTuneSeries:
         logged = [rec.getMessage() for rec in caplog.records
                   if rec.name == "spectral_series.model_selection"]
         assert len(logged) == 1 and logged[0].startswith("candidate poly(q=3) failed")
-        # the shared distances count once as kernel build and once as validation
+        # the shared distances, training and validation rows in one pass,
+        # count once as kernel build
         assert report.timings == {"kernel_build": 3.0, "eigendecomposition": 2.0,
-                                  "coefficient": 1.0, "validation": 2.0}
+                                  "coefficient": 1.0, "validation": 1.0}
 
     def test_no_usable_candidate_raises(self):
         train, val = self.overflowing_splits()
@@ -449,9 +450,14 @@ class TestSharedSweep:
         train, val, _ = split(data, SplitSpec(seed=4))
         grid = TuneGrid(bandwidths=tuple(bandwidth_grid(train.features, 3)), j_max=10)
         calls = []
-        monkeypatch.setattr(kernels, "sq_distances",
-                            lambda A, real=kernels.sq_distances:
-                            calls.append(A.shape) or real(A))
+        real = kernels._distances_into
+
+        def spy(B, full=None, *args, **kwargs):
+            if full is not None:  # a self-distance computation
+                calls.append(B.shape)
+            return real(B, full, *args, **kwargs)
+
+        monkeypatch.setattr(kernels, "_distances_into", spy)
         tune_series(train, val, grid)
         assert len(calls) == shared
 

@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -91,6 +92,30 @@ class TestMapBlocks:
         assert info.value is raised
         # each thread had claimed at most one block when block 0 failed
         assert len(calls) <= 4
+
+    def test_a_cancelled_helper_task_does_not_keep_fn_alive(self, workers):
+        # with the pool's threads busy, the helper task is still queued when
+        # the caller has run every block, and is cancelled; it stays queued
+        # until a pool thread takes it, and must not keep fn (and so the
+        # arrays fn writes, a tuning sweep's buffers) alive until then
+        workers(2)
+        pool, threads = kernels._executor(1), kernels._pool_size
+        busy, release = threading.Semaphore(0), threading.Event()
+        for _ in range(threads):
+            pool.submit(lambda: busy.release() or release.wait(TIMEOUT_S))
+        try:
+            for _ in range(threads):
+                assert busy.acquire(timeout=TIMEOUT_S)
+
+            def fn(rows):
+                return rows.start
+
+            alive = weakref.ref(fn)
+            assert map_blocks(fn, 3, ONE_ROW) == [0, 1, 2]
+            del fn
+            assert alive() is None
+        finally:
+            release.set()
 
     def test_nested_and_concurrent_calls_do_not_deadlock(self):
         # more threads than cores and a short switch interval, so that helper
@@ -270,13 +295,16 @@ def test_polynomial_overflow_stays_silent_under_the_callers_errstate(workers):
     assert np.isfinite(pred).all()
 
 
-def test_cross_distances_keep_their_bits_once_training_rows_are_kept():
-    data = gen_circle(900, d=64, noise_var=0.1, seed=5, rotate=True).features
-    A, B = data[:300] + 1e3, data[300:] + 1e3
-    distances = kernels._cross_sq_distances(B)
-    first = distances(A)
-    assert np.array_equal(distances(A), first)  # centered training rows kept
-    assert np.array_equal(distances(A[:37]), first[:37])
+@pytest.mark.parametrize("m, n", [(300, 600), (5000, 50)])
+def test_cross_distances_keep_their_bits_at_every_query_count(m, n):
+    # a query row's distances do not depend on the rows beside it: with
+    # 50 training rows the 5000 queries are centered in three blocks
+    data = gen_circle(m + n, d=64, noise_var=0.1, seed=5, rotate=True).features
+    A, B = data[:m] + 1e3, data[m:] + 1e3
+    first = kernels._cross_distances(B, A)
+    assert np.array_equal(kernels._cross_distances(B, A), first)
+    assert np.array_equal(kernels._cross_distances(B, A[:37]), first[:37])
+    assert np.array_equal(kernels._cross_distances(B, A[-2100:]), first[-2100:])
     assert np.array_equal(sq_distances(A, B), first)
 
 
