@@ -147,11 +147,13 @@ def _gram_and_row_bound(spec: KernelSpec, X: np.ndarray) -> tuple[np.ndarray, fl
     That row sum is the Gershgorin radius of krr_fit's condition bound.
     Every Gaussian entry is >= 0, so it is the largest of the row sums the
     build takes, bit for bit, with no pass of its own; a polynomial Gram may
-    hold negative entries and pays that pass.
+    hold negative entries and pays that pass, one block of rows at a time
+    (kernels.map_blocks), so no n x n temporary is made.
     """
     if spec.family != "gaussian":
         K = gram_matrix(spec, X)
-        return K, float(np.abs(K).sum(axis=1).max())
+        return K, max(map_blocks(lambda rows: float(np.abs(K[rows]).sum(axis=1).max()),
+                                 *K.shape))
     sums = np.empty(X.shape[0])
     K = gram_matrix(spec, X, sums=sums)
     return K, float(sums.max())

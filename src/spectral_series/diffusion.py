@@ -8,9 +8,11 @@ distribution of the data.
 fit_basis carries one n x n array from Gram to eigenvectors. It builds the
 Gram with its row sums (kernels._self_gram_into), symmetric by construction.
 The row sums give the degrees, the stationary weights and the symmetric
-scaling, and every normalization is applied to K in place, one
-kernels.READ_BLOCK_BYTES (1 MiB) block of rows at a time, which stays in a
-core's L2, so the fit's heap beyond K stays below one 8 MiB block. Finite
+scaling, and every normalization is applied to K in place, in the blocks
+the Gram was built in (kernels._blocks_with_sums): one
+kernels.READ_BLOCK_BYTES (1 MiB) block of rows per read-pool worker, which
+stays in a core's L2, so the fit's heap beyond K stays below one 8 MiB
+block. This module walks no n x n array itself. Finite
 row sums stand in for a scan of K's entries, so no operator with a NaN or
 Inf entry reaches the solver.
 tune_series builds each candidate's Gram in one buffer for the whole sweep and
@@ -26,9 +28,11 @@ symmetric by construction (the kernels module notes), and every
 normalization keeps it so, since each entry meets the single product
 v_i v_j (_scale_pairs). A caller's matrix enters through one door, _own:
 it must be 2-D and real, and square where the formula pairs rows with
-columns, else InputError. eigendecompose then scans its copy once for
-NaN, Inf and asymmetry beyond SYMMETRY_RTOL (NumericalError) and, in the
-same tile loop, overwrites the lower triangle with the upper one.
+columns, else InputError. eigendecompose then scans its copy once, one
+block of rows at a time on the read pool (kernels.map_blocks), for NaN, Inf
+and asymmetry beyond SYMMETRY_RTOL (NumericalError), and overwrites the
+lower triangle with the upper one by the mirror of the package's own
+Grams (kernels._mirror_upper).
 """
 
 from __future__ import annotations
@@ -44,8 +48,8 @@ from scipy.linalg.lapack import dgemqrt, dgeqrt
 
 from .errors import InputError, NumericalError
 from .kernels import (
-    READ_BLOCK_BYTES, KernelSpec, _checked_int, _checked_training, _self_gram_into, matmul,
-    row_blocks,
+    KernelSpec, _blocks_with_sums, _checked_int, _checked_training, _mirror_upper,
+    _self_gram_into, map_blocks, matmul,
 )
 
 __all__ = [
@@ -73,7 +77,6 @@ EIGENVALUE_FLOOR_REL = 1e-10
 # below this many rows the Lanczos method hands the solve to LAPACK
 LANCZOS_MIN_N = 400
 SYMMETRY_RTOL = 1e-10
-SYMMETRY_TILE = 256
 
 
 class Mode(str, Enum):
@@ -194,20 +197,18 @@ def _scale_pairs(K: np.ndarray, v: np.ndarray, op,
 
     Each entry meets the single product v_i v_j, as with a full np.outer, so a
     symmetric K stays exactly symmetric and the bits do not depend on the
-    blocking; the heap beyond K is one READ_BLOCK_BYTES block. With sums
-    given, the scaled rows' sums are written into it while each block is in
-    cache, with the bits of K.sum(axis=1). v comes from K's row sums: a
-    product that would overflow (multiply) or reach 0 (divide) means they
-    underflowed, and raises NumericalError before K is touched.
+    blocking. The blocks are the Gram build's (kernels._blocks_with_sums):
+    one kernels.READ_BLOCK_BYTES block of rows per read-pool worker, which
+    is the heap beyond K. With sums given, the scaled rows' sums are written
+    into it while each block is in cache, with the bits of K.sum(axis=1). v
+    comes from K's row sums: a product that would overflow (multiply) or
+    reach 0 (divide) means they underflowed, and raises NumericalError
+    before K is touched.
     """
     if (v.max() > _PAIR_MAX) if op is np.multiply else (v.min() < 1.0 / _PAIR_MAX):
         raise NumericalError("kernel row sums underflowed; rescale the features")
-    for rows in row_blocks(K.shape[0], K.shape[1], READ_BLOCK_BYTES):
-        block = K[rows]
-        op(block, np.outer(v[rows], v), out=block)
-        if sums is not None:
-            block.sum(axis=1, out=sums[rows])
-    return K
+    return _blocks_with_sums(lambda rows: op(K[rows], np.outer(v[rows], v), out=K[rows]),
+                             K, sums)
 
 
 def _own(K, square: bool = True, copy: bool = True) -> np.ndarray:
@@ -279,29 +280,25 @@ def _check_symmetric(A: np.ndarray) -> np.ndarray:
     NumericalError if A holds NaN or Inf or is not symmetric within
     SYMMETRY_RTOL relative to max |A|.
     """
-    scale = max(float(A.max()), -float(A.min()), 1e-300)
+    def scan(rows: slice) -> tuple[float, float]:
+        # max |A - A^T| over the block's part on and left of the diagonal:
+        # |a - b| == |b - a|, so over all blocks this is the full-matrix
+        # maximum. Entries near the float limit with opposite signs overflow
+        # to inf, which the tolerance test below reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (np.abs(A[rows]).max(),
+                    np.abs(A[rows, :rows.stop] - A[:rows.stop, rows].T).max())
+
+    # np.max keeps a NaN of any block
+    scale, asym = np.max(map_blocks(scan, *A.shape), axis=0)
     # NaN compares False against the tolerance, so test finiteness first
     if not np.isfinite(scale):
         raise NumericalError("matrix holds NaN or Inf entries (kernel overflow?)")
-    # max |A - A^T| over the upper-triangle tiles: |a - b| == |b - a|, so this
-    # equals the full-matrix maximum, while each tile and its mirror stay in
-    # cache instead of the strided full transpose; each lower tile is then
-    # overwritten by its mirror while both are still there
-    n, asym = A.shape[0], 0.0
-    for i in range(0, n, SYMMETRY_TILE):
-        for j in range(i, n, SYMMETRY_TILE):
-            upper = A[i:i + SYMMETRY_TILE, j:j + SYMMETRY_TILE]
-            lower = A[j:j + SYMMETRY_TILE, i:i + SYMMETRY_TILE]
-            # entries near the float limit with opposite signs overflow to
-            # inf, which the tolerance test below reports
-            with np.errstate(over="ignore"):
-                asym = max(asym, float(np.abs(upper - lower.T).max()))
-            np.copyto(lower, upper.T,
-                      where=np.tri(*lower.shape, k=-1, dtype=bool) if i == j else True)
-    if asym > SYMMETRY_RTOL * scale:
+    if asym > SYMMETRY_RTOL * max(float(scale), 1e-300):
         raise NumericalError(
             f"matrix asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL:.0e} relative tolerance"
         )
+    _mirror_upper(A)
     return A
 
 

@@ -84,6 +84,30 @@ at every thread count (README); fits, tunes and wider predictions do not
 promise that, as their BLAS products may round differently at another BLAS
 thread count.
 
+``map_blocks`` is the package's one walker over the rows of an n^2-scale
+array; no other module slices one into blocks itself. On it run:
+
+- every read path's query blocks (the Nystrom extension, ``krr_predict``,
+  ``knn_predict``);
+- every Gram build, through ``_blocks_with_sums``, which forms a block and
+  takes its row sums: self Grams, a tuning sweep's validation Grams and
+  ``gram_matrix``'s cross form, whose points route hands the walker its
+  column count, so from ``BLAS_DISTANCE_MIN_D`` its blocks run in order;
+- the fit's scaling (``diffusion._scale_pairs``), through the same
+  ``_blocks_with_sums``;
+- the one mirror, ``_mirror_upper``: of the self distances, of the
+  polynomial self Gram and of a caller's matrix after its symmetry scan
+  (``diffusion._check_symmetric``), which is a walk of its own;
+- the self distances' finishing pass, and the polynomial Grams' finiteness
+  scan (``gram_matrix``) and row-bound scan (``baselines``), so neither
+  makes an n x n temporary.
+
+Left in loops of their own are ``_exp``'s floor and ``_polynomial_from_inner``
+(they also serve the in-order ``BLOCK_BYTES`` blocks from
+``BLAS_DISTANCE_MIN_D``), the BLAS route's column chunks and cross finishing
+pass (``_distances_into``) and ``sq_distances``' compaction, which must run
+in row order.
+
 Every Gaussian entry, self and cross Grams and ``kernel_value`` alike, is
 formed in one function, ``gaussian_from_sqdist``: the squared distance
 times -0.25 / bandwidth, the scale computed once per call, then ``_exp``.
@@ -430,9 +454,11 @@ def map_blocks(fn: Callable[[slice], object], m: int, n: int,
     d is the column count of the cross Gram that fn builds, if it builds one.
     At or above BLAS_DISTANCE_MIN_D its distances are already a multi-threaded
     BLAS product, so the blocks run in order on the calling thread, in
-    BLOCK_BYTES blocks: a smaller block made 8000 queries at d = 1000 against
-    800 training points no faster (0.228 s at 1 MiB, 0.224 s at 8 MiB).
-    Otherwise the blocks are READ_BLOCK_BYTES and the
+    BLOCK_BYTES blocks: in 1 MiB blocks a predict of 8000 queries at
+    d = 1000 against 800 training points took 0.42-0.48 s against
+    0.23-0.29 s (2-core Xeon, medians of 15 in each of three processes),
+    and its bits differed from the 8 MiB blocks'. Otherwise the blocks are
+    READ_BLOCK_BYTES and the
     calling thread and the pool's helpers each take whole blocks, so fn must
     write only its own rows; with READ_WORKERS at 1 or a single block there
     is no pool. Each helper task runs in a copy of the caller's contextvars
@@ -738,8 +764,8 @@ def gaussian_from_sqdist(
 
 
 def _blocks_with_sums(form: Callable[[slice], object], out: np.ndarray,
-                      sums: np.ndarray | None) -> np.ndarray:
-    """Run form over out's rows one READ_BLOCK_BYTES block at a time on the read pool; returns out.
+                      sums: np.ndarray | None, d: int | None = None) -> np.ndarray:
+    """Run form over out's row blocks (map_blocks, with d as given); returns out.
 
     form(rows) writes out[rows]; the block's row sums, with the bits of
     ``out.sum(axis=1)``, go into sums if given while the block is in L2.
@@ -749,7 +775,7 @@ def _blocks_with_sums(form: Callable[[slice], object], out: np.ndarray,
         if sums is not None:
             out[rows].sum(axis=1, out=sums[rows])
 
-    map_blocks(block, *out.shape)
+    map_blocks(block, *out.shape, d)
     return out
 
 
@@ -758,12 +784,13 @@ def _gram_into(spec: KernelSpec, A: np.ndarray, B: np.ndarray, out: np.ndarray,
     """out = k(A, B), with the bits of ``gram_matrix(spec, A, B)``; returns out.
 
     out is a C-ordered m x n array whose old contents are not read. A
-    Gaussian Gram runs over out's rows one READ_BLOCK_BYTES block at a time
-    on the read pool (_blocks_with_sums), and the block's row sums go into
-    sums if given. With its squared distances sq stored (_sweep_distances,
-    or out itself), a block exponentiates its rows of sq into out; else
-    cross_gram's function writes the block's distances into its rows and
-    exponentiates them in place while they are in L2. A polynomial Gram,
+    Gaussian Gram runs over out's row blocks (_blocks_with_sums), and the
+    block's row sums go into sums if given. With its squared distances sq
+    stored (_sweep_distances, or out itself), a block exponentiates its rows
+    of sq into out, one READ_BLOCK_BYTES block at a time on the read pool;
+    else cross_gram's function writes the block's distances into its rows
+    and exponentiates them in place while they are in cache, in the blocks
+    map_blocks gives a cross Gram of A's column count. A polynomial Gram,
     which ignores sq and sums, is one whole product.
     """
     if spec.family == "poly":
@@ -772,7 +799,7 @@ def _gram_into(spec: KernelSpec, A: np.ndarray, B: np.ndarray, out: np.ndarray,
         return _blocks_with_sums(
             lambda rows: gaussian_from_sqdist(sq[rows], spec.bandwidth, out=out[rows]), out, sums)
     gram = cross_gram(spec, B)
-    return _blocks_with_sums(lambda rows: gram(A[rows], out=out[rows]), out, sums)
+    return _blocks_with_sums(lambda rows: gram(A[rows], out=out[rows]), out, sums, A.shape[1])
 
 
 def _sweep_distances(A: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
@@ -836,7 +863,12 @@ def gram_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray | None = None, *,
     query rows are (_checked_queries), as in sq_distances: more than two
     dimensions, a row holding NaN or Inf or, with B given, a column count
     other than B's raises InputError, and so does a self Gram of no rows or
-    no columns. A polynomial entry that overflows raises NumericalError.
+    no columns. A cross Gram is built as a sweep's validation Gram is
+    (_gram_into): a Gaussian one by blocks of A's rows, on the read pool
+    below BLAS_DISTANCE_MIN_D columns and in order from it, where a row in
+    a last block of a few rows may round unlike the same row in a larger
+    block (_distances_into). A polynomial entry that overflows raises
+    NumericalError; that check walks K by blocks of rows.
     """
     if B is None or B is A:
         A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -849,18 +881,24 @@ def gram_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray | None = None, *,
         raise InputError("row sums are taken only for a self Gram")
     else:
         B = _checked_queries(B, np.shape(B)[-1], "reference")
-        K = cross_gram(spec, B)(_checked_queries(A, B.shape[1]))
+        A = _checked_queries(A, B.shape[1])
+        K = _gram_into(spec, A, B, np.empty((A.shape[0], B.shape[0])))
     # a Gaussian entry lies in [0, 1]; a polynomial one may overflow
-    if spec.family == "poly" and not np.isfinite(K).all():
+    if spec.family == "poly" and not all(map_blocks(lambda rows: np.isfinite(K[rows]).all(),
+                                                    *K.shape)):
         raise NumericalError(f"{spec.label()} Gram overflowed: an entry is not finite")
     return K
 
 
 def cross_gram(spec: KernelSpec, B: np.ndarray) -> Callable[..., np.ndarray]:
-    """k(A, B) as a function of the query rows A, with B's side prepared once.
+    """k(A, B) as a function of the query rows A.
 
     A read path makes one per call and applies it to each block of query
-    rows; each block's Gram has the bits of ``gram_matrix(spec, A, B)``. A
+    rows; each block's Gram has the bits of ``gram_matrix(spec, A, B)``.
+    Only B's conversion to a 2-D float array is done once: from
+    BLAS_DISTANCE_MIN_D columns each call centres B's column chunks and
+    recomputes their norms (_distances_into), once per query block, about
+    2-2.5 ms a call for 800 training rows at d = 1000 (2-core Xeon). A
     block is a 2-D float array of B's column count, as _checked_queries
     returns it. The Gram is written into out if given, a C-ordered array of
     the block's row count by B's, and returned.

@@ -1,3 +1,14 @@
+"""Shared pytest hooks: the acceptance criteria's summary lines.
+
+spectral_series is imported before anything else, as README asks: the
+package applies SPECTRAL_SERIES_THREADS to the BLAS thread variables at
+import time, so a test module that imports scipy first would start scipy's
+OpenBLAS at the CPU count, while the child processes some tests spawn
+inherit the capped variables and run another thread count.
+"""
+
+import spectral_series  # noqa: F401  (first: see the module notes)
+
 import re
 
 _CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)_(\w+)")

@@ -195,8 +195,11 @@ def test_criterion_07_dimension_independence():
                 and r["seed"] == seed
                 and r["stage"] in ("eigendecomposition", "coefficient"))
             for seed in range(10)]))
-    assert max(medians.values()) / min(medians.values()) < 1.5
-    assert max(compute.values()) / min(compute.values()) < 1.3
+    loss_ratio = max(medians.values()) / min(medians.values())
+    assert loss_ratio < 1.5, f"loss ratio {loss_ratio:.3f}, medians per d {medians}"
+    compute_ratio = max(compute.values()) / min(compute.values())
+    assert compute_ratio < 1.3, (
+        f"compute ratio {compute_ratio:.3f}, median seconds per d {compute}")
     assert wall < 300.0
 
 
@@ -258,7 +261,8 @@ def test_criterion_10_randomized_solver_fidelity():
         t0 = time.perf_counter()
         eigendecompose(A2, 20, EigenMethod("randomized", seed=0))
         ratios.append((time.perf_counter() - t0) / t_full)
-    assert float(np.median(ratios)) <= 0.6
+    median = float(np.median(ratios))
+    assert median <= 0.6, f"median {median:.3f} of the randomized / full time ratios {ratios}"
 
 
 def test_criterion_11_loss_shrinks_with_sample_size():

@@ -353,6 +353,27 @@ def test_blocked_prediction_bit_identical_to_whole_array(estimator):
     assert np.array_equal(blocked(Q), whole(Q))
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_polynomial_gram_and_fit_make_no_square_temporary(workers, monkeypatch):
+    # a polynomial Gram's finiteness check (gram_matrix) and krr_fit's row
+    # bound walk K one row block per worker; K itself lies in a memory map
+    # tracemalloc does not see. A whole-matrix isfinite (2.1 MiB of bools
+    # here) or np.abs(K) (17 MiB) breaks the bound
+    n = 1500
+    data = gen_spiral(n, noise_sd=0.1, seed=6)
+    spec = KernelSpec.polynomial(2)
+    monkeypatch.setattr(kernels, "READ_WORKERS", workers)
+    for build in (lambda: gram_matrix(spec, data.features),
+                  lambda: krr_fit(data.features, data.responses, spec, 1e-1)):
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= workers * READ_BLOCK_BYTES + 64 * 1024
+
+
 @pytest.mark.parametrize("estimator", ["nw", "knn", "krr"])
 def test_heap_peak_independent_of_query_count(estimator, monkeypatch):
     data = gen_spiral(800, noise_sd=0.1, seed=6)

@@ -17,15 +17,20 @@ from spectral_series import (
     KernelSpec,
     Mode,
     NumericalError,
+    bias_correct,
+    eigendecompose,
     extend,
     fit,
+    fit_basis,
     gen_circle,
     gen_spiral,
+    gram_matrix,
     knn_predict,
     krr_fit,
     nw_predict,
     predict,
     save_model,
+    symmetric_normalize,
 )
 from spectral_series import kernels, nystrom
 from spectral_series.cli import main
@@ -256,28 +261,44 @@ def circle_case(mode):
 @pytest.mark.parametrize("case", [spiral_case, circle_case], ids=["cdist", "blas"])
 @pytest.mark.parametrize("mode", list(Mode))
 def test_outputs_do_not_depend_on_the_worker_count(case, mode, workers):
+    # the read paths, and the passes that walk K on the pool: the fit's
+    # scaling (all modes but Uniform) and gram_matrix's cross form (on the
+    # pool below BLAS_DISTANCE_MIN_D columns, in order from it)
     model, Q = case(mode)
+    X, spec = model.basis.training_points, model.basis.kernel
+    calls = (lambda: extend(model.basis, Q, model.J), lambda: predict(model, Q),
+             lambda: fit_basis(X, spec, model.J, mode).eigenvectors,
+             lambda: gram_matrix(spec, Q, X))
     workers(1)
-    ext, pred = extend(model.basis, Q, model.J), predict(model, Q)
-    for count in (2, 4, 2):
+    serial = [call() for call in calls]
+    for count in (2, 3, 4, 2):
         workers(count)
-        assert np.array_equal(extend(model.basis, Q, model.J), ext)
-        assert np.array_equal(predict(model, Q), pred)
+        for call, want in zip(calls, serial):
+            assert np.array_equal(call(), want)
 
 
 def test_baselines_do_not_depend_on_the_worker_count(workers):
+    # besides the read paths, a polynomial krr_fit's finiteness and row-bound
+    # scans, and a caller's matrix through the normalizations and
+    # eigendecompose's symmetry scan and mirror, all on the pool
     data = gen_spiral(800, noise_sd=0.1, seed=6)
     X, y = data.features, data.responses
     krr = krr_fit(X, y, KernelSpec.gaussian(0.05), 1e-3)
     Q = gen_spiral(2000, noise_sd=0.1, seed=7).features
     Q[500:503] += 500.0
+    C = gram_matrix(KernelSpec.gaussian(0.05), X)
+    C += 1e-14 * np.random.default_rng(6).standard_normal(C.shape)
     calls = (lambda: nw_predict(X, y, 0.05, Q), lambda: knn_predict(X, y, 7, Q),
-             lambda: krr.predict(Q))
+             lambda: krr.predict(Q),
+             lambda: krr_fit(X, y, KernelSpec.polynomial(2), 1e-1).dual_coefficients,
+             lambda: symmetric_normalize(C), lambda: bias_correct(C),
+             lambda: eigendecompose(C, 5)[1])
     workers(1)
     serial = [call() for call in calls]
-    workers(2)
-    for call, want in zip(calls, serial):
-        assert np.array_equal(call(), want)
+    for count in (2, 3):
+        workers(count)
+        for call, want in zip(calls, serial):
+            assert np.array_equal(call(), want)
 
 
 def test_polynomial_overflow_stays_silent_under_the_callers_errstate(workers):
