@@ -19,7 +19,7 @@ from .baselines import krr_penalty_grid, krr_predict
 from .dataset import SplitSpec, gen_circle, gen_spiral, split
 from .diffusion import EigenMethod, Mode
 from .kernels import KernelSpec, bandwidth_grid
-from .model_selection import TuneGrid, evaluate_on, tune_baseline, tune_series
+from .model_selection import TuneGrid, _rank, evaluate_on, tune_baseline, tune_series
 from .series import predict
 
 __all__ = [
@@ -72,15 +72,17 @@ def _tuned_series(train, val, test, grid_size, j_max, mode=Mode.STOCHASTIC,
 
 
 def _tuned_krr(train, val, test, bandwidths, penalties):
-    best = None
+    best = None  # (rank, model)
     timings = {"fit": 0.0, "validation": 0.0}
     for eps in bandwidths:
         model, report = tune_baseline(train, val, penalties, "krr",
                                       kernel=KernelSpec.gaussian(eps))
         timings["fit"] += report.timings["fit"]
         timings["validation"] += report.timings["validation"]
-        if best is None or report.val_loss < best[0]:
-            best = (report.val_loss, model)
+        # the tuners' tie rule: at equal loss the wider bandwidth wins
+        rank = _rank(("gaussian", float(eps), -1), report.val_loss)
+        if best is None or rank < best[0]:
+            best = (rank, model)
     model = best[1]
     test_eval = evaluate_on(lambda X: krr_predict(model, X), test)
     return model, timings, test_eval

@@ -6,17 +6,16 @@ rescaling. The result is an orthogonal basis adapted to the sampling
 distribution of the data.
 
 fit_basis carries one n x n array from Gram to eigenvectors. It builds the
-Gram with its row sums (kernels._self_gram_into), symmetric by construction.
-The row sums give the degrees, the stationary weights and the symmetric
-scaling, and every normalization is applied to K in place, in the blocks
-the Gram was built in (kernels._blocks_with_sums): one
-kernels.READ_BLOCK_BYTES (1 MiB) block of rows per read-pool worker, which
-stays in a core's L2, so the fit's heap beyond K stays below one 8 MiB
-block. This module walks no n x n array itself. Finite
-row sums stand in for a scan of K's entries, so no operator with a NaN or
-Inf entry reaches the solver.
-tune_series builds each candidate's Gram in one buffer for the whole sweep and
-hands it to _fit, the fit behind fit_basis.
+Gram with its row sums (kernels._gram_into), symmetric by construction. The
+row sums give the degrees, the stationary weights and the symmetric scaling,
+and every normalization, Uniform mode's division by n included, is applied
+to K in place, in the blocks the Gram was built in
+(kernels._blocks_with_sums), so beyond K the fit's heap is one such block
+per read-pool worker and a few n x (j_max+1) arrays. This module walks no
+n x n array itself. Finite row sums stand in for a scan of K's entries, so
+no operator with a NaN or Inf entry reaches the solver. tune_series builds
+each candidate's Gram in one buffer for the whole sweep and hands it to
+_fit, the fit behind fit_basis.
 
 The symmetry contract, stated here once: every operator a solver sees
 (_SOLVERS) is finite, exactly symmetric, C-ordered float64 and the solve's
@@ -48,8 +47,8 @@ from scipy.linalg.lapack import dgemqrt, dgeqrt
 
 from .errors import InputError, NumericalError
 from .kernels import (
-    KernelSpec, _blocks_with_sums, _checked_int, _checked_training, _mirror_upper,
-    _self_gram_into, map_blocks, matmul,
+    KernelSpec, _blocks_with_sums, _checked_int, _checked_training, _gram_into, _mirror_upper,
+    map_blocks, matmul,
 )
 
 __all__ = [
@@ -504,27 +503,22 @@ def fit_basis(
     Uniform eigendecomposes K/n directly with flat weights (the route for
     kernels whose entries may be negative). The n x n Gram is built here
     with its row sums, symmetric by construction, in a memory map of its own
-    (kernels._self_gram_into), and the normalization and the solver work
-    inside it. A Gaussian Gram of at most kernels.BLOCK_GRAM_MAX_D (8)
-    columns is built from the points one 1 MiB block of rows per pool worker
-    at a time, with no stored distances; a wider one from its squared
-    distances, written into K and exponentiated there in the same blocks
-    (below kernels.BLAS_DISTANCE_MIN_D columns they are pdist's, whose n^2/2
-    lie in a memory map of their own until K is filled; from it on no other
-    n^2-scale array is made). Beyond K and that map, the fit's heap is a few
-    1 MiB blocks, one column chunk of the distances and a few n x (j_max+1)
-    arrays. Row sums
-    that are not finite raise NumericalError in every mode, and in the
-    degree-weighted modes so do row sums that are not > 0. X follows the
-    input contract (README, "Input contract") with at least 2 points, and
-    j_max is an integer in 0..n-1; a fault raises InputError before any
-    kernel is built.
+    (kernels._gram_into, whose module notes describe each route), and the
+    normalization and the solver work inside it. Beyond K, and the condensed
+    distances some Gaussian Grams are filled from (in a map of their own,
+    freed once K is built), the fit's heap is a few of the Gram's row
+    blocks, one column chunk of the distances and a few n x (j_max+1)
+    arrays. Row sums that are not finite raise NumericalError in every mode,
+    and in the degree-weighted modes so do row sums that are not > 0. X
+    follows the input contract (README, "Input contract") with at least 2
+    points, and j_max is an integer in 0..n-1; a fault raises InputError
+    before any kernel is built.
     """
     X, _ = _checked_training(X, min_rows=2)
     n = X.shape[0]
     j_max = _checked_int(j_max, "j_max", 0, n - 1)
     sums = np.empty(n)
-    K = _self_gram_into(spec, X, sums=sums)
+    K = _gram_into(spec, X, sums=sums)
     return _fit(X, spec, j_max, mode, method, K, sums)
 
 
@@ -544,7 +538,7 @@ def _fit(
     if mode is Mode.UNIFORM:
         degrees = _check_row_sums(sums, positive=False) / n
         stationary = np.full(n, 1.0 / n)
-        K /= n
+        _blocks_with_sums(lambda rows: np.divide(K[rows], n, out=K[rows]), K, None)
     else:
         degrees = _check_row_sums(sums) / n
         if mode is Mode.BIAS_CORRECTED:

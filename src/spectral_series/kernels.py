@@ -17,20 +17,16 @@ column count d:
   d = 20, and a tuning sweep's self plus cross pass gained from d = 32 on.
 
 Every distance of the BLAS route comes from one routine, ``_distances_into``,
-so each has one set of bits: the n x n self distances a tuning sweep stores
-and ``fit_basis`` writes into its Gram, the condensed ``sq_distances(A)``
-(the full matrix's upper triangle, moved to the front of its own map), and
-the cross distances of ``sq_distances(A, B)`` and of every read path
-(``cross_gram``). The self form is one ``syrk`` triangle per column chunk,
-mirrored, then completed by whole contiguous rows, so it is exactly
-symmetric with a zero diagonal; the cross form is one ``gemm`` per chunk. A
-chunk is as wide as fits n rows in one ``READ_BLOCK_BYTES`` buffer, but at
-least ``_MIN_CHUNK_COLUMNS`` (128), so no n x d centered copy is made and
-each BLAS call keeps a depth that does not shrink as n grows. Self Grams in
-d = 1000 (2-core Xeon, medians of up to 7 in one process) took 17-24
-against 38-39 ms at 800 points, 82-89 against 149 ms at 2000, 0.51-0.56
-against 0.94-1.16 s at 5000 and 1.18-1.24 against 2.32-2.68 s at 8000 for
-256-row tile pairs and a triangle walk.
+so each has one set of bits: the n x n self distances a Gram is exponentiated
+from, the condensed ``sq_distances(A)`` (the full matrix's upper triangle,
+moved to the front of its own map), and the cross distances of
+``sq_distances(A, B)`` and of every read path (``cross_gram``). The self form
+is one ``syrk`` triangle per column chunk, mirrored, then completed by whole
+contiguous rows, so it is exactly symmetric with a zero diagonal; the cross
+form is one ``gemm`` per chunk. A chunk is as wide as fits n rows in one
+``READ_BLOCK_BYTES`` buffer, but at least ``_MIN_CHUNK_COLUMNS`` (128, see
+its comment), so no n x d centered copy is made and each BLAS call keeps a
+depth that does not shrink as n grows.
 
 Both operands of the product are first centered on the reference rows'
 column mean (the rows themselves for the self form, the training rows for the
@@ -89,12 +85,10 @@ array; no other module slices one into blocks itself. On it run:
 
 - every read path's query blocks (the Nystrom extension, ``krr_predict``,
   ``knn_predict``);
-- every Gram build, through ``_blocks_with_sums``, which forms a block and
-  takes its row sums: self Grams, a tuning sweep's validation Grams and
-  ``gram_matrix``'s cross form, whose points route hands the walker its
-  column count, so from ``BLAS_DISTANCE_MIN_D`` its blocks run in order;
-- the fit's scaling (``diffusion._scale_pairs``), through the same
-  ``_blocks_with_sums``;
+- every Gram build (``_gram_into``), through ``_blocks_with_sums``, which
+  forms a block and takes its row sums;
+- the fit's scaling (``diffusion._scale_pairs``) and Uniform mode's division
+  by n (``diffusion._fit``), through the same ``_blocks_with_sums``;
 - the one mirror, ``_mirror_upper``: of the self distances, of the
   polynomial self Gram and of a caller's matrix after its symmetry scan
   (``diffusion._check_symmetric``), which is a walk of its own;
@@ -131,53 +125,41 @@ of a Gram lands there. ``_exp`` takes the plain call when no argument is
 that low, and otherwise raises the low ones into the vectorized range and
 multiplies their results by 0.
 
-A self Gram is built in an n x n array (``_self_gram_into``), a new one or a
-buffer the caller reuses, with no n x n temporary; the array's old contents
-are never read, so ``tune_series`` builds every candidate in one buffer, and
-``fit_basis`` takes its row sums from the build instead of from a pass of its
-own. Every build ends in one blocked pass over whole rows of K, one
-``READ_BLOCK_BYTES`` block of rows at a time on the read pool
+Every Gram, self or cross, is built by one function, ``_gram_into``, and it
+alone chooses the route; ``gram_matrix`` (both forms), ``fit_basis`` and
+``tune_series`` (each candidate's Gram and its validation Gram) call it. It
+writes into an array whose old contents it never reads, a new one or a
+buffer the caller reuses, so a tuning sweep builds every candidate in one
+buffer and makes no n x n temporary. Every build ends in one blocked pass
+over whole rows, one ``READ_BLOCK_BYTES`` block at a time on the read pool
 (``_blocks_with_sums``), which forms the block's entries and takes its row
-sums while it is in L2. How the entries are formed depends on the width of
-the rows:
+sums, with the bits of ``K.sum(axis=1)``, while it is in L2, so ``fit_basis``
+takes its degrees from the build. The routes:
 
-- A Gaussian Gram of at most ``BLOCK_GRAM_MAX_D`` (8) columns is built
-  from its points (``_gram_into``), by the function ``cross_gram`` gives
-  every read path: ``cdist`` writes the block's squared distances into its
-  rows of K, which are scaled by -0.25 / bandwidth and exponentiated in
-  place (``gaussian_from_sqdist``). ``cdist(X, X)`` is exactly symmetric,
-  has a zero diagonal (so a diagonal of 1) and equals ``pdist``'s condensed
-  entries bit for bit. At that width its loop costs no more than the
-  exponentials it feeds, so no distances are stored, not even for a tuning
-  sweep. On 2000 spiral points (medians of 15 on a 2-core box) a build took
-  14-19 ms on one worker and 7.5-10 ms on two, against 21-24 ms for
-  ``pdist`` and a two-pass build from the condensed distances. Wider rows
-  make the distances the larger cost, and a sweep then gains more from
-  computing them once than from the pool (see the constant's comment).
-- A wider Gaussian Gram exponentiates the n x n self distances
-  (``_distances_into``: ``pdist``'s, mirrored, below
-  ``BLAS_DISTANCE_MIN_D`` columns, the BLAS route from it on). A tuning
-  sweep computes them once for all its bandwidths (``_sweep_distances``),
-  and ``fit_basis`` writes them into K itself and exponentiates them in
-  place. Being exactly symmetric with a zero diagonal, they give a Gram
-  that is too, with a diagonal of 1. On 800 points in d = 1000 one
-  bandwidth's Gram took 1.3 ms against 3.1 ms for a triangle of
-  exponentials and a 64-row tile walk that mirrored it. On 2000 points
-  with 1000 validation rows (medians of 9, three processes a side) a
-  5-bandwidth sweep's Gram work took 82-110 against 154-170 ms at d = 9
-  and 130-142 against 187-202 ms at d = 31, and a fit's Gram 42-50
-  against 47-71 ms at d = 9 and 61-67 against 63-70 ms at d = 31.
-- A polynomial Gram is one BLAS ``syrk`` triangle of inner products,
+- A Gaussian Gram of at most ``BLOCK_GRAM_MAX_D`` columns is built from its
+  points by the function ``cross_gram`` gives every read path: ``cdist``
+  writes the block's squared distances into its rows, which are
+  exponentiated in place (``gaussian_from_sqdist``). ``cdist(X, X)`` is
+  exactly symmetric, has a zero diagonal (so a diagonal of 1) and equals
+  ``pdist``'s condensed entries bit for bit. At that width its loop costs no
+  more than the exponentials it feeds, so no distances are stored, not even
+  for a tuning sweep (see the constant's comment).
+- A wider Gaussian Gram exponentiates stored squared distances: a tuning
+  sweep computes its training and validation distances once for all its
+  bandwidths (``_sweep_distances``), and a self Gram given none writes its
+  n x n distances (``_distances_into``: ``pdist``'s, mirrored, below
+  ``BLAS_DISTANCE_MIN_D`` columns) into its own output first. Exactly
+  symmetric with a zero diagonal, they give a Gram that is too, with a
+  diagonal of 1.
+- A Gaussian cross Gram without stored distances, ``gram_matrix(spec, A,
+  B)``'s, is built from the points by blocks of A's rows, and hands the
+  walker its column count, so from ``BLAS_DISTANCE_MIN_D`` its blocks run in
+  order.
+- A polynomial self Gram is one BLAS ``syrk`` triangle of inner products,
   mirrored (``_mirror_upper``, the self distances' mirror), then raised to
-  its degree by blocks. On 2000 points at 2 and 40 columns it kept the bits
-  of the tile walk it replaced and was no slower on two workers.
+  its degree by blocks; a polynomial cross Gram is one whole product.
 
-Either way the row sums have the bits of ``K.sum(axis=1)``, and the Gram
-has the same bits at every ``READ_WORKERS``. Which route builds a Gram is
-decided here alone: a tuning sweep asks ``_sweep_distances`` for the
-distances it may share, which are None up to ``BLOCK_GRAM_MAX_D`` columns,
-and hands whatever it got to ``_self_gram_into`` and, for its validation
-Gram, to ``_gram_into``.
+Each route gives the Gram the same bits at every ``READ_WORKERS``.
 
 The package's n^2-scale outputs, a Gram the build allocates itself, the
 self distances a sweep stores, the condensed self distances
@@ -253,7 +235,7 @@ BLAS_DISTANCE_MIN_D = 32
 # 256). 128 leaves every n up to 1024 with the chunks it had (128 columns
 # at the benchmark's 800 points, where 256-column chunks made sweeps faster
 # still, but perfbench, which keeps every sweep's output, then read a peak
-# RSS 10.7 % above the tiled route's) and a chunk buffer of n KiB.
+# RSS 10.7 % above its baseline's) and a chunk buffer of n KiB.
 _MIN_CHUNK_COLUMNS = 128
 # Gaussian self Grams of rows with at most this many columns are built from
 # the points one READ_BLOCK_BYTES (1 MiB) block of rows at a time
@@ -779,26 +761,40 @@ def _blocks_with_sums(form: Callable[[slice], object], out: np.ndarray,
     return out
 
 
-def _gram_into(spec: KernelSpec, A: np.ndarray, B: np.ndarray, out: np.ndarray,
-               sq: np.ndarray | None = None, sums: np.ndarray | None = None) -> np.ndarray:
+def _gram_into(spec: KernelSpec, A: np.ndarray, B: np.ndarray | None = None,
+               out: np.ndarray | None = None, sq: np.ndarray | None = None,
+               sums: np.ndarray | None = None) -> np.ndarray:
     """out = k(A, B), with the bits of ``gram_matrix(spec, A, B)``; returns out.
 
-    out is a C-ordered m x n array whose old contents are not read. A
-    Gaussian Gram runs over out's row blocks (_blocks_with_sums), and the
-    block's row sums go into sums if given. With its squared distances sq
-    stored (_sweep_distances, or out itself), a block exponentiates its rows
-    of sq into out, one READ_BLOCK_BYTES block at a time on the read pool;
-    else cross_gram's function writes the block's distances into its rows
-    and exponentiates them in place while they are in cache, in the blocks
-    map_blocks gives a cross Gram of A's column count. A polynomial Gram,
-    which ignores sq and sums, is one whole product.
+    The package's one Gram builder: every route is chosen here (see the
+    module notes). B None means A's self Gram. out is a C-ordered array of
+    A's row count by B's (by A's for a self Gram) whose old contents are not
+    read, so one buffer serves a whole tuning sweep; None makes a new one, a
+    self Gram's in a map of its own (_own_array), a cross Gram's on the heap.
+    sq, a Gaussian Gram's squared distances, is what _sweep_distances
+    stored; a wider self Gram given none writes its own into out. The row
+    sums go into sums if given; a polynomial cross Gram, one whole product,
+    takes none.
     """
+    if out is None:
+        shape = (A.shape[0], (A if B is None else B).shape[0])
+        out = _own_array(*shape) if B is None else np.empty(shape)
     if spec.family == "poly":
-        return cross_gram(spec, B)(A, out=out)
+        if B is not None:
+            return cross_gram(spec, B)(A, out=out)
+        # BLAS syrk writes one triangle of A A^T, the lower one of the
+        # Fortran-ordered product and so the upper one of out, without reading out
+        dsyrk(1.0, np.ascontiguousarray(A).T, c=out.T, trans=1, lower=1, overwrite_c=1)
+        _mirror_upper(out)
+        return _blocks_with_sums(lambda rows: _polynomial_from_inner(out[rows], spec.degree),
+                                 out, sums)
+    if B is None and sq is None and A.shape[1] > BLOCK_GRAM_MAX_D:
+        _distances_into(A, out)
+        sq = out
     if sq is not None:
         return _blocks_with_sums(
             lambda rows: gaussian_from_sqdist(sq[rows], spec.bandwidth, out=out[rows]), out, sums)
-    gram = cross_gram(spec, B)
+    gram = cross_gram(spec, A if B is None else B)
     return _blocks_with_sums(lambda rows: gram(A[rows], out=out[rows]), out, sums, A.shape[1])
 
 
@@ -806,7 +802,7 @@ def _sweep_distances(A: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray | None, n
     """Squared distances a tuning sweep computes once for all its Gaussian candidates.
 
     (A's n x n self distances, the m x n distances from Q's rows to A's), as
-    _self_gram_into and _gram_into take them, from one call of
+    _gram_into takes them as sq, from one call of
     _distances_into, so each chunk of A's columns is centered once for both.
     The self distances lie in a memory map of their own (_own_array), the
     cross ones on the heap. (None, None) at or below BLOCK_GRAM_MAX_D
@@ -817,38 +813,6 @@ def _sweep_distances(A: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray | None, n
     full, cross = _own_array(A.shape[0], A.shape[0]), np.empty((Q.shape[0], A.shape[0]))
     _distances_into(A, full, Q, cross)
     return full, cross
-
-
-def _self_gram_into(spec: KernelSpec, A: np.ndarray, K: np.ndarray | None = None,
-                    sq: np.ndarray | None = None,
-                    sums: np.ndarray | None = None) -> np.ndarray:
-    """Build the self Gram of the rows of A in the n x n C-ordered K; returns K.
-
-    K's old contents are ignored, so one buffer serves a whole tuning sweep;
-    with K None a new one is made (_own_array). The row sums go into sums
-    if given. A Gaussian Gram of at most BLOCK_GRAM_MAX_D columns is built
-    from the points, one READ_BLOCK_BYTES (1 MiB) block of rows at a time on
-    the read pool (_gram_into). A wider one is exponentiated from A's n x n
-    squared distances in the same blocks: sq passes them in (a tuning sweep
-    shares them, _sweep_distances), else _distances_into writes them into K
-    and they are exponentiated in place. A polynomial Gram, which ignores
-    sq, is one BLAS syrk triangle, mirrored (_mirror_upper), then raised to
-    its degree in the same blocks. Whichever route builds it, the bits are
-    those of ``gram_matrix(spec, A)`` and of its ``sum(axis=1)``.
-    """
-    n = A.shape[0]
-    K = _own_array(n, n) if K is None else K
-    if spec.family == "poly":
-        # BLAS syrk writes one triangle of A A^T, the lower one of the
-        # Fortran-ordered product and so the upper one of K, without reading K
-        dsyrk(1.0, np.ascontiguousarray(A).T, c=K.T, trans=1, lower=1, overwrite_c=1)
-        _mirror_upper(K)
-        return _blocks_with_sums(lambda rows: _polynomial_from_inner(K[rows], spec.degree),
-                                 K, sums)
-    if sq is None and A.shape[1] > BLOCK_GRAM_MAX_D:
-        _distances_into(A, K)
-        sq = K
-    return _gram_into(spec, A, A, K, sq, sums)
 
 
 def gram_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray | None = None, *,
@@ -863,11 +827,10 @@ def gram_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray | None = None, *,
     query rows are (_checked_queries), as in sq_distances: more than two
     dimensions, a row holding NaN or Inf or, with B given, a column count
     other than B's raises InputError, and so does a self Gram of no rows or
-    no columns. A cross Gram is built as a sweep's validation Gram is
-    (_gram_into): a Gaussian one by blocks of A's rows, on the read pool
-    below BLAS_DISTANCE_MIN_D columns and in order from it, where a row in
-    a last block of a few rows may round unlike the same row in a larger
-    block (_distances_into). A polynomial entry that overflows raises
+    no columns. Both forms are built by _gram_into (see the module notes);
+    from BLAS_DISTANCE_MIN_D columns a Gaussian cross Gram's row in a last
+    block of a few rows may round unlike the same row in a larger block
+    (_distances_into). A polynomial entry that overflows raises
     NumericalError; that check walks K by blocks of rows.
     """
     if B is None or B is A:
@@ -876,13 +839,13 @@ def gram_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray | None = None, *,
         if not A.size:
             raise InputError(f"a self Gram needs at least one point and one column, "
                              f"got shape {A.shape}")
-        K = _self_gram_into(spec, A, sums=sums)
+        K = _gram_into(spec, A, sums=sums)
     elif sums is not None:
         raise InputError("row sums are taken only for a self Gram")
     else:
         B = _checked_queries(B, np.shape(B)[-1], "reference")
         A = _checked_queries(A, B.shape[1])
-        K = _gram_into(spec, A, B, np.empty((A.shape[0], B.shape[0])))
+        K = _gram_into(spec, A, B)
     # a Gaussian entry lies in [0, 1]; a polynomial one may overflow
     if spec.family == "poly" and not all(map_blocks(lambda rows: np.isfinite(K[rows]).all(),
                                                     *K.shape)):

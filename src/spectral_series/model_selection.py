@@ -22,8 +22,8 @@ from .dataset import Dataset
 from .diffusion import EigenMethod, Mode, _fit, _n_usable
 from .errors import InputError, NumericalError
 from .kernels import (
-    KernelSpec, _checked_int, _checked_positive, _checked_queries, _gram_into, _self_gram_into,
-    _sweep_distances, gram_matrix, matmul,
+    KernelSpec, _checked_int, _checked_positive, _checked_queries, _gram_into, _sweep_distances,
+    gram_matrix, matmul,
 )
 from .nystrom import _extend, _operands
 from .series import SeriesModel, _coefficients, pool_unlabeled
@@ -86,9 +86,9 @@ class FitReport:
     chosen must be the surface's first entry in _rank's order, which holds
     the tie rule; any other raises InputError. timings maps a stage to its
     seconds summed over the sweep. tune_series' stages are kernel_build (the
-    candidates' self Grams and, for Gaussian candidates wider than
-    kernels.BLOCK_GRAM_MAX_D columns, the one computation of the training
-    and validation distances they share), eigendecomposition, coefficient
+    candidates' self Grams and the one computation of the training and
+    validation distances that Gaussian candidates share, where
+    kernels._sweep_distances stores any), eigendecomposition, coefficient
     and validation (each validation Gram, its extension and scoring).
     """
 
@@ -226,16 +226,12 @@ def tune_series(
     buffer for the whole sweep, and once its fit is done, its validation
     cross Gram is built whole in the same buffer (in an array of its own only
     when the validation set has more rows than the training pool) and
-    extended in one call. How each Gram is built is the kernels module's
-    choice: at most kernels.BLOCK_GRAM_MAX_D (8) columns wide, each Gaussian
-    Gram, self and validation, is built from the points one 1 MiB block of
-    rows per pool worker at a time (kernels._gram_into), and the sweep
-    stores no distances, as their cdist loop costs no more than the
-    exponentials it feeds. Wider, Gaussian candidates share one computation
-    of the training and validation squared distances, timed as kernel build
-    (kernels._sweep_distances: the n x n training distances in a memory map
-    of their own, the validation ones on the heap), and each bandwidth only
-    exponentiates them, one 1 MiB block of rows per pool worker at a time.
+    extended in one call. Every Gram, each candidate's and its validation
+    Gram, is built by kernels._gram_into, which alone chooses its route (the
+    kernels module notes). Gaussian candidates differ only in the exponent's
+    scale, so the sweep computes its training and validation distances at
+    most once, timed as kernel build: kernels._sweep_distances stores them
+    where the route reads them, and each bandwidth then only exponentiates.
     Polynomial candidates run in Uniform mode (their Gram entries may be
     negative, which the degree-weighted modes cannot accept). Unlabeled rows,
     when given, enter every candidate basis; coefficients use training rows
@@ -256,8 +252,8 @@ def tune_series(
 
     timings = dict.fromkeys(("kernel_build", "eigendecomposition", "coefficient",
                              "validation"), 0.0)
-    # Gaussian candidates differ only in the exponent's scale, so wide rows'
-    # distances are computed once for the whole sweep
+    # the distances Gaussian candidates share, where stored, are computed
+    # once for the whole sweep
     with _timed(timings, "kernel_build"):
         sq_pooled, sq_val = (_sweep_distances(pooled, val.features) if grid.bandwidths
                              else (None, None))
@@ -276,7 +272,7 @@ def tune_series(
         basis = coef = None
         try:
             with _timed(timings, "kernel_build"):
-                _self_gram_into(spec, pooled, K, sq_pooled, sums)
+                _gram_into(spec, pooled, None, K, sq_pooled, sums)
             with _timed(timings, "eigendecomposition"):
                 basis = _fit(pooled, spec, j_cap, cand_mode, method, K, sums)
             with _timed(timings, "coefficient"):

@@ -6,14 +6,13 @@ per block of query rows, P = Kx @ [b * R | c] with Kx the block's cross
 Gram, extends any right-hand side R: its last column is s, the others are
 the output times s^p. Every reader takes one path: _check_query, then
 _operands, then _extend, which builds the cross Gram one block of query rows
-at a time and runs _extend_block on it (kernels.map_blocks). Below
-kernels.BLAS_DISTANCE_MIN_D columns, where the distance and exponential
-loops are single-threaded, the blocks run on a worker pool, one whole block
-per task, each writing only its own output rows; the output's bits do not
-depend on the worker count. extend() takes R = Psi / lambda; a SeriesModel
-folds R = Psi (beta / lambda) once, so a prediction is a two-column product
-per block; the tuner passes the validation cross Gram it built; and
-baselines.nw_predict extends R = y in Stochastic mode.
+at a time and runs _extend_block on it (kernels.map_blocks, which decides
+whether the blocks run on its worker pool). Each block writes only its own
+output rows, so the output's bits do not depend on the worker count.
+extend() takes R = Psi / lambda; a SeriesModel folds R = Psi (beta / lambda)
+once, so a prediction is a two-column product per block; the tuner passes
+the validation cross Gram it built; and baselines.nw_predict extends R = y
+in Stochastic mode.
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ from spectral_series import (
 from spectral_series import diffusion
 from spectral_series.cli import main
 from spectral_series.diffusion import EIGENVALUE_TIE_GAP, LANCZOS_MIN_N
-from spectral_series.kernels import READ_BLOCK_BYTES, _self_gram_into
+from spectral_series.kernels import READ_BLOCK_BYTES, _gram_into
 from spectral_series.nystrom import EIGENVALUE_FLOOR_REL
 
 E1 = np.exp(-1.0)
@@ -624,7 +624,7 @@ class TestFitBasis:
         X = gen_spiral(n, noise_sd=0.1, seed=0).features
         spec = KernelSpec.gaussian(0.05)
         sums = np.empty(n)
-        K = _self_gram_into(spec, X, sums=sums)
+        K = _gram_into(spec, X, sums=sums)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -635,6 +635,19 @@ class TestFitBasis:
         bound = READ_BLOCK_BYTES + 6 * n * (j_max + 1) * 8
         assert bound < 8 * 2**20
         assert peak <= bound
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_every_normalization_walks_the_grams_blocks(self, mode, monkeypatch):
+        # no mode passes over K outside the block walker; Uniform's division
+        # by n used to be one whole-array pass of its own
+        X = gen_spiral(300, noise_sd=0.1, seed=5).features
+        spec, sums = KernelSpec.gaussian(0.5), np.empty(300)
+        K = gram_matrix(spec, X, sums=sums)
+        walked, real = [], diffusion._blocks_with_sums
+        monkeypatch.setattr(diffusion, "_blocks_with_sums",
+                            lambda form, out, *rest: walked.append(out) or real(form, out, *rest))
+        diffusion._fit(X, spec, 20, mode, EigenMethod("full"), K, sums)
+        assert walked and all(out is K for out in walked)
 
     def test_symmetry_scanned_once_on_a_callers_gram_only(self, monkeypatch):
         # a Gram the package builds is symmetric by construction; only a

@@ -409,8 +409,8 @@ def test_messages_name_the_fault():
 def test_fit_checks_responses_before_any_gram(fault, monkeypatch):
     # fit used to build the Gram and solve for the basis before it read y
     builds = []
-    real = diffusion._self_gram_into
-    monkeypatch.setattr(diffusion, "_self_gram_into",
+    real = diffusion._gram_into
+    monkeypatch.setattr(diffusion, "_gram_into",
                         lambda *args, **kwargs: builds.append(1) or real(*args, **kwargs))
     X, y, Q = FAULTS[fault][1](*_valid())
     with pytest.raises(InputError):

@@ -19,7 +19,7 @@ from spectral_series import (
 from spectral_series import kernels
 from spectral_series.kernels import (
     BLAS_DISTANCE_MIN_D, BLOCK_GRAM_MAX_D, EXP_SLOW_BELOW, READ_BLOCK_BYTES,
-    _exp, _gram_into, _self_gram_into, _sweep_distances, gaussian_from_sqdist, matmul,
+    _exp, _gram_into, _sweep_distances, gaussian_from_sqdist, matmul,
     sq_distances,
 )
 
@@ -150,7 +150,7 @@ class TestGramMatrix:
         for workers in (1, 2):
             monkeypatch.setattr(kernels, "READ_WORKERS", workers)
             K, sums = np.full((n, n), np.nan), np.full(n, np.nan)
-            assert _self_gram_into(spec, X, K, sums=sums) is K
+            assert _gram_into(spec, X, None, K, sums=sums) is K
             assert np.array_equal(K, want)
             assert np.array_equal(sums, want.sum(axis=1))
 
@@ -219,7 +219,7 @@ class TestGramMatrix:
         K, sums = np.empty((n, n)), np.empty(n)
         tracemalloc.start()
         try:
-            _self_gram_into(KernelSpec.gaussian(bw), X, K, sums=sums)
+            _gram_into(KernelSpec.gaussian(bw), X, None, K, sums=sums)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -422,7 +422,7 @@ class TestSquaredDistances:
         for workers in (1, 2):
             monkeypatch.setattr(kernels, "READ_WORKERS", workers)
             K, Kv, sums = np.full((300, 300), np.nan), np.full((100, 300), np.nan), np.empty(300)
-            assert _self_gram_into(spec, X, K, full, sums) is K
+            assert _gram_into(spec, X, None, K, full, sums) is K
             assert _gram_into(spec, Q, X, Kv, cross) is Kv
             assert np.array_equal(K, want) and np.array_equal(sums, want.sum(axis=1))
             assert np.array_equal(Kv, want_cross)
@@ -566,8 +566,8 @@ class TestExpFastPath:
         cond = pdist(X, "sqeuclidean")
         direct = self._floored(squareform(cond) * (-0.25 / bw))
         np.fill_diagonal(direct, 1.0)
-        K = _self_gram_into(KernelSpec.gaussian(bw), X, np.empty((700, 700)),
-                            squareform(cond))
+        K = _gram_into(KernelSpec.gaussian(bw), X, None, np.empty((700, 700)),
+                       squareform(cond))
         assert np.array_equal(_bits(K), _bits(direct))
         sq = cdist(Q, X, "sqeuclidean")
         want = self._floored(sq * (-0.25 / bw))

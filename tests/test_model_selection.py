@@ -36,7 +36,7 @@ from spectral_series import (
     tune_baseline,
     tune_series,
 )
-from spectral_series import baselines, kernels, model_selection
+from spectral_series import baselines, benchmarks, kernels, model_selection
 from spectral_series.model_selection import _rank
 from spectral_series.nystrom import EIGENVALUE_FLOOR_REL
 from spectral_series.series import SeriesModel
@@ -596,6 +596,23 @@ class TestTuneBaseline:
         _, report = tune_baseline(train, val, [1, 3, 5], "knn")
         assert all(v == 0.0 for v in report.loss_surface.values())
         assert report.chosen[1] == 5
+
+    def test_krr_bandwidth_tie_goes_to_the_wider_bandwidth(self, monkeypatch):
+        # the benchmarks' KRR picks its bandwidth by the tuners' tie rule
+        # (_rank): at equal validation loss the wider, smoother kernel wins
+        real = benchmarks.tune_baseline
+
+        def equal_losses(*args, **kwargs):
+            model, report = real(*args, **kwargs)
+            report.val_loss = 1.0
+            return model, report
+
+        monkeypatch.setattr(benchmarks, "tune_baseline", equal_losses)
+        data = gen_spiral(120, noise_sd=0.1, seed=2)
+        train, val, test = split(data, SplitSpec(seed=2))
+        bandwidths = [0.5, 2.0, 1.0]
+        model, _, _ = benchmarks._tuned_krr(train, val, test, bandwidths, [1e-3, 1e-1])
+        assert model.kernel.bandwidth == 2.0
 
     @pytest.mark.parametrize("kind, candidates, match", [
         ("knn", [2.5], "k must be an integer"),
