@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.linalg.lapack
@@ -126,19 +125,21 @@ def krr_fit(X: np.ndarray, y: np.ndarray, spec: KernelSpec, penalty: float) -> K
 
     Refuses visibly ill-conditioned systems: the Gershgorin bound
     max_rowsum(K + n*penalty*I) / (n*penalty) estimates the condition number
-    from above for a positive semi-definite K. The solve takes the route of
-    _ridge_solver in the fit's own K: one tridiagonal reduction, O(n^3), made
-    to be shared by a penalty sweep over one Gram (tune_baseline), so one fit
-    costs more than a Cholesky factorization would. X and y follow the input
-    contract (README, "Input contract"); a fault, or a penalty that is not
-    finite and > 0, raises InputError, not the NumericalError of a failed
-    solve.
+    from above for a positive semi-definite K. The solve is _ridge_solve's
+    over this one penalty: one tridiagonal reduction, O(n^3), made to be
+    shared by a penalty sweep over one Gram (tune_baseline), so one fit
+    costs more than a Cholesky factorization would, and the sweep's winner
+    has this fit's bits. X and y follow the input contract (README, "Input
+    contract"); a fault, or a penalty that is not finite and > 0, raises
+    InputError, not the NumericalError of a failed solve.
     """
     X, y = _checked_training(X, y)
     penalty = _checked_positive(penalty, "penalty")
     K, row_bound = _gram_and_row_bound(spec, X)
-    alpha = _ridge_solver(K, y, row_bound)(penalty)
-    return KRRModel(spec, X, alpha, penalty)
+    solved, = _ridge_solve(K, y, row_bound, [penalty])
+    if isinstance(solved, NumericalError):
+        raise solved
+    return KRRModel(spec, X, solved, penalty)
 
 
 def _gram_and_row_bound(spec: KernelSpec, X: np.ndarray) -> tuple[np.ndarray, float]:
@@ -159,49 +160,63 @@ def _gram_and_row_bound(spec: KernelSpec, X: np.ndarray) -> tuple[np.ndarray, fl
     return K, float(sums.max())
 
 
-def _ridge_solver(K: np.ndarray, y: np.ndarray, row_bound: float) -> Callable[[float], np.ndarray]:
-    """solve(penalty) -> alpha with (K + n*penalty*I) alpha = y, for any number of penalties.
+def _ridge_solve(K: np.ndarray, y: np.ndarray, row_bound: float,
+                 penalties) -> list[np.ndarray | NumericalError]:
+    """For each penalty, alpha with (K + n*penalty*I) alpha = y, or the NumericalError it met.
 
     The systems differ only by a shift of the diagonal, so they share one
     orthogonal reduction K = Q T Q^T with T tridiagonal (LAPACK dsytrd, in
     place: K is consumed) and one Q^T y. Every penalty meets the condition
-    bound (see krr_fit) first, so the reduction is made when the first
-    penalty passes it. Each penalty then costs O(n^2): (T + n*penalty*I) z =
-    Q^T y by dptsv, O(n), and alpha = Q z by dormqr. K is a self Gram the
-    package built, which meets the symmetry contract (diffusion module
-    notes); the reduction reads its upper triangle. A T + n*penalty*I that
-    is not positive definite, or a non-finite alpha, raises NumericalError.
+    bound (see krr_fit) first, and the reduction is made only if one passes
+    it. Each admitted penalty then costs one O(n) solve, (T + n*penalty*I)
+    z = Q^T y by dptsv, into its column of one Fortran block, and alpha =
+    Q z, O(n^2) a column, is one blocked dormqr over the whole block (the
+    compact WY form of Schreiber & Van Loan 1989). A column of that product keeps its bits whatever the
+    block's width, so a sweep's alpha is krr_fit's at its penalty, bit for
+    bit. K is a self Gram the package built, which meets the symmetry
+    contract (diffusion module notes); the reduction reads its upper
+    triangle. A T + n*penalty*I that is not positive definite, or a
+    non-finite alpha, is its own penalty's NumericalError and no other's.
+    Each alpha is an array of its own, not a view that keeps the block alive.
     """
     n = K.shape[0]
-    reduction = []  # [reflectors, tau, d, e, Q^T y] once made
-
-    def solve(penalty: float) -> np.ndarray:
+    out: list = []
+    for penalty in penalties:
         ridge = n * penalty
         cond_bound = (row_bound + ridge) / ridge
-        if cond_bound > KRR_CONDITION_LIMIT:
-            raise NumericalError(
-                f"system condition estimate {cond_bound:.3e} exceeds "
-                f"{KRR_CONDITION_LIMIT:.0e}; increase the penalty"
-            )
-        if not reduction:
-            reduction.extend(_tridiagonalize(K, y))
-        V, tau, d, e, qty = reduction
+        out.append(NumericalError(
+            f"system condition estimate {cond_bound:.3e} exceeds "
+            f"{KRR_CONDITION_LIMIT:.0e}; increase the penalty")
+            if cond_bound > KRR_CONDITION_LIMIT else None)
+    admitted = [i for i, result in enumerate(out) if result is None]
+    if not admitted:
+        return out
+    V, tau, d, e, qty = _tridiagonalize(K, y)
+    # Q = diag(1, Q'), so z's first entry is alpha's and Q' maps the rest;
+    # Z holds those rests, one column per solved penalty
+    heads, Z, solved = np.empty(len(admitted)), np.empty((n - 1, len(admitted)), order="F"), []
+    for i in admitted:
         # a decoupled unit row keeps e non-empty at n = 1, which the wrapper
         # refuses, and changes no bit of the other entries
         _, _, z, info = scipy.linalg.lapack.dptsv(
-            np.append(d + ridge, 1.0), np.append(e, 0.0), np.append(qty, 0.0)[:, None],
-            overwrite_d=1, overwrite_e=1, overwrite_b=1)
+            np.append(d + n * penalties[i], 1.0), np.append(e, 0.0),
+            np.append(qty, 0.0)[:, None], overwrite_d=1, overwrite_e=1, overwrite_b=1)
         if info != 0:
-            raise NumericalError(
+            out[i] = NumericalError(
                 f"ridge solve failed: T + n*penalty*I is not positive definite "
-                f"(dptsv info {info})"
-            )
-        alpha = _apply_q(V, tau, z[:n, 0], "N")
-        if not np.isfinite(alpha).all():
-            raise NumericalError("ridge solve failed: non-finite dual coefficients")
-        return alpha
-
-    return solve
+                f"(dptsv info {info})")
+            continue
+        heads[len(solved)], Z[:, len(solved)] = z[0, 0], z[1:n, 0]
+        solved.append(i)
+    Z = Z[:, :len(solved)]  # leading columns of a Fortran array: still Fortran, no copy
+    if Z.size:
+        lwork = int(scipy.linalg.lapack.dormqr("L", "N", V, tau, Z, -1, overwrite_c=1)[1][0])
+        scipy.linalg.lapack.dormqr("L", "N", V, tau, Z, lwork, overwrite_c=1)
+    for j, i in enumerate(solved):
+        alpha = np.append(heads[j], Z[:, j])
+        out[i] = alpha if np.isfinite(alpha).all() else NumericalError(
+            "ridge solve failed: non-finite dual coefficients")
+    return out
 
 
 def _tridiagonalize(K: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -212,19 +227,14 @@ def _tridiagonalize(K: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
     # Q = diag(1, Q'), where Q' is the product of reflectors stored from c[1, 0]
     # down with c's leading dimension: LAPACK dormtr's view for UPLO = 'L'
     V = c.ravel(order="F")[1:1 + n * (n - 1)].reshape(n, n - 1, order="F")
-    return V, tau, d, e, _apply_q(V, tau, y, "T")
-
-
-def _apply_q(V: np.ndarray, tau: np.ndarray, x: np.ndarray, trans: str) -> np.ndarray:
-    """Q x (trans "N") or Q^T x ("T") as a new array, for _tridiagonalize's Q."""
-    out = np.array(x, dtype=float)
-    if out.size > 1:
-        # lwork 1 takes the unblocked dorm2r: on one column it measured about
-        # twice as fast as the blocked route at n = 800
-        cq, _, _ = scipy.linalg.lapack.dormqr("L", trans, V, tau, out[1:, None], 1,
+    qty = np.array(y, dtype=float)
+    if n > 1:
+        # lwork 1 takes the unblocked dorm2r, which on this one column measured
+        # about twice as fast as the blocked route at n = 800
+        cq, _, _ = scipy.linalg.lapack.dormqr("L", "T", V, tau, qty[1:, None], 1,
                                              overwrite_c=1)
-        out[1:] = cq[:, 0]
-    return out
+        qty[1:] = cq[:, 0]
+    return V, tau, d, e, qty
 
 
 def krr_predict(model: KRRModel, Xnew: np.ndarray) -> np.ndarray:

@@ -177,6 +177,17 @@ sweep's validation distances stay on the heap, where a later sweep finds
 their pages already faulted in: in a map of their own they cost an
 in-process d = 1000 sweep 1-4 ms of its kernel build (800 points, 400
 validation rows, medians of 30 sweeps in each of three processes a side).
+
+A fresh map is faulted in one page at a time by its first writes, so a map
+of at least ``HUGE_PAGE_MIN_BYTES`` (4 MiB, an 800 x 800 Gram's 5 MB
+included) asks for transparent huge pages (``MADV_HUGEPAGE``), as numpy
+does for its own arrays of that size: a 2 MiB page takes one fault where
+4 KiB pages take 512. Filling a fresh 2000 x 2000 map took 18-22 ms in
+4 KiB pages and 5-12 ms with the hint, an 800 x 800 one 2.4-2.5 against
+1.5-1.7 ms (2-core Xeon, medians of 31 in each of three processes). The
+hint changes no arithmetic, and ``sq_distances`` still returns the pages
+past its triangle. A kernel without transparent huge pages refuses it, and
+the map keeps its small pages.
 """
 
 from __future__ import annotations
@@ -256,6 +267,10 @@ BLOCK_GRAM_MAX_D = 8
 # for a subnormal one, against 1.5 ns.
 EXP_SLOW_BELOW = -707.7
 _FLOAT_MAX = float(np.finfo(float).max)
+# A private map (_own_array) of at least this many bytes asks for transparent
+# huge pages (see the module notes): numpy's own threshold for the hint.
+HUGE_PAGE_MIN_BYTES = 4 * 2**20
+_MADV_HUGEPAGE = getattr(mmap, "MADV_HUGEPAGE", None)  # Linux only
 
 
 @dataclass(frozen=True)
@@ -533,10 +548,19 @@ def _own_array(*shape: int) -> np.ndarray:
     Every n^2-scale output the package allocates lies in one (see the module
     notes), so freeing it unmaps its pages whatever the heap holds around it.
     The map is private, as the allocator's own large blocks are: after a
-    fork, a write on either side copies the page, not shares it. tracemalloc
-    does not see it. The array's base is the map.
+    fork, a write on either side copies the page, not shares it. A map of at
+    least HUGE_PAGE_MIN_BYTES asks for transparent huge pages, as numpy does
+    for its own arrays of that size; a kernel without them refuses the hint
+    (OSError), and the map keeps its small pages. tracemalloc does not see
+    the map. The array's base is the map.
     """
-    buf = mmap.mmap(-1, max(8 * int(np.prod(shape)), 8), flags=mmap.MAP_PRIVATE)
+    size = max(8 * int(np.prod(shape)), 8)
+    buf = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
+    if size >= HUGE_PAGE_MIN_BYTES and _MADV_HUGEPAGE is not None:
+        try:
+            buf.madvise(_MADV_HUGEPAGE)
+        except OSError:
+            pass
     return np.ndarray(shape, dtype=float, buffer=buf)
 
 
@@ -627,11 +651,15 @@ def _distances_into(B: np.ndarray, full: np.ndarray | None = None,
     exactly symmetric; its diagonal is set to 0. For cross, B's chunk is
     padded with zero rows to a multiple of 32: OpenBLAS splits gemm's rows
     over its threads, and an entry's bits change when a split falls off a
-    multiple of 8 rows, which it then does not on up to 4 threads. So a
-    query row's entries do not depend on the rows beside it, unless its
-    batch is so small that BLAS takes another kernel (on a 2-core Xeon,
-    below 19 rows against 64 training rows, 10 against 100, 4 against 300
-    and 2 against 600).
+    multiple of 8 rows, which it then does not on up to 4 threads. A query
+    block is padded with zero rows too, to 32 rows (64 against at most 32
+    training rows), into a product of its own: OpenBLAS takes a product of
+    few entries through its small-matrix kernel, which rounds otherwise
+    (on a 2-core Xeon, up to 1184 entries at a chunk depth of 128 and 992
+    at 1000, so a batch below 16 rows against 64 training rows at d = 1000,
+    and below 4 against 300). Every query block but the last is at least
+    that long. So a query row's entries do not depend on the rows beside
+    it or on its batch's size.
     """
     n, d = B.shape
     if d < BLAS_DISTANCE_MIN_D or not n:
@@ -648,19 +676,28 @@ def _distances_into(B: np.ndarray, full: np.ndarray | None = None,
     width = min(max(next(row_blocks(d, n, READ_BLOCK_BYTES)).stop, _MIN_CHUNK_COLUMNS), d)
     chunks = [slice(c, min(c + width, d)) for c in range(0, d, width)]
     buf, nb, mu = np.empty(height * width), np.zeros(n), B.mean(axis=0)
-    queries = [] if cross is None else list(row_blocks(Q.shape[0], width, READ_BLOCK_BYTES))
+    # every product has height x pad >= 2048 entries, past the small-matrix
+    # kernel: blocks hold at least pad rows, and a shorter last one is padded
+    pad = max(32, 2048 // height)
+    queries = [] if cross is None else list(
+        row_blocks(Q.shape[0], min(width, READ_BLOCK_BYTES // (8 * pad)), READ_BLOCK_BYTES))
+    short = None
     if queries:
-        qbuf, nq = np.empty(queries[0].stop * width), np.zeros(Q.shape[0])
+        qbuf, nq = np.empty(max(queries[0].stop, pad) * width), np.zeros(Q.shape[0])
         product = cross if height == n else np.empty((Q.shape[0], height))
+        if queries[-1].stop - queries[-1].start < pad:
+            short = np.empty((pad, height))  # the padded last block's product
     for k, cols in enumerate(chunks):
         Bc = _centered(B, slice(0, n), cols, mu, buf, nb, height)
         # C-ordered operands are the Fortran transposes BLAS reads without a copy
         if full is not None:
             dsyrk(-2.0, Bc[:n].T, beta=float(k > 0), c=full.T, trans=1, lower=1, overwrite_c=1)
         for rows in queries:
-            Qc = _centered(Q, rows, cols, mu, qbuf, nq)
-            dgemm(-2.0, Bc.T, Qc.T, beta=float(k > 0), c=product[rows].T, trans_a=1,
-                  overwrite_c=1)
+            Qc = _centered(Q, rows, cols, mu, qbuf, nq, pad)
+            c = short if Qc.shape[0] > rows.stop - rows.start else product[rows]
+            dgemm(-2.0, Bc.T, Qc.T, beta=float(k > 0), c=c.T, trans_a=1, overwrite_c=1)
+    if short is not None:
+        product[queries[-1]] = short[:queries[-1].stop - queries[-1].start]
     if full is not None:
         _mirror_upper(full)
 
@@ -827,10 +864,9 @@ def gram_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray | None = None, *,
     query rows are (_checked_queries), as in sq_distances: more than two
     dimensions, a row holding NaN or Inf or, with B given, a column count
     other than B's raises InputError, and so does a self Gram of no rows or
-    no columns. Both forms are built by _gram_into (see the module notes);
-    from BLAS_DISTANCE_MIN_D columns a Gaussian cross Gram's row in a last
-    block of a few rows may round unlike the same row in a larger block
-    (_distances_into). A polynomial entry that overflows raises
+    no columns. Both forms are built by _gram_into (see the module notes),
+    and a cross Gram's row has the same bits whatever rows A holds beside
+    it (_distances_into). A polynomial entry that overflows raises
     NumericalError; that check walks K by blocks of rows.
     """
     if B is None or B is A:

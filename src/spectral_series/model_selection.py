@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import (
-    KNNModel, KRRModel, NWModel, _gram_and_row_bound, _knn, _nw, _ridge_solver,
+    KNNModel, KRRModel, NWModel, _gram_and_row_bound, _knn, _nw, _ridge_solve,
 )
 from .dataset import Dataset
 from .diffusion import EigenMethod, Mode, _fit, _n_usable
@@ -318,9 +318,12 @@ def tune_baseline(
 
     kind is "nw" (candidates are bandwidths), "knn" (neighbor counts), or
     "krr" (penalties; needs the kernel, whose Gram and validation cross Gram
-    are built once for all penalties, and whose Gram is reduced to
-    tridiagonal form once, so that each penalty costs O(n^2) more; see
-    krr_fit). Ties go as _rank orders them: to the larger parameter.
+    are built once for all penalties, and every penalty is solved in one
+    call: the Gram is reduced to tridiagonal form once, each penalty costs
+    an O(n) tridiagonal solve, and Q is applied to all of their solutions
+    in one blocked pass; see krr_fit). A penalty whose solve fails scores
+    inf and is logged, as any failed candidate is. Ties go as _rank orders
+    them: to the larger parameter.
     A missing split raises InputError. Candidates are checked as the
     predictors check them, all before the first is scored and before any
     kernel is built.
@@ -344,11 +347,12 @@ def tune_baseline(
         # every penalty shares one K, reduced in place, and one validation cross Gram
         with _timed(timings, "fit"):
             K, row_bound = _gram_and_row_bound(kernel, train.features)
-            solve = _ridge_solver(K, train.responses, row_bound)
+            solved = _ridge_solve(K, train.responses, row_bound, candidates)
+            del K  # its map is returned before the validation Gram is made
         with _timed(timings, "validation"):
             Kv = gram_matrix(kernel, val.features, train.features)
     best = None  # (key, loss, model)
-    for param in candidates:
+    for i, param in enumerate(candidates):
         key = (kind, float(param), -1)
         try:
             with _timed(timings, "fit"):
@@ -356,8 +360,10 @@ def tune_baseline(
                     model = NWModel(train.features, train.responses, param)
                 elif kind == "knn":
                     model = KNNModel(train.features, train.responses, param)
+                elif isinstance(solved[i], NumericalError):
+                    raise solved[i]
                 else:
-                    alpha = solve(param)
+                    alpha = solved[i]
                     model = KRRModel(kernel, train.features, alpha, param)
         except NumericalError as exc:
             logger.warning("%s candidate %s failed: %s", kind, param, exc)

@@ -192,9 +192,15 @@ def max_abs_row_sum(K):
 
 
 def ridge_solve(K, y, penalty):
-    """(K + n*penalty*I)^-1 y by the ridge route of krr_fit and tune_baseline, in a copy of K."""
+    """(K + n*penalty*I)^-1 y by the ridge route of krr_fit and tune_baseline, in a copy of K.
+
+    Raises the penalty's NumericalError, as krr_fit does.
+    """
     K = np.array(K, dtype=float, order="C")
-    return baselines._ridge_solver(K, y, max_abs_row_sum(K))(penalty)
+    alpha, = baselines._ridge_solve(K, y, max_abs_row_sum(K), [penalty])
+    if isinstance(alpha, NumericalError):
+        raise alpha
+    return alpha
 
 
 class TestKrrSolve:
@@ -241,13 +247,17 @@ class TestKrrSolve:
         assert np.array_equal(model.dual_coefficients, alpha)
 
     def test_penalty_sweep_reduces_k_once(self, monkeypatch):
-        # one tridiagonal reduction serves all 10 penalties; no Cholesky factorization
-        calls = {"dsytrd": 0, "dposv": 0}
-        for name in calls:
+        # one tridiagonal reduction serves all 10 penalties, and Q is applied
+        # twice: once to y, once to the block of every penalty's solution (an
+        # lwork query, dormqr with lwork -1, applies nothing and counts
+        # apart); no Cholesky factorization
+        calls = {"dsytrd": 0, "dposv": 0, "dormqr": 0, "dormqr query": 0}
+        for name in ("dsytrd", "dposv", "dormqr"):
             real = getattr(scipy.linalg.lapack, name)
 
             def counted(*args, real=real, name=name, **kwargs):
-                calls[name] += 1
+                query = name == "dormqr" and (args[5] if len(args) > 5 else kwargs["lwork"]) == -1
+                calls[name + " query" if query else name] += 1
                 return real(*args, **kwargs)
 
             monkeypatch.setattr(scipy.linalg.lapack, name, counted)
@@ -256,8 +266,56 @@ class TestKrrSolve:
         val = Dataset(data.features[200:], data.responses[200:])
         penalties = krr_penalty_grid(train.responses)
         _, report = tune_baseline(train, val, penalties, "krr", KernelSpec.gaussian(0.1))
+        assert np.isfinite(list(report.loss_surface.values())).all()
         assert len(report.loss_surface) == 10
-        assert calls == {"dsytrd": 1, "dposv": 0}
+        assert calls == {"dsytrd": 1, "dposv": 0, "dormqr": 2, "dormqr query": 1}
+
+    def test_refused_grid_reduces_nothing(self, monkeypatch):
+        # every condition bound is met before the reduction, which a grid
+        # refused whole never makes; each penalty keeps its own error
+        def refuse(*args, **kwargs):
+            raise AssertionError("K was reduced")
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dsytrd", refuse)
+        K = gram_matrix(KernelSpec.gaussian(1.0), gen_spiral(50, seed=2).features)
+        results = baselines._ridge_solve(K, np.ones(50), max_abs_row_sum(K), [1e-16, 1e-18])
+        assert [type(r) for r in results] == [NumericalError, NumericalError]
+        assert all("condition" in str(r) for r in results)
+
+    def test_each_penalty_fails_alone(self, monkeypatch):
+        # a penalty whose tridiagonal solve fails is reported for itself; the
+        # penalties beside it in the block are solved as if alone
+        data = gen_spiral(120, noise_sd=0.1, seed=5)
+        K = gram_matrix(KernelSpec.gaussian(0.2), data.features)
+        y, penalties = data.responses, [1e-6, 1e-4, 1e-2]
+        real = scipy.linalg.lapack.dptsv
+        calls = []
+
+        def failing(d, e, b, **kwargs):
+            calls.append(len(calls))
+            if len(calls) == 2:  # the second penalty's solve reports a failed pivot
+                return d, e, b, 3
+            return real(d, e, b, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dptsv", failing)
+        results = baselines._ridge_solve(K.copy(), y, max_abs_row_sum(K), penalties)
+        monkeypatch.undo()
+        assert isinstance(results[1], NumericalError)
+        assert "positive definite" in str(results[1])
+        for i in (0, 2):
+            assert np.array_equal(results[i], ridge_solve(K, y, penalties[i]))
+
+    def test_dual_coefficients_own_their_memory(self):
+        # a column view would keep the sweep's whole n x p block alive for
+        # as long as the model is kept
+        data = gen_spiral(300, noise_sd=0.1, seed=6)
+        train = Dataset(data.features[:200], data.responses[:200])
+        val = Dataset(data.features[200:], data.responses[200:])
+        spec = KernelSpec.gaussian(0.1)
+        model, _ = tune_baseline(train, val, krr_penalty_grid(train.responses), "krr", spec)
+        fitted = krr_fit(train.features, train.responses, spec, 1e-3)
+        for alpha in (model.dual_coefficients, fitted.dual_coefficients):
+            assert alpha.base is None and alpha.shape == (200,)
 
     def test_inputs_left_unchanged(self):
         # the solve consumes the K that the fit builds; the caller's points

@@ -1,5 +1,7 @@
 """Kernel evaluation, Gram construction, and the bandwidth grid."""
 
+import errno
+import mmap
 import os
 import subprocess
 import sys
@@ -368,6 +370,27 @@ class TestSquaredDistances:
         chunk = n * kernels._MIN_CHUNK_COLUMNS * 8
         assert peak <= 8 * n * n + chunk + 8 * 2**20
         assert kept <= 8 * n * (n - 1) // 2 + chunk + 4 * 2**20
+
+    @pytest.mark.skipif(kernels._MADV_HUGEPAGE is None, reason="no MADV_HUGEPAGE on this platform")
+    def test_private_map_works_when_the_huge_page_hint_is_refused(self, monkeypatch):
+        # a kernel without transparent huge pages refuses the hint with an
+        # OSError; the map keeps its small pages and works as before
+        hints = []
+
+        class Refusing(mmap.mmap):
+            def madvise(self, option, *args):
+                hints.append(option)
+                raise OSError(errno.EINVAL, "no transparent huge pages")
+
+        monkeypatch.setattr(kernels.mmap, "mmap", Refusing)
+        n = 1024  # 8 MiB, above HUGE_PAGE_MIN_BYTES
+        assert 8 * n * n >= kernels.HUGE_PAGE_MIN_BYTES
+        big, small = kernels._own_array(n, n), kernels._own_array(4, 4)
+        assert hints == [kernels._MADV_HUGEPAGE]
+        big[:] = 2.0
+        small[:] = 3.0
+        assert big.shape == (n, n) and big.sum() == 2.0 * n * n and small.sum() == 48.0
+        assert isinstance(big.base, Refusing)
 
     @pytest.mark.parametrize("n, d, shift", [
         (300, BLAS_DISTANCE_MIN_D, 0.0), (300, BLAS_DISTANCE_MIN_D, 1e3),

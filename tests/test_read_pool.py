@@ -329,6 +329,27 @@ def test_cross_distances_keep_their_bits_at_every_query_count(m, n):
     assert np.array_equal(sq_distances(A, B), first)
 
 
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_every_batch_gives_the_bulk_calls_rows(threads):
+    # a streamed batch of 1-64 rows predicts what the bulk call does: a query
+    # block too short for BLAS's large-product kernel is padded with zero
+    # rows, as the training rows are. 20 training rows at d = 32 need a pad
+    # of 64 rows; 64 and 300 at d = 1000 one of 32
+    script = (
+        "import numpy as np\n"
+        "from spectral_series.kernels import sq_distances\n"
+        "rng = np.random.default_rng(0)\n"
+        "for n, d in ((64, 1000), (300, 1000), (20, 32)):\n"
+        "    X, Q = rng.normal(size=(n, d)), rng.normal(size=(1200, d))\n"
+        "    bulk = sq_distances(Q, X)\n"
+        "    bad = [(start, b) for start in (0, 517) for b in range(1, 65)\n"
+        "           if not np.array_equal(sq_distances(Q[start:start + b], X),\n"
+        "                                 bulk[start:start + b])]\n"
+        "    print(n, d, bad)\n"
+    )
+    assert run_script(script, threads) == ["64 1000 []", "300 1000 []", "20 32 []"]
+
 class TestCliExitCodes:
     @pytest.fixture()
     def archive(self, tmp_path, capsys):
